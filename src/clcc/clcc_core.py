@@ -26,6 +26,7 @@ from clcc.simplicial import (
     ColoredMap,
     CoordSimplex,
     SimplicialComplex,
+    _chordless_squares,
     is_flag,
     simplicial_join,
 )
@@ -338,20 +339,23 @@ def link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:
     return simplicial_join(gamma_a.link(a), gamma_b.link(b))
 
 
-def tagged_link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:
-    """Join-formula link with vertices force-tagged ("A", v) / ("B", w);
-    matches the cube ids of the adjacency link via
-    ("A", v) <-> (a + v, b)."""
+def join_link_of_cube(
+    gamma_a: ColoredComplex, gamma_b: ColoredComplex, cube
+) -> SimplicialComplex:
+    """lk_A(a) * lk_B(b) for the cube (a, b), each link vertex named by the
+    cube one dimension up that it stands for: u in lk_A(a) is (a + u, b)
+    and w in lk_B(b) is (a, b + w).  This is the adjacency link
+    X.link_complex(cube) of the pair complex X, computed from the factors."""
     a, b = cube
-    gamma_a, gamma_b = X.defining_pair
-    la = gamma_a.link(a).uncolored().relabeled(
-        {v: ("A", v) for v in gamma_a.link(a).vertex_ids}
+    la, lb = gamma_a.link(a), gamma_b.link(b)
+    up_a = {u: (a.plus(c, u), b) for u, c in la.vertices}
+    up_b = {w: (a, b.plus(c, w)) for w, c in lb.vertices}
+    fam = frozenset(
+        frozenset(up_a[u] for u in s.vertex_ids) | frozenset(up_b[w] for w in t.vertex_ids)
+        for s in la.simplices
+        for t in lb.simplices
     )
-    lb = gamma_b.link(b).uncolored().relabeled(
-        {w: ("B", w) for w in gamma_b.link(b).vertex_ids}
-    )
-    fam = frozenset(s | t for s in la.simplices for t in lb.simplices)
-    return SimplicialComplex(la.vertex_ids + lb.vertex_ids, fam)
+    return SimplicialComplex(tuple(up_a.values()) + tuple(up_b.values()), fam)
 
 
 # ----------------------------------------------------------------------
@@ -517,19 +521,20 @@ def is_connected(gamma_a: ColoredComplex, gamma_b: ColoredComplex, engine: str =
 def is_npc(gamma_a: ColoredComplex, gamma_b: ColoredComplex):
     """Non-positive curvature of the pair complex.
 
-    Flag inputs settle it immediately; otherwise every vertex link of the
-    built complex is checked for flagness directly (exact, since the
-    complex is non-positively curved iff all vertex links are flag).
-    Returns (verdict, method, witness)."""
+    Flag inputs settle it immediately; otherwise every vertex link is
+    checked for flagness (exact, since the complex is non-positively
+    curved iff all vertex links are flag).  A join is flag iff both
+    factor links are, so the walk needs no built complex; the first
+    failing vertex gets its minimal non-spanning clique from the join
+    link named by cube ids.  Returns (verdict, method, witness)."""
     flag_a, _ = is_flag(gamma_a)
     flag_b, _ = is_flag(gamma_b)
     if flag_a and flag_b:
         return True, "flag-inputs", None
-    X = build_clcc(gamma_a, gamma_b)
-    for v in X.cells(0):
-        link = X.link_complex(v)
-        ok, clique = is_flag(link)
-        if not ok:
+    links = _JoinLinks(gamma_a, gamma_b)
+    for v in links.vertices():
+        if not links.is_flag(v):
+            _, clique = is_flag(join_link_of_cube(gamma_a, gamma_b, v))
             return False, "direct-links", (v, clique)
     return True, "direct-links", None
 
@@ -540,12 +545,15 @@ def classify_vertex_links(X: CubeComplex) -> dict:
     circle   = connected 1-complex, every vertex of degree 2;
     2-sphere = connected closed simplicial surface (each edge in exactly
                two triangles, vertex links circles) with chi = 2.
+
+    A pair-built complex tags its links from the factor links by the join
+    formula; a complex with no defining pair (loaded from JSON, or built
+    by hand) tags the adjacency link of each vertex.
     """
-    out = {}
-    for v in X.cells(0):
-        link = X.link_complex(v)
-        out[v] = _classify_link(link)
-    return out
+    if X.defining_pair is not None:
+        links = _JoinLinks(*X.defining_pair)
+        return {v: links.tag(v) for v in X.cells(0)}
+    return {v: _classify_link(X.link_complex(v)) for v in X.cells(0)}
 
 
 def _is_circle(L: SimplicialComplex) -> bool:
@@ -574,6 +582,93 @@ def _classify_link(L: SimplicialComplex) -> str:
         ):
             return "2-sphere"
     return "other"
+
+
+class _FactorLink:
+    """Invariants of one factor link lk_K(s), each computed on first use."""
+
+    def __init__(self, K: ColoredComplex, s: CoordSimplex):
+        self.link = K.link(s).uncolored()
+        self.dim = self.link.top_dim
+        self.size = len(self.link.vertex_ids)
+
+    @cached_property
+    def tag(self) -> str:
+        return _classify_link(self.link)
+
+    @cached_property
+    def has_empty_square(self) -> bool:
+        return bool(_chordless_squares(self.link.adjacency))
+
+    @cached_property
+    def has_non_adjacent_pair(self) -> bool:
+        return any(len(ns) < self.size - 1 for ns in self.link.adjacency.values())
+
+    @cached_property
+    def is_flag(self) -> bool:
+        return is_flag(self.link)[0]
+
+
+class _JoinLinks:
+    """Vertex-link invariants of the pair complex of (gamma_a, gamma_b)
+    from lk(a, b) = lk_A(a) * lk_B(b), without building the complex.
+
+    Factor-link summaries are memoised per simplex for the life of this
+    object, and each call creates its own: a simplex is a value, and the
+    same simplex has other links in other complexes."""
+
+    def __init__(self, gamma_a: ColoredComplex, gamma_b: ColoredComplex):
+        if gamma_a.n != gamma_b.n:
+            raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+        self.gamma_a, self.gamma_b = gamma_a, gamma_b
+        self._memo_a: dict = {}
+        self._memo_b: dict = {}
+
+    def vertices(self) -> list:
+        """The complementary pairs (a, b), in the order of X.cells(0)."""
+        all_colors = frozenset(range(1, self.gamma_a.n + 1))
+        partners = self.gamma_b.by_colorset
+        return csorted(
+            (a, b) for a in self.gamma_a.simplices for b in partners.get(all_colors - a.colors, ())
+        )
+
+    def _factor_links(self, v) -> tuple[_FactorLink, _FactorLink]:
+        a, b = v
+        if a not in self._memo_a:
+            self._memo_a[a] = _FactorLink(self.gamma_a, a)
+        if b not in self._memo_b:
+            self._memo_b[b] = _FactorLink(self.gamma_b, b)
+        return self._memo_a[a], self._memo_b[b]
+
+    def tag(self, v) -> str:
+        la, lb = self._factor_links(v)
+        if lb.dim < 0:
+            return la.tag
+        if la.dim < 0:
+            return lb.tag
+        if la.dim + lb.dim + 1 >= 3:
+            return "unknown"
+        if la.dim == lb.dim == 0:  # K_{p,q}: a circle only as the 4-cycle
+            return "circle" if la.size == lb.size == 2 else "other"
+        # p points against a 1-dim link: a 2-sphere only as the
+        # suspension of a circle
+        points, line = (la, lb) if la.dim == 0 else (lb, la)
+        return "2-sphere" if points.size == 2 and line.tag == "circle" else "other"
+
+    def has_empty_square(self, v) -> bool:
+        """A chordless 4-cycle of a graph join lies in one side, or has
+        one diagonal in each side (the 5-large condition for joins, as in
+        Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, 2006)."""
+        la, lb = self._factor_links(v)
+        return (
+            la.has_empty_square
+            or lb.has_empty_square
+            or (la.has_non_adjacent_pair and lb.has_non_adjacent_pair)
+        )
+
+    def is_flag(self, v) -> bool:
+        la, lb = self._factor_links(v)
+        return la.is_flag and lb.is_flag
 
 
 # ----------------------------------------------------------------------
@@ -644,17 +739,12 @@ def _check_link_condition(phi: CubicalMap) -> None:
     # full-subcomplex inclusions must induce injective link maps whose
     # image spans a full subcomplex of the target link
     for v in phi.source.cells(0):
-        src = tagged_link_of_cube(phi.source, v)
-        dst = tagged_link_of_cube(phi.target, phi.apply(v))
-
-        def push(vertex):
-            side, u = vertex
-            return (side, phi.f_a(u) if side == "A" else phi.f_b(u))
-
-        image_vertices = [push(u) for u in src.vertex_ids]
+        src = join_link_of_cube(*phi.source.defining_pair, v)
+        dst = join_link_of_cube(*phi.target.defining_pair, phi.apply(v))
+        image_vertices = [phi.apply(u) for u in src.vertex_ids]
         if len(set(image_vertices)) != len(image_vertices):
             raise ComplexError(f"link map at {v} is not injective")
-        mapped = frozenset(frozenset(push(u) for u in s) for s in src.simplices)
+        mapped = frozenset(frozenset(phi.apply(u) for u in s) for s in src.simplices)
         keep = set(image_vertices)
         full = frozenset(s for s in dst.simplices if s <= keep)
         if mapped != full:

@@ -69,6 +69,31 @@ def _read_doc(src: str) -> dict:
         raise ComplexError(f"cannot read {src}: {exc}") from exc
 
 
+def _simplex_option(ctx, param, value: str) -> CoordSimplex:
+    """Parse a simplex given as a JSON object color -> vertex id."""
+    try:
+        doc = json.loads(value)
+        if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
+            raise ValueError("not an object of string vertex ids")
+        return CoordSimplex.of({int(c): v for c, v in doc.items()})
+    except ValueError as exc:
+        raise click.BadParameter(
+            f'expected a JSON object color -> vertex id, e.g. {{"1": "a0"}} ({exc})'
+        ) from exc
+
+
+def _two_colors_option(ctx, param, value: str) -> tuple[int, int]:
+    """Parse two distinct positive colors, e.g. 1,2."""
+    try:
+        ci, cj = (int(x) for x in value.split(","))
+        valid = ci >= 1 and cj >= 1 and ci != cj
+    except ValueError:
+        valid = False
+    if not valid:
+        raise click.BadParameter(f"expected two distinct positive integers, e.g. 1,2; got {value!r}")
+    return ci, cj
+
+
 def _load_pair(doc: dict) -> tuple[ColoredComplex, ColoredComplex]:
     if "gamma_a" not in doc or "gamma_b" not in doc:
         raise ComplexError("expected a pair document with gamma_a and gamma_b")
@@ -138,7 +163,8 @@ def main():
 @click.option("--ka", type=int, default=2, help="half-length of the first cycle (surface)")
 @click.option("--kb", type=int, default=2, help="half-length of the second cycle (surface)")
 @click.option("--k", type=int, default=2, help="half-length (cycle)")
-@click.option("--colors", default="1,2", help="two colors for cycle, e.g. 1,2")
+@click.option("--colors", default="1,2", callback=_two_colors_option,
+              help="two colors for cycle, e.g. 1,2")
 @click.option("--n", "nn", type=int, default=2, help="color count (crosspolytope)")
 @click.option("--gamma", default=None, help="complex JSON path, '-', or a preset name")
 @click.option("--lam", default=None, help="second complex (barycentric)")
@@ -157,8 +183,7 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b, out,
             a, b = generators.gen_surface_pair(ka, kb)
             payload = _pair_doc(a, b)
         elif family == "cycle":
-            ci, cj = (int(x) for x in colors.split(","))
-            payload = generators.gen_cycle(k, (ci, cj), n=max(ci, cj)).to_json_dict()
+            payload = generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
         elif family == "crosspolytope":
             payload = generators.gen_cross_polytope(nn).to_json_dict()
         elif family in ("salvetti", "racg"):
@@ -288,11 +313,12 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc, report):
 
 @main.command()
 @click.argument("input_src", default="-", required=False)
-@click.option("--a", "a_spec", default="{}", help='A-side simplex, e.g. {"1": "a0"}')
-@click.option("--b", "b_spec", default="{}", help="B-side simplex")
+@click.option("--a", "a", default="{}", callback=_simplex_option,
+              help='A-side simplex, e.g. {"1": "a0"}')
+@click.option("--b", "b", default="{}", callback=_simplex_option, help="B-side simplex")
 @click.option("--out", default=None)
 @click.option("--report", is_flag=True)
-def link(input_src, a_spec, b_spec, out, report):
+def link(input_src, a, b, out, report):
     """Link of a cube of the pair complex (join of the two simplex links)."""
     t0 = time.perf_counter()
 
@@ -301,8 +327,6 @@ def link(input_src, a_spec, b_spec, out, report):
         doc = _read_doc(input_src)
         ga, gb = _load_pair(doc)
         X = build_clcc(ga, gb)
-        a = CoordSimplex.of({int(c): v for c, v in json.loads(a_spec).items()})
-        b = CoordSimplex.of({int(c): v for c, v in json.loads(b_spec).items()})
         L = link_of_cube(X, (a, b))
         pretty = L.relabeled(
             {v: (f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v) for v in L.vertex_ids}

@@ -14,12 +14,10 @@ from typing import Optional
 
 from clcc.canon import digest
 from clcc.errors import DomainError, PairError
-from clcc.clcc_core import build_clcc
+from clcc.clcc_core import _JoinLinks
 from clcc.simplicial import (
     ColoredComplex,
     SimplicialComplex,
-    SquareWitness,
-    _chordless_squares,
     barycentric_subdivision_2d,
     empty_squares,
     is_5_large,
@@ -87,7 +85,8 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     sides with only bicolor empty squares; (3) full-cross-polytope
     against a one-vertex-per-color complex with an empty square, which is
     NotHyperbolic by the exact Coxeter criterion; (4) every vertex link
-    of the built complex 5-large.  Anything else is Unknown."""
+    of the pair complex 5-large, decided from the factor links by the
+    join formula.  Anything else is Unknown."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
     dig = _pair_digest(gamma_a, gamma_b)
@@ -131,16 +130,11 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
             "NotHyperbolic", RULE_RACG_SQUARE, {"side": "A", **sq_a.to_json_dict()}, dig
         )
 
-    X = build_clcc(gamma_a, gamma_b)
-    links_large = bool(X.cells(0))
-    for v in X.cells(0):
-        link = X.link_complex(v)
-        if _chordless_squares(link.adjacency):
-            links_large = False
-            break
-    if links_large:
+    links = _JoinLinks(gamma_a, gamma_b)
+    vertices = links.vertices()
+    if vertices and not any(links.has_empty_square(v) for v in vertices):
         return Certificate(
-            "Hyperbolic", RULE_LINKS_5_LARGE, {"links_checked": len(X.cells(0))}, dig
+            "Hyperbolic", RULE_LINKS_5_LARGE, {"links_checked": len(vertices)}, dig
         )
 
     return Certificate("Unknown", None, None, dig, attempted=ALL_RULES)
@@ -188,9 +182,3 @@ def certify_barycentric(
         {"verified": ["obes-a", "obes-b", "pairwise-5-large"]},
         _pair_digest(ga, gb),
     )
-
-
-def soundness_witness(gamma_b: ColoredComplex) -> Optional[SquareWitness]:
-    """Convenience for harnesses: an empty square of the second factor."""
-    squares = empty_squares(gamma_b)
-    return squares[0] if squares else None

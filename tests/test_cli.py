@@ -223,3 +223,23 @@ def test_build_with_pair_and_out_options(tmp_path):
 def test_generate_crosspolytope_and_obes():
     o3 = run(["generate", "crosspolytope", "--n", "3"]).stdout
     assert out_json(run(["check", "obes", "-"], stdin=o3))["holds"] is True
+
+
+def test_link_malformed_simplex_is_usage_error():
+    pair = run(["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
+    for option in ("--a", "--b"):
+        for spec in ("notjson", '{"x":"a0"}', "[1]", '{"1": 5}'):
+            p = run(["link", "-", option, spec], stdin=pair, check=False)
+            assert p.returncode == 2
+            assert option in p.stderr
+            assert "Traceback" not in p.stderr
+
+
+def test_generate_cycle_bad_colors_is_usage_error():
+    for colors in ("1", "1,2,3", "2,2", "0,1", "x,1"):
+        p = run(["generate", "cycle", "--colors", colors], check=False)
+        assert p.returncode == 2
+        assert "--colors" in p.stderr
+        assert "Traceback" not in p.stderr
+    doc = out_json(run(["generate", "cycle", "--colors", "1,3"]))
+    assert doc["n"] == 3
