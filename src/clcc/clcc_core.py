@@ -41,6 +41,10 @@ class CubeComplex:
 
     Every d-cube has exactly 2d facets; cubes are determined by their
     vertex sets (gluings with repeated faces are rejected at ingestion).
+
+    The builders hand over the cells of each dimension, and the facets of
+    each cell, already in canonical order; each ranks its atoms once and
+    sorts by those ranks, so no query here sorts again.
     """
 
     def __init__(
@@ -52,7 +56,7 @@ class CubeComplex:
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
         has_pair_origin: bool = False,
     ):
-        self._cubes_by_dim = {d: tuple(csorted(cs)) for d, cs in cubes_by_dim.items() if cs}
+        self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
         self._facets = dict(facets_map)
         self._vsets = dict(vertex_sets)
         self.n = n
@@ -69,6 +73,11 @@ class CubeComplex:
         Dimension-0 cells are identified by the vertex id itself; higher
         cells by their vertex set.  Facets are inferred by vertex-set
         inclusion and must number exactly 2d.
+
+        The vertices are ranked once in canonical order, and a cell is
+        keyed by the sorted ranks of its vertices: that sorts exactly as
+        its vertex set does.  The facets of a cell are looked up among the
+        (d-1)-cells at its vertices.
         """
         by_dim: dict[int, list] = {}
         vsets: dict = {}
@@ -86,28 +95,38 @@ class CubeComplex:
                 ids.append(cid)
                 vsets[cid] = cell
             by_dim[d] = ids
+        rank = {v: i for i, v in enumerate(csorted(by_dim.get(0, ())))}
+        key: dict = {v: (i,) for v, i in rank.items()}
         for d in by_dim:
             if d == 0:
                 continue
             for cid in by_dim[d]:
-                missing = vsets[cid] - set(by_dim.get(0, ()))
+                missing = [v for v in vsets[cid] if v not in rank]
                 if missing:
                     raise ComplexError(f"cube {cid} uses undeclared vertices {csorted(missing)}")
+                key[cid] = tuple(sorted(rank[v] for v in vsets[cid]))
+        ordered = {d: sorted(ids, key=key.__getitem__) for d, ids in by_dim.items()}
         facets: dict = {}
         for d in by_dim:
             if d == 0:
                 for cid in by_dim[d]:
                     facets[cid] = ()
                 continue
-            lower = by_dim.get(d - 1, [])
+            lower = ordered.get(d - 1, ())
+            at_vertex: dict = {}
+            for pos, f in enumerate(lower):
+                for v in vsets[f]:
+                    at_vertex.setdefault(v, []).append(pos)
             for cid in by_dim[d]:
-                fs = [f for f in lower if vsets[f] <= vsets[cid]]
+                cell = vsets[cid]
+                near = {pos for v in cell for pos in at_vertex.get(v, ())}
+                fs = sorted(pos for pos in near if vsets[lower[pos]] <= cell)
                 if len(fs) != 2 * d:
                     raise ComplexError(
-                        f"{d}-cube {set(vsets[cid])} has {len(fs)} facets, expected {2 * d}"
+                        f"{d}-cube {set(cell)} has {len(fs)} facets, expected {2 * d}"
                     )
-                facets[cid] = tuple(csorted(fs))
-        return CubeComplex(by_dim, facets, vsets)
+                facets[cid] = tuple(lower[pos] for pos in fs)
+        return CubeComplex(ordered, facets, vsets)
 
     # -- queries ---------------------------------------------------------
 
@@ -142,11 +161,14 @@ class CubeComplex:
 
     @cached_property
     def cofaces_map(self) -> dict:
+        """Cofaces of each cube, in canonical order: each list is filled
+        while walking the cells one dimension up in their order."""
         out: dict = {c: [] for c in self._dim_of}
-        for c, fs in self._facets.items():
-            for f in fs:
-                out[f].append(c)
-        return {c: tuple(csorted(v)) for c, v in out.items()}
+        for cs in self._cubes_by_dim.values():
+            for c in cs:
+                for f in self._facets[c]:
+                    out[f].append(c)
+        return {c: tuple(v) for c, v in out.items()}
 
     def cofaces_closure(self, cube: CubeId) -> set:
         """All cubes having `cube` as an iterated face, including itself."""
@@ -218,9 +240,8 @@ class CubeComplex:
         coface -> link-cell map used by localization."""
         if cube not in self._dim_of:
             raise DomainError(f"cube {cube!r} not in complex")
-        k = self._dim_of[cube]
         closure = self.cofaces_closure(cube)
-        one_up = [c for c in closure if self._dim_of[c] == k + 1]
+        one_up = self.cofaces_map[cube]
         below: dict = {d: self.cofaces_closure(d) for d in one_up}
         cell_map: dict = {}
         cells = {frozenset()}
@@ -228,7 +249,7 @@ class CubeComplex:
             simplex = frozenset(d for d in one_up if c in below[d])
             cell_map[c] = simplex
             cells.add(simplex)
-        link = SimplicialComplex(tuple(csorted(one_up)), frozenset(cells))
+        link = SimplicialComplex(one_up, frozenset(cells))
         return link, cell_map
 
     def link_complex(self, cube: CubeId) -> SimplicialComplex:
@@ -253,18 +274,32 @@ class CubeComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "CubeComplex":
+        """A built complex from its JSON form.  Each cube's colors must
+        cover {1..n}, and a declared "dim" must be the overlap size."""
         try:
             n = doc["n"]
             raw = [
                 (
                     CoordSimplex.of({int(c): v for c, v in item["a"].items()}),
                     CoordSimplex.of({int(c): v for c, v in item["b"].items()}),
+                    item.get("dim"),
                 )
                 for item in doc["cubes"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ComplexError(f"malformed cube complex document: {exc}") from exc
-        return _assemble_pair_cubes(n, raw, defining_pair=None)
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ComplexError(f"n must be an integer, got {n!r}")
+        all_colors = frozenset(range(1, n + 1))
+        for a, b, dim in raw:
+            if a.colors | b.colors != all_colors:
+                raise ComplexError(f"cube ({a}, {b}) does not cover the colors 1..{n}")
+            if dim is not None and dim != len(a.colors & b.colors):
+                raise ComplexError(
+                    f"cube ({a}, {b}) declares dim {dim!r}, but its colors overlap in "
+                    f"{len(a.colors & b.colors)}"
+                )
+        return _assemble_pair_cubes(n, [(a, b) for a, b, _ in raw], defining_pair=None)
 
 
 # ----------------------------------------------------------------------
@@ -290,23 +325,31 @@ def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
 
 
 def _assemble_pair_cubes(n, pairs, defining_pair):
+    """The cubes (a, b) in canonical order: the distinct a- and b-simplices
+    are ranked once, and a cube sorts as its pair of ranks."""
+    pair_set = set(pairs)
+    rank_a = {a: i for i, a in enumerate(csorted({a for a, _ in pair_set}))}
+    rank_b = {b: i for i, b in enumerate(csorted({b for _, b in pair_set}))}
+
+    def key(cube):
+        return rank_a[cube[0]], rank_b[cube[1]]
+
     by_dim: dict[int, list] = {}
     facets: dict = {}
     vsets: dict = {}
-    pair_set = set(pairs)
-    for a, b in pair_set:
-        d = len(a.colors & b.colors)
-        cid = (a, b)
-        by_dim.setdefault(d, []).append(cid)
+    for cid in sorted(pair_set, key=key):
+        a, b = cid
+        overlap = sorted(a.colors & b.colors)
+        by_dim.setdefault(len(overlap), []).append(cid)
         vsets[cid] = _cube_vertices(a, b)
         fs = []
-        for i in sorted(a.colors & b.colors):
+        for i in overlap:
             fs.append((a.minus(i), b))
             fs.append((a, b.minus(i)))
-        facets[cid] = tuple(csorted(fs))
         for f in fs:
             if f not in pair_set:
                 raise ComplexError(f"facet {f} missing; cube family not downward consistent")
+        facets[cid] = tuple(sorted(fs, key=key))
     return CubeComplex(
         by_dim, facets, vsets, n=n, defining_pair=defining_pair, has_pair_origin=True
     )

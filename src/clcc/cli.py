@@ -82,16 +82,23 @@ def _simplex_option(ctx, param, value: str) -> CoordSimplex:
         ) from exc
 
 
-def _two_colors_option(ctx, param, value: str) -> tuple[int, int]:
-    """Parse two distinct positive colors, e.g. 1,2."""
-    try:
-        ci, cj = (int(x) for x in value.split(","))
-        valid = ci >= 1 and cj >= 1 and ci != cj
-    except ValueError:
-        valid = False
-    if not valid:
-        raise click.BadParameter(f"expected two distinct positive integers, e.g. 1,2; got {value!r}")
-    return ci, cj
+def _colors_option(count: int):
+    """Option callback parsing `count` distinct positive colors, e.g. 1,2."""
+    example = ",".join(str(c) for c in range(1, count + 1))
+
+    def parse(ctx, param, value: str) -> tuple[int, ...]:
+        try:
+            colors = tuple(int(x) for x in value.split(","))
+            valid = len(colors) == count and min(colors) >= 1 and len(set(colors)) == count
+        except ValueError:
+            valid = False
+        if not valid:
+            raise click.BadParameter(
+                f"expected {count} distinct positive integers, e.g. {example}; got {value!r}"
+            )
+        return colors
+
+    return parse
 
 
 def _load_pair(doc: dict) -> tuple[ColoredComplex, ColoredComplex]:
@@ -163,13 +170,15 @@ def main():
 @click.option("--ka", type=int, default=2, help="half-length of the first cycle (surface)")
 @click.option("--kb", type=int, default=2, help="half-length of the second cycle (surface)")
 @click.option("--k", type=int, default=2, help="half-length (cycle)")
-@click.option("--colors", default="1,2", callback=_two_colors_option,
+@click.option("--colors", default="1,2", callback=_colors_option(2),
               help="two colors for cycle, e.g. 1,2")
 @click.option("--n", "nn", type=int, default=2, help="color count (crosspolytope)")
 @click.option("--gamma", default=None, help="complex JSON path, '-', or a preset name")
 @click.option("--lam", default=None, help="second complex (barycentric)")
-@click.option("--colors-a", default="1,2,3", help="V,E,F colors of the first factor")
-@click.option("--colors-b", default="2,1,3", help="V,E,F colors of the second factor")
+@click.option("--colors-a", default="1,2,3", callback=_colors_option(3),
+              help="V,E,F colors of the first factor")
+@click.option("--colors-b", default="2,1,3", callback=_colors_option(3),
+              help="V,E,F colors of the second factor")
 @click.option("--out", default=None, help="output path (default stdout)")
 @click.option("--report", is_flag=True, help="JSON run report on stderr")
 def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b, out, report):
@@ -203,8 +212,8 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b, out,
                     return PRESET_2COMPLEXES[src]()
                 return SimplicialComplex.from_json_dict(_read_doc(src))
 
-            cmap_a = dict(zip(("V", "E", "F"), (int(x) for x in colors_a.split(","))))
-            cmap_b = dict(zip(("V", "E", "F"), (int(x) for x in colors_b.split(","))))
+            cmap_a = dict(zip(("V", "E", "F"), colors_a))
+            cmap_b = dict(zip(("V", "E", "F"), colors_b))
             pair = generators.gen_barycentric_pair(load2(gamma), load2(lam), cmap_a, cmap_b)
             payload = _pair_doc(*pair)
         _emit("generate", payload, out, t0, inputs, report)

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
-from clcc.canon import canon_key, csorted
+from clcc.canon import csorted
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
 
@@ -54,7 +54,10 @@ def _opposition_pairs(X: CubeComplex, square):
 
 
 def hyperplanes(X: CubeComplex) -> list[Hyperplane]:
-    """Edge classes under square opposition, deterministically numbered."""
+    """Edge classes under square opposition, deterministically numbered:
+    collected along X.cells(1), which is in canonical order, each class
+    comes out sorted and the classes come in the order of their first
+    edges."""
     uf = _UnionFind(X.cells(1))
     for sq in X.cells(2):
         for e, f in _opposition_pairs(X, sq):
@@ -62,8 +65,7 @@ def hyperplanes(X: CubeComplex) -> list[Hyperplane]:
     classes: dict = {}
     for e in X.cells(1):
         classes.setdefault(uf.find(e), []).append(e)
-    ordered = sorted((csorted(v) for v in classes.values()), key=lambda c: canon_key(c[0]))
-    return [Hyperplane(f"h{i}", tuple(c)) for i, c in enumerate(ordered)]
+    return [Hyperplane(f"h{i}", tuple(c)) for i, c in enumerate(classes.values())]
 
 
 def directions(X: CubeComplex) -> tuple[dict[str, int], bool]:
@@ -140,6 +142,7 @@ class Pocset:
         for e in self.elements:
             if star(e) not in elems:
                 raise PocsetError(f"element {e} lacks its conjugate")
+        succ: dict = {}
         for x, y in self.less:
             if x not in elems or y not in elems:
                 raise PocsetError(f"relation {x} < {y} uses unknown elements")
@@ -151,9 +154,10 @@ class Pocset:
                 raise PocsetError(f"involution does not reverse {x} < {y}")
             if (y, x) in self.less:
                 raise PocsetError(f"antisymmetry violated on {x}, {y}")
+            succ.setdefault(x, set()).add(y)
         for x, y in self.less:
-            for z, w in self.less:
-                if y == z and (x, w) not in self.less:
+            for w in succ.get(y, ()):
+                if w not in succ[x]:
                     raise PocsetError(f"order not transitive: {x} < {y} < {w}")
 
     @property
@@ -164,30 +168,42 @@ class Pocset:
         return (x, y) in self.less
 
     @cached_property
+    def _rank(self) -> dict:
+        """Position of each element in canonical order."""
+        return {e: i for i, e in enumerate(csorted(self.elements))}
+
+    @cached_property
     def above(self) -> dict:
         out: dict = {e: [] for e in self.elements}
         for x, y in self.less:
             out[x].append(y)
-        return {e: tuple(csorted(v)) for e, v in out.items()}
+        return {e: tuple(sorted(v, key=self._rank.__getitem__)) for e, v in out.items()}
 
     @staticmethod
     def from_relations(pair_ids, relations) -> "Pocset":
         """Close the given x < y relations under involution and
-        transitivity, then validate the axioms."""
+        transitivity (Warshall's algorithm on one bitset row per element),
+        then validate the axioms."""
         elements = tuple(sorted((pid, s) for pid in pair_ids for s in ("+", "-")))
-        rel = set()
+        index = {e: i for i, e in enumerate(elements)}
+        rows = [0] * len(elements)
         for x, y in relations:
-            rel.add((x, y))
-            rel.add((star(y), star(x)))
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(rel):
-                for z, w in list(rel):
-                    if y == z and (x, w) not in rel:
-                        rel.add((x, w))
-                        changed = True
-        return Pocset(elements, frozenset(rel))
+            for u, v in ((x, y), (star(y), star(x))):
+                if u not in index or v not in index:
+                    raise PocsetError(f"relation {u} < {v} uses unknown elements")
+                rows[index[u]] |= 1 << index[v]
+        for k, row_k in enumerate(rows):
+            bit = 1 << k
+            for i, row_i in enumerate(rows):
+                if row_i & bit:
+                    rows[i] = row_i | rows[k]
+        less = frozenset(
+            (x, elements[j])
+            for x, row in zip(elements, rows)
+            for j in range(row.bit_length())
+            if row >> j & 1
+        )
+        return Pocset(elements, less)
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,15 +214,24 @@ class Pocset:
     @staticmethod
     def from_json_dict(doc: dict) -> "Pocset":
         def parse(token: str):
-            if not token or token[-1] not in "+-":
-                raise PocsetError(f"element token {token!r} must end with + or -")
+            if not isinstance(token, str) or not token or token[-1] not in "+-":
+                raise PocsetError(f"element token {token!r} must be a string ending with + or -")
             return (token[:-1], token[-1])
+
+        def parse_pair(entry):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise PocsetError(f"less entry {entry!r} must be two element tokens")
+            return parse(entry[0]), parse(entry[1])
 
         try:
             pair_ids = [p["id"] for p in doc["pairs"]]
-            relations = [(parse(a), parse(b)) for a, b in doc["less"]]
+            relations = [parse_pair(entry) for entry in doc["less"]]
         except (KeyError, TypeError) as exc:
             raise PocsetError(f"malformed pocset document: {exc}") from exc
+        if not all(isinstance(pid, str) for pid in pair_ids):
+            raise PocsetError(f"pair ids must be strings, got {pair_ids!r}")
+        if len(set(pair_ids)) != len(pair_ids):
+            raise PocsetError(f"duplicate pair ids in {pair_ids!r}")
         return Pocset.from_relations(pair_ids, relations)
 
 
@@ -217,7 +242,7 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     split the 1-skeleton into exactly two components.  Quotients with
     one-sided classes (a torus, say) are rejected."""
     verts = X.cells(0)
-    endpoint = {e: tuple(csorted(X.vertices_of(e))) for e in X.cells(1)}
+    endpoint = {e: tuple(X.vertices_of(e)) for e in X.cells(1)}
     sides: dict = {}
     for hp in hyperplanes(X):
         cut = set(hp.edges)
@@ -246,7 +271,8 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
             raise NotTwoSidedError(
                 f"hyperplane {hp.hid} separates the complex into {len(comps)} parts, not 2"
             )
-        lo, hi = sorted(comps, key=lambda c: canon_key(csorted(c)[0]))
+        # verts is in canonical order, so the first part holds the least vertex
+        lo, hi = comps
         sides[(hp.hid, "-")] = frozenset(lo)
         sides[(hp.hid, "+")] = frozenset(hi)
     elements = tuple(sorted(sides))
@@ -291,37 +317,45 @@ def ultrafilters(S: Pocset) -> list[frozenset]:
                 del chosen[pid]
 
     extend(0, {}, {})
-    return sorted(results, key=canon_key)
+    rank = S._rank
+    return sorted(results, key=lambda u: sorted(rank[e] for e in u))
 
 
 def sageev(S: Pocset) -> CubeComplex:
     """Cube complex on the ultrafilters: edges between choices differing
     in one conjugate pair, higher cubes filled whenever their 1-skeleton
-    is present (checked on all vertex subsets)."""
-    verts = ultrafilters(S)
-    vset = set(verts)
+    is present (checked on all vertex subsets).
 
-    def flip(u: frozenset, pid: str) -> frozenset:
-        side = dict(u)[pid]
-        return (u - {(pid, side)}) | {(pid, "+" if side == "-" else "-")}
+    Cubes are grown on ultrafilter indices through a table of flips: the
+    index of u with pair p switched, or -1 when that is no ultrafilter."""
+    verts = ultrafilters(S)
+    index = {u: i for i, u in enumerate(verts)}
+    pair_ids = S.pair_ids
+    flips = []
+    for u in verts:
+        side = dict(u)
+        row = []
+        for pid in pair_ids:
+            e = (pid, side[pid])
+            row.append(index.get((u - {e}) | {star(e)}, -1))
+        flips.append(row)
 
     cells: dict[int, list] = {0: [frozenset({u}) for u in verts]}
-    level = [(frozenset({u}), frozenset()) for u in verts]
+    level = [(frozenset({i}), frozenset()) for i in range(len(verts))]
     d = 0
     while level:
         nxt = {}
         for cube, toggled in level:
-            for pid in S.pair_ids:
-                if pid in toggled:
+            for p in range(len(pair_ids)):
+                if p in toggled:
                     continue
-                flipped = frozenset(flip(u, pid) for u in cube)
-                if all(u in vset for u in flipped):
-                    grown = cube | flipped
-                    nxt.setdefault(grown, toggled | {pid})
+                flipped = [flips[i][p] for i in cube]
+                if -1 not in flipped:
+                    nxt.setdefault(cube.union(flipped), toggled | {p})
         if not nxt:
             break
         d += 1
-        cells[d] = list(nxt)
+        cells[d] = [frozenset(verts[i] for i in cube) for cube in nxt]
         level = list(nxt.items())
     return CubeComplex.from_cells(cells)
 

@@ -3,13 +3,17 @@
 These rebuild the reference objects from scratch: the coordinate-cube
 complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
-builder."""
+builder.  The naive references at the end recompute the canonical orders,
+facets, pocset closures and ultrafilter cubes that the library derives
+from ranks, bitsets and flip tables."""
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex
+from clcc.pocset_hyperplanes import star
 from clcc.simplicial import ColoredComplex, SimplicialComplex
 
 
@@ -101,3 +105,100 @@ def csaszar_torus() -> SimplicialComplex:
         tris.append([f"t{i}", f"t{(i + 1) % 7}", f"t{(i + 3) % 7}"])
         tris.append([f"t{i}", f"t{(i + 2) % 7}", f"t{(i + 3) % 7}"])
     return SimplicialComplex.from_maximal([f"t{i}" for i in range(7)], tris)
+
+
+# ----------------------------------------------------------------------
+# naive references for the ranked builders
+# ----------------------------------------------------------------------
+
+
+def from_cells_reference(cells) -> tuple[dict, dict]:
+    """Cells per dimension and the facets of each cell, both sorted by
+    canon_key, facets found by comparing a cell with every cell one
+    dimension down."""
+    by_dim = {
+        d: [next(iter(c)) if d == 0 else frozenset(c) for c in layer]
+        for d, layer in cells.items()
+    }
+    vsets = {cid: frozenset([cid]) if d == 0 else cid for d, ids in by_dim.items() for cid in ids}
+    facets = {}
+    for d, ids in by_dim.items():
+        for cid in ids:
+            lower = by_dim.get(d - 1, []) if d else []
+            facets[cid] = tuple(csorted(f for f in lower if vsets[f] <= vsets[cid]))
+    return {d: tuple(csorted(ids)) for d, ids in by_dim.items() if ids}, facets
+
+
+def hyperplane_classes_reference(X) -> list[tuple]:
+    """Edge classes under square opposition, each sorted by canon_key and
+    ordered by the key of their first edge."""
+    classes = {e: {e} for e in X.cells(1)}
+    for sq in X.cells(2):
+        for e, f in combinations(X.facets(sq), 2):
+            if not (X.vertices_of(e) & X.vertices_of(f)) and classes[e] is not classes[f]:
+                merged = classes[e] | classes[f]
+                for g in merged:
+                    classes[g] = merged
+    distinct = {id(c): c for c in classes.values()}.values()
+    return sorted((tuple(csorted(c)) for c in distinct), key=lambda c: canon_key(c[0]))
+
+
+def closed_relations_reference(pair_ids, relations) -> frozenset:
+    """Closure of x < y relations under the involution and transitivity,
+    by adding composites until nothing changes."""
+    rel = set()
+    for x, y in relations:
+        rel.add((x, y))
+        rel.add((star(y), star(x)))
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(rel):
+            for z, w in list(rel):
+                if y == z and (x, w) not in rel:
+                    rel.add((x, w))
+                    changed = True
+    return frozenset(rel)
+
+
+def ultrafilters_reference(S) -> list[frozenset]:
+    """Every choice of one side per pair that is upward closed, sorted by
+    canon_key."""
+    pair_ids = S.pair_ids
+    out = []
+    for sides in product("+-", repeat=len(pair_ids)):
+        u = frozenset(zip(pair_ids, sides))
+        if all(y in u for x, y in S.less if x in u):
+            out.append(u)
+    return csorted(out)
+
+
+def sageev_cells_reference(S) -> dict[int, set]:
+    """Cells of the ultrafilter complex by flipping one pair of every
+    vertex of a cube through a dict of its sides, grown one dimension at
+    a time."""
+    verts = ultrafilters_reference(S)
+    vset = set(verts)
+
+    def flip(u: frozenset, pid: str) -> frozenset:
+        side = dict(u)[pid]
+        return (u - {(pid, side)}) | {(pid, "+" if side == "-" else "-")}
+
+    cells: dict[int, set] = {0: {frozenset({u}) for u in verts}}
+    level = [(frozenset({u}), frozenset()) for u in verts]
+    d = 0
+    while level:
+        nxt = {}
+        for cube, toggled in level:
+            for pid in S.pair_ids:
+                if pid in toggled:
+                    continue
+                flipped = frozenset(flip(u, pid) for u in cube)
+                if all(u in vset for u in flipped):
+                    nxt.setdefault(cube | flipped, toggled | {pid})
+        if not nxt:
+            break
+        d += 1
+        cells[d] = set(nxt)
+        level = list(nxt.items())
+    return cells

@@ -1,0 +1,177 @@
+"""The builders rank their atoms once and hand CubeComplex its cells in
+canonical order; the pocset code closes relations on bitsets and grows
+ultrafilter cubes through a flip table.  Every order and every result is
+compared here with the naive canon_key sorts and the fixed-point and
+dict-flip references in oracles.py, with ==, never through repr (a
+frozenset's iteration order depends on how it was built)."""
+
+from __future__ import annotations
+
+import pytest
+
+from clcc import build_clcc, gen_cross_polytope, gen_cycle
+from clcc.canon import canon_key, csorted
+from clcc.clcc_core import CubeComplex
+from clcc.errors import PocsetError
+from clcc.pocset_hyperplanes import (
+    Pocset,
+    halfspace_pocset,
+    hyperplanes,
+    sageev,
+    star,
+    ultrafilters,
+)
+
+from conftest import grid_complex, tree_complex
+from corpus import random_flag_complex, random_pocset, random_smart_pair, rng
+from oracles import (
+    closed_relations_reference,
+    from_cells_reference,
+    hyperplane_classes_reference,
+    k_gamma_complex,
+    sageev_cells_reference,
+    subdivided_k_gamma,
+    ultrafilters_reference,
+)
+
+
+def assert_canonical(X: CubeComplex) -> None:
+    """Cells, facets, cofaces and hyperplane classes in canon_key order,
+    and facets equal to the cells one dimension down that they contain."""
+    for d in range(X.top_dim + 1):
+        cells = X.cells(d)
+        assert list(cells) == csorted(cells)
+        below = X.cells(d - 1) if d else ()
+        for c in cells:
+            assert list(X.facets(c)) == csorted(X.facets(c))
+            assert set(X.facets(c)) == {f for f in below if X.vertices_of(f) <= X.vertices_of(c)}
+    for c, ups in X.cofaces_map.items():
+        assert list(ups) == csorted(ups)
+        assert all(c in X.facets(u) for u in ups)
+    assert [hp.edges for hp in hyperplanes(X)] == hyperplane_classes_reference(X)
+
+
+def assert_matches_reference(cells: dict) -> CubeComplex:
+    X = CubeComplex.from_cells(cells)
+    ref_cells, ref_facets = from_cells_reference(cells)
+    assert {d: X.cells(d) for d in range(X.top_dim + 1)} == ref_cells
+    assert all(X.facets(c) == fs for c, fs in ref_facets.items())
+    assert_canonical(X)
+    return X
+
+
+def assert_halfspaces_canonical(X: CubeComplex) -> None:
+    """The "-" side of each hyperplane holds the canonically least vertex."""
+    sides = halfspace_pocset(X).sides
+    for hp in hyperplanes(X):
+        lo, hi = sides[(hp.hid, "-")], sides[(hp.hid, "+")]
+        assert canon_key(csorted(lo)[0]) < canon_key(csorted(hi)[0])
+
+
+def grid_cells(rows: int, cols: int) -> dict:
+    X = grid_complex(rows, cols)
+    return {d: [X.vertices_of(c) for c in X.cells(d)] for d in range(X.top_dim + 1)}
+
+
+def test_grids_and_trees_match_reference():
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (1, 6)):
+        X = assert_matches_reference(grid_cells(rows, cols))
+        assert_halfspaces_canonical(X)
+    for edges in ([("v0", "v1"), ("v1", "v2")], [("c", "l0"), ("c", "l1"), ("c", "l2")]):
+        X = tree_complex(edges)
+        cells = {d: [X.vertices_of(c) for c in X.cells(d)] for d in range(X.top_dim + 1)}
+        assert_halfspaces_canonical(assert_matches_reference(cells))
+
+
+def test_cells_given_out_of_order_match_reference():
+    r = rng(901)
+    for rows, cols in ((2, 2), (3, 2)):
+        cells = grid_cells(rows, cols)
+        for layer in cells.values():
+            r.shuffle(layer)
+        assert_matches_reference(cells)
+
+
+def test_k_gamma_oracles_are_canonical():
+    r = rng(902)
+    gammas = [gen_cycle(2), gen_cross_polytope(2)]
+    gammas += [random_flag_complex(r, 3, max_vertices=5) for _ in range(4)]
+    for gamma in gammas:
+        for X in (k_gamma_complex(gamma), subdivided_k_gamma(gamma)):
+            cells = {d: [X.vertices_of(c) for c in X.cells(d)] for d in range(X.top_dim + 1)}
+            assert_matches_reference(cells)
+
+
+def test_pair_complexes_are_canonical(c4, c6, o3):
+    complexes = [build_clcc(c4, c6), build_clcc(o3, o3), build_clcc(c4, c4)]
+    r = rng(903)
+    while len(complexes) < 30:
+        pair = random_smart_pair(r, max_vertices=6)
+        if pair is not None:
+            complexes.append(build_clcc(*pair))
+    for X in complexes:
+        assert_canonical(X)
+        Y = CubeComplex.from_json_dict(X.to_json_dict())
+        assert all(Y.cells(d) == X.cells(d) for d in range(X.top_dim + 1))
+        assert all(Y.facets(c) == X.facets(c) for c in X.cofaces_map)
+
+
+def test_random_pocsets_match_references():
+    r = rng(904)
+    for _ in range(40):
+        S = random_pocset(r, max_pairs=6)
+        U = ultrafilters(S)
+        assert U == csorted(U)
+        assert U == ultrafilters_reference(S)
+        Y = sageev(S)
+        ref = sageev_cells_reference(S)
+        assert {d: {Y.vertices_of(c) for c in Y.cells(d)} for d in range(Y.top_dim + 1)} == ref
+        assert_matches_reference({d: list(cs) for d, cs in ref.items()})
+        assert_halfspaces_canonical(Y)
+        for e in S.elements:
+            assert list(S.above[e]) == csorted(y for x, y in S.less if x == e)
+
+
+def _axioms_hold(elements, less) -> bool:
+    elems = set(elements)
+    return all(
+        x in elems and y in elems and x != y and y != star(x)
+        and (star(y), star(x)) in less and (y, x) not in less
+        for x, y in less
+    ) and all((x, w) in less for x, y in less for z, w in less if y == z)
+
+
+def test_from_relations_matches_fixed_point_closure():
+    r = rng(905)
+    raised = 0
+    for _ in range(200):
+        m = r.randint(1, 7)
+        pair_ids = [f"p{i}" for i in range(m)]
+        elements = [(pid, s) for pid in pair_ids for s in "+-"]
+        relations = [tuple(r.sample(elements, 2)) for _ in range(r.randint(0, 2 * m))]
+        closed = closed_relations_reference(pair_ids, relations)
+        if _axioms_hold(elements, closed):
+            assert Pocset.from_relations(pair_ids, relations).less == closed
+        else:
+            raised += 1
+            with pytest.raises(PocsetError):
+                Pocset.from_relations(pair_ids, relations)
+    assert 0 < raised < 200
+
+
+def test_transitivity_check_matches_naive_check():
+    r = rng(906)
+    broken = 0
+    for _ in range(60):
+        S = random_pocset(r, max_pairs=6)
+        if not S.less:
+            continue
+        x, w = csorted(S.less)[r.randrange(len(S.less))]
+        less = S.less - {(x, w), (star(w), star(x))}
+        if _axioms_hold(S.elements, less):
+            assert Pocset(S.elements, less).less == less
+        else:
+            broken += 1
+            with pytest.raises(PocsetError, match="order not transitive"):
+                Pocset(S.elements, less)
+    assert broken > 0

@@ -24,7 +24,7 @@ from clcc import (
     prune_to_smart_pair,
     smartly_paired,
 )
-from clcc.clcc_core import join_link_of_cube
+from clcc.clcc_core import CubeComplex, join_link_of_cube
 from clcc.errors import ComplexError, DomainError, PairError
 from clcc.simplicial import EMPTY_SIMPLEX
 
@@ -47,6 +47,39 @@ def census(ga, gb):
 
 def cube_counts(X):
     return {d: len(X.cells(d)) for d in range(X.top_dim + 1)}
+
+
+# -- ingestion errors ---------------------------------------------------------
+
+
+def test_from_cells_rejects_malformed_cells():
+    square = {
+        0: [frozenset({v}) for v in "abcd"],
+        1: [frozenset(e) for e in ("ab", "bc", "cd", "da")],
+        2: [frozenset("abcd")],
+    }
+    CubeComplex.from_cells(square)
+    with pytest.raises(ComplexError, match="has 3 facets, expected 4"):
+        CubeComplex.from_cells({**square, 1: square[1][:3]})
+    with pytest.raises(ComplexError, match="duplicate cube"):
+        CubeComplex.from_cells({**square, 1: square[1] + [frozenset("ab")]})
+    with pytest.raises(ComplexError, match="undeclared vertices"):
+        CubeComplex.from_cells({**square, 0: square[0][:3]})
+    with pytest.raises(ComplexError, match="2-cube needs 4 vertices, got 3"):
+        CubeComplex.from_cells({**square, 2: [frozenset("abc")]})
+
+
+def test_from_json_dict_validates_cubes(c4):
+    doc = build_clcc(c4, c4).to_json_dict()
+    CubeComplex.from_json_dict(doc)
+    cube = doc["cubes"][0]
+    with pytest.raises(ComplexError, match="declares dim 5"):
+        CubeComplex.from_json_dict({"n": 2, "cubes": [{**cube, "dim": 5}]})
+    with pytest.raises(ComplexError, match="does not cover the colors"):
+        CubeComplex.from_json_dict({"n": 3, "cubes": [cube]})
+    for n in ("2", 2.0, None, True):
+        with pytest.raises(ComplexError, match="n must be an integer"):
+            CubeComplex.from_json_dict({**doc, "n": n})
 
 
 # -- complementary -----------------------------------------------------------

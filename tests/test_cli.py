@@ -243,3 +243,26 @@ def test_generate_cycle_bad_colors_is_usage_error():
         assert "Traceback" not in p.stderr
     doc = out_json(run(["generate", "cycle", "--colors", "1,3"]))
     assert doc["n"] == 3
+
+
+def test_generate_barycentric_bad_colors_is_usage_error():
+    base = ["generate", "barycentric", "--gamma", "tetrahedron", "--lam", "tetrahedron"]
+    for option in ("--colors-a", "--colors-b"):
+        for colors in ("1", "x,y,z", "1,1,2", "0,1,2", "1,2,3,4"):
+            p = run(base + [option, colors], check=False)
+            assert p.returncode == 2
+            assert option in p.stderr
+            assert "Traceback" not in p.stderr
+
+
+def test_malformed_documents_are_structured_errors():
+    pocset = canonical_json({"pairs": [{"id": "p"}], "less": [["p+"]]})
+    p = run(["sageev", "-"], stdin=pocset, check=False)
+    assert p.returncode == 1
+    assert out_json(p)["error"]["type"] == "PocsetError"
+    vertex = {"a": {"1": "a0"}, "b": {"2": "b0"}, "dim": 5}
+    for doc in ({"n": 2, "cubes": [vertex]}, {"n": "2", "cubes": []}):
+        p = run(["homology", "-"], stdin=canonical_json(doc), check=False)
+        assert p.returncode == 1
+        assert out_json(p)["error"]["type"] == "ComplexError"
+        assert "Traceback" not in p.stderr

@@ -228,6 +228,22 @@ def test_pocset_json_rejects_bad_tokens():
         Pocset.from_json_dict({"pairs": [{"id": "a"}], "less": [["a", "a-"]]})
 
 
+def test_pocset_json_rejects_malformed_pairs_and_entries():
+    for entry in (["p+"], ["p+", "q+", "q-"], [], "p+q+", [["p"], "q+"], ["p+", 5]):
+        with pytest.raises(PocsetError):
+            Pocset.from_json_dict({"pairs": [{"id": "p"}, {"id": "q"}], "less": [entry]})
+    for ids in ([["p"]], [1], ["p", "p"]):
+        with pytest.raises(PocsetError):
+            Pocset.from_json_dict({"pairs": [{"id": pid} for pid in ids], "less": []})
+
+
+def test_pocset_rejects_non_transitive_order():
+    a, b, c = (("a", "+"), ("a", "-")), (("b", "+"), ("b", "-")), (("c", "+"), ("c", "-"))
+    less = frozenset({(a[0], b[0]), (b[1], a[1]), (b[0], c[0]), (c[1], b[1])})
+    with pytest.raises(PocsetError, match="order not transitive"):
+        Pocset(a + b + c, less)
+
+
 # -- ultrafilters and the rebuild ----------------------------------------------------------
 
 
