@@ -27,7 +27,10 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     _chordless_squares,
+    check_color_count,
     is_flag,
+    pure_dimensional,
+    reach,
     simplicial_join,
 )
 
@@ -172,23 +175,9 @@ class CubeComplex:
 
     def cofaces_closure(self, cube: CubeId) -> set:
         """All cubes having `cube` as an iterated face, including itself."""
-        seen = {cube}
-        stack = [cube]
-        while stack:
-            for up in self.cofaces_map[stack.pop()]:
-                if up not in seen:
-                    seen.add(up)
-                    stack.append(up)
-        return seen
+        return reach([cube], self.cofaces_map.__getitem__)
 
-    @cached_property
-    def is_pure(self) -> bool:
-        top = self.top_dim
-        return all(
-            any(self._dim_of[c] == top for c in self.cofaces_closure(cube))
-            for d, cubes in self._cubes_by_dim.items()
-            for cube in cubes
-        )
+    is_pure = cached_property(pure_dimensional)
 
     @cached_property
     def _vertex_adjacency(self) -> dict:
@@ -199,25 +188,11 @@ class CubeComplex:
             adj[b].add(a)
         return {v: frozenset(ns) for v, ns in adj.items()}
 
-    def vertex_degree(self, v) -> int:
-        deg = 0
-        for e in self.cells(1):
-            if v in self._vsets[e]:
-                deg += 1
-        return deg
-
     def is_connected(self) -> bool:
         verts = self.cells(0)
         if not verts:
             return False
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for u in self._vertex_adjacency[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(verts)
+        return len(reach(verts[:1], self._vertex_adjacency.__getitem__)) == len(verts)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cubes_by_dim.items())
@@ -288,11 +263,12 @@ class CubeComplex:
             ]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ComplexError(f"malformed cube complex document: {exc}") from exc
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ComplexError(f"n must be an integer, got {n!r}")
-        all_colors = frozenset(range(1, n + 1))
+        check_color_count(n)
         for a, b, dim in raw:
-            if a.colors | b.colors != all_colors:
+            if not all(isinstance(vid, str) for _, vid in a.entries + b.entries):
+                raise ComplexError(f"cube ({a}, {b}) has a vertex id that is not a string")
+            colors = a.colors | b.colors
+            if len(colors) != n or min(colors) < 1 or max(colors) > n:
                 raise ComplexError(f"cube ({a}, {b}) does not cover the colors 1..{n}")
             if dim is not None and dim != len(a.colors & b.colors):
                 raise ComplexError(
@@ -357,10 +333,14 @@ def _assemble_pair_cubes(n, pairs, defining_pair):
 
 def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     """All pairs (a, b) whose colors cover {1..n}; the overlap size is the
-    cube dimension and faces shrink either side on an overlap color."""
+    cube dimension and faces shrink either side on an overlap color.  When
+    the largest simplices of the two sides together have fewer than n
+    colors, no pair covers and the complex is empty."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
     n = gamma_a.n
+    if n > max(map(len, gamma_a.simplices)) + max(map(len, gamma_b.simplices)):
+        return _assemble_pair_cubes(n, [], defining_pair=(gamma_a, gamma_b))
     all_colors = frozenset(range(1, n + 1))
     pairs = []
     for a in gamma_a.simplices:
@@ -406,10 +386,6 @@ def join_link_of_cube(
 # ----------------------------------------------------------------------
 
 
-def _has_exact_coords(K: ColoredComplex, colors: frozenset[int]) -> bool:
-    return colors in K.by_colorset
-
-
 def smartly_paired(
     gamma_a: ColoredComplex, gamma_b: ColoredComplex
 ) -> tuple[bool, Optional[tuple[str, CoordSimplex]]]:
@@ -418,10 +394,9 @@ def smartly_paired(
     always available."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
-    all_colors = frozenset(range(1, gamma_a.n + 1))
     for side, K, other in (("A", gamma_a, gamma_b), ("B", gamma_b, gamma_a)):
         for m in K.maximal_simplices:
-            if not _has_exact_coords(other, all_colors - m.colors):
+            if not other.partners(m.colors):
                 return False, (side, m)
     return True, None
 
@@ -432,11 +407,10 @@ def doubly_smartly_paired(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> b
     ok, _ = smartly_paired(gamma_a, gamma_b)
     if not ok:
         return False
-    all_colors = frozenset(range(1, gamma_a.n + 1))
     for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
         for m in K.maximal_simplices:
             for f in m.facets():
-                if not _has_exact_coords(other, all_colors - f.colors):
+                if not other.partners(f.colors):
                     return False
     return True
 
@@ -458,17 +432,16 @@ def prune_to_smart_pair(
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
     n = gamma_a.n
-    all_colors = frozenset(range(1, n + 1))
     fam_a, fam_b = set(gamma_a.simplices), set(gamma_b.simplices)
     cur_a, cur_b = gamma_a, gamma_b
     while True:
         junk_a = [
             m for m in cur_a.maximal_simplices
-            if m.dim >= 0 and not _has_exact_coords(cur_b, all_colors - m.colors)
+            if m.dim >= 0 and not cur_b.partners(m.colors)
         ]
         junk_b = [
             m for m in cur_b.maximal_simplices
-            if m.dim >= 0 and not _has_exact_coords(cur_a, all_colors - m.colors)
+            if m.dim >= 0 and not cur_a.partners(m.colors)
         ]
         if not junk_a and not junk_b:
             break
@@ -512,14 +485,7 @@ class ConnGraph:
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.nodes)
+        return len(reach(self.nodes[:1], adj.__getitem__)) == len(self.nodes)
 
 
 def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
@@ -529,10 +495,9 @@ def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
     empty provided the witness covers every color)."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
-    all_colors = frozenset(range(1, gamma_a.n + 1))
     nodes = []
     for m in gamma_a.maximal_simplices:
-        for b in gamma_b.by_colorset.get(all_colors - m.colors, ()):
+        for b in gamma_b.partners(m.colors):
             nodes.append((m, b))
     edges = set()
     for (a1, b1), (a2, b2) in combinations(nodes, 2):
@@ -540,7 +505,7 @@ def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
         union = b1.compatible_union(b2)
         if union is None:
             continue
-        for cand in gamma_b.by_colorset.get(all_colors - common.colors, ()):
+        for cand in gamma_b.partners(common.colors):
             if union <= cand:
                 edges.add(((a1, b1), (a2, b2)))
                 break
@@ -669,10 +634,8 @@ class _JoinLinks:
 
     def vertices(self) -> list:
         """The complementary pairs (a, b), in the order of X.cells(0)."""
-        all_colors = frozenset(range(1, self.gamma_a.n + 1))
-        partners = self.gamma_b.by_colorset
         return csorted(
-            (a, b) for a in self.gamma_a.simplices for b in partners.get(all_colors - a.colors, ())
+            (a, b) for a in self.gamma_a.simplices for b in self.gamma_b.partners(a.colors)
         )
 
     def _factor_links(self, v) -> tuple[_FactorLink, _FactorLink]:

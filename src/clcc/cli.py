@@ -9,6 +9,7 @@ and timings.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -58,15 +59,21 @@ PRESET_2COMPLEXES = {
 
 
 def _read_doc(src: str) -> dict:
+    """The JSON object in a file or, for "-", on stdin; every document the
+    commands read is an object."""
     try:
         if src == "-":
-            return json.load(sys.stdin)
-        with open(src, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(src, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ComplexError(f"malformed JSON in {src}: {exc}") from exc
     except OSError as exc:
         raise ComplexError(f"cannot read {src}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ComplexError(f"expected a JSON object in {src}, got {type(doc).__name__}")
+    return doc
 
 
 def _simplex_option(ctx, param, value: str) -> CoordSimplex:
@@ -114,57 +121,53 @@ def _pair_doc(ga: ColoredComplex, gb: ColoredComplex) -> dict:
     return {"gamma_a": ga.to_json_dict(), "gamma_b": gb.to_json_dict()}
 
 
-def _emit(ctx_cmd: str, payload, out: str | None, t0: float, inputs: dict, report: bool):
-    text = canonical_json(payload)
-    if out and out != "-":
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-    ms = round((time.perf_counter() - t0) * 1000, 3)
-    if report:
-        click.echo(
-            canonical_json(
-                {"command": ctx_cmd, "inputs": inputs, "result_digest": digest(payload), "timings": {"total_ms": ms}}
-            ),
-            err=True,
-        )
-    else:
-        click.echo(f"clcc {ctx_cmd}: ok ({ms} ms)", err=True)
-
-
-def _fail_domain(cmd: str, exc: Exception):
-    payload = {"error": {"command": cmd, "type": type(exc).__name__, "message": str(exc)}}
-    click.echo(canonical_json(payload))
-    click.echo(f"clcc {cmd}: error: {exc}", err=True)
-    sys.exit(1)
-
-
-def _guard(cmd):
-    """Run a command body, mapping DomainError to exit code 1."""
-
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except DomainError as exc:
-                _fail_domain(cmd, exc)
-
-        inner.__name__ = fn.__name__
-        return inner
-
-    return wrap
-
-
 @click.group()
 def main():
     """Coupled-link cube complexes: build, measure, certify."""
 
 
+def _command(name: str):
+    """Register a subcommand of `main` whose body returns (payload, inputs).
+
+    The wrapper times the body, maps a DomainError to exit 1 with an error
+    payload on stdout, and otherwise writes the canonical payload to
+    stdout (or to --out) and a run report to stderr: one line, or with
+    --report a JSON object with the input digests and timings."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(out=None, report=False, **params):
+            t0 = time.perf_counter()
+            try:
+                payload, inputs = body(**params)
+            except DomainError as exc:
+                error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
+                click.echo(canonical_json({"error": error}))
+                click.echo(f"clcc {name}: error: {exc}", err=True)
+                sys.exit(1)
+            text = canonical_json(payload)
+            if out and out != "-":
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            else:
+                click.echo(text)
+            ms = round((time.perf_counter() - t0) * 1000, 3)
+            if report:
+                run_report = {"command": name, "inputs": inputs, "result_digest": digest(payload),
+                              "timings": {"total_ms": ms}}
+                click.echo(canonical_json(run_report), err=True)
+            else:
+                click.echo(f"clcc {name}: ok ({ms} ms)", err=True)
+
+        return main.command(name)(run)
+
+    return wrap
+
+
 # -- generate ------------------------------------------------------------
 
 
-@main.command()
+@_command("generate")
 @click.argument("family", type=click.Choice(
     ["surface", "salvetti", "racg", "barycentric", "cycle", "crosspolytope"]))
 @click.option("--ka", type=int, default=2, help="half-length of the first cycle (surface)")
@@ -181,72 +184,60 @@ def main():
               help="V,E,F colors of the second factor")
 @click.option("--out", default=None, help="output path (default stdout)")
 @click.option("--report", is_flag=True, help="JSON run report on stderr")
-def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b, out, report):
+def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
     """Emit a ready-made complex or pair."""
-    t0 = time.perf_counter()
+    inputs = {}
+    if family == "surface":
+        a, b = generators.gen_surface_pair(ka, kb)
+        payload = _pair_doc(a, b)
+    elif family == "cycle":
+        payload = generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
+    elif family == "crosspolytope":
+        payload = generators.gen_cross_polytope(nn).to_json_dict()
+    elif family in ("salvetti", "racg"):
+        if gamma is None:
+            raise ComplexError(f"{family} needs --gamma")
+        doc = _read_doc(gamma)
+        inputs["gamma"] = digest(doc)
+        g = ColoredComplex.from_json_dict(doc)
+        make = generators.gen_salvetti_pair if family == "salvetti" else generators.gen_racg_pair
+        payload = _pair_doc(*make(g))
+    else:  # barycentric
+        if gamma is None or lam is None:
+            raise ComplexError("barycentric needs --gamma and --lam")
 
-    @_guard("generate")
-    def run():
-        inputs = {}
-        if family == "surface":
-            a, b = generators.gen_surface_pair(ka, kb)
-            payload = _pair_doc(a, b)
-        elif family == "cycle":
-            payload = generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
-        elif family == "crosspolytope":
-            payload = generators.gen_cross_polytope(nn).to_json_dict()
-        elif family in ("salvetti", "racg"):
-            if gamma is None:
-                raise ComplexError(f"{family} needs --gamma")
-            doc = _read_doc(gamma)
-            inputs["gamma"] = digest(doc)
-            g = ColoredComplex.from_json_dict(doc)
-            make = generators.gen_salvetti_pair if family == "salvetti" else generators.gen_racg_pair
-            payload = _pair_doc(*make(g))
-        else:  # barycentric
-            if gamma is None or lam is None:
-                raise ComplexError("barycentric needs --gamma and --lam")
+        def load2(src):
+            if src in PRESET_2COMPLEXES:
+                return PRESET_2COMPLEXES[src]()
+            return SimplicialComplex.from_json_dict(_read_doc(src))
 
-            def load2(src):
-                if src in PRESET_2COMPLEXES:
-                    return PRESET_2COMPLEXES[src]()
-                return SimplicialComplex.from_json_dict(_read_doc(src))
-
-            cmap_a = dict(zip(("V", "E", "F"), colors_a))
-            cmap_b = dict(zip(("V", "E", "F"), colors_b))
-            pair = generators.gen_barycentric_pair(load2(gamma), load2(lam), cmap_a, cmap_b)
-            payload = _pair_doc(*pair)
-        _emit("generate", payload, out, t0, inputs, report)
-
-    run()
+        cmap_a = dict(zip(("V", "E", "F"), colors_a))
+        cmap_b = dict(zip(("V", "E", "F"), colors_b))
+        pair = generators.gen_barycentric_pair(load2(gamma), load2(lam), cmap_a, cmap_b)
+        payload = _pair_doc(*pair)
+    return payload, inputs
 
 
 # -- build ---------------------------------------------------------------
 
 
-@main.command()
+@_command("build")
 @click.argument("input_src", default="-", required=False)
 @click.option("--pair", "pair_opt", default=None, help="pair JSON path (alias for the argument)")
 @click.option("--out", default=None)
 @click.option("--report", is_flag=True)
-def build(input_src, pair_opt, out, report):
+def build(input_src, pair_opt):
     """Build the cube complex of a pair."""
-    t0 = time.perf_counter()
-
-    @_guard("build")
-    def run():
-        doc = _read_doc(pair_opt or input_src)
-        ga, gb = _load_pair(doc)
-        X = build_clcc(ga, gb)
-        _emit("build", X.to_json_dict(), out, t0, {"pair": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(pair_opt or input_src)
+    ga, gb = _load_pair(doc)
+    X = build_clcc(ga, gb)
+    return X.to_json_dict(), {"pair": digest(doc)}
 
 
 # -- check ---------------------------------------------------------------
 
 
-@main.command()
+@_command("check")
 @click.argument("args", nargs=-1)
 @click.option("--flag", "f_flag", is_flag=True, help="same as the flag property")
 @click.option("--5large", "f_5large", is_flag=True)
@@ -255,13 +246,12 @@ def build(input_src, pair_opt, out, report):
 @click.option("--smart", "f_smart", is_flag=True)
 @click.option("--npc", "f_npc", is_flag=True)
 @click.option("--report", is_flag=True)
-def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc, report):
+def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
     """Check a property of a complex (flag/5large/obes) or a pair
     (pairwise/smart/npc); exits 1 with a witness when it fails.
 
     Usage: clcc check [PROPERTY] [INPUT] or clcc check --PROPERTY [INPUT].
     """
-    t0 = time.perf_counter()
     names = ("flag", "5large", "obes", "pairwise", "smart", "npc")
     flags = dict(zip(names, (f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc)))
     positional = list(args)
@@ -272,338 +262,288 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc, report):
         raise click.UsageError("choose exactly one property and at most one input")
     prop = chosen[0]
     input_src = positional[0] if positional else "-"
-
-    @_guard("check")
-    def run():
-        doc = _read_doc(input_src)
-        witness = None
-        if prop in ("flag", "5large", "obes"):
-            K = ColoredComplex.from_json_dict(doc)
-            if prop == "flag":
-                holds, w = is_flag(K)
-                witness = list(w) if w else None
-            elif prop == "5large":
-                holds, w = is_5_large(K)
-                witness = w.to_json_dict() if w else None
-            else:
-                holds, w = is_obes(K)
-                witness = w.to_json_dict() if w else None
+    doc = _read_doc(input_src)
+    witness = None
+    if prop in ("flag", "5large", "obes"):
+        K = ColoredComplex.from_json_dict(doc)
+        if prop == "flag":
+            holds, w = is_flag(K)
+            witness = list(w) if w else None
+        elif prop == "5large":
+            holds, w = is_5_large(K)
+            witness = w.to_json_dict() if w else None
         else:
-            ga, gb = _load_pair(doc)
-            if prop == "pairwise":
-                holds, w = pairwise_5_large(ga, gb)
-                if w:
-                    pair, wa, wb = w
-                    witness = {"colors": list(pair), "a": wa.to_json_dict(), "b": wb.to_json_dict()}
-            elif prop == "smart":
-                holds, w = smartly_paired(ga, gb)
-                if w:
-                    side, simplex = w
-                    witness = {"side": side, "simplex": sorted(simplex.vertex_ids)}
-            else:
-                holds, method, w = is_npc(ga, gb)
-                witness = {"method": method}
-                if w:
-                    v, clique = w
-                    witness["vertex"] = hz2._cell_json(v)
-                    witness["clique"] = [str(x) for x in clique]
-        payload = {"property": prop, "holds": holds, "witness": witness}
-        if not holds:
-            click.echo(canonical_json(payload))
-            click.echo(f"clcc check: {prop} fails", err=True)
-            sys.exit(1)
-        _emit("check", payload, None, t0, {"input": digest(doc)}, report)
-
-    run()
+            holds, w = is_obes(K)
+            witness = w.to_json_dict() if w else None
+    else:
+        ga, gb = _load_pair(doc)
+        if prop == "pairwise":
+            holds, w = pairwise_5_large(ga, gb)
+            if w:
+                pair, wa, wb = w
+                witness = {"colors": list(pair), "a": wa.to_json_dict(), "b": wb.to_json_dict()}
+        elif prop == "smart":
+            holds, w = smartly_paired(ga, gb)
+            if w:
+                side, simplex = w
+                witness = {"side": side, "simplex": sorted(simplex.vertex_ids)}
+        else:
+            holds, method, w = is_npc(ga, gb)
+            witness = {"method": method}
+            if w:
+                v, clique = w
+                witness["vertex"] = hz2._cell_json(v)
+                witness["clique"] = [str(x) for x in clique]
+    payload = {"property": prop, "holds": holds, "witness": witness}
+    if not holds:
+        click.echo(canonical_json(payload))
+        click.echo(f"clcc check: {prop} fails", err=True)
+        sys.exit(1)
+    return payload, {"input": digest(doc)}
 
 
 # -- link ------------------------------------------------------------------
 
 
-@main.command()
+@_command("link")
 @click.argument("input_src", default="-", required=False)
 @click.option("--a", "a", default="{}", callback=_simplex_option,
               help='A-side simplex, e.g. {"1": "a0"}')
 @click.option("--b", "b", default="{}", callback=_simplex_option, help="B-side simplex")
 @click.option("--out", default=None)
 @click.option("--report", is_flag=True)
-def link(input_src, a, b, out, report):
+def link(input_src, a, b):
     """Link of a cube of the pair complex (join of the two simplex links)."""
-    t0 = time.perf_counter()
-
-    @_guard("link")
-    def run():
-        doc = _read_doc(input_src)
-        ga, gb = _load_pair(doc)
-        X = build_clcc(ga, gb)
-        L = link_of_cube(X, (a, b))
-        pretty = L.relabeled(
-            {v: (f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v) for v in L.vertex_ids}
-        )
-        _emit("link", pretty.to_json_dict(), out, t0, {"pair": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    ga, gb = _load_pair(doc)
+    X = build_clcc(ga, gb)
+    L = link_of_cube(X, (a, b))
+    pretty = L.relabeled(
+        {v: (f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v) for v in L.vertex_ids}
+    )
+    return pretty.to_json_dict(), {"pair": digest(doc)}
 
 
 # -- connect -----------------------------------------------------------------
 
 
-@main.command()
+@_command("connect")
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def connect(input_src, report):
+def connect(input_src):
     """Connectedness by BFS and, when smartly paired, by the criterion graph."""
-    t0 = time.perf_counter()
-
-    @_guard("connect")
-    def run():
-        doc = _read_doc(input_src)
-        ga, gb = _load_pair(doc)
-        bfs = is_connected(ga, gb, engine="bfs")
-        smart, _ = smartly_paired(ga, gb)
-        crit = is_connected(ga, gb, engine="criterion") if smart else None
-        nodes = len(conn_graph(ga, gb).nodes) if smart else None
-        payload = {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
-                   "criterion_nodes": nodes}
-        _emit("connect", payload, None, t0, {"pair": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    ga, gb = _load_pair(doc)
+    bfs = is_connected(ga, gb, engine="bfs")
+    smart, _ = smartly_paired(ga, gb)
+    crit = is_connected(ga, gb, engine="criterion") if smart else None
+    nodes = len(conn_graph(ga, gb).nodes) if smart else None
+    payload = {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
+               "criterion_nodes": nodes}
+    return payload, {"pair": digest(doc)}
 
 
 # -- invariants ---------------------------------------------------------------
 
 
-@main.command()
+@_command("invariants")
 @click.argument("what", type=click.Choice(["chi", "dim", "links"]))
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def invariants(what, input_src, report):
+def invariants(what, input_src):
     """Euler characteristic, dimension/purity, or vertex-link tags of a
     built complex."""
-    t0 = time.perf_counter()
-
-    @_guard("invariants")
-    def run():
-        doc = _read_doc(input_src)
-        X = CubeComplex.from_json_dict(doc)
-        if what == "chi":
-            payload = {"chi": euler_characteristic(X)}
-        elif what == "dim":
-            d, pure = dimension(X)
-            payload = {"dim": d, "pure": pure}
-        else:
-            tags = classify_vertex_links(X)
-            counts: dict[str, int] = {}
-            for tag in tags.values():
-                counts[tag] = counts.get(tag, 0) + 1
-            payload = {
-                "counts": counts,
-                "links": [
-                    {"vertex": hz2._cell_json(v), "tag": tag}
-                    for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(hz2._cell_json(kv[0])))
-                ],
-            }
-        _emit("invariants", payload, None, t0, {"complex": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    X = CubeComplex.from_json_dict(doc)
+    if what == "chi":
+        payload = {"chi": euler_characteristic(X)}
+    elif what == "dim":
+        d, pure = dimension(X)
+        payload = {"dim": d, "pure": pure}
+    else:
+        tags = classify_vertex_links(X)
+        counts: dict[str, int] = {}
+        for tag in tags.values():
+            counts[tag] = counts.get(tag, 0) + 1
+        payload = {
+            "counts": counts,
+            "links": [
+                {"vertex": hz2._cell_json(v), "tag": tag}
+                for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(hz2._cell_json(kv[0])))
+            ],
+        }
+    return payload, {"complex": digest(doc)}
 
 
 # -- homology -------------------------------------------------------------------
 
 
-@main.command()
+@_command("homology")
 @click.argument("input_src", default="-", required=False)
 @click.option("--reduced", is_flag=True, help="highlight the reduced vector")
 @click.option("--report", is_flag=True)
-def homology(input_src, reduced, report):
+def homology(input_src, reduced):
     """Betti numbers over Z/2 (both reduced and unreduced are reported)."""
-    t0 = time.perf_counter()
-
-    @_guard("homology")
-    def run():
-        doc = _read_doc(input_src)
-        X = CubeComplex.from_json_dict(doc)
-        red = hz2.betti(X, reduced=True)
-        unred = hz2.betti(X, reduced=False)
-        payload = {
-            "betti": list((red if reduced else unred).ranks),
-            "reduced": list(red.ranks),
-            "unreduced": list(unred.ranks),
-            "chi": X.euler_characteristic(),
-        }
-        _emit("homology", payload, None, t0, {"complex": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    X = CubeComplex.from_json_dict(doc)
+    red = hz2.betti(X, reduced=True)
+    unred = hz2.betti(X, reduced=False)
+    payload = {
+        "betti": list((red if reduced else unred).ranks),
+        "reduced": list(red.ranks),
+        "unreduced": list(unred.ranks),
+        "chi": X.euler_characteristic(),
+    }
+    return payload, {"complex": digest(doc)}
 
 
 # -- cycle -----------------------------------------------------------------------
 
 
-@main.command()
+@_command("cycle")
 @click.argument("input_src", default="-", required=False)
 @click.option("--omega-a", default=None, help="chain JSON over gamma_a (default: top cells)")
 @click.option("--omega-b", default=None, help="chain JSON over gamma_b (default: top cells)")
 @click.option("--out", default=None)
 @click.option("--report", is_flag=True)
-def cycle(input_src, omega_a, omega_b, out, report):
+def cycle(input_src, omega_a, omega_b):
     """Chain on the pair complex generated by two smartly paired chains."""
-    t0 = time.perf_counter()
+    doc = _read_doc(input_src)
+    ga, gb = _load_pair(doc)
 
-    @_guard("cycle")
-    def run():
-        doc = _read_doc(input_src)
-        ga, gb = _load_pair(doc)
+    def load_chain(src, host):
+        if src is None:
+            return hz2.top_chain(host)
+        cdoc = _read_doc(src)
+        if not (
+            isinstance(cdoc, dict)
+            and isinstance(cdoc.get("dim"), int)
+            and not isinstance(cdoc["dim"], bool)
+            and isinstance(cdoc.get("cells"), list)
+            and all(
+                isinstance(vids, list) and all(isinstance(v, str) for v in vids)
+                for vids in cdoc["cells"]
+            )
+        ):
+            raise ComplexError(
+                f"malformed chain document {src}: expected an integer dim and "
+                "cells given as lists of vertex ids"
+            )
+        cells = []
+        for vids in cdoc["cells"]:
+            s = host.simplex_with_vertices(vids)
+            if s is None:
+                raise ComplexError(f"no simplex with vertices {vids}")
+            cells.append(s)
+        return hz2.chain(host, cdoc["dim"], cells)
 
-        def load_chain(src, host):
-            if src is None:
-                return hz2.top_chain(host)
-            cdoc = _read_doc(src)
-            cells = []
-            for vids in cdoc["cells"]:
-                s = host.simplex_with_vertices(vids)
-                if s is None:
-                    raise ComplexError(f"no simplex with vertices {vids}")
-                cells.append(s)
-            return hz2.chain(host, cdoc["dim"], cells)
-
-        wa = load_chain(omega_a, ga)
-        wb = load_chain(omega_b, gb)
-        X = build_clcc(ga, gb)
-        out_chain = hz2.clcc_cycle(wa, wb, ambient=X)
-        payload = out_chain.to_json_dict()
-        payload["is_cycle"] = hz2.is_cycle(out_chain)
-        payload["inputs_are_cycles"] = [hz2.is_cycle(wa), hz2.is_cycle(wb)]
-        _emit("cycle", payload, out, t0, {"pair": digest(doc)}, report)
-
-    run()
+    wa = load_chain(omega_a, ga)
+    wb = load_chain(omega_b, gb)
+    X = build_clcc(ga, gb)
+    out_chain = hz2.clcc_cycle(wa, wb, ambient=X)
+    payload = out_chain.to_json_dict()
+    payload["is_cycle"] = hz2.is_cycle(out_chain)
+    payload["inputs_are_cycles"] = [hz2.is_cycle(wa), hz2.is_cycle(wb)]
+    return payload, {"pair": digest(doc)}
 
 
 # -- hyperplanes --------------------------------------------------------------------
 
 
-@main.command(name="hyperplanes")
+@_command("hyperplanes")
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def hyperplanes_cmd(input_src, report):
+def hyperplanes_cmd(input_src):
     """Hyperplane classes, directions and the crossing graph."""
-    t0 = time.perf_counter()
-
-    @_guard("hyperplanes")
-    def run():
-        doc = _read_doc(input_src)
-        X = CubeComplex.from_json_dict(doc)
-        hps = hyperplanes(X)
-        dirs, valid = directions(X)
-        cg = crossing_graph(X)
-        payload = {
-            "classes": [
-                {"id": h.hid, "edges": len(h.edges), "direction": dirs[h.hid]} for h in hps
-            ],
-            "directions_valid": valid,
-            "crossing": sorted(sorted(e) for e in cg.edges),
-            "self_crossing": sorted(cg.self_crossing),
-        }
-        _emit("hyperplanes", payload, None, t0, {"complex": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    X = CubeComplex.from_json_dict(doc)
+    hps = hyperplanes(X)
+    dirs, valid = directions(X)
+    cg = crossing_graph(X)
+    payload = {
+        "classes": [
+            {"id": h.hid, "edges": len(h.edges), "direction": dirs[h.hid]} for h in hps
+        ],
+        "directions_valid": valid,
+        "crossing": sorted(sorted(e) for e in cg.edges),
+        "self_crossing": sorted(cg.self_crossing),
+    }
+    return payload, {"complex": digest(doc)}
 
 
 # -- sageev ---------------------------------------------------------------------------
 
 
-@main.command(name="sageev")
+@_command("sageev")
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def sageev_cmd(input_src, report):
+def sageev_cmd(input_src):
     """Cube complex of a pocset's ultrafilters."""
-    t0 = time.perf_counter()
-
-    @_guard("sageev")
-    def run():
-        doc = _read_doc(input_src)
-        S = Pocset.from_json_dict(doc)
-        Y = sageev(S)
-        payload = {
-            "cells": {str(d): len(Y.cells(d)) for d in range(Y.top_dim + 1)},
-            "vertices": sorted(
-                ["".join(e) for e in sorted(u)] for u in Y.cells(0)
-            ),
-        }
-        _emit("sageev", payload, None, t0, {"pocset": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    S = Pocset.from_json_dict(doc)
+    Y = sageev(S)
+    payload = {
+        "cells": {str(d): len(Y.cells(d)) for d in range(Y.top_dim + 1)},
+        "vertices": sorted(
+            ["".join(e) for e in sorted(u)] for u in Y.cells(0)
+        ),
+    }
+    return payload, {"pocset": digest(doc)}
 
 
 # -- duality -----------------------------------------------------------------------------
 
 
-@main.command()
+@_command("duality")
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def duality(input_src, report):
+def duality(input_src):
     """Halfspace pocset round-trip: rebuild the complex from its
     halfspaces and verify the isomorphism."""
-    t0 = time.perf_counter()
-
-    @_guard("duality")
-    def run():
-        doc = _read_doc(input_src)
-        X = CubeComplex.from_json_dict(doc)
-        ok, mapping = roller_duality_check(X)
-        payload = {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
-        _emit("duality", payload, None, t0, {"complex": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    X = CubeComplex.from_json_dict(doc)
+    ok, mapping = roller_duality_check(X)
+    payload = {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
+    return payload, {"complex": digest(doc)}
 
 
 # -- certify -----------------------------------------------------------------------------
 
 
-@main.command(name="certify")
+@_command("certify")
 @click.argument("input_src", default="-", required=False)
 @click.option("--report", is_flag=True)
-def certify_cmd(input_src, report):
+def certify_cmd(input_src):
     """Hyperbolicity certificate for a pair."""
-    t0 = time.perf_counter()
-
-    @_guard("certify")
-    def run():
-        doc = _read_doc(input_src)
-        ga, gb = _load_pair(doc)
-        cert = certify(ga, gb)
-        _emit("certify", cert.to_json_dict(), None, t0, {"pair": digest(doc)}, report)
-
-    run()
+    doc = _read_doc(input_src)
+    ga, gb = _load_pair(doc)
+    cert = certify(ga, gb)
+    return cert.to_json_dict(), {"pair": digest(doc)}
 
 
 # -- export ------------------------------------------------------------------------------
 
 
-@main.command()
+@_command("export")
 @click.argument("input_src", default="-", required=False)
 @click.option("--out", default=None)
 @click.option("--report", is_flag=True)
-def export(input_src, out, report):
+def export(input_src):
     """Re-emit any recognized document in canonical form (round-trip
     stable)."""
-    t0 = time.perf_counter()
+    doc = _read_doc(input_src)
+    if "gamma_a" in doc:
+        ga, gb = _load_pair(doc)
+        payload = _pair_doc(ga, gb)
+    elif "cubes" in doc:
+        payload = CubeComplex.from_json_dict(doc).to_json_dict()
+    elif "pairs" in doc:
+        payload = Pocset.from_json_dict(doc).to_json_dict()
+    elif "n" in doc:
+        payload = ColoredComplex.from_json_dict(doc).to_json_dict()
+    elif "vertices" in doc:
+        payload = SimplicialComplex.from_json_dict(doc).to_json_dict()
+    else:
+        raise ComplexError("unrecognized document type")
+    return payload, {"input": digest(doc)}
 
-    @_guard("export")
-    def run():
-        doc = _read_doc(input_src)
-        if "gamma_a" in doc:
-            ga, gb = _load_pair(doc)
-            payload = _pair_doc(ga, gb)
-        elif "cubes" in doc:
-            payload = CubeComplex.from_json_dict(doc).to_json_dict()
-        elif "pairs" in doc:
-            payload = Pocset.from_json_dict(doc).to_json_dict()
-        elif "n" in doc:
-            payload = ColoredComplex.from_json_dict(doc).to_json_dict()
-        elif "vertices" in doc:
-            payload = SimplicialComplex.from_json_dict(doc).to_json_dict()
-        else:
-            raise ComplexError("unrecognized document type")
-        _emit("export", payload, out, t0, {"input": digest(doc)}, report)
-
-    run()

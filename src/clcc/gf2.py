@@ -1,63 +1,41 @@
 """GF(2) linear algebra on bit-packed rows.
 
 Rows are Python ints used as bitsets (bit j = column j).  Rank and
-row-span queries are all the homology engine needs; both are backed by
-the compiled kernel in `clcc._gf2fast` when it was built, with a pure
-Python elimination as fallback.  Both paths are deterministic and return
-identical results.
+row-span queries are all the homology engine needs; both run one
+Gaussian elimination that pivots on the highest set bit of each row.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable
 
-try:
-    from clcc import _gf2fast
-
-    IMPLEMENTATION = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    _gf2fast = None
-    IMPLEMENTATION = "pure"
+# Benchmark reports record which elimination produced their GF(2) timings;
+# this pure-Python one is the only one.
+IMPLEMENTATION = "pure"
 
 
-def rank_pure(rows: Iterable[int]) -> int:
-    """Gaussian elimination; pivot = highest set bit of each row."""
-    basis: dict[int, int] = {}
-    rank = 0
+def _eliminate(rows: Iterable[int], basis: dict[int, int]) -> dict[int, int]:
+    """Reduce each row against the echelon basis (pivot column -> row whose
+    highest set bit it is) and add what is left; returns the basis."""
     for row in rows:
         while row:
             p = row.bit_length() - 1
             other = basis.get(p)
             if other is None:
                 basis[p] = row
-                rank += 1
                 break
             row ^= other
-    return rank
-
-
-def _pack(rows: list[int], ncols: int) -> tuple[array, int]:
-    nwords = max(1, (ncols + 63) // 64)
-    buf = bytearray()
-    nbytes = nwords * 8
-    for row in rows:
-        buf += row.to_bytes(nbytes, "little")
-    return array("Q", bytes(buf)), nwords
+    return basis
 
 
 def rank(rows: Iterable[int], ncols: int) -> int:
-    rows = list(rows)
-    if not rows or ncols <= 0:
-        return 0
-    if _gf2fast is not None:
-        data, nwords = _pack(rows, ncols)
-        return _gf2fast.rank_words(data, len(rows), nwords)
-    return rank_pure(rows)
+    """Rank of the matrix with the given rows, each at most ncols bits wide."""
+    return len(_eliminate(rows, {}))
 
 
 def in_rowspan(vec: int, rows: list[int], ncols: int) -> bool:
-    if vec == 0:
-        return True
-    base = rank(rows, ncols)
-    return rank(rows + [vec], ncols) == base
+    """Whether vec is a sum of some of the rows: it reduces to zero against
+    one echelon basis of them."""
+    basis = _eliminate(rows, {})
+    size = len(basis)
+    return len(_eliminate([vec], basis)) == size

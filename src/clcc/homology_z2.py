@@ -120,14 +120,16 @@ class BettiVector:
         return {"reduced": self.reduced, "ranks": list(self.ranks)}
 
 
-def _boundary_rank(host, k: int, index_low: dict) -> int:
+def _boundary_rows(host, k: int, index_low: dict) -> list[int]:
+    """The boundary matrix of the k-cells, one bitset row per cell over the
+    (k-1)-cell positions in index_low."""
     rows = []
     for c in host.cells(k):
         row = 0
         for f in host.boundary_of(c):
             row ^= 1 << index_low[f]
         rows.append(row)
-    return gf2.rank(rows, len(index_low))
+    return rows
 
 
 def betti(host, reduced: bool = True) -> BettiVector:
@@ -139,7 +141,7 @@ def betti(host, reduced: bool = True) -> BettiVector:
     ranks = {top + 1: 0}
     for k in range(1, top + 1):
         index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
-        ranks[k] = _boundary_rank(host, k, index_low)
+        ranks[k] = gf2.rank(_boundary_rows(host, k, index_low), len(index_low))
     ranks[0] = (1 if counts.get(0) else 0) if reduced else 0
     out = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     return BettiVector(reduced, out)
@@ -209,11 +211,10 @@ def smartly_paired_chains(omega_a: Chain2, omega_b: Chain2) -> bool:
         raise DomainError("smart pairing of chains needs colored hosts")
     if ha.n != hb.n:
         raise PairError(f"color counts differ: {ha.n} vs {hb.n}")
-    all_colors = frozenset(range(1, ha.n + 1))
+    n = ha.n
     for cells, other_cells in ((omega_a.cells, omega_b.cells), (omega_b.cells, omega_a.cells)):
         for s in cells:
-            need = all_colors - s.colors
-            if need and not any(need <= t.colors for t in other_cells):
+            if len(s.colors) < n and not any(len(s.colors | t.colors) == n for t in other_cells):
                 return False
     return True
 
@@ -252,10 +253,4 @@ def is_boundary(c: Chain2) -> bool:
     vec = 0
     for cell in c.cells:
         vec ^= 1 << index[cell]
-    rows = []
-    for up in c.host.cells(c.dim + 1):
-        row = 0
-        for f in c.host.boundary_of(up):
-            row ^= 1 << index[f]
-        rows.append(row)
-    return gf2.in_rowspan(vec, rows, len(index))
+    return gf2.in_rowspan(vec, _boundary_rows(c.host, c.dim + 1, index), len(index))

@@ -64,6 +64,8 @@ def _pair_digest(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> str:
 
 def _is_full_cross_polytope(K: ColoredComplex) -> bool:
     """Two vertices per color, complete multipartite 1-skeleton, flag."""
+    if len(K.vertex_ids) != 2 * K.n:
+        return False
     classes = [K.color_class(c) for c in range(1, K.n + 1)]
     if any(len(cl) != 2 for cl in classes):
         return False
@@ -77,7 +79,8 @@ def _is_full_cross_polytope(K: ColoredComplex) -> bool:
 
 
 def _at_most_one_vertex_per_color(K: ColoredComplex) -> bool:
-    return all(len(K.color_class(c)) <= 1 for c in range(1, K.n + 1))
+    colors = [c for _, c in K.vertices]
+    return len(set(colors)) == len(colors)
 
 
 def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:

@@ -16,22 +16,7 @@ from typing import Optional
 from clcc.canon import csorted
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+from clcc.simplicial import reach
 
 
 @dataclass(frozen=True)
@@ -55,17 +40,24 @@ def _opposition_pairs(X: CubeComplex, square):
 
 def hyperplanes(X: CubeComplex) -> list[Hyperplane]:
     """Edge classes under square opposition, deterministically numbered:
-    collected along X.cells(1), which is in canonical order, each class
-    comes out sorted and the classes come in the order of their first
-    edges."""
-    uf = _UnionFind(X.cells(1))
+    each edge is labelled by walking the opposition graph from the first
+    edge of its class, and the classes are collected along X.cells(1),
+    which is in canonical order, so each comes out sorted and the classes
+    come in the order of their first edges."""
+    opposite: dict = {e: [] for e in X.cells(1)}
     for sq in X.cells(2):
         for e, f in _opposition_pairs(X, sq):
-            uf.union(e, f)
-    classes: dict = {}
+            opposite[e].append(f)
+            opposite[f].append(e)
+    label: dict = {}
+    classes: list[list] = []
     for e in X.cells(1):
-        classes.setdefault(uf.find(e), []).append(e)
-    return [Hyperplane(f"h{i}", tuple(c)) for i, c in enumerate(classes.values())]
+        if e not in label:
+            for f in reach([e], opposite.__getitem__):
+                label[f] = len(classes)
+            classes.append([])
+        classes[label[e]].append(e)
+    return [Hyperplane(f"h{i}", tuple(c)) for i, c in enumerate(classes)]
 
 
 def directions(X: CubeComplex) -> tuple[dict[str, int], bool]:
@@ -256,17 +248,10 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
         comps = []
         seen: set = set()
         for v in verts:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(comp)
+            if v not in seen:
+                comp = reach([v], adj.__getitem__)
+                seen |= comp
+                comps.append(comp)
         if len(comps) != 2:
             raise NotTwoSidedError(
                 f"hyperplane {hp.hid} separates the complex into {len(comps)} parts, not 2"

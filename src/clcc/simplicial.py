@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from clcc.canon import canon_key, csorted
 from clcc.errors import ComplexError, PairError
@@ -154,6 +154,46 @@ def _chordless_squares(adj: Mapping[str, frozenset[str]]) -> list[tuple[str, str
     return sorted(canon, key=canon_key)
 
 
+def check_color_count(n) -> None:
+    """A color count n must be an integer >= 1 (a bool is no count)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ComplexError(f"n must be an integer >= 1, got {n!r}")
+
+
+def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
+    """Everything reachable from `starts` by repeatedly following
+    `neighbours`, the starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in neighbours(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def pure_dimensional(host) -> bool:
+    """Whether every cell of a homology host (top_dim, cells, boundary_of)
+    is a face of a top cell: going down from the top cells, the facets of
+    the cells reached so far cover every cell one dimension lower."""
+    reached = set(host.cells(host.top_dim))
+    for d in range(host.top_dim, 0, -1):
+        reached = {f for c in reached for f in host.boundary_of(c)}
+        if not all(c in reached for c in host.cells(d - 1)):
+            return False
+    return True
+
+
+def maximal_cells(host) -> tuple:
+    """Cells of a simplicial host that are no facet of a cell one dimension
+    up, in canonical order; the empty simplex is maximal only in the
+    vertex-less complex."""
+    top = host.top_dim
+    faces = {f for d in range(top + 1) for c in host.cells(d) for f in host.boundary_of(c)}
+    return tuple(csorted(c for d in range(-1, top + 1) for c in host.cells(d) if c not in faces))
+
+
 class ColoredComplex:
     """Downward-closed family of coordinate simplices over colored vertices."""
 
@@ -171,8 +211,7 @@ class ColoredComplex:
         maximal: Iterable[Iterable[str]],
     ) -> "ColoredComplex":
         """Downward closure of the given maximal simplices (idempotent)."""
-        if n < 1:
-            raise ComplexError(f"color count must be positive, got {n}")
+        check_color_count(n)
         colors: dict[str, int] = {}
         for vid, c in vertices:
             if not 1 <= c <= n:
@@ -233,6 +272,18 @@ class ColoredComplex:
         return {k: tuple(csorted(v)) for k, v in buckets.items()}
 
     @cached_property
+    def _all_colors(self) -> frozenset[int]:
+        return frozenset(range(1, self.n + 1))
+
+    def partners(self, colors: frozenset[int]) -> tuple[CoordSimplex, ...]:
+        """The simplices on exactly the colors of 1..n missing from `colors`.
+        The missing colors are formed only when there are no more of them
+        than vertices here, so a huge n costs nothing."""
+        if self.n - len(colors) > len(self._colors):
+            return ()
+        return self.by_colorset.get(self._all_colors - colors, ())
+
+    @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
         nbrs: dict[str, set[str]] = {v: set() for v in self._colors}
         for s in self.simplices:
@@ -242,20 +293,7 @@ class ColoredComplex:
                 nbrs[b].add(a)
         return {v: frozenset(ns) for v, ns in nbrs.items()}
 
-    @cached_property
-    def maximal_simplices(self) -> tuple[CoordSimplex, ...]:
-        """Simplices with no proper coface; the empty simplex is maximal
-        only in the vertex-less complex."""
-        by_dim = self._cells_by_dim
-        out = []
-        for d, cells in by_dim.items():
-            above = by_dim.get(d + 1, ())
-            for s in cells:
-                if s.dim < 0 and len(self.simplices) > 1:
-                    continue
-                if not any(s <= t for t in above):
-                    out.append(s)
-        return tuple(csorted(out))
+    maximal_simplices = cached_property(maximal_cells)
 
     @cached_property
     def _cells_by_dim(self) -> dict[int, tuple[CoordSimplex, ...]]:
@@ -282,18 +320,7 @@ class ColoredComplex:
             raise ComplexError("the empty simplex has no boundary")
         return cell.facets()
 
-    @cached_property
-    def is_pure(self) -> bool:
-        top = self.top_dim
-        if top < 0:
-            return True
-        tops = self.cells(top)
-        return all(
-            any(s <= t for t in tops)
-            for d, cells in self._cells_by_dim.items()
-            if d >= 0
-            for s in cells
-        )
+    is_pure = cached_property(pure_dimensional)
 
     def link_data(self, e: CoordSimplex):
         """Link of e plus the coface -> link-cell correspondence."""
@@ -371,6 +398,15 @@ class ColoredComplex:
             maximal = doc["maximal_simplices"]
         except (KeyError, TypeError) as exc:
             raise ComplexError(f"malformed complex document: {exc}") from exc
+        for vid, c in vertices:
+            if not isinstance(vid, str) or not isinstance(c, int) or isinstance(c, bool):
+                raise ComplexError(
+                    f"a vertex needs a string id and an integer color, got {vid!r}: {c!r}"
+                )
+        if not isinstance(maximal, list) or not all(
+            isinstance(m, list) and all(isinstance(vid, str) for vid in m) for m in maximal
+        ):
+            raise ComplexError("maximal_simplices must be a list of lists of vertex ids")
         return ColoredComplex.build(n, vertices, maximal)
 
 
@@ -417,18 +453,7 @@ class SimplicialComplex:
             raise ComplexError("the empty simplex has no boundary")
         return tuple(cell - {v} for v in csorted(cell))
 
-    @cached_property
-    def is_pure(self) -> bool:
-        top = self.top_dim
-        if top < 0:
-            return True
-        tops = self.cells(top)
-        return all(
-            any(s <= t for t in tops)
-            for d, cells in self._cells_by_dim.items()
-            if d >= 0
-            for s in cells
-        )
+    is_pure = cached_property(pure_dimensional)
 
     def __contains__(self, simplex: frozenset) -> bool:
         return frozenset(simplex) in self.simplices
@@ -448,14 +473,7 @@ class SimplicialComplex:
     def is_connected(self) -> bool:
         if not self.vertex_ids:
             return False
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
-        while stack:
-            for u in self.adjacency[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertex_ids)
+        return len(reach(self.vertex_ids[:1], self.adjacency.__getitem__)) == len(self.vertex_ids)
 
     def link_data(self, e: frozenset):
         e = frozenset(e)
@@ -478,17 +496,7 @@ class SimplicialComplex:
         fam = frozenset(frozenset(rename.get(v, v) for v in s) for s in self.simplices)
         return SimplicialComplex(tuple(rename.get(v, v) for v in self.vertex_ids), fam)
 
-    @cached_property
-    def maximal_simplices(self) -> tuple[frozenset, ...]:
-        out = []
-        for d, cells in self._cells_by_dim.items():
-            above = self._cells_by_dim.get(d + 1, ())
-            for s in cells:
-                if d < 0 and len(self.simplices) > 1:
-                    continue
-                if not any(s <= t for t in above):
-                    out.append(s)
-        return tuple(csorted(out))
+    maximal_simplices = cached_property(maximal_cells)
 
     def euler_characteristic(self) -> int:
         return sum(
@@ -628,10 +636,11 @@ def pairwise_5_large(
     K_A: ColoredComplex, K_B: ColoredComplex
 ) -> tuple[bool, Optional[tuple[tuple[int, int], SquareWitness, SquareWitness]]]:
     """For every color pair, at least one side's bicolored full
-    subcomplex has no empty squares."""
+    subcomplex has no empty squares.  Only pairs of colors that K_A uses
+    can hold a square there, so only those are scanned."""
     if K_A.n != K_B.n:
         raise PairError(f"color counts differ: {K_A.n} vs {K_B.n}")
-    for i, j in combinations(range(1, K_A.n + 1), 2):
+    for i, j in combinations(sorted({c for _, c in K_A.vertices}), 2):
         sq_a = empty_squares(K_A, (i, j))
         if not sq_a:
             continue

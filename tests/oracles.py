@@ -202,3 +202,42 @@ def sageev_cells_reference(S) -> dict[int, set]:
         cells[d] = set(nxt)
         level = list(nxt.items())
     return cells
+
+
+# ----------------------------------------------------------------------
+# naive references for the shared host helpers
+# ----------------------------------------------------------------------
+
+
+def is_pure_reference(host) -> bool:
+    """Every cell lies under a top cell: a simplex inside some top simplex,
+    a cube among the iterated cofaces of which some cube is top, the
+    cofaces grown to a fixed point."""
+    top = host.top_dim
+    if isinstance(host, CubeComplex):
+
+        def under_top(cube) -> bool:
+            closure = {cube}
+            while True:
+                grown = closure | {up for c in closure for up in host.cofaces_map[c]}
+                if grown == closure:
+                    return any(host.dim_of(c) == top for c in closure)
+                closure = grown
+
+        return all(under_top(c) for d in range(top + 1) for c in host.cells(d))
+    tops = host.cells(top)
+    return all(any(s <= t for t in tops) for d in range(top + 1) for s in host.cells(d))
+
+
+def maximal_simplices_reference(K) -> tuple:
+    """Simplices contained in no simplex one dimension up, compared with
+    each of those; the empty simplex only when it is the only simplex."""
+    out = []
+    for d in range(-1, K.top_dim + 1):
+        above = K.cells(d + 1)
+        for s in K.cells(d):
+            if d < 0 and len(K.simplices) > 1:
+                continue
+            if not any(s <= t for t in above):
+                out.append(s)
+    return tuple(csorted(out))

@@ -1,10 +1,20 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clcc
+from clcc import build_clcc, gen_cycle
 from clcc.canon import canonical_json
+from clcc.cli import main
+from clcc.simplicial import ColoredComplex
 
 CLCC = [sys.executable, "-m", "clcc"]
 
@@ -266,3 +276,212 @@ def test_malformed_documents_are_structured_errors():
         assert p.returncode == 1
         assert out_json(p)["error"]["type"] == "ComplexError"
         assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize(
+    "chain_doc",
+    [
+        {"cells": [["a0", "a1"]]},
+        {"dim": 1},
+        [],
+        {"dim": "x", "cells": [["a0", "a1"]]},
+        {"dim": 1, "cells": 5},
+        {"dim": 1, "cells": [5]},
+        {"dim": True, "cells": [["a0", "a1"]]},
+    ],
+)
+def test_cycle_malformed_chain_is_structured_error(tmp_path, chain_doc):
+    pair = run(["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
+    bad = tmp_path / "chain.json"
+    bad.write_text(canonical_json(chain_doc))
+    for option in ("--omega-a", "--omega-b"):
+        p = run(["cycle", "-", option, str(bad)], stdin=pair, check=False)
+        assert p.returncode == 1
+        assert out_json(p)["error"]["type"] == "ComplexError"
+        assert "Traceback" not in p.stderr
+
+
+def _limit_address_space():
+    # about 1 GB: enough for the interpreter, far too little for {1..n}
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_n_in_a_tiny_document_is_cheap():
+    n = 100_000_000
+    empty = {"n": n, "vertices": [], "maximal_simplices": []}
+    pair = canonical_json({"gamma_a": empty, "gamma_b": empty})
+    complex_doc = canonical_json({"n": n, "cubes": []})
+    vertex = {"n": n, "vertices": [{"id": "v", "color": 1}], "maximal_simplices": [["v"]]}
+    points = canonical_json({"gamma_a": vertex, "gamma_b": vertex})
+    outputs = {}
+    for command, doc in (("homology", complex_doc), ("hyperplanes", complex_doc),
+                         ("build", pair), ("connect", pair), ("connect", points),
+                         ("check npc", points), ("check pairwise", points), ("certify", points)):
+        p = subprocess.run(
+            CLCC + command.split() + ["-"], input=doc, capture_output=True, text=True,
+            env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+        )
+        assert p.returncode == 0, p.stderr
+        outputs[command, doc] = out_json(p)
+    assert outputs["build", pair] == {"n": n, "cubes": []}
+    assert outputs["connect", pair]["connected"] is False
+
+
+# -- random documents never end in a traceback -------------------------------------------
+
+FIELDS = ("n", "cubes", "a", "b", "dim", "gamma_a", "gamma_b", "vertices", "id", "color",
+          "maximal_simplices", "pairs", "less", "cells")
+# small integers and few, short containers keep every exponential step tiny
+_scalars = (
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4)
+    | st.sampled_from(["", "1", "2", "a0", "a1", "b0", "v1", "p", "p+", "p-", "q+"])
+)
+_keys = st.sampled_from(FIELDS + ("1", "2", "3")) | st.text("abn12+", max_size=3)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=5),
+    max_leaves=24,
+)
+
+
+def _or_junk(valid):
+    """Mostly a well-typed value, sometimes any JSON value at all."""
+    return st.one_of(valid, valid, valid, _json)
+
+
+def _list(elements, max_size=4):
+    return _or_junk(st.lists(elements, max_size=max_size))
+
+
+_ids = _or_junk(st.sampled_from(["a0", "a1", "b0", "b1", "v1", "p", "q"]))
+_colors = _or_junk(st.integers(1, 3))
+_colored_shape = st.fixed_dictionaries({
+    "n": _colors,
+    "vertices": _list(st.fixed_dictionaries({"id": _ids, "color": _colors})),
+    "maximal_simplices": _list(_list(_ids, 3)),
+})
+_coords = _or_junk(st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), _ids, max_size=3))
+# documents shaped like each kind the commands read, with junk anywhere
+_shaped = st.one_of(
+    _colored_shape,
+    st.fixed_dictionaries({"gamma_a": _or_junk(_colored_shape), "gamma_b": _or_junk(_colored_shape)}),
+    st.fixed_dictionaries({"n": _colors, "cubes": _list(st.fixed_dictionaries(
+        {"a": _coords, "b": _coords}, optional={"dim": _colors}))}),
+    st.fixed_dictionaries({
+        "pairs": _list(st.fixed_dictionaries({"id": _ids})),
+        "less": _list(_list(_or_junk(st.sampled_from(["p+", "p-", "q+", "q-", "p"])), 2)),
+    }),
+    st.fixed_dictionaries({"vertices": _list(_ids), "maximal_simplices": _list(_list(_ids, 3))}),
+    st.fixed_dictionaries({"dim": _colors, "cells": _list(_list(_ids, 3))}),
+)
+
+
+@st.composite
+def _colored_doc(draw, n):
+    colors = draw(st.dictionaries(st.sampled_from(["a0", "a1", "a2", "b0", "b1"]),
+                                  st.integers(1, n), min_size=n, max_size=5))
+    ids = sorted(colors)
+    picks = draw(st.lists(st.lists(st.sampled_from(ids), max_size=3, unique=True), max_size=4)
+                 if ids else st.just([]))
+    return {
+        "n": n,
+        "vertices": [{"id": v, "color": c} for v, c in colors.items()],
+        # a simplex has at most one vertex of each color
+        "maximal_simplices": [m for m in picks if len({colors[v] for v in m}) == len(m)],
+    }
+
+
+@st.composite
+def _pair_doc(draw):
+    n = draw(st.integers(1, 3))
+    return {"gamma_a": draw(_colored_doc(n)), "gamma_b": draw(_colored_doc(n))}
+
+
+@st.composite
+def _cube_doc(draw):
+    pair = draw(_pair_doc())
+    built = build_clcc(*(ColoredComplex.from_json_dict(pair[k]) for k in ("gamma_a", "gamma_b")))
+    doc = built.to_json_dict()
+    # dropping a cube may leave another without a facet
+    doc["cubes"] = [c for c in doc["cubes"] if draw(st.integers(0, 9))]
+    return doc
+
+
+_pocset_doc = st.fixed_dictionaries({
+    "pairs": st.lists(st.sampled_from(["p", "q", "r"]), max_size=3, unique=True).map(
+        lambda ids: [{"id": i} for i in ids]),
+    "less": st.lists(st.lists(st.sampled_from(["p+", "p-", "q+", "q-", "r+"]),
+                              min_size=2, max_size=2), max_size=4),
+})
+_chain_doc = st.fixed_dictionaries({
+    "dim": st.integers(-1, 2),
+    "cells": st.lists(st.lists(st.sampled_from(["a0", "a1", "a2", "b0", "b1", "b2"]),
+                               max_size=3, unique=True), max_size=4),
+})
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A well-formed document with the value of one field replaced."""
+    doc = dict(draw(docs))
+    doc[draw(st.sampled_from(sorted(doc)))] = draw(_json)
+    return doc
+
+
+def _docs(valid):
+    return st.one_of(valid, valid, valid, _mutated(valid), _shaped, st.dictionaries(_keys, _json),
+                     _json)
+
+
+_colored_any = st.integers(1, 3).flatmap(_colored_doc)
+_KINDS = {
+    "pair": _pair_doc(), "complex": _colored_any, "cubes": _cube_doc(), "pocset": _pocset_doc,
+    "any": st.one_of(_pair_doc(), _colored_any, _cube_doc(), _pocset_doc),
+}
+FILE_COMMANDS = (
+    *((["check", prop], "complex") for prop in ("flag", "5large", "obes")),
+    *((["check", prop], "pair") for prop in ("pairwise", "smart", "npc")),
+    *(([cmd], "pair") for cmd in ("build", "link", "connect", "certify")),
+    *(([cmd], "cubes") for cmd in ("homology", "hyperplanes", "duality")),
+    *((["invariants", what], "cubes") for what in ("chi", "dim", "links")),
+    (["sageev"], "pocset"),
+    (["export"], "any"),
+)
+
+
+def _assert_no_traceback(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )
+
+
+@pytest.mark.parametrize("command, kind", FILE_COMMANDS, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_random_json_never_ends_in_a_traceback(command, kind, data):
+    doc = data.draw(_docs(_KINDS[kind]))
+    result = CliRunner().invoke(main, command + ["-"], input=json.dumps(doc))
+    _assert_no_traceback(result)
+
+
+_PAIR = json.dumps(
+    {"gamma_a": gen_cycle(2, prefix="a").to_json_dict(),
+     "gamma_b": gen_cycle(3, prefix="b").to_json_dict()}
+)
+
+
+@given(stdin=st.none() | _docs(_pair_doc()), chain_doc=_docs(_chain_doc))
+@settings(max_examples=100, deadline=None)
+def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
+    # the pair on stdin is mostly a fixed valid one, so that the chain is read
+    with tempfile.TemporaryDirectory() as tmp:
+        chain_file = os.path.join(tmp, "chain.json")
+        with open(chain_file, "w", encoding="utf-8") as fh:
+            json.dump(chain_doc, fh)
+        for option in ("--omega-a", "--omega-b"):
+            result = CliRunner().invoke(
+                main, ["cycle", "-", option, chain_file],
+                input=_PAIR if stdin is None else json.dumps(stdin),
+            )
+            _assert_no_traceback(result)
