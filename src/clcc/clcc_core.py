@@ -47,21 +47,23 @@ class CubeComplex:
 
     The builders hand over the cells of each dimension, and the facets of
     each cell, already in canonical order; each ranks its atoms once and
-    sorts by those ranks, so no query here sorts again.
+    sorts by those ranks, so no query here sorts again.  `from_cells`
+    complexes keep their vertex sets; pair-built ones pass None and
+    compute a vertex set only when asked.
     """
 
     def __init__(
         self,
         cubes_by_dim: Mapping[int, tuple],
         facets_map: Mapping[CubeId, tuple],
-        vertex_sets: Mapping[CubeId, frozenset],
+        vertex_sets: Optional[Mapping[CubeId, frozenset]],
         n: Optional[int] = None,
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
         has_pair_origin: bool = False,
     ):
         self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
         self._facets = dict(facets_map)
-        self._vsets = dict(vertex_sets)
+        self._vsets = None if vertex_sets is None else dict(vertex_sets)
         self.n = n
         self.defining_pair = defining_pair
         self.has_pair_origin = has_pair_origin
@@ -147,7 +149,13 @@ class CubeComplex:
         return cube in self._dim_of
 
     def vertices_of(self, cube: CubeId) -> frozenset:
-        return self._vsets[cube]
+        """The vertex set of a cube.  Pair-built complexes store none and
+        compute it on each call."""
+        if self._vsets is not None:
+            return self._vsets[cube]
+        if cube not in self._dim_of:
+            raise KeyError(cube)
+        return _cube_vertices(*cube)
 
     def facets(self, cube: CubeId) -> tuple:
         return self._facets[cube]
@@ -183,7 +191,7 @@ class CubeComplex:
     def _vertex_adjacency(self) -> dict:
         adj: dict = {v: set() for v in self.cells(0)}
         for e in self.cells(1):
-            a, b = self._vsets[e]
+            a, b = self._facets[e]  # the facets of an edge are its endpoints
             adj[a].add(b)
             adj[b].add(a)
         return {v: frozenset(ns) for v, ns in adj.items()}
@@ -300,34 +308,50 @@ def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
     return frozenset(verts)
 
 
+def _minus_table(side: list, rank: dict) -> list[dict]:
+    """For each simplex of `side`, by index: color -> index of the face
+    without that color, or -1 when that face is not in `side`."""
+    return [{c: rank.get(s.minus(c), -1) for c in s.colors} for s in side]
+
+
 def _assemble_pair_cubes(n, pairs, defining_pair):
-    """The cubes (a, b) in canonical order: the distinct a- and b-simplices
-    are ranked once, and a cube sorts as its pair of ranks."""
-    pair_set = set(pairs)
-    rank_a = {a: i for i, a in enumerate(csorted({a for a, _ in pair_set}))}
-    rank_b = {b: i for i, b in enumerate(csorted({b for _, b in pair_set}))}
+    """The cubes (a, b) in canonical order.
 
-    def key(cube):
-        return rank_a[cube[0]], rank_b[cube[1]]
-
+    The distinct a- and b-simplices are ranked once, and each factor gets
+    a `minus` table.  A cube is keyed by its pair of ranks (ia, ib), which
+    sorts as the cube does; the facets (ia - i, ib) and (ia, ib - i) of
+    each overlap color i are found, and checked present, on those keys.
+    The pairs of simplices are made once per cube, at the end."""
+    side_a = csorted({a for a, _ in pairs})
+    side_b = csorted({b for _, b in pairs})
+    rank_a = {a: i for i, a in enumerate(side_a)}
+    rank_b = {b: i for i, b in enumerate(side_b)}
+    minus_a, minus_b = _minus_table(side_a, rank_a), _minus_table(side_b, rank_b)
+    keys = sorted({(rank_a[a], rank_b[b]) for a, b in pairs})
+    cube_of = {k: (side_a[k[0]], side_b[k[1]]) for k in keys}
     by_dim: dict[int, list] = {}
     facets: dict = {}
-    vsets: dict = {}
-    for cid in sorted(pair_set, key=key):
-        a, b = cid
-        overlap = sorted(a.colors & b.colors)
-        by_dim.setdefault(len(overlap), []).append(cid)
-        vsets[cid] = _cube_vertices(a, b)
+    for k in keys:
+        ia, ib = k
+        ma, mb = minus_a[ia], minus_b[ib]
+        overlap = sorted(ma.keys() & mb.keys())
         fs = []
         for i in overlap:
-            fs.append((a.minus(i), b))
-            fs.append((a, b.minus(i)))
-        for f in fs:
-            if f not in pair_set:
-                raise ComplexError(f"facet {f} missing; cube family not downward consistent")
-        facets[cid] = tuple(sorted(fs, key=key))
+            fs.append((ma[i], ib))
+            fs.append((ia, mb[i]))
+        for pos, f in enumerate(fs):
+            if f not in cube_of:
+                a, b = cube_of[k]
+                i = overlap[pos // 2]
+                missing = (a.minus(i), b) if pos % 2 == 0 else (a, b.minus(i))
+                raise ComplexError(
+                    f"facet {missing} missing; cube family not downward consistent"
+                )
+        cube = cube_of[k]
+        by_dim.setdefault(len(overlap), []).append(cube)
+        facets[cube] = tuple(cube_of[f] for f in sorted(fs))
     return CubeComplex(
-        by_dim, facets, vsets, n=n, defining_pair=defining_pair, has_pair_origin=True
+        by_dim, facets, None, n=n, defining_pair=defining_pair, has_pair_origin=True
     )
 
 

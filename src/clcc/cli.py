@@ -132,7 +132,12 @@ def _command(name: str):
     The wrapper times the body, maps a DomainError to exit 1 with an error
     payload on stdout, and otherwise writes the canonical payload to
     stdout (or to --out) and a run report to stderr: one line, or with
-    --report a JSON object with the input digests and timings."""
+    --report a JSON object with the input digests and timings.
+
+    Every echo names its stream.  Without `file=`, click wraps the current
+    sys.stdout/sys.stderr and caches the wrapper in a WeakKeyDictionary
+    whose value is the stream itself, so each stream swapped in by an
+    in-process caller (click.testing.CliRunner) would stay alive."""
 
     def wrap(body):
         @functools.wraps(body)
@@ -142,22 +147,22 @@ def _command(name: str):
                 payload, inputs = body(**params)
             except DomainError as exc:
                 error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
-                click.echo(canonical_json({"error": error}))
-                click.echo(f"clcc {name}: error: {exc}", err=True)
+                click.echo(canonical_json({"error": error}), file=sys.stdout)
+                click.echo(f"clcc {name}: error: {exc}", file=sys.stderr)
                 sys.exit(1)
             text = canonical_json(payload)
             if out and out != "-":
                 with open(out, "w", encoding="utf-8") as fh:
                     fh.write(text + "\n")
             else:
-                click.echo(text)
+                click.echo(text, file=sys.stdout)
             ms = round((time.perf_counter() - t0) * 1000, 3)
             if report:
                 run_report = {"command": name, "inputs": inputs, "result_digest": digest(payload),
                               "timings": {"total_ms": ms}}
-                click.echo(canonical_json(run_report), err=True)
+                click.echo(canonical_json(run_report), file=sys.stderr)
             else:
-                click.echo(f"clcc {name}: ok ({ms} ms)", err=True)
+                click.echo(f"clcc {name}: ok ({ms} ms)", file=sys.stderr)
 
         return main.command(name)(run)
 
@@ -296,8 +301,8 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
                 witness["clique"] = [str(x) for x in clique]
     payload = {"property": prop, "holds": holds, "witness": witness}
     if not holds:
-        click.echo(canonical_json(payload))
-        click.echo(f"clcc check: {prop} fails", err=True)
+        click.echo(canonical_json(payload), file=sys.stdout)
+        click.echo(f"clcc check: {prop} fails", file=sys.stderr)
         sys.exit(1)
     return payload, {"input": digest(doc)}
 

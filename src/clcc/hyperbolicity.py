@@ -117,8 +117,11 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     obes_a, _ = is_obes(gamma_a)
     obes_b, _ = is_obes(gamma_b)
     if pw and obes_a and obes_b:
+        # a color pair that gamma_a leaves empty holds no square there, so
+        # it is "A" by definition; only pairs of colors gamma_a uses are listed
+        used_a = sorted({c for _, c in gamma_a.vertices})
         per_pair = {}
-        for i, j in combinations(range(1, gamma_a.n + 1), 2):
+        for i, j in combinations(used_a, 2):
             per_pair[f"{i},{j}"] = "A" if not empty_squares(gamma_a, (i, j)) else "B"
         return Certificate(
             "Hyperbolic", RULE_PAIRWISE_OBES, {"pair_5_large_side": per_pair}, dig

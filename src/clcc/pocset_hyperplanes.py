@@ -27,11 +27,12 @@ class Hyperplane:
 
 
 def _opposition_pairs(X: CubeComplex, square):
-    """The two pairs of vertex-disjoint edges of a square."""
+    """The two pairs of vertex-disjoint edges of a square (the facets of
+    an edge are its two endpoints)."""
     edges = X.facets(square)
     pairs = []
     for e, f in combinations(edges, 2):
-        if not (X.vertices_of(e) & X.vertices_of(f)):
+        if set(X.facets(e)).isdisjoint(X.facets(f)):
             pairs.append((e, f))
     if len(pairs) != 2:
         raise DomainError(f"square {square!r} does not have two opposite edge pairs")
@@ -234,7 +235,7 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     split the 1-skeleton into exactly two components.  Quotients with
     one-sided classes (a torus, say) are rejected."""
     verts = X.cells(0)
-    endpoint = {e: tuple(X.vertices_of(e)) for e in X.cells(1)}
+    endpoint = {e: X.facets(e) for e in X.cells(1)}
     sides: dict = {}
     for hp in hyperplanes(X):
         cut = set(hp.edges)

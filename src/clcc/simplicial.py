@@ -8,8 +8,8 @@ are immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -17,11 +17,31 @@ from clcc.canon import canon_key, csorted
 from clcc.errors import ComplexError, PairError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordSimplex:
-    """Simplex of a colored complex, stored as color -> vertex entries."""
+    """Simplex of a colored complex, stored as color -> vertex entries.
+
+    The value is `entries` alone.  The hash and the color set are cached
+    in two more slots, each filled on first use, so building a simplex
+    stores one field and a simplex used as a key is hashed once.  Equal
+    color sets are one shared frozenset."""
 
     entries: tuple[tuple[int, str], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _colors: frozenset = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.entries)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # the default state of a frozen slotted dataclass reads every
+        # field, and an empty cache slot cannot be read
+        return CoordSimplex, (self.entries,)
 
     @staticmethod
     def of(mapping: Mapping[int, str] | Iterable[tuple[int, str]]) -> "CoordSimplex":
@@ -34,7 +54,12 @@ class CoordSimplex:
 
     @property
     def colors(self) -> frozenset[int]:
-        return frozenset(c for c, _ in self.entries)
+        try:
+            return self._colors
+        except AttributeError:
+            colors = _shared_color_set(tuple(c for c, _ in self.entries))
+            object.__setattr__(self, "_colors", colors)
+            return colors
 
     @property
     def vertex_ids(self) -> frozenset[str]:
@@ -97,6 +122,14 @@ class CoordSimplex:
 
 
 EMPTY_SIMPLEX = CoordSimplex(())
+
+
+@lru_cache(maxsize=4096)
+def _shared_color_set(colors: tuple[int, ...]) -> frozenset[int]:
+    """One frozenset per color tuple, shared by the simplices that cache it:
+    a complex has few color sets and many simplices, and a frozenset
+    costs over 200 bytes."""
+    return frozenset(colors)
 
 
 @dataclass(frozen=True)
@@ -218,7 +251,7 @@ class ColoredComplex:
                 raise ComplexError(f"color {c} of vertex {vid!r} out of range 1..{n}")
             if colors.setdefault(vid, c) != c:
                 raise ComplexError(f"vertex {vid!r} declared with two colors")
-        family: set[CoordSimplex] = {EMPTY_SIMPLEX}
+        faces: set[tuple] = {()}  # entry tuples, so each simplex is made once
         for vset in maximal:
             entries = []
             for vid in vset:
@@ -227,9 +260,8 @@ class ColoredComplex:
                 entries.append((colors[vid], vid))
             top = CoordSimplex.of(entries)  # rejects duplicate colors
             for k in range(len(top.entries) + 1):
-                for sub in combinations(top.entries, k):
-                    family.add(CoordSimplex(sub))
-        return ColoredComplex(n, colors, frozenset(family))
+                faces.update(combinations(top.entries, k))
+        return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
 
     def _replace_simplices(self, simplices: frozenset[CoordSimplex],
                            colors: Optional[Mapping[str, int]] = None) -> "ColoredComplex":
@@ -258,11 +290,19 @@ class ColoredComplex:
         return simplex in self.simplices
 
     @cached_property
-    def _by_vertexset(self) -> dict[frozenset[str], CoordSimplex]:
-        return {s.vertex_ids: s for s in self.simplices}
+    def _by_entries(self) -> dict[tuple, CoordSimplex]:
+        """Each stored simplex by its entries, for lookups that would
+        otherwise make a new simplex."""
+        return {s.entries: s for s in self.simplices}
 
     def simplex_with_vertices(self, vids: Iterable[str]) -> Optional[CoordSimplex]:
-        return self._by_vertexset.get(frozenset(vids))
+        """The simplex on exactly these vertex ids, or None; the vertex
+        colors give its entries."""
+        colors = self._colors
+        vids = set(vids)
+        if not vids <= colors.keys():
+            return None
+        return self._by_entries.get(tuple(sorted((colors[v], v) for v in vids)))
 
     @cached_property
     def by_colorset(self) -> dict[frozenset[int], tuple[CoordSimplex, ...]]:
@@ -316,9 +356,15 @@ class ColoredComplex:
         return EMPTY_SIMPLEX
 
     def boundary_of(self, cell: CoordSimplex) -> tuple[CoordSimplex, ...]:
+        """The facets of a cell; for a cell of this complex they are the
+        stored simplices, so they are not made again and their hashes are
+        cached."""
         if cell.dim < 0:
             raise ComplexError("the empty simplex has no boundary")
-        return cell.facets()
+        if cell not in self.simplices:
+            return cell.facets()
+        stored, e = self._by_entries, cell.entries
+        return tuple([stored[e[:i] + e[i + 1 :]] for i in range(len(e))])
 
     is_pure = cached_property(pure_dimensional)
 

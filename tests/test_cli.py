@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import resource
@@ -327,6 +329,31 @@ def test_huge_n_in_a_tiny_document_is_cheap():
     assert outputs["connect", pair]["connected"] is False
 
 
+def _square_side(n, colors, prefix):
+    ids = [f"{prefix}{k}" for k in range(4)]
+    return {
+        "n": n,
+        "vertices": [{"id": v, "color": colors[k % 2]} for k, v in enumerate(ids)],
+        "maximal_simplices": [[ids[k], ids[(k + 1) % 4]] for k in range(4)],
+    }
+
+
+def test_certify_rule_2_witness_does_not_grow_with_n():
+    # a bicolor square on colors 1,2 on one side and on 3,4 on the other:
+    # rule 2 fires, and its witness lists only the color pairs of gamma_a
+    n = 3000
+    pair = canonical_json({"gamma_a": _square_side(n, (1, 2), "a"),
+                           "gamma_b": _square_side(n, (3, 4), "b")})
+    p = subprocess.run(
+        CLCC + ["certify", "-"], input=pair, capture_output=True, text=True,
+        env=_ENV, preexec_fn=_limit_address_space, timeout=20,
+    )
+    assert p.returncode == 0, p.stderr
+    cert = out_json(p)
+    assert cert["rule"] == "pairwise-5-large+obes"
+    assert cert["witness"] == {"pair_5_large_side": {"1,2": "B"}}
+
+
 # -- random documents never end in a traceback -------------------------------------------
 
 FIELDS = ("n", "cubes", "a", "b", "dim", "gamma_a", "gamma_b", "vertices", "id", "color",
@@ -485,3 +512,30 @@ def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
                 input=_PAIR if stdin is None else json.dumps(stdin),
             )
             _assert_no_traceback(result)
+
+
+# -- in-process invocations --------------------------------------------------------------
+
+
+def _capture_streams() -> list:
+    gc.collect()
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, io.TextIOWrapper) and type(o).__module__ == "click.testing"
+    ]
+
+
+def test_in_process_invocations_keep_no_capture_stream():
+    # CliRunner swaps fresh streams in as sys.stdout and sys.stderr for each
+    # invocation; an echo that does not name its stream makes click cache a
+    # wrapper keyed by, and holding, the swapped-in stream, so it never dies
+    runner = CliRunner()
+    pair = runner.invoke(main, ["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
+    c4 = runner.invoke(main, ["generate", "cycle", "--k", "2"]).stdout
+    for _ in range(4):
+        assert runner.invoke(main, ["build", "-"], input=pair).exit_code == 0
+        assert runner.invoke(main, ["certify", "-", "--report"], input=pair).exit_code == 0
+        assert runner.invoke(main, ["check", "5large", "-"], input=c4).exit_code == 1
+        assert runner.invoke(main, ["homology", "-"], input="[]").exit_code == 1
+        assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+    assert _capture_streams() == []
