@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, DomainError, PairError
@@ -188,6 +188,11 @@ class CubeComplex:
     is_pure = cached_property(pure_dimensional)
 
     @cached_property
+    def opposition(self) -> "Opposition":
+        """The hyperplane structure, walked once per complex."""
+        return _opposition_walk(self)
+
+    @cached_property
     def _vertex_adjacency(self) -> dict:
         adj: dict = {v: set() for v in self.cells(0)}
         for e in self.cells(1):
@@ -284,6 +289,47 @@ class CubeComplex:
                     f"{len(a.colors & b.colors)}"
                 )
         return _assemble_pair_cubes(n, [(a, b) for a, b, _ in raw], defining_pair=None)
+
+
+class Opposition(NamedTuple):
+    """Square opposition by edge index (position in `cells(1)`): the
+    hyperplanes as edge classes in the order of their first edges, the
+    class of each edge, and per square its opposite pairs (e, f, g, h),
+    e opposite f and g opposite h."""
+
+    classes: tuple
+    label: tuple
+    squares: tuple
+
+
+def _opposition_walk(X: CubeComplex) -> Opposition:
+    """Two edges of a square are opposite when their four endpoints are
+    distinct.  The vertices and edges are numbered once, and each edge
+    keeps its endpoints as two ints."""
+    vertex = {v: i for i, v in enumerate(X.cells(0))}
+    edges = X.cells(1)
+    index = {e: k for k, e in enumerate(edges)}
+    ends = [frozenset(vertex[v] for v in X._facets[e]) for e in edges]
+    neighbours: list[list[int]] = [[] for _ in edges]
+    squares = []
+    for sq in X.cells(2):
+        fs = [index[c] for c in X._facets[sq]]
+        pairs = [(e, f) for e, f in combinations(fs, 2) if ends[e].isdisjoint(ends[f])]
+        if len(pairs) != 2:
+            raise DomainError(f"square {sq!r} does not have two opposite edge pairs")
+        for e, f in pairs:
+            neighbours[e].append(f)
+            neighbours[f].append(e)
+        squares.append(pairs[0] + pairs[1])
+    label = [-1] * len(edges)
+    classes = []
+    for k in range(len(edges)):
+        if label[k] < 0:
+            members = sorted(reach([k], neighbours.__getitem__))
+            for m in members:
+                label[m] = len(classes)
+            classes.append(tuple(edges[m] for m in members))
+    return Opposition(tuple(classes), tuple(label), tuple(squares))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
 from clcc.canon import csorted
@@ -23,42 +22,14 @@ from clcc.simplicial import reach
 class Hyperplane:
     hid: str
     edges: tuple
-    direction: Optional[int] = None
-
-
-def _opposition_pairs(X: CubeComplex, square):
-    """The two pairs of vertex-disjoint edges of a square (the facets of
-    an edge are its two endpoints)."""
-    edges = X.facets(square)
-    pairs = []
-    for e, f in combinations(edges, 2):
-        if set(X.facets(e)).isdisjoint(X.facets(f)):
-            pairs.append((e, f))
-    if len(pairs) != 2:
-        raise DomainError(f"square {square!r} does not have two opposite edge pairs")
-    return pairs
 
 
 def hyperplanes(X: CubeComplex) -> list[Hyperplane]:
-    """Edge classes under square opposition, deterministically numbered:
-    each edge is labelled by walking the opposition graph from the first
-    edge of its class, and the classes are collected along X.cells(1),
-    which is in canonical order, so each comes out sorted and the classes
-    come in the order of their first edges."""
-    opposite: dict = {e: [] for e in X.cells(1)}
-    for sq in X.cells(2):
-        for e, f in _opposition_pairs(X, sq):
-            opposite[e].append(f)
-            opposite[f].append(e)
-    label: dict = {}
-    classes: list[list] = []
-    for e in X.cells(1):
-        if e not in label:
-            for f in reach([e], opposite.__getitem__):
-                label[f] = len(classes)
-            classes.append([])
-        classes[label[e]].append(e)
-    return [Hyperplane(f"h{i}", tuple(c)) for i, c in enumerate(classes)]
+    """Edge classes under square opposition, numbered in the order of
+    their first edges along X.cells(1), which is in canonical order, so
+    each class comes out sorted.  The classes are walked once per complex
+    (`CubeComplex.opposition`); each call returns a new list."""
+    return [Hyperplane(f"h{i}", c) for i, c in enumerate(X.opposition.classes)]
 
 
 def directions(X: CubeComplex) -> tuple[dict[str, int], bool]:
@@ -71,14 +42,10 @@ def directions(X: CubeComplex) -> tuple[dict[str, int], bool]:
         raise DomainError("directions need a pair-built complex")
     out: dict[str, int] = {}
     valid = True
-    for hp in hyperplanes(X):
-        colors = set()
-        for a, b in hp.edges:
-            (color,) = a.colors & b.colors
-            colors.add(color)
-        out[hp.hid] = min(colors)
-        if len(colors) != 1:
-            valid = False
+    for i, edges in enumerate(X.opposition.classes):
+        colors = {color for a, b in edges for color in a.colors & b.colors}
+        out[f"h{i}"] = min(colors)
+        valid = valid and len(colors) == 1
     return out, valid
 
 
@@ -93,19 +60,14 @@ class CrossingGraph:
 
 
 def crossing_graph(X: CubeComplex) -> CrossingGraph:
-    """Two hyperplanes cross when a common square uses both."""
-    hps = hyperplanes(X)
-    owner = {e: hp.hid for hp in hps for e in hp.edges}
-    edges = set()
-    selfx = set()
-    for sq in X.cells(2):
-        (e1, _), (f1, _) = _opposition_pairs(X, sq)
-        h, k = owner[e1], owner[f1]
-        if h == k:
-            selfx.add(h)
-        else:
-            edges.add(frozenset({h, k}))
-    return CrossingGraph(tuple(hp.hid for hp in hps), frozenset(edges), frozenset(selfx))
+    """Two hyperplanes cross when a common square uses both: the classes
+    of a square's two opposite pairs."""
+    op = X.opposition
+    hid = [f"h{i}" for i in range(len(op.classes))]
+    crossing = {(op.label[e], op.label[g]) for e, _, g, _ in op.squares}
+    edges = frozenset(frozenset({hid[h], hid[k]}) for h, k in crossing if h != k)
+    selfx = frozenset(hid[h] for h, k in crossing if h == k)
+    return CrossingGraph(tuple(hid), edges, selfx)
 
 
 # ----------------------------------------------------------------------
@@ -235,32 +197,28 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     split the 1-skeleton into exactly two components.  Quotients with
     one-sided classes (a torus, say) are rejected."""
     verts = X.cells(0)
-    endpoint = {e: X.facets(e) for e in X.cells(1)}
+    op = X.opposition
+    endpoints = [X.facets(e) for e in X.cells(1)]
     sides: dict = {}
-    for hp in hyperplanes(X):
-        cut = set(hp.edges)
+    for h in range(len(op.classes)):
+        hid = f"h{h}"
         adj: dict = {v: set() for v in verts}
-        for e in X.cells(1):
-            if e in cut:
-                continue
-            a, b = endpoint[e]
-            adj[a].add(b)
-            adj[b].add(a)
-        comps = []
+        for (a, b), k in zip(endpoints, op.label):
+            if k != h:
+                adj[a].add(b)
+                adj[b].add(a)
+        comps: list = []
         seen: set = set()
         for v in verts:
             if v not in seen:
-                comp = reach([v], adj.__getitem__)
-                seen |= comp
-                comps.append(comp)
+                comps.append(frozenset(reach([v], adj.__getitem__)))
+                seen |= comps[-1]
         if len(comps) != 2:
             raise NotTwoSidedError(
-                f"hyperplane {hp.hid} separates the complex into {len(comps)} parts, not 2"
+                f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
             )
         # verts is in canonical order, so the first part holds the least vertex
-        lo, hi = comps
-        sides[(hp.hid, "-")] = frozenset(lo)
-        sides[(hp.hid, "+")] = frozenset(hi)
+        sides[(hid, "-")], sides[(hid, "+")] = comps
     elements = tuple(sorted(sides))
     less = frozenset(
         (x, y) for x in elements for y in elements if x != y and sides[x] < sides[y]

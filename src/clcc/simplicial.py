@@ -104,9 +104,6 @@ class CoordSimplex:
                 )
         return CoordSimplex.of(merged)
 
-    def restrict(self, colors: frozenset[int]) -> "CoordSimplex":
-        return CoordSimplex(tuple((c, v) for c, v in self.entries if c in colors))
-
     def compatible_union(self, other: "CoordSimplex") -> Optional["CoordSimplex"]:
         try:
             return self.union(other)
@@ -593,7 +590,8 @@ def is_flag(K) -> tuple[bool, Optional[tuple]]:
     Accepts colored or uncolored complexes.  On failure returns the
     minimal non-spanning clique (smallest size, then lexicographically
     first); generation is level-by-level in lex order so the first
-    failure found is that witness.
+    failure found is that witness.  Each clique carries the canonical
+    positions of the later vertices adjacent to all of it.
     """
     adj = K.adjacency
     if isinstance(K, ColoredComplex):
@@ -601,18 +599,16 @@ def is_flag(K) -> tuple[bool, Optional[tuple]]:
     else:
         spans = lambda vids: frozenset(vids) in K.simplices
     verts = csorted(adj)
-    level: list[tuple] = [(v,) for v in verts]
+    level = [((), range(len(verts)))]
     while level:
-        nxt: list[tuple] = []
-        for clique in level:
-            last_key = canon_key(clique[-1])
-            for u in verts:
-                if canon_key(u) <= last_key or any(u not in adj[w] for w in clique):
-                    continue
+        nxt = []
+        for clique, after in level:
+            for i, q in enumerate(after):
+                u = verts[q]
                 bigger = clique + (u,)
                 if len(bigger) >= 3 and not spans(bigger):
                     return False, bigger
-                nxt.append(bigger)
+                nxt.append((bigger, [r for r in after[i + 1:] if verts[r] in adj[u]]))
         level = nxt
     return True, None
 

@@ -4,8 +4,9 @@ These rebuild the reference objects from scratch: the coordinate-cube
 complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
 builder.  The naive references at the end recompute the canonical orders,
-facets, pocset closures and ultrafilter cubes that the library derives
-from ranks, bitsets and flip tables."""
+facets, hyperplanes, crossing graphs, flag witnesses, pocset closures and
+ultrafilter cubes that the library derives from ranks, bitsets, integer
+edge indices and flip tables."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from itertools import combinations, product
 
 from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex
-from clcc.pocset_hyperplanes import star
+from clcc.errors import DomainError
+from clcc.pocset_hyperplanes import CrossingGraph, star
 from clcc.simplicial import ColoredComplex, SimplicialComplex
 
 
@@ -141,6 +143,83 @@ def hyperplane_classes_reference(X) -> list[tuple]:
                     classes[g] = merged
     distinct = {id(c): c for c in classes.values()}.values()
     return sorted((tuple(csorted(c)) for c in distinct), key=lambda c: canon_key(c[0]))
+
+
+def opposition_pairs_reference(X, square):
+    """The two pairs of vertex-disjoint edges of a square (the facets of
+    an edge are its two endpoints)."""
+    edges = X.facets(square)
+    pairs = []
+    for e, f in combinations(edges, 2):
+        if set(X.facets(e)).isdisjoint(X.facets(f)):
+            pairs.append((e, f))
+    if len(pairs) != 2:
+        raise DomainError(f"square {square!r} does not have two opposite edge pairs")
+    return pairs
+
+
+def crossing_graph_reference(X) -> CrossingGraph:
+    """Two hyperplanes cross when a common square uses both: the opposite
+    pairs of every square are found again, vertex sets compared."""
+    hps = [(f"h{i}", c) for i, c in enumerate(hyperplane_classes_reference(X))]
+    owner = {e: hid for hid, edges in hps for e in edges}
+    edges = set()
+    selfx = set()
+    for sq in X.cells(2):
+        (e1, _), (f1, _) = opposition_pairs_reference(X, sq)
+        h, k = owner[e1], owner[f1]
+        if h == k:
+            selfx.add(h)
+        else:
+            edges.add(frozenset({h, k}))
+    return CrossingGraph(tuple(hid for hid, _ in hps), frozenset(edges), frozenset(selfx))
+
+
+def halfspace_sides_reference(X):
+    """The two sides of each reference hyperplane, the "-" side holding
+    the canonically least vertex: the 1-skeleton without the class's
+    edges, merged vertex set by vertex set.  None when some class does
+    not cut the complex in two."""
+    sides = {}
+    for i, cut in enumerate(hyperplane_classes_reference(X)):
+        part = {v: frozenset([v]) for v in X.cells(0)}
+        for e in X.cells(1):
+            a, b = X.vertices_of(e)
+            if e not in cut and part[a] is not part[b]:
+                merged = part[a] | part[b]
+                for v in merged:
+                    part[v] = merged
+        parts = sorted(set(part.values()), key=lambda c: canon_key(csorted(c)[0]))
+        if len(parts) != 2:
+            return None
+        sides[(f"h{i}", "-")], sides[(f"h{i}", "+")] = parts
+    return sides
+
+
+def is_flag_reference(K) -> tuple:
+    """Every clique of the 1-skeleton spans a simplex; cliques grow level
+    by level in lex order, each candidate compared by canon_key, and the
+    first non-spanning one is the witness."""
+    adj = K.adjacency
+    if isinstance(K, ColoredComplex):
+        spans = lambda vids: K.simplex_with_vertices(vids) is not None
+    else:
+        spans = lambda vids: frozenset(vids) in K.simplices
+    verts = csorted(adj)
+    level: list[tuple] = [(v,) for v in verts]
+    while level:
+        nxt: list[tuple] = []
+        for clique in level:
+            last_key = canon_key(clique[-1])
+            for u in verts:
+                if canon_key(u) <= last_key or any(u not in adj[w] for w in clique):
+                    continue
+                bigger = clique + (u,)
+                if len(bigger) >= 3 and not spans(bigger):
+                    return False, bigger
+                nxt.append(bigger)
+        level = nxt
+    return True, None
 
 
 def closed_relations_reference(pair_ids, relations) -> frozenset:

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clcc
-from clcc import build_clcc, gen_cycle
+from clcc import CubeComplex, build_clcc, gen_cross_polytope, gen_cycle
 from clcc.canon import canonical_json
 from clcc.cli import main
 from clcc.simplicial import ColoredComplex
+
+from oracles import crossing_graph_reference, hyperplane_classes_reference
 
 CLCC = [sys.executable, "-m", "clcc"]
 
@@ -137,6 +139,23 @@ def test_connect_and_invariants():
     assert links["counts"] == {"circle": 22}
 
 
+def hyperplanes_payload_reference(X) -> dict:
+    """The `clcc hyperplanes` payload from the naive hyperplane classes
+    and crossing graph; a class's direction is its edges' overlap color."""
+    classes = []
+    for i, edges in enumerate(hyperplane_classes_reference(X)):
+        colors = {c for a, b in edges for c in a.colors & b.colors}
+        assert len(colors) == 1
+        classes.append({"id": f"h{i}", "edges": len(edges), "direction": colors.pop()})
+    cg = crossing_graph_reference(X)
+    return {
+        "classes": classes,
+        "directions_valid": True,
+        "crossing": sorted(sorted(e) for e in cg.edges),
+        "self_crossing": sorted(cg.self_crossing),
+    }
+
+
 def test_hyperplanes_payload():
     pair = run(["generate", "surface", "--ka", "2", "--kb", "2"]).stdout
     complex_doc = run(["build", "-"], stdin=pair).stdout
@@ -144,6 +163,19 @@ def test_hyperplanes_payload():
     assert len(got["classes"]) == 8
     assert got["directions_valid"] is True
     assert len(got["crossing"]) == 16
+    barycentric = run(["generate", "barycentric", "--gamma", "tetrahedron",
+                       "--lam", "tetrahedron"]).stdout
+    pairs = [
+        run(["generate", "surface", "--ka", "5", "--kb", "6"]).stdout,
+        canonical_json({"gamma_a": gen_cross_polytope(3).to_json_dict(),
+                        "gamma_b": gen_cross_polytope(3, prefix="b").to_json_dict()}),
+        barycentric,
+    ]
+    for pair in pairs:
+        complex_doc = run(["build", "-"], stdin=pair).stdout
+        X = CubeComplex.from_json_dict(json.loads(complex_doc))
+        want = canonical_json(hyperplanes_payload_reference(X)) + "\n"
+        assert run(["hyperplanes", "-"], stdin=complex_doc).stdout == want
 
 
 def test_link_subcommand():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from clcc import (
     barycentric_subdivision_2d,
+    build_clcc,
     close_downward,
     empty_squares,
     flag_complex_from_graph,
@@ -18,6 +19,7 @@ from clcc import (
     is_obes,
     link_simplex,
     pairwise_5_large,
+    prune_to_smart_pair,
     simplicial_join,
 )
 from clcc.canon import canonical_json
@@ -29,7 +31,15 @@ from clcc.simplicial import (
     SimplicialComplex,
 )
 
-from corpus import random_two_complex, rng
+from corpus import (
+    planted_square_flag_complex,
+    random_colored_complex,
+    random_flag_complex,
+    random_smart_pair,
+    random_two_complex,
+    rng,
+)
+from oracles import is_flag_reference
 
 
 def cell_counts(K) -> dict:
@@ -143,6 +153,39 @@ def test_flag_octahedron_matches_clique_oracle(o3):
     assert ok
     for clique in all_cliques(o3):
         assert o3.simplex_with_vertices(clique) is not None
+
+
+def flag_corpus():
+    """Both sides of smart, planted-square and unpruned pairs, the vertex
+    links of their pair complexes, and random uncolored 2-complexes."""
+    r = rng(801)
+    pairs = [p for p in (random_smart_pair(r, max_vertices=7) for _ in range(80)) if p]
+    for k in range(60):
+        n = r.randint(2, 4)
+        gb = planted_square_flag_complex(r, n) if k % 2 else random_flag_complex(r, n)
+        pairs.append(prune_to_smart_pair(random_flag_complex(r, n), gb))
+        pairs.append((random_colored_complex(r, n, 7), random_colored_complex(r, n, 7)))
+    for ga, gb in pairs:
+        yield ga
+        yield gb
+        X = build_clcc(ga, gb)
+        for v in X.cells(0)[:3]:
+            yield X.link_complex(v)
+    for _ in range(60):
+        yield random_two_complex(r)
+    # hollow tetrahedra: every triangle spans, the 4-clique does not
+    hollow = list(combinations("pqrs", 3))
+    yield close_downward(4, list(zip("pqrs", (1, 2, 3, 4))), hollow)
+    yield SimplicialComplex.from_maximal(list("pqrs"), hollow)
+
+
+def test_flag_matches_reference_on_corpus():
+    verdicts = set()
+    for K in flag_corpus():
+        got = is_flag(K)
+        assert got == is_flag_reference(K)
+        verdicts.add(got[1] and len(got[1]))
+    assert {None, 3, 4} <= verdicts
 
 
 # -- link_simplex ------------------------------------------------------------------
