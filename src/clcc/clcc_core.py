@@ -263,32 +263,28 @@ class CubeComplex:
     @staticmethod
     def from_json_dict(doc: dict) -> "CubeComplex":
         """A built complex from its JSON form.  Each cube's colors must
-        cover {1..n}, and a declared "dim" must be the overlap size."""
-        try:
-            n = doc["n"]
-            raw = [
-                (
-                    CoordSimplex.of({int(c): v for c, v in item["a"].items()}),
-                    CoordSimplex.of({int(c): v for c, v in item["b"].items()}),
-                    item.get("dim"),
-                )
-                for item in doc["cubes"]
-            ]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ComplexError(f"malformed cube complex document: {exc}") from exc
-        check_color_count(n)
-        for a, b, dim in raw:
-            if not all(isinstance(vid, str) for _, vid in a.entries + b.entries):
-                raise ComplexError(f"cube ({a}, {b}) has a vertex id that is not a string")
-            colors = a.colors | b.colors
-            if len(colors) != n or min(colors) < 1 or max(colors) > n:
-                raise ComplexError(f"cube ({a}, {b}) does not cover the colors 1..{n}")
-            if dim is not None and dim != len(a.colors & b.colors):
-                raise ComplexError(
-                    f"cube ({a}, {b}) declares dim {dim!r}, but its colors overlap in "
-                    f"{len(a.colors & b.colors)}"
-                )
-        return _assemble_pair_cubes(n, [(a, b) for a, b, _ in raw], defining_pair=None)
+        cover {1..n}, and a declared "dim" must be the integer overlap size.
+
+        The cube sides span a pair of factors, and every cube of the
+        document is a cube of that pair.  So a complete document comes
+        back as the complex of the spanned pair, with `defining_pair` set,
+        and its links take the join formula.  The cubes are assembled as
+        given, with no pair, when the spanned factors could be larger than
+        the document (its distinct sides have more than one face, 2^|side|
+        each, per cube), when a vertex id has two colors in one factor, or
+        when the pair has cubes the document lacks."""
+        n, cubes, sides_a, sides_b = _read_cube_document(doc)
+        count = len({(id(a), id(b)) for a, b in cubes})  # equal sides are one object
+        if sum(2 ** len(s) for s in (*sides_a, *sides_b)) <= count:
+            try:
+                pair = _spanned_factor(n, sides_a), _spanned_factor(n, sides_b)
+            except ComplexError:  # a vertex id with two colors
+                pair = None
+            if pair is not None:
+                X = build_clcc(*pair)
+                if len(X._dim_of) == count:
+                    return X
+        return _assemble_pair_cubes(n, cubes, defining_pair=None)
 
 
 class Opposition(NamedTuple):
@@ -419,6 +415,66 @@ def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
             if need <= bcoords:
                 pairs.extend((a, b) for b in bs)
     return _assemble_pair_cubes(n, pairs, defining_pair=(gamma_a, gamma_b))
+
+
+class _SideReader:
+    """Parses the cube sides of one factor, each distinct side once: a side
+    is looked up by its raw items, then by its sorted entries, so equal
+    sides are one simplex.  Each gives (simplex, every vertex id a string);
+    a side with another vertex id is refused by the caller, so it is
+    never shared."""
+
+    def __init__(self):
+        self._by_raw: dict = {}
+        self.sides: dict = {}  # entries -> the one simplex
+
+    def __call__(self, raw) -> tuple[CoordSimplex, bool]:
+        key = tuple(raw.items())
+        try:
+            return self._by_raw[key]
+        except (KeyError, TypeError):  # new, or an unhashable vertex id
+            pass
+        s = CoordSimplex.of({int(c): v for c, v in raw.items()})
+        if not all(isinstance(v, str) for _, v in s.entries):
+            return s, False
+        self._by_raw[key] = self.sides.setdefault(s.entries, s), True
+        return self._by_raw[key]
+
+
+def _read_cube_document(doc) -> tuple[int, list, tuple, tuple]:
+    """n, the cubes (a, b) in document order, and the distinct a- and
+    b-sides of a cube document, checked cube by cube."""
+    read_a, read_b = _SideReader(), _SideReader()
+    try:
+        n = doc["n"]
+        raw = [(read_a(item["a"]), read_b(item["b"]), item.get("dim")) for item in doc["cubes"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ComplexError(f"malformed cube complex document: {exc}") from exc
+    check_color_count(n)
+    for (a, a_text), (b, b_text), dim in raw:
+        if not (a_text and b_text):
+            raise ComplexError(f"cube ({a}, {b}) has a vertex id that is not a string")
+        colors = a.colors | b.colors
+        if len(colors) != n or min(colors) < 1 or max(colors) > n:
+            raise ComplexError(f"cube ({a}, {b}) does not cover the colors 1..{n}")
+        overlap = len(a.colors & b.colors)
+        if dim is None:
+            continue
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ComplexError(f"cube ({a}, {b}) declares dim {dim!r}, which is not an integer")
+        if dim != overlap:
+            raise ComplexError(
+                f"cube ({a}, {b}) declares dim {dim!r}, but its colors overlap in {overlap}"
+            )
+    cubes = [(a, b) for (a, _), (b, _), _ in raw]
+    return n, cubes, tuple(read_a.sides.values()), tuple(read_b.sides.values())
+
+
+def _spanned_factor(n: int, sides) -> ColoredComplex:
+    """The colored complex whose simplices are the faces of `sides`; a
+    vertex id with two colors raises ComplexError."""
+    vertices = {(v, c) for s in sides for c, v in s.entries}
+    return ColoredComplex.build(n, vertices, [[v for _, v in s.entries] for s in sides])
 
 
 def link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:

@@ -127,12 +127,14 @@ def main():
 
 
 def _command(name: str):
-    """Register a subcommand of `main` whose body returns (payload, inputs).
+    """Register a subcommand of `main` whose body returns (payload, inputs),
+    `inputs` naming the documents it read.
 
     The wrapper times the body, maps a DomainError to exit 1 with an error
     payload on stdout, and otherwise writes the canonical payload to
     stdout (or to --out) and a run report to stderr: one line, or with
-    --report a JSON object with the input digests and timings.
+    --report a JSON object with the input digests and timings.  Inputs
+    are digested only for that report.
 
     Every echo names its stream.  Without `file=`, click wraps the current
     sys.stdout/sys.stderr and caches the wrapper in a WeakKeyDictionary
@@ -158,8 +160,9 @@ def _command(name: str):
                 click.echo(text, file=sys.stdout)
             ms = round((time.perf_counter() - t0) * 1000, 3)
             if report:
-                run_report = {"command": name, "inputs": inputs, "result_digest": digest(payload),
-                              "timings": {"total_ms": ms}}
+                run_report = {"command": name,
+                              "inputs": {k: digest(doc) for k, doc in inputs.items()},
+                              "result_digest": digest(payload), "timings": {"total_ms": ms}}
                 click.echo(canonical_json(run_report), file=sys.stderr)
             else:
                 click.echo(f"clcc {name}: ok ({ms} ms)", file=sys.stderr)
@@ -203,7 +206,7 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
         if gamma is None:
             raise ComplexError(f"{family} needs --gamma")
         doc = _read_doc(gamma)
-        inputs["gamma"] = digest(doc)
+        inputs["gamma"] = doc
         g = ColoredComplex.from_json_dict(doc)
         make = generators.gen_salvetti_pair if family == "salvetti" else generators.gen_racg_pair
         payload = _pair_doc(*make(g))
@@ -236,7 +239,7 @@ def build(input_src, pair_opt):
     doc = _read_doc(pair_opt or input_src)
     ga, gb = _load_pair(doc)
     X = build_clcc(ga, gb)
-    return X.to_json_dict(), {"pair": digest(doc)}
+    return X.to_json_dict(), {"pair": doc}
 
 
 # -- check ---------------------------------------------------------------
@@ -304,7 +307,7 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
         click.echo(canonical_json(payload), file=sys.stdout)
         click.echo(f"clcc check: {prop} fails", file=sys.stderr)
         sys.exit(1)
-    return payload, {"input": digest(doc)}
+    return payload, {"input": doc}
 
 
 # -- link ------------------------------------------------------------------
@@ -326,7 +329,7 @@ def link(input_src, a, b):
     pretty = L.relabeled(
         {v: (f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v) for v in L.vertex_ids}
     )
-    return pretty.to_json_dict(), {"pair": digest(doc)}
+    return pretty.to_json_dict(), {"pair": doc}
 
 
 # -- connect -----------------------------------------------------------------
@@ -345,7 +348,7 @@ def connect(input_src):
     nodes = len(conn_graph(ga, gb).nodes) if smart else None
     payload = {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
                "criterion_nodes": nodes}
-    return payload, {"pair": digest(doc)}
+    return payload, {"pair": doc}
 
 
 # -- invariants ---------------------------------------------------------------
@@ -377,7 +380,7 @@ def invariants(what, input_src):
                 for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(hz2._cell_json(kv[0])))
             ],
         }
-    return payload, {"complex": digest(doc)}
+    return payload, {"complex": doc}
 
 
 # -- homology -------------------------------------------------------------------
@@ -399,7 +402,7 @@ def homology(input_src, reduced):
         "unreduced": list(unred.ranks),
         "chi": X.euler_characteristic(),
     }
-    return payload, {"complex": digest(doc)}
+    return payload, {"complex": doc}
 
 
 # -- cycle -----------------------------------------------------------------------
@@ -449,7 +452,7 @@ def cycle(input_src, omega_a, omega_b):
     payload = out_chain.to_json_dict()
     payload["is_cycle"] = hz2.is_cycle(out_chain)
     payload["inputs_are_cycles"] = [hz2.is_cycle(wa), hz2.is_cycle(wb)]
-    return payload, {"pair": digest(doc)}
+    return payload, {"pair": doc}
 
 
 # -- hyperplanes --------------------------------------------------------------------
@@ -473,7 +476,7 @@ def hyperplanes_cmd(input_src):
         "crossing": sorted(sorted(e) for e in cg.edges),
         "self_crossing": sorted(cg.self_crossing),
     }
-    return payload, {"complex": digest(doc)}
+    return payload, {"complex": doc}
 
 
 # -- sageev ---------------------------------------------------------------------------
@@ -493,7 +496,7 @@ def sageev_cmd(input_src):
             ["".join(e) for e in sorted(u)] for u in Y.cells(0)
         ),
     }
-    return payload, {"pocset": digest(doc)}
+    return payload, {"pocset": doc}
 
 
 # -- duality -----------------------------------------------------------------------------
@@ -509,7 +512,7 @@ def duality(input_src):
     X = CubeComplex.from_json_dict(doc)
     ok, mapping = roller_duality_check(X)
     payload = {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
-    return payload, {"complex": digest(doc)}
+    return payload, {"complex": doc}
 
 
 # -- certify -----------------------------------------------------------------------------
@@ -523,7 +526,7 @@ def certify_cmd(input_src):
     doc = _read_doc(input_src)
     ga, gb = _load_pair(doc)
     cert = certify(ga, gb)
-    return cert.to_json_dict(), {"pair": digest(doc)}
+    return cert.to_json_dict(), {"pair": doc}
 
 
 # -- export ------------------------------------------------------------------------------
@@ -550,5 +553,5 @@ def export(input_src):
         payload = SimplicialComplex.from_json_dict(doc).to_json_dict()
     else:
         raise ComplexError("unrecognized document type")
-    return payload, {"input": digest(doc)}
+    return payload, {"input": doc}
 

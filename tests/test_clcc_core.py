@@ -77,6 +77,16 @@ def test_from_json_dict_validates_cubes(c4):
         CubeComplex.from_json_dict({"n": 2, "cubes": [{**cube, "dim": 5}]})
     with pytest.raises(ComplexError, match="does not cover the colors"):
         CubeComplex.from_json_dict({"n": 3, "cubes": [cube]})
+    for vid in (5, None, ["v0"]):  # a list is no dict key, so it is never shared
+        bad = {**cube, "b": {k: vid for k in cube["b"]}}
+        with pytest.raises(ComplexError, match="has a vertex id that is not a string"):
+            CubeComplex.from_json_dict({**doc, "cubes": [bad] + doc["cubes"]})
+    # True == 1 and 1.0 == 1, but a dim must be an integer, as n must
+    edge = next(k for k, c in enumerate(doc["cubes"]) if c["dim"] == 1)
+    for dim in (True, 1.0, "1"):
+        cubes = doc["cubes"][:edge] + [{**doc["cubes"][edge], "dim": dim}] + doc["cubes"][edge + 1:]
+        with pytest.raises(ComplexError, match=f"declares dim {dim!r}, which is not an integer"):
+            CubeComplex.from_json_dict({**doc, "cubes": cubes})
     for n in ("2", 2.0, None, True, 0, -3):
         with pytest.raises(ComplexError, match="n must be an integer"):
             CubeComplex.from_json_dict({**doc, "n": n})

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import clcc
 from clcc import CubeComplex, build_clcc, gen_cross_polytope, gen_cycle
-from clcc.canon import canonical_json
+from clcc.canon import canonical_json, digest
 from clcc.cli import main
 from clcc.simplicial import ColoredComplex
 
@@ -361,6 +361,22 @@ def test_huge_n_in_a_tiny_document_is_cheap():
     assert outputs["connect", pair]["connected"] is False
 
 
+def test_a_wide_side_in_a_tiny_document_is_cheap():
+    # one vertex whose a-side has 40 colors: the factor that side spans has
+    # 2^40 faces, so loading must take the cubes as given
+    n = 40
+    doc = canonical_json({"n": n, "cubes": [
+        {"a": {str(c): f"a{c}" for c in range(1, n + 1)}, "b": {}, "dim": 0}]})
+    for command in ("invariants links", "homology", "hyperplanes", "export"):
+        p = subprocess.run(
+            CLCC + command.split() + ["-"], input=doc, capture_output=True, text=True,
+            env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+        )
+        assert p.returncode == 0, p.stderr
+        if command == "export":
+            assert p.stdout == doc + "\n"
+
+
 def _square_side(n, colors, prefix):
     ids = [f"{prefix}{k}" for k in range(4)]
     return {
@@ -547,6 +563,27 @@ def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
 
 
 # -- in-process invocations --------------------------------------------------------------
+
+
+def test_report_digests_each_input_document():
+    runner = CliRunner()
+    pair = runner.invoke(main, ["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
+    complex_doc = runner.invoke(main, ["build", "-"], input=pair).stdout
+    for args, stdin, role in (
+        (["build"], pair, "pair"),
+        (["homology"], complex_doc, "complex"),
+        (["invariants", "links"], complex_doc, "complex"),
+        (["certify"], pair, "pair"),
+    ):
+        result = runner.invoke(main, args + ["-", "--report"], input=stdin)
+        assert result.exit_code == 0, result.stderr
+        report = json.loads(result.stderr)
+        assert set(report) == {"command", "inputs", "result_digest", "timings"}
+        assert report["command"] == args[0]
+        assert report["inputs"] == {role: digest(json.loads(stdin))}
+        assert report["result_digest"] == digest(json.loads(result.stdout))
+        assert set(report["timings"]) == {"total_ms"}
+        assert report["timings"]["total_ms"] >= 0
 
 
 def _capture_streams() -> list:

@@ -6,11 +6,20 @@ factors by the join formula lk(a, b) = lk_A(a) * lk_B(b).  Each is
 compared here with the same invariant computed on the adjacency link
 X.link_complex(v) of the built complex, vertex by vertex, on the seeded
 corpus and on fixtures that between them reach every tag.
+
+Each complex is also round-tripped through JSON: the loader recovers
+the pair its cube sides span when that pair is small enough to build,
+and otherwise, like for partial documents and vertex ids with two
+colors, it keeps no pair and tags the adjacency links.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+
+import pytest
+from click.testing import CliRunner
 
 from clcc import (
     CubeComplex,
@@ -26,7 +35,11 @@ from clcc import (
     is_npc,
     prune_to_smart_pair,
 )
-from clcc.clcc_core import _classify_link, _JoinLinks
+from clcc.canon import canonical_json
+from clcc.cli import main
+from clcc.clcc_core import CoordSimplex, _classify_link, _cube_vertices, _JoinLinks
+from clcc.errors import ComplexError
+from clcc.homology_z2 import _cell_json
 from clcc.hyperbolicity import ALL_RULES, RULE_LINKS_5_LARGE
 from clcc.simplicial import _chordless_squares, is_flag
 
@@ -52,6 +65,33 @@ def adjacency_is_npc(ga, gb):
     return True, "direct-links", None
 
 
+def within_guard(doc) -> bool:
+    """The loader's size guard: the distinct sides of a cube document have
+    at most one face, 2^|side| each, per distinct cube."""
+    sides = {(k, canonical_json(c[k])): len(c[k]) for c in doc["cubes"] for k in ("a", "b")}
+    cubes = {canonical_json([c["a"], c["b"]]) for c in doc["cubes"]}
+    return sum(2 ** size for size in sides.values()) <= len(cubes)
+
+
+def same_cells(X, Y) -> bool:
+    return (
+        X.top_dim == Y.top_dim
+        and all(X.cells(d) == Y.cells(d) for d in range(X.top_dim + 1))
+        and all(X.facets(c) == Y.facets(c) for c in X.cofaces_map)
+    )
+
+
+def assert_loads_back(X, expected_tags):
+    """The JSON form of X loads back with a pair exactly when the size
+    guard passes, with the cells, order and facets of X either way, and
+    with the vertex-link tags of X's adjacency links."""
+    doc = X.to_json_dict()
+    Y = CubeComplex.from_json_dict(doc)
+    assert (Y.defining_pair is not None) == within_guard(doc)
+    assert same_cells(X, Y)
+    assert list(classify_vertex_links(Y).items()) == list(expected_tags.items())
+
+
 def compare_paths(ga, gb) -> Counter:
     """Assert that both paths agree on every vertex of the pair complex;
     return the tags seen and whether is_npc found a witness."""
@@ -63,9 +103,7 @@ def compare_paths(ga, gb) -> Counter:
     expected_tags = {v: _classify_link(L) for v, L in adjacency.items()}
     tags = classify_vertex_links(X)
     assert list(tags.items()) == list(expected_tags.items())
-    untied = CubeComplex.from_json_dict(X.to_json_dict())
-    assert untied.defining_pair is None
-    assert list(classify_vertex_links(untied).values()) == list(tags.values())
+    assert_loads_back(X, expected_tags)
 
     squares = {v: bool(_chordless_squares(L.adjacency)) for v, L in adjacency.items()}
     for v, L in adjacency.items():
@@ -169,3 +207,103 @@ def test_factor_links_match_adjacency_links_on_unpruned_pairs():
     for _ in range(60):
         n = r.randint(1, 3)
         compare_paths(random_colored_complex(r, n, 6), random_colored_complex(r, n, 6))
+
+
+# -- documents that load without a pair ---------------------------------------------------
+
+
+def adjacency_links_output(doc) -> str:
+    """What `clcc invariants links` prints for a cube document when every
+    vertex link is the adjacency link: the complex is rebuilt here by
+    `from_cells` from the cubes' vertex sets, with no pair."""
+    by_dim: dict = {}
+    for c in doc["cubes"]:
+        a = CoordSimplex.of({int(k): v for k, v in c["a"].items()})
+        b = CoordSimplex.of({int(k): v for k, v in c["b"].items()})
+        by_dim.setdefault(len(a.colors & b.colors), []).append(_cube_vertices(a, b))
+    R = CubeComplex.from_cells(by_dim)
+    tags = {v: _classify_link(R.link_complex(v)) for v in R.cells(0)}
+    links = sorted(({"vertex": _cell_json(v), "tag": t} for v, t in tags.items()),
+                   key=lambda e: canonical_json(e["vertex"]))
+    return canonical_json({"counts": dict(Counter(tags.values())), "links": links}) + "\n"
+
+
+def fallback_documents(X) -> list:
+    """Documents of X that must load with no pair: X less a top cube whose
+    sides both stay in use (the spanned pair still has that cube), and X
+    with one a-side vertex id given to a vertex of another color."""
+    doc = X.to_json_dict()
+    cubes = doc["cubes"]
+    out = []
+    for k, c in enumerate(cubes):
+        rest = cubes[:k] + cubes[k + 1:]
+        if c["dim"] == X.top_dim and all(any(r[s] == c[s] for r in rest) for s in "ab"):
+            out.append({**doc, "cubes": rest})
+            break
+    ga, _ = X.defining_pair
+    (u, cu), *others = ga.vertices
+    rename = {next(w for w, c in others if c != cu): u}
+    out.append({**doc, "cubes": [
+        {**c, "a": {k: rename.get(v, v) for k, v in c["a"].items()}} for c in cubes
+    ]})
+    return out
+
+
+LOADER_PAIRS = [
+    gen_surface_pair(3, 4),
+    (gen_cross_polytope(3), gen_cross_polytope(3, prefix="b")),
+    gen_barycentric_pair(TETRA, TETRA, {"V": 1, "E": 2, "F": 3}, {"V": 2, "E": 1, "F": 3}),
+]
+
+
+def test_partial_and_two_colored_documents_fall_back():
+    runner = CliRunner()
+    for ga, gb in LOADER_PAIRS:
+        X = build_clcc(ga, gb)
+        assert within_guard(X.to_json_dict())
+        printed = []
+        for doc in fallback_documents(X):
+            assert within_guard(doc)
+            assert CubeComplex.from_json_dict(doc).defining_pair is None
+            res = runner.invoke(main, ["invariants", "links", "-"], input=json.dumps(doc))
+            assert res.exit_code == 0, res.output
+            assert res.stdout == adjacency_links_output(doc)
+            printed.append(json.loads(res.stdout))
+        _, relabelled = printed
+        # the relabelled document is X under other names
+        assert relabelled["counts"] == dict(Counter(classify_vertex_links(X).values()))
+
+
+def test_a_document_missing_a_facet_still_raises():
+    for ga, gb in LOADER_PAIRS:
+        doc = build_clcc(ga, gb).to_json_dict()
+        # a facet of a top cube: every cube below the top is one (pure)
+        k = next(k for k, c in enumerate(doc["cubes"]) if c["dim"] == 1)
+        partial = {**doc, "cubes": doc["cubes"][:k] + doc["cubes"][k + 1:]}
+        assert within_guard(partial)
+        with pytest.raises(ComplexError, match="missing; cube family not downward consistent"):
+            CubeComplex.from_json_dict(partial)
+
+
+def test_a_wide_side_is_not_spanned():
+    # one vertex whose a-side has n colors: the factor it spans would have
+    # 2^n faces against one cube, so the cubes are taken as given
+    for n in (1, 2, 6):
+        a = {str(c): f"a{c}" for c in range(1, n + 1)}
+        doc = {"n": n, "cubes": [{"a": a, "b": {}, "dim": 0}]}
+        assert not within_guard(doc)
+        Y = CubeComplex.from_json_dict(doc)
+        assert Y.defining_pair is None
+        assert Y.to_json_dict() == doc
+
+
+def test_repeated_cubes_and_respelled_colors_keep_the_pair():
+    # a side is read by its entries, so a color key "01" is color 1, and a
+    # cube listed twice is one cube
+    X = build_clcc(*gen_surface_pair(3, 4))
+    doc = X.to_json_dict()
+    cubes = doc["cubes"]
+    respelled = [{**c, "a": {k.zfill(2): v for k, v in c["a"].items()}} for c in cubes[::2]]
+    Y = CubeComplex.from_json_dict({**doc, "cubes": respelled + cubes[1::2] + cubes[:5]})
+    assert Y.defining_pair is not None
+    assert same_cells(X, Y)
