@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
@@ -266,24 +266,22 @@ class CubeComplex:
         cover {1..n}, and a declared "dim" must be the integer overlap size.
 
         The cube sides span a pair of factors, and every cube of the
-        document is a cube of that pair.  So a complete document comes
-        back as the complex of the spanned pair, with `defining_pair` set,
-        and its links take the join formula.  The cubes are assembled as
-        given, with no pair, when the spanned factors could be larger than
-        the document (its distinct sides have more than one face, 2^|side|
-        each, per cube), when a vertex id has two colors in one factor, or
-        when the pair has cubes the document lacks."""
+        document is a cube of that pair.  So a document that is all the
+        cubes of that pair comes back as its complex, with `defining_pair`
+        set, and its links take the join formula.  One budget, tied to
+        the document's cube count, bounds the work: the spanning stops
+        once a factor has more than _FACES_PER_CUBE faces per cube, and
+        the cube enumeration once it has more cubes than the document.
+        Then, or when a vertex id has two colors in one factor, the cubes
+        are assembled as given, with no pair."""
         n, cubes, sides_a, sides_b = _read_cube_document(doc)
         count = len({(id(a), id(b)) for a, b in cubes})  # equal sides are one object
-        if sum(2 ** len(s) for s in (*sides_a, *sides_b)) <= count:
-            try:
-                pair = _spanned_factor(n, sides_a), _spanned_factor(n, sides_b)
-            except ComplexError:  # a vertex id with two colors
-                pair = None
-            if pair is not None:
-                X = build_clcc(*pair)
-                if len(X._dim_of) == count:
-                    return X
+        budget = _FACES_PER_CUBE * count
+        pair = (_spanned_factor(n, sides_a, budget), _spanned_factor(n, sides_b, budget))
+        if pair[0] is not None and pair[1] is not None:
+            pairs = _covering_pairs(*pair, limit=count)
+            if pairs is not None:  # at most the document's cubes, all among them
+                return _assemble_pair_cubes(n, pairs, defining_pair=pair)
         return _assemble_pair_cubes(n, cubes, defining_pair=None)
 
 
@@ -397,6 +395,34 @@ def _assemble_pair_cubes(n, pairs, defining_pair):
     )
 
 
+def _covering_pairs(
+    gamma_a: ColoredComplex, gamma_b: ColoredComplex, limit: Optional[int] = None
+) -> Optional[list]:
+    """All pairs (a, b) whose colors cover {1..n}, or None as soon as there
+    would be more than `limit`.  Both factors are downward closed, so the
+    b-colorsets covering an a-colorset S are {1..n} - S grown by colors of
+    S, and a grown set that gamma_b lacks ends its branch: each lookup
+    finds a bucket of pairs or ends a branch."""
+    n = gamma_a.n
+    if n > max(map(len, gamma_a.simplices)) + max(map(len, gamma_b.simplices)):
+        return []
+    all_colors = frozenset(range(1, n + 1))
+    by_b = gamma_b.by_colorset
+    pairs: list = []
+    for colors, bucket_a in gamma_a.by_colorset.items():
+        stack = [(all_colors - colors, sorted(colors))]
+        while stack:
+            need, extra = stack.pop()
+            bucket_b = by_b.get(need)
+            if bucket_b is None:
+                continue
+            if limit is not None and len(pairs) + len(bucket_a) * len(bucket_b) > limit:
+                return None
+            pairs.extend(product(bucket_a, bucket_b))
+            stack.extend((need | {c}, extra[k + 1:]) for k, c in enumerate(extra))
+    return pairs
+
+
 def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     """All pairs (a, b) whose colors cover {1..n}; the overlap size is the
     cube dimension and faces shrink either side on an overlap color.  When
@@ -404,17 +430,8 @@ def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     colors, no pair covers and the complex is empty."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
-    n = gamma_a.n
-    if n > max(map(len, gamma_a.simplices)) + max(map(len, gamma_b.simplices)):
-        return _assemble_pair_cubes(n, [], defining_pair=(gamma_a, gamma_b))
-    all_colors = frozenset(range(1, n + 1))
-    pairs = []
-    for a in gamma_a.simplices:
-        need = all_colors - a.colors
-        for bcoords, bs in gamma_b.by_colorset.items():
-            if need <= bcoords:
-                pairs.extend((a, b) for b in bs)
-    return _assemble_pair_cubes(n, pairs, defining_pair=(gamma_a, gamma_b))
+    pairs = _covering_pairs(gamma_a, gamma_b)
+    return _assemble_pair_cubes(gamma_a.n, pairs, defining_pair=(gamma_a, gamma_b))
 
 
 class _SideReader:
@@ -470,11 +487,37 @@ def _read_cube_document(doc) -> tuple[int, list, tuple, tuple]:
     return n, cubes, tuple(read_a.sides.values()), tuple(read_b.sides.values())
 
 
-def _spanned_factor(n: int, sides) -> ColoredComplex:
-    """The colored complex whose simplices are the faces of `sides`; a
-    vertex id with two colors raises ComplexError."""
-    vertices = {(v, c) for s in sides for c, v in s.entries}
-    return ColoredComplex.build(n, vertices, [[v for _, v in s.entries] for s in sides])
+# A document's cube sides may span factors of at most this many faces
+# per distinct cube, the empty face included; more and the cubes are
+# taken as given.  Eight keeps the pair of a one-cube document on three
+# colors (2^3 faces) and of every complete document of the test corpus.
+_FACES_PER_CUBE = 8
+
+
+def _spanned_factor(n: int, sides, budget: int) -> Optional[ColoredComplex]:
+    """The colored complex whose simplices are the faces of `sides`, or None
+    when a vertex id has two colors or there are more than `budget` faces.
+    A side alone has 2^|side| faces, so a wider side than that ends the
+    walk before it starts; the faces are then found one vertex removal at
+    a time, and the walk stops with the budget."""
+    if any(len(s) >= budget.bit_length() for s in sides):  # 2^|side| > budget
+        return None
+    colors: dict = {}
+    for s in sides:
+        for c, v in s.entries:
+            if colors.setdefault(v, c) != c:
+                return None
+    faces: set = set()
+    todo = [(), *(s.entries for s in sides)]
+    while todo:
+        f = todo.pop()
+        if f in faces:
+            continue
+        faces.add(f)
+        if len(faces) > budget:
+            return None
+        todo.extend(f[:k] + f[k + 1:] for k in range(len(f)))
+    return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
 
 
 def link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:

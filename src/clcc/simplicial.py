@@ -263,8 +263,7 @@ class ColoredComplex:
     def _replace_simplices(self, simplices: frozenset[CoordSimplex],
                            colors: Optional[Mapping[str, int]] = None) -> "ColoredComplex":
         if colors is None:
-            used = {v for s in simplices for _, v in s.entries}
-            colors = {v: c for v, c in self._colors.items() if v in used}
+            colors = {v: self._colors[v] for s in simplices for _, v in s.entries}
         return ColoredComplex(self.n, colors, simplices)
 
     # -- basic queries -----------------------------------------------
@@ -365,17 +364,29 @@ class ColoredComplex:
 
     is_pure = cached_property(pure_dimensional)
 
+    @cached_property
+    def _cofaces_up(self) -> dict[tuple, list[CoordSimplex]]:
+        """The simplices one dimension up from each simplex, by its entries."""
+        up: dict[tuple, list[CoordSimplex]] = {s.entries: [] for s in self.simplices}
+        for t in self.simplices:
+            e = t.entries
+            for i in range(len(e)):
+                up[e[:i] + e[i + 1 :]].append(t)
+        return up
+
     def link_data(self, e: CoordSimplex):
-        """Link of e plus the coface -> link-cell correspondence."""
+        """Link of e plus the coface -> link-cell correspondence.  The
+        cofaces of e are walked up from e, so the work is the size of its
+        star, not of the complex."""
         if e not in self.simplices:
             raise ComplexError(f"simplex {e} not in complex")
         cell_map: dict[CoordSimplex, CoordSimplex] = {}
         link_cells = set()
-        for s in self.simplices:
-            if e <= s:
-                rest = CoordSimplex(tuple(x for x in s.entries if x not in set(e.entries)))
-                cell_map[s] = rest
-                link_cells.add(rest)
+        drop = set(e.entries)
+        for s in reach([e], lambda c: self._cofaces_up[c.entries]):
+            rest = CoordSimplex(tuple(x for x in s.entries if x not in drop))
+            cell_map[s] = rest
+            link_cells.add(rest)
         link = self._replace_simplices(frozenset(link_cells))
         return link, cell_map
 

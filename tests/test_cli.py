@@ -377,6 +377,40 @@ def test_a_wide_side_in_a_tiny_document_is_cheap():
             assert p.stdout == doc + "\n"
 
 
+def test_a_very_wide_side_is_refused_before_its_faces_are_walked():
+    # a side of 2^|side| > budget faces is refused at once; walking it
+    # would first make |side| faces of |side| - 1 entries each.  Checked
+    # on the factor alone: loading such a document is slow for another
+    # reason, its cube assembly being quadratic in the side's width
+    code = (
+        "from clcc.clcc_core import CoordSimplex, _spanned_factor\n"
+        "n = 50_000\n"
+        "side = CoordSimplex(tuple((c, f'a{c}') for c in range(1, n + 1)))\n"
+        "assert _spanned_factor(n, [side], 8) is None\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=_ENV, preexec_fn=_limit_address_space, timeout=60)
+    assert p.returncode == 0, p.stderr
+
+
+def test_a_sparse_document_of_a_dense_pair_is_cheap():
+    # k a-vertices of color 1 and k b-vertices of color 2 span a pair with
+    # k^2 cubes; the document lists 4k of them, so the loader must stop
+    # counting the pair's cubes past 4k and take the cubes as given
+    k = 5000
+    doc = canonical_json({"n": 2, "cubes": [
+        {"a": {"1": f"x{i}"}, "b": {"2": f"y{(i + d) % k}"}, "dim": 0}
+        for i in range(k) for d in range(4)]})
+    for command in ("invariants links", "homology"):
+        p = subprocess.run(
+            CLCC + command.split() + ["-"], input=doc, capture_output=True, text=True,
+            env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+        )
+        assert p.returncode == 0, p.stderr
+        if command == "homology":
+            assert out_json(p)["betti"] == [4 * k]
+
+
 def _square_side(n, colors, prefix):
     ids = [f"{prefix}{k}" for k in range(4)]
     return {

@@ -8,8 +8,8 @@ X.link_complex(v) of the built complex, vertex by vertex, on the seeded
 corpus and on fixtures that between them reach every tag.
 
 Each complex is also round-tripped through JSON: the loader recovers
-the pair its cube sides span when that pair is small enough to build,
-and otherwise, like for partial documents and vertex ids with two
+the pair its cube sides span when that pair has at most 8 faces per
+side and cube, and otherwise, like for partial documents and vertex ids with two
 colors, it keeps no pair and tags the adjacency links.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
@@ -65,12 +66,18 @@ def adjacency_is_npc(ga, gb):
     return True, "direct-links", None
 
 
-def within_guard(doc) -> bool:
-    """The loader's size guard: the distinct sides of a cube document have
-    at most one face, 2^|side| each, per distinct cube."""
-    sides = {(k, canonical_json(c[k])): len(c[k]) for c in doc["cubes"] for k in ("a", "b")}
+def within_budget(doc) -> bool:
+    """The loader's size budget: each factor that the cube sides span has
+    at most 8 faces, the empty one included, per distinct cube."""
     cubes = {canonical_json([c["a"], c["b"]]) for c in doc["cubes"]}
-    return sum(2 ** size for size in sides.values()) <= len(cubes)
+    for k in "ab":
+        faces = {frozenset()}
+        for c in doc["cubes"]:
+            side = list(c[k].items())
+            faces.update(frozenset(f) for r in range(len(side) + 1) for f in combinations(side, r))
+        if len(faces) > 8 * len(cubes):
+            return False
+    return True
 
 
 def same_cells(X, Y) -> bool:
@@ -82,12 +89,12 @@ def same_cells(X, Y) -> bool:
 
 
 def assert_loads_back(X, expected_tags):
-    """The JSON form of X loads back with a pair exactly when the size
-    guard passes, with the cells, order and facets of X either way, and
+    """The JSON form of X loads back with a pair exactly when it is within
+    the size budget, with the cells, order and facets of X either way, and
     with the vertex-link tags of X's adjacency links."""
     doc = X.to_json_dict()
     Y = CubeComplex.from_json_dict(doc)
-    assert (Y.defining_pair is not None) == within_guard(doc)
+    assert (Y.defining_pair is not None) == within_budget(doc)
     assert same_cells(X, Y)
     assert list(classify_vertex_links(Y).items()) == list(expected_tags.items())
 
@@ -260,10 +267,10 @@ def test_partial_and_two_colored_documents_fall_back():
     runner = CliRunner()
     for ga, gb in LOADER_PAIRS:
         X = build_clcc(ga, gb)
-        assert within_guard(X.to_json_dict())
+        assert within_budget(X.to_json_dict())
         printed = []
         for doc in fallback_documents(X):
-            assert within_guard(doc)
+            assert within_budget(doc)
             assert CubeComplex.from_json_dict(doc).defining_pair is None
             res = runner.invoke(main, ["invariants", "links", "-"], input=json.dumps(doc))
             assert res.exit_code == 0, res.output
@@ -280,20 +287,20 @@ def test_a_document_missing_a_facet_still_raises():
         # a facet of a top cube: every cube below the top is one (pure)
         k = next(k for k, c in enumerate(doc["cubes"]) if c["dim"] == 1)
         partial = {**doc, "cubes": doc["cubes"][:k] + doc["cubes"][k + 1:]}
-        assert within_guard(partial)
+        assert within_budget(partial)
         with pytest.raises(ComplexError, match="missing; cube family not downward consistent"):
             CubeComplex.from_json_dict(partial)
 
 
 def test_a_wide_side_is_not_spanned():
-    # one vertex whose a-side has n colors: the factor it spans would have
-    # 2^n faces against one cube, so the cubes are taken as given
-    for n in (1, 2, 6):
+    # one vertex whose a-side has n colors: the factor it spans has 2^n
+    # faces against one cube, so past 2^3 the cubes are taken as given
+    for n in range(1, 8):
         a = {str(c): f"a{c}" for c in range(1, n + 1)}
         doc = {"n": n, "cubes": [{"a": a, "b": {}, "dim": 0}]}
-        assert not within_guard(doc)
+        assert within_budget(doc) == (n <= 3)
         Y = CubeComplex.from_json_dict(doc)
-        assert Y.defining_pair is None
+        assert (Y.defining_pair is not None) == (n <= 3)
         assert Y.to_json_dict() == doc
 
 
