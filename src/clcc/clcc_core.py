@@ -29,6 +29,7 @@ from clcc.simplicial import (
     _chordless_squares,
     check_color_count,
     is_flag,
+    neighbour_lists,
     pure_dimensional,
     reach,
     simplicial_join,
@@ -45,29 +46,31 @@ class CubeComplex:
     Every d-cube has exactly 2d facets; cubes are determined by their
     vertex sets (gluings with repeated faces are rejected at ingestion).
 
-    The builders hand over the cells of each dimension, and the facets of
-    each cell, already in canonical order; each ranks its atoms once and
-    sorts by those ranks, so no query here sorts again.  `from_cells`
-    complexes keep their vertex sets; pair-built ones pass None and
-    compute a vertex set only when asked.
+    The builders hand over the cells of each dimension, already in
+    canonical order, and the facet table: for each dimension d >= 1, the
+    facets of each d-cell as sorted positions in `cells(d - 1)`.  That
+    table is the one facet relation stored; purity, Betti numbers,
+    connectivity and the hyperplane walk read it.  The cube-keyed maps
+    (`facets`, `boundary_of`, `dim_of`, `in`, cofaces) are built from it
+    on first use.  `from_cells` complexes keep their vertex sets;
+    pair-built ones pass None and compute a vertex set only when asked.
     """
 
     def __init__(
         self,
         cubes_by_dim: Mapping[int, tuple],
-        facets_map: Mapping[CubeId, tuple],
+        facet_positions: Mapping[int, tuple],
         vertex_sets: Optional[Mapping[CubeId, frozenset]],
         n: Optional[int] = None,
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
         has_pair_origin: bool = False,
     ):
         self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
-        self._facets = dict(facets_map)
+        self._facet_positions = {d: tuple(facet_positions[d]) for d in self._cubes_by_dim if d}
         self._vsets = None if vertex_sets is None else dict(vertex_sets)
         self.n = n
         self.defining_pair = defining_pair
         self.has_pair_origin = has_pair_origin
-        self._dim_of = {c: d for d, cs in self._cubes_by_dim.items() for c in cs}
 
     # -- construction --------------------------------------------------
 
@@ -111,18 +114,17 @@ class CubeComplex:
                     raise ComplexError(f"cube {cid} uses undeclared vertices {csorted(missing)}")
                 key[cid] = tuple(sorted(rank[v] for v in vsets[cid]))
         ordered = {d: sorted(ids, key=key.__getitem__) for d, ids in by_dim.items()}
-        facets: dict = {}
+        positions: dict[int, list] = {}
         for d in by_dim:
             if d == 0:
-                for cid in by_dim[d]:
-                    facets[cid] = ()
                 continue
             lower = ordered.get(d - 1, ())
             at_vertex: dict = {}
             for pos, f in enumerate(lower):
                 for v in vsets[f]:
                     at_vertex.setdefault(v, []).append(pos)
-            for cid in by_dim[d]:
+            table = positions[d] = []
+            for cid in ordered[d]:
                 cell = vsets[cid]
                 near = {pos for v in cell for pos in at_vertex.get(v, ())}
                 fs = sorted(pos for pos in near if vsets[lower[pos]] <= cell)
@@ -130,8 +132,8 @@ class CubeComplex:
                     raise ComplexError(
                         f"{d}-cube {set(cell)} has {len(fs)} facets, expected {2 * d}"
                     )
-                facets[cid] = tuple(lower[pos] for pos in fs)
-        return CubeComplex(ordered, facets, vsets)
+                table.append(tuple(fs))
+        return CubeComplex(ordered, positions, vsets)
 
     # -- queries ---------------------------------------------------------
 
@@ -141,6 +143,24 @@ class CubeComplex:
 
     def cells(self, d: int) -> tuple:
         return self._cubes_by_dim.get(d, ())
+
+    def facet_positions(self, d: int) -> tuple:
+        """For d >= 1, the facets of each d-cell, in the order of
+        `cells(d)`, as sorted positions in `cells(d - 1)`."""
+        return self._facet_positions.get(d, ())
+
+    @cached_property
+    def _dim_of(self) -> dict:
+        return {c: d for d, cs in self._cubes_by_dim.items() for c in cs}
+
+    @cached_property
+    def _facets(self) -> dict:
+        out: dict = {c: () for c in self.cells(0)}
+        for d, table in self._facet_positions.items():
+            lower = self.cells(d - 1)
+            for c, ps in zip(self.cells(d), table):
+                out[c] = tuple([lower[p] for p in ps])
+        return out
 
     def dim_of(self, cube: CubeId) -> int:
         return self._dim_of[cube]
@@ -192,20 +212,12 @@ class CubeComplex:
         """The hyperplane structure, walked once per complex."""
         return _opposition_walk(self)
 
-    @cached_property
-    def _vertex_adjacency(self) -> dict:
-        adj: dict = {v: set() for v in self.cells(0)}
-        for e in self.cells(1):
-            a, b = self._facets[e]  # the facets of an edge are its endpoints
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
     def is_connected(self) -> bool:
-        verts = self.cells(0)
-        if not verts:
+        count = len(self.cells(0))
+        if not count:
             return False
-        return len(reach(verts[:1], self._vertex_adjacency.__getitem__)) == len(verts)
+        nbrs = neighbour_lists(count, self.facet_positions(1))
+        return len(reach([0], nbrs.__getitem__)) == count
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cubes_by_dim.items())
@@ -298,16 +310,13 @@ class Opposition(NamedTuple):
 
 def _opposition_walk(X: CubeComplex) -> Opposition:
     """Two edges of a square are opposite when their four endpoints are
-    distinct.  The vertices and edges are numbered once, and each edge
-    keeps its endpoints as two ints."""
-    vertex = {v: i for i, v in enumerate(X.cells(0))}
+    distinct.  The facet table gives each edge its endpoints and each
+    square its edges as positions, so the walk is on ints."""
     edges = X.cells(1)
-    index = {e: k for k, e in enumerate(edges)}
-    ends = [frozenset(vertex[v] for v in X._facets[e]) for e in edges]
+    ends = [frozenset(ps) for ps in X.facet_positions(1)]
     neighbours: list[list[int]] = [[] for _ in edges]
     squares = []
-    for sq in X.cells(2):
-        fs = [index[c] for c in X._facets[sq]]
+    for sq, fs in zip(X.cells(2), X.facet_positions(2)):
         pairs = [(e, f) for e, f in combinations(fs, 2) if ends[e].isdisjoint(ends[f])]
         if len(pairs) != 2:
             raise DomainError(f"square {sq!r} does not have two opposite edge pairs")
@@ -348,51 +357,73 @@ def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
     return frozenset(verts)
 
 
-def _minus_table(side: list, rank: dict) -> list[dict]:
-    """For each simplex of `side`, by index: color -> index of the face
-    without that color, or -1 when that face is not in `side`."""
-    return [{c: rank.get(s.minus(c), -1) for c in s.colors} for s in side]
-
-
 def _assemble_pair_cubes(n, pairs, defining_pair):
-    """The cubes (a, b) in canonical order.
+    """The cubes (a, b) in canonical order, and their facet table.
 
-    The distinct a- and b-simplices are ranked once, and each factor gets
-    a `minus` table.  A cube is keyed by its pair of ranks (ia, ib), which
-    sorts as the cube does; the facets (ia - i, ib) and (ia, ib - i) of
-    each overlap color i are found, and checked present, on those keys.
-    The pairs of simplices are made once per cube, at the end."""
+    The distinct a- and b-simplices are ranked once, and a cube is keyed
+    by the int ia * nb + ib of its ranks, which sorts as the cube does.
+    A first pass over the sorted keys gives each cube its dimension (the
+    overlap size) and its position there; a second writes the positions
+    of the facets (ia - i, ib) and (ia, ib - i) of each overlap color i.
+    Two passes, because a face can sort after its cube.  A side's face
+    without color i is looked up only for the overlap colors i of its
+    cubes, so a wide side costs its width, not its width squared.  The
+    pairs of simplices are made once per cube."""
     side_a = csorted({a for a, _ in pairs})
     side_b = csorted({b for _, b in pairs})
     rank_a = {a: i for i, a in enumerate(side_a)}
     rank_b = {b: i for i, b in enumerate(side_b)}
-    minus_a, minus_b = _minus_table(side_a, rank_a), _minus_table(side_b, rank_b)
-    keys = sorted({(rank_a[a], rank_b[b]) for a, b in pairs})
-    cube_of = {k: (side_a[k[0]], side_b[k[1]]) for k in keys}
+    nb = len(side_b)
+    keys = sorted({rank_a[a] * nb + rank_b[b] for a, b in pairs})
+    colors_a = [a.colors for a in side_a]
+    colors_b = [b.colors for b in side_b]
+    overlaps = []
+    where: dict[int, int] = {}
     by_dim: dict[int, list] = {}
-    facets: dict = {}
     for k in keys:
-        ia, ib = k
+        ia, ib = divmod(k, nb)
+        overlap = colors_a[ia] & colors_b[ib]
+        overlaps.append(overlap)
+        cells = by_dim.setdefault(len(overlap), [])
+        where[k] = len(cells)
+        cells.append((side_a[ia], side_b[ib]))
+    # per side, filled on first use: color -> rank of the face without
+    # that color, or -1 when that face is no side
+    minus_a: list[dict] = [{} for _ in side_a]
+    minus_b: list[dict] = [{} for _ in side_b]
+    positions: dict[int, list] = {d: [] for d in by_dim if d}
+    for k, overlap in zip(keys, overlaps):
+        if not overlap:
+            continue
+        ia, ib = divmod(k, nb)
         ma, mb = minus_a[ia], minus_b[ib]
-        overlap = sorted(ma.keys() & mb.keys())
         fs = []
         for i in overlap:
-            fs.append((ma[i], ib))
-            fs.append((ia, mb[i]))
-        for pos, f in enumerate(fs):
-            if f not in cube_of:
-                a, b = cube_of[k]
-                i = overlap[pos // 2]
-                missing = (a.minus(i), b) if pos % 2 == 0 else (a, b.minus(i))
-                raise ComplexError(
-                    f"facet {missing} missing; cube family not downward consistent"
-                )
-        cube = cube_of[k]
-        by_dim.setdefault(len(overlap), []).append(cube)
-        facets[cube] = tuple(cube_of[f] for f in sorted(fs))
+            fa = ma.get(i)
+            if fa is None:
+                fa = ma[i] = rank_a.get(side_a[ia].minus(i), -1)
+            fb = mb.get(i)
+            if fb is None:
+                fb = mb[i] = rank_b.get(side_b[ib].minus(i), -1)
+            fs.append(where.get(fa * nb + ib) if fa >= 0 else None)
+            fs.append(where.get(k - ib + fb) if fb >= 0 else None)
+        if None in fs:
+            present = {c for cs in by_dim.values() for c in cs}
+            _raise_missing_facet(side_a[ia], side_b[ib], present)
+        fs.sort()
+        positions[len(overlap)].append(tuple(fs))
     return CubeComplex(
-        by_dim, facets, None, n=n, defining_pair=defining_pair, has_pair_origin=True
+        by_dim, positions, None, n=n, defining_pair=defining_pair, has_pair_origin=True
     )
+
+
+def _raise_missing_facet(a: CoordSimplex, b: CoordSimplex, present) -> None:
+    """The first facet of (a, b) missing from `present`: overlap colors
+    ascending, (a - i, b) before (a, b - i)."""
+    for i in sorted(a.colors & b.colors):
+        for f in ((a.minus(i), b), (a, b.minus(i))):
+            if f not in present:
+                raise ComplexError(f"facet {f} missing; cube family not downward consistent")
 
 
 def _covering_pairs(

@@ -3,8 +3,9 @@
 Chains are finite sets of cells (set symmetric difference = addition).
 The augmented complex has a single (-1)-cell, the augmentation, and the
 boundary of a vertex is that cell; dimension -1 chains are a single bit.
-Hosts expose cells(d), boundary_of(cell), link_data(cell), top_dim and
-is_pure; ColoredComplex, SimplicialComplex and CubeComplex all qualify.
+Hosts expose cells(d), boundary_of(cell), facet_positions(d),
+link_data(cell), top_dim and is_pure; ColoredComplex, SimplicialComplex
+and CubeComplex all qualify.
 """
 
 from __future__ import annotations
@@ -120,14 +121,14 @@ class BettiVector:
         return {"reduced": self.reduced, "ranks": list(self.ranks)}
 
 
-def _boundary_rows(host, k: int, index_low: dict) -> list[int]:
+def _boundary_rows(host, k: int) -> list[int]:
     """The boundary matrix of the k-cells, one bitset row per cell over the
-    (k-1)-cell positions in index_low."""
+    positions of the (k-1)-cells."""
     rows = []
-    for c in host.cells(k):
+    for ps in host.facet_positions(k):
         row = 0
-        for f in host.boundary_of(c):
-            row ^= 1 << index_low[f]
+        for p in ps:
+            row ^= 1 << p
         rows.append(row)
     return rows
 
@@ -140,8 +141,7 @@ def betti(host, reduced: bool = True) -> BettiVector:
     counts = {d: len(host.cells(d)) for d in range(top + 1)}
     ranks = {top + 1: 0}
     for k in range(1, top + 1):
-        index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
-        ranks[k] = gf2.rank(_boundary_rows(host, k, index_low), len(index_low))
+        ranks[k] = gf2.rank(_boundary_rows(host, k), counts[k - 1])
     ranks[0] = (1 if counts.get(0) else 0) if reduced else 0
     out = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     return BettiVector(reduced, out)
@@ -253,4 +253,4 @@ def is_boundary(c: Chain2) -> bool:
     vec = 0
     for cell in c.cells:
         vec ^= 1 << index[cell]
-    return gf2.in_rowspan(vec, _boundary_rows(c.host, c.dim + 1, index), len(index))
+    return gf2.in_rowspan(vec, _boundary_rows(c.host, c.dim + 1), len(index))

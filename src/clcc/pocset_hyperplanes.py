@@ -15,7 +15,7 @@ from typing import Optional
 from clcc.canon import csorted
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
-from clcc.simplicial import reach
+from clcc.simplicial import neighbour_lists, reach
 
 
 @dataclass(frozen=True)
@@ -198,31 +198,28 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     one-sided classes (a torus, say) are rejected."""
     verts = X.cells(0)
     op = X.opposition
-    endpoints = [X.facets(e) for e in X.cells(1)]
-    sides: dict = {}
+    endpoints = X.facet_positions(1)
+    parts: dict = {}  # halfspace -> the positions of its vertices
     for h in range(len(op.classes)):
         hid = f"h{h}"
-        adj: dict = {v: set() for v in verts}
-        for (a, b), k in zip(endpoints, op.label):
-            if k != h:
-                adj[a].add(b)
-                adj[b].add(a)
+        nbrs = neighbour_lists(len(verts), (e for e, k in zip(endpoints, op.label) if k != h))
         comps: list = []
         seen: set = set()
-        for v in verts:
+        for v in range(len(verts)):
             if v not in seen:
-                comps.append(frozenset(reach([v], adj.__getitem__)))
+                comps.append(frozenset(reach([v], nbrs.__getitem__)))
                 seen |= comps[-1]
         if len(comps) != 2:
             raise NotTwoSidedError(
                 f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
             )
         # verts is in canonical order, so the first part holds the least vertex
-        sides[(hid, "-")], sides[(hid, "+")] = comps
-    elements = tuple(sorted(sides))
+        parts[(hid, "-")], parts[(hid, "+")] = comps
+    elements = tuple(sorted(parts))
     less = frozenset(
-        (x, y) for x in elements for y in elements if x != y and sides[x] < sides[y]
+        (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]
     )
+    sides = {e: frozenset(verts[i] for i in ps) for e, ps in parts.items()}
     return Pocset(elements, less, sides=sides)
 
 

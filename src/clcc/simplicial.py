@@ -203,14 +203,26 @@ def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
     return seen
 
 
+def neighbour_lists(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The neighbours of each of `count` numbered vertices, for `reach`:
+    each edge is a pair of vertex numbers."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for u, v in edges:
+        out[u].append(v)
+        out[v].append(u)
+    return out
+
+
 def pure_dimensional(host) -> bool:
-    """Whether every cell of a homology host (top_dim, cells, boundary_of)
-    is a face of a top cell: going down from the top cells, the facets of
-    the cells reached so far cover every cell one dimension lower."""
-    reached = set(host.cells(host.top_dim))
+    """Whether every cell of a homology host (top_dim, cells,
+    facet_positions) is a face of a top cell: going down from the top
+    cells, the facets of the cells reached so far cover every cell one
+    dimension lower."""
+    reached = range(len(host.cells(host.top_dim)))
     for d in range(host.top_dim, 0, -1):
-        reached = {f for c in reached for f in host.boundary_of(c)}
-        if not all(c in reached for c in host.cells(d - 1)):
+        table = host.facet_positions(d)
+        reached = {p for c in reached for p in table[c]}
+        if len(reached) != len(host.cells(d - 1)):
             return False
     return True
 
@@ -362,6 +374,15 @@ class ColoredComplex:
         stored, e = self._by_entries, cell.entries
         return tuple([stored[e[:i] + e[i + 1 :]] for i in range(len(e))])
 
+    def facet_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """For d >= 1, the facets of each d-simplex, in the order of
+        `cells(d)`, as sorted positions in `cells(d - 1)`."""
+        index = {s.entries: i for i, s in enumerate(self.cells(d - 1))}
+        return tuple(
+            tuple(sorted([index[e[:i] + e[i + 1 :]] for i in range(len(e))]))
+            for e in (s.entries for s in self.cells(d))
+        )
+
     is_pure = cached_property(pure_dimensional)
 
     @cached_property
@@ -506,6 +527,12 @@ class SimplicialComplex:
         if not cell:
             raise ComplexError("the empty simplex has no boundary")
         return tuple(cell - {v} for v in csorted(cell))
+
+    def facet_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """For d >= 1, the facets of each d-simplex, in the order of
+        `cells(d)`, as sorted positions in `cells(d - 1)`."""
+        index = {s: i for i, s in enumerate(self.cells(d - 1))}
+        return tuple(tuple(sorted([index[s - {v}] for v in s])) for s in self.cells(d))
 
     is_pure = cached_property(pure_dimensional)
 

@@ -4,9 +4,9 @@ These rebuild the reference objects from scratch: the coordinate-cube
 complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
 builder.  The naive references at the end recompute the canonical orders,
-facets, hyperplanes, crossing graphs, flag witnesses, pocset closures and
-ultrafilter cubes that the library derives from ranks, bitsets, integer
-edge indices and flip tables."""
+facets, boundary matrices, hyperplanes, crossing graphs, flag witnesses,
+pocset closures and ultrafilter cubes that the library derives from
+ranks, bitsets, facet tables, integer edge indices and flip tables."""
 
 from __future__ import annotations
 
@@ -286,6 +286,33 @@ def sageev_cells_reference(S) -> dict[int, set]:
 # ----------------------------------------------------------------------
 # naive references for the shared host helpers
 # ----------------------------------------------------------------------
+
+
+def boundary_rows_reference(host, k: int, index_low: dict) -> list[int]:
+    """The boundary matrix of the k-cells, one bitset row per cell over the
+    (k-1)-cell positions in index_low, each facet looked up by value."""
+    rows = []
+    for c in host.cells(k):
+        row = 0
+        for f in host.boundary_of(c):
+            row ^= 1 << index_low[f]
+        rows.append(row)
+    return rows
+
+
+def facet_positions_reference(host, d: int) -> tuple:
+    """The facets of each d-cell as sorted positions in cells(d - 1): a
+    (d-1)-cell is a facet when its vertex set lies in the cell's, compared
+    with every (d-1)-cell."""
+    if isinstance(host, CubeComplex):
+        vertices = host.vertices_of
+    elif isinstance(host, ColoredComplex):
+        vertices = lambda s: s.vertex_ids
+    else:
+        vertices = frozenset
+    lower = [vertices(f) for f in host.cells(d - 1)]
+    upper = [vertices(c) for c in host.cells(d)]
+    return tuple(tuple(p for p, f in enumerate(lower) if f <= c) for c in upper)
 
 
 def is_pure_reference(host) -> bool:

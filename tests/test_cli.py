@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -380,8 +381,8 @@ def test_a_wide_side_in_a_tiny_document_is_cheap():
 def test_a_very_wide_side_is_refused_before_its_faces_are_walked():
     # a side of 2^|side| > budget faces is refused at once; walking it
     # would first make |side| faces of |side| - 1 entries each.  Checked
-    # on the factor alone: loading such a document is slow for another
-    # reason, its cube assembly being quadratic in the side's width
+    # on the factor alone, at a width whose document would take a while
+    # to parse
     code = (
         "from clcc.clcc_core import CoordSimplex, _spanned_factor\n"
         "n = 50_000\n"
@@ -391,6 +392,23 @@ def test_a_very_wide_side_is_refused_before_its_faces_are_walked():
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=_ENV, preexec_fn=_limit_address_space, timeout=60)
     assert p.returncode == 0, p.stderr
+
+
+def test_a_20000_color_side_loads_in_linear_time():
+    # cube assembly looks up a side's face without color i only for the
+    # overlap colors i of its cubes: a 0-cube needs none, so one cube on a
+    # 20,000-color side is read in time linear in the document
+    n = 20_000
+    doc = canonical_json({"n": n, "cubes": [
+        {"a": {str(c): f"a{c}" for c in range(1, n + 1)}, "b": {}, "dim": 0}]})
+    start = time.perf_counter()
+    p = subprocess.run(
+        CLCC + ["homology", "-"], input=doc, capture_output=True, text=True,
+        env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert p.returncode == 0, p.stderr
+    assert out_json(p)["betti"] == [1]
 
 
 def test_a_sparse_document_of_a_dense_pair_is_cheap():
