@@ -63,14 +63,12 @@ class CubeComplex:
         vertex_sets: Optional[Mapping[CubeId, frozenset]],
         n: Optional[int] = None,
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
-        has_pair_origin: bool = False,
     ):
         self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
         self._facet_positions = {d: tuple(facet_positions[d]) for d in self._cubes_by_dim if d}
         self._vsets = None if vertex_sets is None else dict(vertex_sets)
         self.n = n
         self.defining_pair = defining_pair
-        self.has_pair_origin = has_pair_origin
 
     # -- construction --------------------------------------------------
 
@@ -136,6 +134,12 @@ class CubeComplex:
         return CubeComplex(ordered, positions, vsets)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def has_pair_origin(self) -> bool:
+        """Built from cube pairs (a, b): the one builder that stores no
+        vertex sets."""
+        return self._vsets is None
 
     @property
     def top_dim(self) -> int:
@@ -314,16 +318,14 @@ def _opposition_walk(X: CubeComplex) -> Opposition:
     square its edges as positions, so the walk is on ints."""
     edges = X.cells(1)
     ends = [frozenset(ps) for ps in X.facet_positions(1)]
-    neighbours: list[list[int]] = [[] for _ in edges]
-    squares = []
+    squares, opposite = [], []
     for sq, fs in zip(X.cells(2), X.facet_positions(2)):
         pairs = [(e, f) for e, f in combinations(fs, 2) if ends[e].isdisjoint(ends[f])]
         if len(pairs) != 2:
             raise DomainError(f"square {sq!r} does not have two opposite edge pairs")
-        for e, f in pairs:
-            neighbours[e].append(f)
-            neighbours[f].append(e)
+        opposite += pairs
         squares.append(pairs[0] + pairs[1])
+    neighbours = neighbour_lists(len(edges), opposite)
     label = [-1] * len(edges)
     classes = []
     for k in range(len(edges)):
@@ -412,9 +414,7 @@ def _assemble_pair_cubes(n, pairs, defining_pair):
             _raise_missing_facet(side_a[ia], side_b[ib], present)
         fs.sort()
         positions[len(overlap)].append(tuple(fs))
-    return CubeComplex(
-        by_dim, positions, None, n=n, defining_pair=defining_pair, has_pair_origin=True
-    )
+    return CubeComplex(by_dim, positions, None, n=n, defining_pair=defining_pair)
 
 
 def _raise_missing_facet(a: CoordSimplex, b: CoordSimplex, present) -> None:
@@ -622,39 +622,34 @@ def _empty_complex(n: int) -> ColoredComplex:
 def prune_to_smart_pair(
     gamma_a: ColoredComplex, gamma_b: ColoredComplex
 ) -> tuple[ColoredComplex, ColoredComplex]:
-    """Recursively remove maximal simplices with no complementary partner.
+    """Each side cut down to the faces of its simplices that have a
+    complementary partner on the other side.
 
-    Junk simplices contribute no cube, so the complex of the pruned pair
-    equals the complex of the input pair.  A pair with no complementary
-    simplices at all collapses to two empty complexes (which are not
-    smartly paired for n >= 1; every other fixed point is).
+    That is the fixed point of removing maximal simplices with no
+    partner: a simplex with a partner is never removed, since its partner
+    has one too, and a maximal simplex that is left has one.  Junk
+    simplices contribute no cube, so the complex of the pruned pair
+    equals the complex of the input pair.  When nothing is cut the inputs
+    come back as they are, declared vertices that no simplex uses
+    included; a pair with no complementary simplices at all collapses to
+    two empty complexes (which are not smartly paired for n >= 1).
     """
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
-    n = gamma_a.n
-    fam_a, fam_b = set(gamma_a.simplices), set(gamma_b.simplices)
-    cur_a, cur_b = gamma_a, gamma_b
-    while True:
-        junk_a = [
-            m for m in cur_a.maximal_simplices
-            if m.dim >= 0 and not cur_b.partners(m.colors)
+    kept = []
+    for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
+        partnered = [
+            s for colors, bucket in K.by_colorset.items() if other.partners(colors) for s in bucket
         ]
-        junk_b = [
-            m for m in cur_b.maximal_simplices
-            if m.dim >= 0 and not cur_a.partners(m.colors)
-        ]
-        if not junk_a and not junk_b:
-            break
-        fam_a -= set(junk_a)
-        fam_b -= set(junk_b)
-        cur_a = cur_a._replace_simplices(frozenset(fam_a))
-        cur_b = cur_b._replace_simplices(frozenset(fam_b))
-    ok, witness = smartly_paired(cur_a, cur_b)
-    if not ok:
-        # only the empty simplex is left on a side and it has no partner:
-        # no complementary pairs exist anywhere
-        return _empty_complex(n), _empty_complex(n)
-    return cur_a, cur_b
+        kept.append(reach(partnered, lambda s: K.boundary_of(s) if s.entries else ()))
+    if not kept[0]:
+        return _empty_complex(gamma_a.n), _empty_complex(gamma_a.n)
+    if len(kept[0]) == len(gamma_a.simplices) and len(kept[1]) == len(gamma_b.simplices):
+        return gamma_a, gamma_b
+    return (
+        gamma_a._replace_simplices(frozenset(kept[0])),
+        gamma_b._replace_simplices(frozenset(kept[1])),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -681,11 +676,9 @@ class ConnGraph:
     def is_connected(self) -> bool:
         if not self.nodes:
             return False
-        adj: dict = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return len(reach(self.nodes[:1], adj.__getitem__)) == len(self.nodes)
+        index = {v: i for i, v in enumerate(self.nodes)}
+        nbrs = neighbour_lists(len(index), ((index[u], index[v]) for u, v in self.edges))
+        return len(reach([0], nbrs.__getitem__)) == len(self.nodes)
 
 
 def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:

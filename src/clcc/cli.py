@@ -344,8 +344,9 @@ def connect(input_src):
     ga, gb = _load_pair(doc)
     bfs = is_connected(ga, gb, engine="bfs")
     smart, _ = smartly_paired(ga, gb)
-    crit = is_connected(ga, gb, engine="criterion") if smart else None
-    nodes = len(conn_graph(ga, gb).nodes) if smart else None
+    graph = conn_graph(ga, gb) if smart else None
+    crit = graph.is_connected() if smart else None
+    nodes = len(graph.nodes) if smart else None
     payload = {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
                "criterion_nodes": nodes}
     return payload, {"pair": doc}

@@ -19,7 +19,6 @@ from clcc.simplicial import (
     ColoredComplex,
     SimplicialComplex,
     barycentric_subdivision_2d,
-    empty_squares,
     is_5_large,
     is_flag,
     is_obes,
@@ -122,7 +121,7 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
         used_a = sorted({c for _, c in gamma_a.vertices})
         per_pair = {}
         for i, j in combinations(used_a, 2):
-            per_pair[f"{i},{j}"] = "A" if not empty_squares(gamma_a, (i, j)) else "B"
+            per_pair[f"{i},{j}"] = "B" if (i, j) in gamma_a.bicolor_squares else "A"
         return Certificate(
             "Hyperbolic", RULE_PAIRWISE_OBES, {"pair_5_large_side": per_pair}, dig
         )

@@ -344,6 +344,28 @@ class ColoredComplex:
     maximal_simplices = cached_property(maximal_cells)
 
     @cached_property
+    def squares(self) -> tuple[SquareWitness, ...]:
+        """The chordless 4-cycles of the 1-skeleton, lexicographically
+        ordered: the one scan that every square predicate reads."""
+        c = self._colors
+        return tuple(
+            SquareWitness(v, u, w, x, (c[v], c[u], c[w], c[x]))
+            for v, u, w, x in _chordless_squares(self.adjacency)
+        )
+
+    @cached_property
+    def bicolor_squares(self) -> dict[tuple[int, int], SquareWitness]:
+        """The first square on each pair of colors (i, j), i < j.  These
+        are the squares of the full subcomplex on the two color classes:
+        it keeps every edge among its vertices, and adjacent vertices have
+        different colors."""
+        out: dict[tuple[int, int], SquareWitness] = {}
+        for sq in self.squares:
+            if len(sq.color_set) == 2:
+                out.setdefault(tuple(sorted(sq.color_set)), sq)
+        return out
+
+    @cached_property
     def _cells_by_dim(self) -> dict[int, tuple[CoordSimplex, ...]]:
         buckets: dict[int, list[CoordSimplex]] = {}
         for s in self.simplices:
@@ -680,33 +702,19 @@ def simplicial_join(K1, K2) -> SimplicialComplex:
     return SimplicialComplex(L.vertex_ids + R.vertex_ids, fam)
 
 
-def empty_squares(
-    K: ColoredComplex, color_filter: Optional[tuple[int, int]] = None
-) -> list[SquareWitness]:
-    """Chordless 4-cycles of the 1-skeleton, lexicographically ordered.
-
-    With a color filter only the full subcomplex on those two color
-    classes is scanned."""
-    if color_filter is not None:
-        i, j = color_filter
-        K = K.full_subcomplex(K.color_class(i) + K.color_class(j))
-    out = []
-    for v, u, w, x in _chordless_squares(K.adjacency):
-        out.append(
-            SquareWitness(v, u, w, x, (K.color_of(v), K.color_of(u), K.color_of(w), K.color_of(x)))
-        )
-    return out
+def empty_squares(K: ColoredComplex) -> list[SquareWitness]:
+    """Chordless 4-cycles of the 1-skeleton, lexicographically ordered."""
+    return list(K.squares)
 
 
 def is_5_large(K: ColoredComplex) -> tuple[bool, Optional[SquareWitness]]:
-    squares = empty_squares(K)
-    return (True, None) if not squares else (False, squares[0])
+    return (True, None) if not K.squares else (False, K.squares[0])
 
 
 def is_obes(K: ColoredComplex) -> tuple[bool, Optional[SquareWitness]]:
     """Only bicolor empty squares: every chordless 4-cycle lives in two
     color classes."""
-    for sq in empty_squares(K):
+    for sq in K.squares:
         if len(sq.color_set) != 2:
             return False, sq
     return True, None
@@ -716,18 +724,15 @@ def pairwise_5_large(
     K_A: ColoredComplex, K_B: ColoredComplex
 ) -> tuple[bool, Optional[tuple[tuple[int, int], SquareWitness, SquareWitness]]]:
     """For every color pair, at least one side's bicolored full
-    subcomplex has no empty squares.  Only pairs of colors that K_A uses
-    can hold a square there, so only those are scanned."""
+    subcomplex has no empty squares; the witness is the least pair where
+    both have one."""
     if K_A.n != K_B.n:
         raise PairError(f"color counts differ: {K_A.n} vs {K_B.n}")
-    for i, j in combinations(sorted({c for _, c in K_A.vertices}), 2):
-        sq_a = empty_squares(K_A, (i, j))
-        if not sq_a:
-            continue
-        sq_b = empty_squares(K_B, (i, j))
-        if sq_b:
-            return False, ((i, j), sq_a[0], sq_b[0])
-    return True, None
+    sq_a, sq_b = K_A.bicolor_squares, K_B.bicolor_squares
+    pair = min(sq_a.keys() & sq_b.keys(), default=None)
+    if pair is None:
+        return True, None
+    return False, (pair, sq_a[pair], sq_b[pair])
 
 
 def barycentric_subdivision_2d(

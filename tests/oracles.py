@@ -6,17 +6,20 @@ and a hand-made torus triangulation.  Nothing here calls the pair
 builder.  The naive references at the end recompute the canonical orders,
 facets, boundary matrices, hyperplanes, crossing graphs, flag witnesses,
 pocset closures and ultrafilter cubes that the library derives from
-ranks, bitsets, facet tables, integer edge indices and flip tables."""
+ranks, bitsets, facet tables, integer edge indices and flip tables.
+The last ones are the pruning loop and the per-color-pair subcomplex
+scans that the factor predicates replace by a closed form and one square
+scan per complex."""
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
 from clcc.canon import canon_key, csorted
-from clcc.clcc_core import CubeComplex
+from clcc.clcc_core import CubeComplex, smartly_paired
 from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import CrossingGraph, star
-from clcc.simplicial import ColoredComplex, SimplicialComplex
+from clcc.simplicial import EMPTY_SIMPLEX, ColoredComplex, SimplicialComplex, empty_squares
 
 
 def _spans(gamma: ColoredComplex, ids: list[str], indices) -> bool:
@@ -347,3 +350,42 @@ def maximal_simplices_reference(K) -> tuple:
             if not any(s <= t for t in above):
                 out.append(s)
     return tuple(csorted(out))
+
+
+def prune_to_smart_pair_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> tuple:
+    """Maximal simplices with no complementary partner removed round by
+    round, both factors rebuilt each round, until none is left; two empty
+    complexes when the fixed point is not smartly paired."""
+    cur_a, cur_b = gamma_a, gamma_b
+    while True:
+        junk_a = {m for m in cur_a.maximal_simplices if m.dim >= 0 and not cur_b.partners(m.colors)}
+        junk_b = {m for m in cur_b.maximal_simplices if m.dim >= 0 and not cur_a.partners(m.colors)}
+        if not junk_a and not junk_b:
+            break
+        cur_a = cur_a._replace_simplices(cur_a.simplices - junk_a)
+        cur_b = cur_b._replace_simplices(cur_b.simplices - junk_b)
+    if not smartly_paired(cur_a, cur_b)[0]:
+        empty = frozenset({EMPTY_SIMPLEX})
+        return ColoredComplex(gamma_a.n, {}, empty), ColoredComplex(gamma_a.n, {}, empty)
+    return cur_a, cur_b
+
+
+def empty_squares_reference(K: ColoredComplex, pair: tuple[int, int]) -> list:
+    """The empty squares of the full subcomplex on the color classes of
+    `pair`, scanned in a new complex."""
+    i, j = pair
+    return empty_squares(K.full_subcomplex(K.color_class(i) + K.color_class(j)))
+
+
+def pairwise_5_large_reference(K_A: ColoredComplex, K_B: ColoredComplex) -> tuple:
+    """Each pair of colors that K_A uses, in order, with both full
+    subcomplexes on it rebuilt and scanned; the first pair where both
+    hold a square is the witness."""
+    for i, j in combinations(sorted({c for _, c in K_A.vertices}), 2):
+        sq_a = empty_squares_reference(K_A, (i, j))
+        if not sq_a:
+            continue
+        sq_b = empty_squares_reference(K_B, (i, j))
+        if sq_b:
+            return False, ((i, j), sq_a[0], sq_b[0])
+    return True, None

@@ -39,7 +39,7 @@ from corpus import (
     random_two_complex,
     rng,
 )
-from oracles import is_flag_reference
+from oracles import empty_squares_reference, is_flag_reference
 
 
 def cell_counts(K) -> dict:
@@ -300,8 +300,9 @@ def test_empty_squares_octahedron_matches_naive_scan(o3):
 
 
 def test_empty_squares_color_filter(o3):
-    only12 = empty_squares(o3, (1, 2))
+    only12 = [sq for sq in empty_squares(o3) if sq.color_set == {1, 2}]
     assert len(only12) == 1 and only12[0].color_set == {1, 2}
+    assert only12 == empty_squares_reference(o3, (1, 2))
 
 
 def test_square_witness_invariants(o3):
@@ -451,7 +452,8 @@ def test_edge_color_subcomplexes_of_subdivision_are_5_large():
         K = random_two_complex(r)
         sub = barycentric_subdivision_2d(K, {"V": 1, "E": 2, "F": 3})
         for pair in ((1, 2), (2, 3)):
-            assert not empty_squares(sub, pair)
+            assert not [sq for sq in empty_squares(sub) if sq.color_set == set(pair)]
+            assert not empty_squares_reference(sub, pair)
 
 
 def test_closure_preserves_flag_verdict():
