@@ -50,10 +50,12 @@ class CubeComplex:
     canonical order, and the facet table: for each dimension d >= 1, the
     facets of each d-cell as sorted positions in `cells(d - 1)`.  That
     table is the one facet relation stored; purity, Betti numbers,
-    connectivity and the hyperplane walk read it.  The cube-keyed maps
-    (`facets`, `boundary_of`, `dim_of`, `in`, cofaces) are built from it
-    on first use.  `from_cells` complexes keep their vertex sets;
-    pair-built ones pass None and compute a vertex set only when asked.
+    connectivity and the hyperplane walk read it.  Two more structures
+    are built on first use: one cube index, each cube's dimension and
+    position, which `facets`, `boundary_of`, `dim_of` and `in` read; and
+    the coface table, the transpose of the facet table, which links walk.
+    `from_cells` complexes keep their vertex sets; pair-built ones pass
+    None and compute a vertex set only when asked.
     """
 
     def __init__(
@@ -154,60 +156,48 @@ class CubeComplex:
         return self._facet_positions.get(d, ())
 
     @cached_property
-    def _dim_of(self) -> dict:
-        return {c: d for d, cs in self._cubes_by_dim.items() for c in cs}
+    def _index(self) -> dict:
+        """Each cube's dimension and its position in `cells(dimension)`."""
+        return {c: (d, p) for d, cs in self._cubes_by_dim.items() for p, c in enumerate(cs)}
 
     @cached_property
-    def _facets(self) -> dict:
-        out: dict = {c: () for c in self.cells(0)}
+    def _cofaces(self) -> dict:
+        """The transpose of the facet table: for each d, the cofaces of
+        each d-cell as ascending positions in `cells(d + 1)`."""
+        up: dict = {d: [[] for _ in cs] for d, cs in self._cubes_by_dim.items()}
         for d, table in self._facet_positions.items():
-            lower = self.cells(d - 1)
-            for c, ps in zip(self.cells(d), table):
-                out[c] = tuple([lower[p] for p in ps])
-        return out
+            lower = up[d - 1]
+            for q, ps in enumerate(table):
+                for p in ps:
+                    lower[p].append(q)
+        return {d: tuple(map(tuple, rows)) for d, rows in up.items()}
 
     def dim_of(self, cube: CubeId) -> int:
-        return self._dim_of[cube]
+        return self._index[cube][0]
 
     def __contains__(self, cube: CubeId) -> bool:
-        return cube in self._dim_of
+        return cube in self._index
 
     def vertices_of(self, cube: CubeId) -> frozenset:
         """The vertex set of a cube.  Pair-built complexes store none and
         compute it on each call."""
         if self._vsets is not None:
             return self._vsets[cube]
-        if cube not in self._dim_of:
+        if cube not in self._index:
             raise KeyError(cube)
         return _cube_vertices(*cube)
 
     def facets(self, cube: CubeId) -> tuple:
-        return self._facets[cube]
+        d, p = self._index[cube]
+        lower = self.cells(d - 1)
+        return tuple([lower[q] for q in self._facet_positions[d][p]]) if d else ()
 
     @property
     def augmentation_cell(self):
         return AUGMENTATION
 
     def boundary_of(self, cube: CubeId) -> tuple:
-        d = self._dim_of[cube]
-        if d == 0:
-            return (AUGMENTATION,)
-        return self._facets[cube]
-
-    @cached_property
-    def cofaces_map(self) -> dict:
-        """Cofaces of each cube, in canonical order: each list is filled
-        while walking the cells one dimension up in their order."""
-        out: dict = {c: [] for c in self._dim_of}
-        for cs in self._cubes_by_dim.values():
-            for c in cs:
-                for f in self._facets[c]:
-                    out[f].append(c)
-        return {c: tuple(v) for c, v in out.items()}
-
-    def cofaces_closure(self, cube: CubeId) -> set:
-        """All cubes having `cube` as an iterated face, including itself."""
-        return reach([cube], self.cofaces_map.__getitem__)
+        return self.facets(cube) if self._index[cube][0] else (AUGMENTATION,)
 
     is_pure = cached_property(pure_dimensional)
 
@@ -241,20 +231,24 @@ class CubeComplex:
     def link_data(self, cube: CubeId):
         """Adjacency-derived link: one (m)-simplex per (k+m+1)-cube above
         `cube`; vertices are the (k+1)-cubes.  Returns the link and the
-        coface -> link-cell map used by localization."""
-        if cube not in self._dim_of:
+        coface -> link-cell map used by localization.  The coface table is
+        walked up on positions: the link cell of a (k+1)-cube is itself,
+        and a higher coface's is the union of its facets' link cells."""
+        if cube not in self._index:
             raise DomainError(f"cube {cube!r} not in complex")
-        closure = self.cofaces_closure(cube)
-        one_up = self.cofaces_map[cube]
-        below: dict = {d: self.cofaces_closure(d) for d in one_up}
-        cell_map: dict = {}
-        cells = {frozenset()}
-        for c in closure:
-            simplex = frozenset(d for d in one_up if c in below[d])
-            cell_map[c] = simplex
-            cells.add(simplex)
-        link = SimplicialComplex(one_up, frozenset(cells))
-        return link, cell_map
+        k, p = self._index[cube]
+        ups = self._cofaces[k][p]
+        one_up = tuple(self.cells(k + 1)[q] for q in ups)
+        cell_map: dict = {cube: frozenset()}
+        level = {q: {c} for q, c in zip(ups, one_up)}
+        for d in range(k + 1, self.top_dim + 1):
+            cells, table, above = self.cells(d), self._cofaces[d], {}
+            for q, link_cell in level.items():
+                link_cell = cell_map[cells[q]] = frozenset(link_cell)
+                for r in table[q]:
+                    above.setdefault(r, set()).update(link_cell)
+            level = above
+        return SimplicialComplex(one_up, frozenset(cell_map.values())), cell_map
 
     def link_complex(self, cube: CubeId) -> SimplicialComplex:
         return self.link_data(cube)[0]
@@ -910,9 +904,9 @@ class CubicalMap:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CubicalMap)
-            and self.source._dim_of.keys() == other.source._dim_of.keys()
-            and self.target._dim_of.keys() == other.target._dim_of.keys()
-            and all(self.apply(c) == other.apply(c) for c in self.source._dim_of)
+            and self.source._index.keys() == other.source._index.keys()
+            and self.target._index.keys() == other.target._index.keys()
+            and all(self.apply(c) == other.apply(c) for c in self.source._index)
         )
 
 

@@ -126,15 +126,18 @@ def main():
     """Coupled-link cube complexes: build, measure, certify."""
 
 
-def _command(name: str):
+def _command(name: str, failure=None):
     """Register a subcommand of `main` whose body returns (payload, inputs),
-    `inputs` naming the documents it read.
+    `inputs` naming the documents it read; the wrapper adds --report.
 
     The wrapper times the body, maps a DomainError to exit 1 with an error
     payload on stdout, and otherwise writes the canonical payload to
     stdout (or to --out) and a run report to stderr: one line, or with
     --report a JSON object with the input digests and timings.  Inputs
-    are digested only for that report.
+    are digested only for that report.  `failure` maps the payload to
+    what fails, or None; when something fails, the payload is written and
+    reported as usual, the one-line report says what fails, and the exit
+    code is 1.
 
     Every echo names its stream.  Without `file=`, click wraps the current
     sys.stdout/sys.stderr and caches the wrapper in a WeakKeyDictionary
@@ -159,15 +162,22 @@ def _command(name: str):
             else:
                 click.echo(text, file=sys.stdout)
             ms = round((time.perf_counter() - t0) * 1000, 3)
+            fails = failure and failure(payload)
             if report:
                 run_report = {"command": name,
                               "inputs": {k: digest(doc) for k, doc in inputs.items()},
                               "result_digest": digest(payload), "timings": {"total_ms": ms}}
                 click.echo(canonical_json(run_report), file=sys.stderr)
             else:
-                click.echo(f"clcc {name}: ok ({ms} ms)", file=sys.stderr)
+                line = f"clcc {name}: {fails}" if fails else f"clcc {name}: ok ({ms} ms)"
+                click.echo(line, file=sys.stderr)
+            if fails:
+                sys.exit(1)
 
-        return main.command(name)(run)
+        command = main.command(name)(run)
+        command.params.append(click.Option(["--report"], is_flag=True,
+                                           help="JSON run report on stderr"))
+        return command
 
     return wrap
 
@@ -191,7 +201,6 @@ def _command(name: str):
 @click.option("--colors-b", default="2,1,3", callback=_colors_option(3),
               help="V,E,F colors of the second factor")
 @click.option("--out", default=None, help="output path (default stdout)")
-@click.option("--report", is_flag=True, help="JSON run report on stderr")
 def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
     """Emit a ready-made complex or pair."""
     inputs = {}
@@ -233,7 +242,6 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
 @click.argument("input_src", default="-", required=False)
 @click.option("--pair", "pair_opt", default=None, help="pair JSON path (alias for the argument)")
 @click.option("--out", default=None)
-@click.option("--report", is_flag=True)
 def build(input_src, pair_opt):
     """Build the cube complex of a pair."""
     doc = _read_doc(pair_opt or input_src)
@@ -245,7 +253,7 @@ def build(input_src, pair_opt):
 # -- check ---------------------------------------------------------------
 
 
-@_command("check")
+@_command("check", failure=lambda p: None if p["holds"] else f"{p['property']} fails")
 @click.argument("args", nargs=-1)
 @click.option("--flag", "f_flag", is_flag=True, help="same as the flag property")
 @click.option("--5large", "f_5large", is_flag=True)
@@ -253,7 +261,6 @@ def build(input_src, pair_opt):
 @click.option("--pairwise", "f_pairwise", is_flag=True)
 @click.option("--smart", "f_smart", is_flag=True)
 @click.option("--npc", "f_npc", is_flag=True)
-@click.option("--report", is_flag=True)
 def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
     """Check a property of a complex (flag/5large/obes) or a pair
     (pairwise/smart/npc); exits 1 with a witness when it fails.
@@ -302,12 +309,7 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
                 v, clique = w
                 witness["vertex"] = hz2._cell_json(v)
                 witness["clique"] = [str(x) for x in clique]
-    payload = {"property": prop, "holds": holds, "witness": witness}
-    if not holds:
-        click.echo(canonical_json(payload), file=sys.stdout)
-        click.echo(f"clcc check: {prop} fails", file=sys.stderr)
-        sys.exit(1)
-    return payload, {"input": doc}
+    return {"property": prop, "holds": holds, "witness": witness}, {"input": doc}
 
 
 # -- link ------------------------------------------------------------------
@@ -319,7 +321,6 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
               help='A-side simplex, e.g. {"1": "a0"}')
 @click.option("--b", "b", default="{}", callback=_simplex_option, help="B-side simplex")
 @click.option("--out", default=None)
-@click.option("--report", is_flag=True)
 def link(input_src, a, b):
     """Link of a cube of the pair complex (join of the two simplex links)."""
     doc = _read_doc(input_src)
@@ -337,7 +338,6 @@ def link(input_src, a, b):
 
 @_command("connect")
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def connect(input_src):
     """Connectedness by BFS and, when smartly paired, by the criterion graph."""
     doc = _read_doc(input_src)
@@ -358,7 +358,6 @@ def connect(input_src):
 @_command("invariants")
 @click.argument("what", type=click.Choice(["chi", "dim", "links"]))
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def invariants(what, input_src):
     """Euler characteristic, dimension/purity, or vertex-link tags of a
     built complex."""
@@ -390,7 +389,6 @@ def invariants(what, input_src):
 @_command("homology")
 @click.argument("input_src", default="-", required=False)
 @click.option("--reduced", is_flag=True, help="highlight the reduced vector")
-@click.option("--report", is_flag=True)
 def homology(input_src, reduced):
     """Betti numbers over Z/2 (both reduced and unreduced are reported)."""
     doc = _read_doc(input_src)
@@ -414,7 +412,6 @@ def homology(input_src, reduced):
 @click.option("--omega-a", default=None, help="chain JSON over gamma_a (default: top cells)")
 @click.option("--omega-b", default=None, help="chain JSON over gamma_b (default: top cells)")
 @click.option("--out", default=None)
-@click.option("--report", is_flag=True)
 def cycle(input_src, omega_a, omega_b):
     """Chain on the pair complex generated by two smartly paired chains."""
     doc = _read_doc(input_src)
@@ -461,7 +458,6 @@ def cycle(input_src, omega_a, omega_b):
 
 @_command("hyperplanes")
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def hyperplanes_cmd(input_src):
     """Hyperplane classes, directions and the crossing graph."""
     doc = _read_doc(input_src)
@@ -485,7 +481,6 @@ def hyperplanes_cmd(input_src):
 
 @_command("sageev")
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def sageev_cmd(input_src):
     """Cube complex of a pocset's ultrafilters."""
     doc = _read_doc(input_src)
@@ -505,7 +500,6 @@ def sageev_cmd(input_src):
 
 @_command("duality")
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def duality(input_src):
     """Halfspace pocset round-trip: rebuild the complex from its
     halfspaces and verify the isomorphism."""
@@ -521,7 +515,6 @@ def duality(input_src):
 
 @_command("certify")
 @click.argument("input_src", default="-", required=False)
-@click.option("--report", is_flag=True)
 def certify_cmd(input_src):
     """Hyperbolicity certificate for a pair."""
     doc = _read_doc(input_src)
@@ -536,7 +529,6 @@ def certify_cmd(input_src):
 @_command("export")
 @click.argument("input_src", default="-", required=False)
 @click.option("--out", default=None)
-@click.option("--report", is_flag=True)
 def export(input_src):
     """Re-emit any recognized document in canonical form (round-trip
     stable)."""

@@ -228,12 +228,14 @@ def pure_dimensional(host) -> bool:
 
 
 def maximal_cells(host) -> tuple:
-    """Cells of a simplicial host that are no facet of a cell one dimension
-    up, in canonical order; the empty simplex is maximal only in the
-    vertex-less complex."""
-    top = host.top_dim
-    faces = {f for d in range(top + 1) for c in host.cells(d) for f in host.boundary_of(c)}
-    return tuple(csorted(c for d in range(-1, top + 1) for c in host.cells(d) if c not in faces))
+    """Cells that no row of the facet table one dimension up lists, in
+    canonical order.  A simplicial host's table for dimension 0 lists the
+    empty simplex, so it is maximal only in the vertex-less complex."""
+    out = []
+    for d in range(-1, host.top_dim + 1):
+        listed = {p for ps in host.facet_positions(d + 1) for p in ps}
+        out += [c for p, c in enumerate(host.cells(d)) if p not in listed]
+    return tuple(csorted(out))
 
 
 class ColoredComplex:

@@ -4,9 +4,10 @@ These rebuild the reference objects from scratch: the coordinate-cube
 complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
 builder.  The naive references at the end recompute the canonical orders,
-facets, boundary matrices, hyperplanes, crossing graphs, flag witnesses,
-pocset closures and ultrafilter cubes that the library derives from
-ranks, bitsets, facet tables, integer edge indices and flip tables.
+facets, cofaces, links, boundary matrices, hyperplanes, crossing graphs,
+flag witnesses, pocset closures and ultrafilter cubes that the library
+derives from ranks, bitsets, facet and coface tables, integer edge
+indices and flip tables.
 The last ones are the pruning loop and the per-color-pair subcomplex
 scans that the factor predicates replace by a closed form and one square
 scan per complex."""
@@ -318,23 +319,54 @@ def facet_positions_reference(host, d: int) -> tuple:
     return tuple(tuple(p for p, f in enumerate(lower) if f <= c) for c in upper)
 
 
+def cofaces_reference(X: CubeComplex) -> dict:
+    """The cofaces of each cube, in `cells(d + 1)` order: the cubes one
+    dimension up whose vertex sets contain its vertex set, each vertex
+    set computed once."""
+    vertices = {c: X.vertices_of(c) for d in range(X.top_dim + 1) for c in X.cells(d)}
+    return {
+        c: tuple(u for u in X.cells(d + 1) if vertices[c] <= vertices[u])
+        for d in range(X.top_dim + 1)
+        for c in X.cells(d)
+    }
+
+
+def _upward_closure(cube, cofaces: dict) -> set:
+    closure = {cube}
+    while True:
+        grown = closure | {up for c in closure for up in cofaces[c]}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def link_data_reference(cube, cofaces: dict) -> tuple:
+    """The link of a cube and the coface -> link-cell map, by the closure
+    walk: a coface's link cell is the set of cofaces one dimension up of
+    the cube whose upward closures hold it (`cofaces` from
+    `cofaces_reference`)."""
+    one_up = cofaces[cube]
+    below = {u: _upward_closure(u, cofaces) for u in one_up}
+    cell_map = {
+        c: frozenset(u for u in one_up if c in below[u])
+        for c in _upward_closure(cube, cofaces)
+    }
+    return SimplicialComplex(one_up, frozenset(cell_map.values()) | {frozenset()}), cell_map
+
+
 def is_pure_reference(host) -> bool:
     """Every cell lies under a top cell: a simplex inside some top simplex,
     a cube among the iterated cofaces of which some cube is top, the
-    cofaces grown to a fixed point."""
+    cofaces found by vertex-set inclusion and grown to a fixed point."""
     top = host.top_dim
-    if isinstance(host, CubeComplex):
-
-        def under_top(cube) -> bool:
-            closure = {cube}
-            while True:
-                grown = closure | {up for c in closure for up in host.cofaces_map[c]}
-                if grown == closure:
-                    return any(host.dim_of(c) == top for c in closure)
-                closure = grown
-
-        return all(under_top(c) for d in range(top + 1) for c in host.cells(d))
     tops = host.cells(top)
+    if isinstance(host, CubeComplex):
+        cofaces = cofaces_reference(host)
+        return all(
+            not _upward_closure(cube, cofaces).isdisjoint(tops)
+            for d in range(top + 1)
+            for cube in host.cells(d)
+        )
     return all(any(s <= t for t in tops) for d in range(top + 1) for s in host.cells(d))
 
 

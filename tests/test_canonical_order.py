@@ -26,6 +26,7 @@ from conftest import grid_complex, tree_complex
 from corpus import random_flag_complex, random_pocset, random_smart_pair, rng
 from oracles import (
     closed_relations_reference,
+    cofaces_reference,
     from_cells_reference,
     hyperplane_classes_reference,
     k_gamma_complex,
@@ -36,8 +37,10 @@ from oracles import (
 
 
 def assert_canonical(X: CubeComplex) -> None:
-    """Cells, facets, cofaces and hyperplane classes in canon_key order,
-    and facets equal to the cells one dimension down that they contain."""
+    """Cells, facets, cofaces and hyperplane classes in canon_key order;
+    facets equal to the cells one dimension down that a cell contains,
+    and the coface table, as ascending positions, to the cells one
+    dimension up that contain it."""
     for d in range(X.top_dim + 1):
         cells = X.cells(d)
         assert list(cells) == csorted(cells)
@@ -45,17 +48,21 @@ def assert_canonical(X: CubeComplex) -> None:
         for c in cells:
             assert list(X.facets(c)) == csorted(X.facets(c))
             assert set(X.facets(c)) == {f for f in below if X.vertices_of(f) <= X.vertices_of(c)}
-    for c, ups in X.cofaces_map.items():
-        assert list(ups) == csorted(ups)
-        assert all(c in X.facets(u) for u in ups)
+    cofaces = cofaces_reference(X)
+    for d in range(X.top_dim + 1):
+        table = X._cofaces[d]
+        assert all(list(qs) == sorted(qs) for qs in table)
+        ups = [tuple(X.cells(d + 1)[q] for q in qs) for qs in table]
+        assert ups == [cofaces[c] for c in X.cells(d)]
+        assert all(list(us) == csorted(us) for us in ups)
     assert [hp.edges for hp in hyperplanes(X)] == hyperplane_classes_reference(X)
 
 
 def assert_matches_reference(cells: dict) -> CubeComplex:
     X = CubeComplex.from_cells(cells)
-    ref_cells, ref_facets = from_cells_reference(cells)
+    ref_cells, ref_facet_lists = from_cells_reference(cells)
     assert {d: X.cells(d) for d in range(X.top_dim + 1)} == ref_cells
-    assert all(X.facets(c) == fs for c, fs in ref_facets.items())
+    assert all(X.facets(c) == fs for c, fs in ref_facet_lists.items())
     assert_canonical(X)
     return X
 
@@ -113,7 +120,7 @@ def test_pair_complexes_are_canonical(c4, c6, o3):
         assert_canonical(X)
         Y = CubeComplex.from_json_dict(X.to_json_dict())
         assert all(Y.cells(d) == X.cells(d) for d in range(X.top_dim + 1))
-        assert all(Y.facets(c) == X.facets(c) for c in X.cofaces_map)
+        assert all(Y.facets(c) == X.facets(c) for d in range(X.top_dim + 1) for c in X.cells(d))
 
 
 def test_random_pocsets_match_references():

@@ -45,7 +45,7 @@ def _pair_complexes():
         yield CubeComplex.from_json_dict(X.to_json_dict())
 
 
-def vertices_by_facets(X: CubeComplex) -> dict:
+def facet_walk_vertices(X: CubeComplex) -> dict:
     """Each cube's 0-cells, reached by following facets down."""
     out: dict = {}
     for d in range(X.top_dim + 1):
@@ -59,7 +59,7 @@ def vertices_by_facets(X: CubeComplex) -> dict:
 def test_vertex_sets_on_demand_equal_the_facet_oracle():
     checked = 0
     for X in _pair_complexes():
-        ref = vertices_by_facets(X)
+        ref = facet_walk_vertices(X)
         for d in range(X.top_dim + 1):
             for c in X.cells(d):
                 assert X.vertices_of(c) == ref[c]
@@ -72,7 +72,7 @@ def test_vertex_sets_on_demand_equal_the_facet_oracle():
 
 def test_from_cells_keeps_its_vertex_sets():
     X = grid_complex(2, 3)
-    ref = vertices_by_facets(X)
+    ref = facet_walk_vertices(X)
     for d in range(1, X.top_dim + 1):
         for c in X.cells(d):
             assert X.vertices_of(c) is c  # a higher cell is its vertex set

@@ -49,6 +49,10 @@ def cube_counts(X):
     return {d: len(X.cells(d)) for d in range(X.top_dim + 1)}
 
 
+def all_cubes(X) -> set:
+    return {c for d in range(X.top_dim + 1) for c in X.cells(d)}
+
+
 # -- ingestion errors ---------------------------------------------------------
 
 
@@ -266,7 +270,7 @@ def test_prune_removes_junk_and_preserves_complex(c4):
     pa, pb = prune_to_smart_pair(ga, gb)
     assert set(pa.vertex_ids) == {"v0", "v1", "v2", "v3"}
     assert pb == gb
-    assert set(build_clcc(pa, pb)._dim_of) == set(build_clcc(ga, gb)._dim_of)
+    assert all_cubes(build_clcc(pa, pb)) == all_cubes(build_clcc(ga, gb))
 
 
 def test_prune_collapses_hopeless_pair():
@@ -286,7 +290,7 @@ def test_prune_preserves_complex_on_random_pairs():
         ga = random_colored_complex(r, n, max_vertices=6)
         gb = random_colored_complex(r, n, max_vertices=6)
         pa, pb = prune_to_smart_pair(ga, gb)
-        assert set(build_clcc(pa, pb)._dim_of) == set(build_clcc(ga, gb)._dim_of)
+        assert all_cubes(build_clcc(pa, pb)) == all_cubes(build_clcc(ga, gb))
         if pa.vertex_ids or pb.vertex_ids:
             assert smartly_paired(pa, pb)[0]
 
@@ -522,7 +526,7 @@ def test_identity_induces_identity(c4):
     c6b = gen_cycle(3, prefix="b")
     phi = induced_map(ColoredMap.identity(c4), ColoredMap.identity(c6b))
     assert phi.is_injective and phi.is_surjective
-    assert all(phi.apply(c) == c for c in phi.source._dim_of)
+    assert all(phi.apply(c) == c for c in all_cubes(phi.source))
 
 
 def test_full_inclusion_induces_injective_local_isometry(c4):

@@ -621,14 +621,19 @@ def test_report_digests_each_input_document():
     runner = CliRunner()
     pair = runner.invoke(main, ["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
     complex_doc = runner.invoke(main, ["build", "-"], input=pair).stdout
-    for args, stdin, role in (
-        (["build"], pair, "pair"),
-        (["homology"], complex_doc, "complex"),
-        (["invariants", "links"], complex_doc, "complex"),
-        (["certify"], pair, "pair"),
+    c4 = runner.invoke(main, ["generate", "cycle", "--k", "2"]).stdout
+    for args, stdin, role, code, line in (
+        (["build"], pair, "pair", 0, "clcc build: ok ("),
+        (["homology"], complex_doc, "complex", 0, "clcc homology: ok ("),
+        (["invariants", "links"], complex_doc, "complex", 0, "clcc invariants: ok ("),
+        (["certify"], pair, "pair", 0, "clcc certify: ok ("),
+        (["check", "5large"], c4, "input", 1, "clcc check: 5large fails\n"),
     ):
         result = runner.invoke(main, args + ["-", "--report"], input=stdin)
-        assert result.exit_code == 0, result.stderr
+        assert result.exit_code == code, result.stderr
+        plain = runner.invoke(main, args + ["-"], input=stdin)
+        assert (plain.exit_code, plain.stdout) == (code, result.stdout)
+        assert plain.stderr.startswith(line)
         report = json.loads(result.stderr)
         assert set(report) == {"command", "inputs", "result_digest", "timings"}
         assert report["command"] == args[0]

@@ -1,14 +1,17 @@
 """The facet table: each host's facets of the d-cells as sorted positions
 in cells(d - 1).
 
-A cube complex stores only this table; the cube-keyed maps are built
-from it when an API query asks.  The table is checked against facets
-found by vertex-set inclusion (`facet_positions_reference`), on
-pair-built complexes, on cube documents loaded with and without their
-pair, on `from_cells` grids and trees, on `sageev` complexes, and on
-colored and uncolored simplicial hosts.  Betti numbers are checked
-against the boundary matrices built cell by cell from `boundary_of`, and
-purity against the coface scan."""
+A cube complex stores only this table; its cube index and its coface
+table (the transpose) are built from it when an API query asks.  The
+table is checked against facets found by vertex-set inclusion
+(`facet_positions_reference`), on pair-built complexes, on cube
+documents loaded with and without their pair, on `from_cells` grids and
+trees, on `sageev` complexes, and on colored and uncolored simplicial
+hosts.  Betti numbers are checked against the boundary matrices built
+cell by cell from `boundary_of`, and purity against the coface scan.
+On the same cube complexes, the link and coface -> link-cell map of
+every cube are checked against the closure walk on cofaces found by
+vertex-set inclusion (`link_data_reference`)."""
 
 from __future__ import annotations
 
@@ -29,14 +32,16 @@ from conftest import grid_complex, tree_complex
 from corpus import random_colored_complex, random_pocset, random_smart_pair, rng
 from oracles import (
     boundary_rows_reference,
+    cofaces_reference,
     csaszar_torus,
     facet_positions_reference,
     is_pure_reference,
     k_gamma_complex,
+    link_data_reference,
     subdivided_k_gamma,
 )
 
-LAZY = ("_facets", "_dim_of", "cofaces_map")
+LAZY = ("_index", "_cofaces")
 
 
 def pair_complexes() -> list[CubeComplex]:
@@ -126,11 +131,21 @@ def betti_reference(host, reduced: bool) -> tuple:
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
+def assert_links_match(X: CubeComplex) -> None:
+    """The link and the whole cell map of every cube against the closure
+    walk."""
+    cofaces = cofaces_reference(X)
+    for cube in cofaces:
+        assert X.link_data(cube) == link_data_reference(cube, cofaces), cube
+
+
 def assert_host_matches(host) -> int:
     checked = assert_table_matches(host)
     for reduced in (True, False):
         assert betti(host, reduced).ranks == betti_reference(host, reduced)
     assert host.is_pure == is_pure_reference(host)
+    if isinstance(host, CubeComplex):
+        assert_links_match(host)
     return checked
 
 
@@ -197,6 +212,6 @@ def test_the_pipeline_never_builds_the_cube_keyed_maps():
         assert not [name for name in LAZY if name in X.__dict__]
     X = hosts[0]
     X.facets(X.cells(1)[0])
-    assert "_facets" in X.__dict__ and "_dim_of" not in X.__dict__
-    assert X.cells(2)[0] in X
-    assert "_dim_of" in X.__dict__
+    assert "_index" in X.__dict__ and "_cofaces" not in X.__dict__
+    X.link_data(X.cells(0)[0])
+    assert "_cofaces" in X.__dict__

@@ -84,7 +84,7 @@ def same_cells(X, Y) -> bool:
     return (
         X.top_dim == Y.top_dim
         and all(X.cells(d) == Y.cells(d) for d in range(X.top_dim + 1))
-        and all(X.facets(c) == Y.facets(c) for c in X.cofaces_map)
+        and all(X.facets(c) == Y.facets(c) for d in range(X.top_dim + 1) for c in X.cells(d))
     )
 
 
