@@ -28,8 +28,8 @@ from clcc.simplicial import (
     SimplicialComplex,
     _chordless_squares,
     check_color_count,
+    components,
     is_flag,
-    neighbour_lists,
     pure_dimensional,
     reach,
     simplicial_join,
@@ -207,11 +207,7 @@ class CubeComplex:
         return _opposition_walk(self)
 
     def is_connected(self) -> bool:
-        count = len(self.cells(0))
-        if not count:
-            return False
-        nbrs = neighbour_lists(count, self.facet_positions(1))
-        return len(reach([0], nbrs.__getitem__)) == count
+        return len(components(len(self.cells(0)), self.facet_positions(1))) == 1
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cubes_by_dim.items())
@@ -319,16 +315,14 @@ def _opposition_walk(X: CubeComplex) -> Opposition:
             raise DomainError(f"square {sq!r} does not have two opposite edge pairs")
         opposite += pairs
         squares.append(pairs[0] + pairs[1])
-    neighbours = neighbour_lists(len(edges), opposite)
-    label = [-1] * len(edges)
-    classes = []
-    for k in range(len(edges)):
-        if label[k] < 0:
-            members = sorted(reach([k], neighbours.__getitem__))
-            for m in members:
-                label[m] = len(classes)
-            classes.append(tuple(edges[m] for m in members))
-    return Opposition(tuple(classes), tuple(label), tuple(squares))
+    classes = components(len(edges), opposite)
+    label = [0] * len(edges)
+    for h, members in enumerate(classes):
+        for m in members:
+            label[m] = h
+    return Opposition(
+        tuple(tuple(edges[m] for m in c) for c in classes), tuple(label), tuple(squares)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -567,12 +561,8 @@ def join_link_of_cube(
     la, lb = gamma_a.link(a), gamma_b.link(b)
     up_a = {u: (a.plus(c, u), b) for u, c in la.vertices}
     up_b = {w: (a, b.plus(c, w)) for w, c in lb.vertices}
-    fam = frozenset(
-        frozenset(up_a[u] for u in s.vertex_ids) | frozenset(up_b[w] for w in t.vertex_ids)
-        for s in la.simplices
-        for t in lb.simplices
-    )
-    return SimplicialComplex(tuple(up_a.values()) + tuple(up_b.values()), fam)
+    # the two sides' names differ in their a-parts, so the join tags nothing
+    return simplicial_join(la.uncolored().relabeled(up_a), lb.uncolored().relabeled(up_b))
 
 
 # ----------------------------------------------------------------------
@@ -668,34 +658,26 @@ class ConnGraph:
     edges: frozenset
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return False
         index = {v: i for i, v in enumerate(self.nodes)}
-        nbrs = neighbour_lists(len(index), ((index[u], index[v]) for u, v in self.edges))
-        return len(reach([0], nbrs.__getitem__)) == len(self.nodes)
+        return len(components(len(index), ((index[u], index[v]) for u, v in self.edges))) == 1
 
 
 def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
     """Nodes are pairs (maximal a, complementary b); two nodes are joined
     when some simplex of gamma_b is complementary to the intersection of
     their A-parts and contains both B-parts (the intersection may be
-    empty provided the witness covers every color)."""
+    empty provided the witness covers every color).  Containment is
+    tested on entry sets: B-parts that clash on a color are contained in
+    no simplex, so they need no check of their own."""
     if gamma_a.n != gamma_b.n:
         raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
-    nodes = []
-    for m in gamma_a.maximal_simplices:
-        for b in gamma_b.partners(m.colors):
-            nodes.append((m, b))
+    nodes = [(m, b) for m in gamma_a.maximal_simplices for b in gamma_b.partners(m.colors)]
     edges = set()
     for (a1, b1), (a2, b2) in combinations(nodes, 2):
-        common = CoordSimplex(tuple(sorted(set(a1.entries) & set(a2.entries))))
-        union = b1.compatible_union(b2)
-        if union is None:
-            continue
-        for cand in gamma_b.partners(common.colors):
-            if union <= cand:
-                edges.add(((a1, b1), (a2, b2)))
-                break
+        common = frozenset(c for c, _ in set(a1.entries) & set(a2.entries))
+        both = set(b1.entries) | set(b2.entries)
+        if any(both.issubset(cand.entries) for cand in gamma_b.partners(common)):
+            edges.add(((a1, b1), (a2, b2)))
     return ConnGraph(tuple(csorted(nodes)), frozenset(edges))
 
 

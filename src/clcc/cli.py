@@ -60,14 +60,18 @@ PRESET_2COMPLEXES = {
 
 def _read_doc(src: str) -> dict:
     """The JSON object in a file or, for "-", on stdin; every document the
-    commands read is an object."""
+    commands read is an object.  Both are decoded as strict UTF-8, so
+    stdin does not take the locale's error handler."""
     try:
         if src == "-":
-            doc = json.load(sys.stdin)
+            doc = json.loads(sys.stdin.buffer.read().decode("utf-8"))
         else:
             with open(src, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, text that is not UTF-8 and
+        # integers too long to convert; RecursionError, a document nested
+        # too deep for the decoder
         raise ComplexError(f"malformed JSON in {src}: {exc}") from exc
     except OSError as exc:
         raise ComplexError(f"cannot read {src}: {exc}") from exc

@@ -13,6 +13,7 @@ from clcc.simplicial import (
     ColoredComplex,
     SimplicialComplex,
     barycentric_subdivision_2d,
+    cliques,
     is_flag,
 )
 
@@ -118,21 +119,11 @@ def flag_complex_from_graph(
     n: int, vertices, edges
 ) -> ColoredComplex:
     """Clique (flag) completion of a colored graph: simplices are exactly
-    the cliques, so the result is flag by construction."""
+    the cliques, so the result is flag by construction.  An edge that
+    names an undeclared vertex is rejected by the build."""
     colors = dict(vertices)
     adj: dict[str, set[str]] = {v: set() for v in colors}
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques = [[v] for v in sorted(colors)]
-    level = [(v,) for v in sorted(colors)]
-    while level:
-        nxt = []
-        for clique in level:
-            for u in sorted(adj[clique[-1]]):
-                if u > clique[-1] and all(u in adj[w] for w in clique):
-                    bigger = clique + (u,)
-                    nxt.append(bigger)
-                    cliques.append(list(bigger))
-        level = nxt
-    return ColoredComplex.build(n, list(colors.items()), cliques)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return ColoredComplex.build(n, list(colors.items()), cliques(adj))

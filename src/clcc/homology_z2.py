@@ -175,12 +175,7 @@ def join_chains(sigma: Chain2, omega: Chain2) -> Chain2:
         ren_a = ren_b = lambda v: v
 
     def vset(cell, rename):
-        if isinstance(cell, CoordSimplex):
-            ids = cell.vertex_ids
-        elif isinstance(cell, frozenset):
-            ids = cell
-        else:  # augmentation of a cube complex cannot occur here
-            ids = frozenset()
+        ids = cell.vertex_ids if isinstance(cell, CoordSimplex) else cell
         return frozenset(rename(v) for v in ids)
 
     cells = {

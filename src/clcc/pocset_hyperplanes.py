@@ -15,7 +15,7 @@ from typing import Optional
 from clcc.canon import csorted
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
-from clcc.simplicial import neighbour_lists, reach
+from clcc.simplicial import components
 
 
 @dataclass(frozen=True)
@@ -202,19 +202,13 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     parts: dict = {}  # halfspace -> the positions of its vertices
     for h in range(len(op.classes)):
         hid = f"h{h}"
-        nbrs = neighbour_lists(len(verts), (e for e, k in zip(endpoints, op.label) if k != h))
-        comps: list = []
-        seen: set = set()
-        for v in range(len(verts)):
-            if v not in seen:
-                comps.append(frozenset(reach([v], nbrs.__getitem__)))
-                seen |= comps[-1]
+        comps = components(len(verts), (e for e, k in zip(endpoints, op.label) if k != h))
         if len(comps) != 2:
             raise NotTwoSidedError(
                 f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
             )
         # verts is in canonical order, so the first part holds the least vertex
-        parts[(hid, "-")], parts[(hid, "+")] = comps
+        parts[(hid, "-")], parts[(hid, "+")] = map(frozenset, comps)
     elements = tuple(sorted(parts))
     less = frozenset(
         (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]

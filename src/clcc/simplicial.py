@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from clcc.canon import canon_key, csorted
+from clcc.canon import csorted
 from clcc.errors import ComplexError, PairError
 
 
@@ -95,21 +96,6 @@ class CoordSimplex:
             raise ComplexError(f"color {color} already present in {self}")
         return CoordSimplex(tuple(sorted(self.entries + ((color, vid),))))
 
-    def union(self, other: "CoordSimplex") -> "CoordSimplex":
-        merged = dict(self.entries)
-        for c, v in other.entries:
-            if merged.setdefault(c, v) != v:
-                raise ComplexError(
-                    f"incompatible union: color {c} maps to {merged[c]} and {v}"
-                )
-        return CoordSimplex.of(merged)
-
-    def compatible_union(self, other: "CoordSimplex") -> Optional["CoordSimplex"]:
-        try:
-            return self.union(other)
-        except ComplexError:
-            return None
-
     def canonical_key(self):
         return self.entries
 
@@ -119,6 +105,10 @@ class CoordSimplex:
 
 
 EMPTY_SIMPLEX = CoordSimplex(())
+
+# The canonical order of simplices: canon_key of a CoordSimplex is
+# (6, entries), so the simplices of one complex sort by their entries.
+_ENTRIES = attrgetter("entries")
 
 
 @lru_cache(maxsize=4096)
@@ -152,36 +142,27 @@ class SquareWitness:
 
 
 def _chordless_squares(adj: Mapping[str, frozenset[str]]) -> list[tuple[str, str, str, str]]:
-    """All chordless 4-cycles of a graph, canonically ordered.
+    """All chordless 4-cycles of a graph, each once, canonically ordered.
 
-    Scans non-adjacent pairs (the candidate diagonals) and then
-    non-adjacent pairs among their common neighbours; quadratic in the
+    Scans the non-adjacent pairs v < w (the candidate diagonals) and then
+    the non-adjacent pairs u < x among their common neighbours.  A square
+    has two diagonals; it is kept only from the one that holds its least
+    vertex (v < u), so it comes out once, as (v, u, w, x) starting at that
+    vertex.  The scan runs on canonical positions.  Quadratic in the
     vertex count times squared degree, which beats the naive 4-tuple scan
     at this scale.
     """
     verts = csorted(adj)
-    seen: set[tuple] = set()
-    out: list[tuple[str, str, str, str]] = []
-    for v, w in combinations(verts, 2):
-        if w in adj[v]:
+    pos = {v: i for i, v in enumerate(verts)}
+    found = []
+    for v, w in combinations(range(len(verts)), 2):
+        if verts[w] in adj[verts[v]]:
             continue
-        common = csorted(adj[v] & adj[w])
+        common = sorted(pos[u] for u in adj[verts[v]] & adj[verts[w]] if pos[u] > v)
         for u, x in combinations(common, 2):
-            if x in adj[u]:
-                continue
-            key = (v, w, u, x)  # each diagonal sorted; {v,w} found first
-            if (u, x, v, w) in seen:
-                continue
-            seen.add(key)
-            out.append((v, u, w, x))
-    # canonical cycle presentation: start at the least vertex of the square
-    canon = []
-    for v, u, w, x in out:
-        if canon_key(u) < canon_key(v):
-            canon.append((u, v, x, w))
-        else:
-            canon.append((v, u, w, x))
-    return sorted(canon, key=canon_key)
+            if verts[x] not in adj[verts[u]]:
+                found.append((v, u, w, x))
+    return [tuple(verts[p] for p in sq) for sq in sorted(found)]
 
 
 def check_color_count(n) -> None:
@@ -203,14 +184,41 @@ def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
     return seen
 
 
-def neighbour_lists(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The neighbours of each of `count` numbered vertices, for `reach`:
-    each edge is a pair of vertex numbers."""
-    out: list[list[int]] = [[] for _ in range(count)]
+def components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The components of a graph on the vertices 0..count-1, each edge a
+    pair of vertex numbers: each component sorted, in the order of their
+    least vertices."""
+    nbrs: list[list[int]] = [[] for _ in range(count)]
     for u, v in edges:
-        out[u].append(v)
-        out[v].append(u)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    placed = [False] * count
+    out = []
+    for v in range(count):
+        if not placed[v]:
+            out.append(sorted(reach([v], nbrs.__getitem__)))
+            for u in out[-1]:
+                placed[u] = True
     return out
+
+
+def cliques(adj: Mapping) -> Iterator[tuple]:
+    """The nonempty cliques of a graph, given by its adjacency, as tuples
+    of vertices: level by level (by size), each level in lexicographic
+    order of the vertices' canonical positions.  Each clique carries the
+    positions of the later vertices adjacent to all of it, and grows only
+    by those.  A caller that stops early grows no more."""
+    verts = csorted(adj)
+    level = [((), range(len(verts)))]
+    while level:
+        nxt = []
+        for clique, after in level:
+            for i, q in enumerate(after):
+                u = verts[q]
+                bigger = clique + (u,)
+                yield bigger
+                nxt.append((bigger, [r for r in after[i + 1:] if verts[r] in adj[u]]))
+        level = nxt
 
 
 def pure_dimensional(host) -> bool:
@@ -319,7 +327,7 @@ class ColoredComplex:
         buckets: dict[frozenset[int], list[CoordSimplex]] = {}
         for s in self.simplices:
             buckets.setdefault(s.colors, []).append(s)
-        return {k: tuple(csorted(v)) for k, v in buckets.items()}
+        return {k: tuple(sorted(v, key=_ENTRIES)) for k, v in buckets.items()}
 
     @cached_property
     def _all_colors(self) -> frozenset[int]:
@@ -372,7 +380,7 @@ class ColoredComplex:
         buckets: dict[int, list[CoordSimplex]] = {}
         for s in self.simplices:
             buckets.setdefault(s.dim, []).append(s)
-        return {d: tuple(csorted(v)) for d, v in buckets.items()}
+        return {d: tuple(sorted(v, key=_ENTRIES)) for d, v in buckets.items()}
 
     # -- homology host protocol ---------------------------------------
 
@@ -651,27 +659,16 @@ def is_flag(K) -> tuple[bool, Optional[tuple]]:
 
     Accepts colored or uncolored complexes.  On failure returns the
     minimal non-spanning clique (smallest size, then lexicographically
-    first); generation is level-by-level in lex order so the first
-    failure found is that witness.  Each clique carries the canonical
-    positions of the later vertices adjacent to all of it.
+    first): `cliques` yields them in that order, so the first failure
+    found is that witness.
     """
-    adj = K.adjacency
     if isinstance(K, ColoredComplex):
         spans = lambda vids: K.simplex_with_vertices(vids) is not None
     else:
         spans = lambda vids: frozenset(vids) in K.simplices
-    verts = csorted(adj)
-    level = [((), range(len(verts)))]
-    while level:
-        nxt = []
-        for clique, after in level:
-            for i, q in enumerate(after):
-                u = verts[q]
-                bigger = clique + (u,)
-                if len(bigger) >= 3 and not spans(bigger):
-                    return False, bigger
-                nxt.append((bigger, [r for r in after[i + 1:] if verts[r] in adj[u]]))
-        level = nxt
+    for clique in cliques(K.adjacency):
+        if len(clique) >= 3 and not spans(clique):
+            return False, clique
     return True, None
 
 

@@ -10,17 +10,25 @@ derives from ranks, bitsets, facet and coface tables, integer edge
 indices and flip tables.
 The last ones are the pruning loop and the per-color-pair subcomplex
 scans that the factor predicates replace by a closed form and one square
-scan per complex."""
+scan per complex, and the brute-force graph walks (every vertex subset,
+every 4-tuple, every pair of nodes merged) that the shared graph helpers
+replace."""
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex, smartly_paired
 from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import CrossingGraph, star
-from clcc.simplicial import EMPTY_SIMPLEX, ColoredComplex, SimplicialComplex, empty_squares
+from clcc.simplicial import (
+    EMPTY_SIMPLEX,
+    ColoredComplex,
+    CoordSimplex,
+    SimplicialComplex,
+    empty_squares,
+)
 
 
 def _spans(gamma: ColoredComplex, ids: list[str], indices) -> bool:
@@ -138,10 +146,11 @@ def from_cells_reference(cells) -> tuple[dict, dict]:
 def hyperplane_classes_reference(X) -> list[tuple]:
     """Edge classes under square opposition, each sorted by canon_key and
     ordered by the key of their first edge."""
+    ends = {e: X.vertices_of(e) for e in X.cells(1)}
     classes = {e: {e} for e in X.cells(1)}
     for sq in X.cells(2):
         for e, f in combinations(X.facets(sq), 2):
-            if not (X.vertices_of(e) & X.vertices_of(f)) and classes[e] is not classes[f]:
+            if not (ends[e] & ends[f]) and classes[e] is not classes[f]:
                 merged = classes[e] | classes[f]
                 for g in merged:
                     classes[g] = merged
@@ -184,11 +193,11 @@ def halfspace_sides_reference(X):
     the canonically least vertex: the 1-skeleton without the class's
     edges, merged vertex set by vertex set.  None when some class does
     not cut the complex in two."""
+    ends = [(e, *X.vertices_of(e)) for e in X.cells(1)]
     sides = {}
     for i, cut in enumerate(hyperplane_classes_reference(X)):
         part = {v: frozenset([v]) for v in X.cells(0)}
-        for e in X.cells(1):
-            a, b = X.vertices_of(e)
+        for e, a, b in ends:
             if e not in cut and part[a] is not part[b]:
                 merged = part[a] | part[b]
                 for v in merged:
@@ -421,3 +430,62 @@ def pairwise_5_large_reference(K_A: ColoredComplex, K_B: ColoredComplex) -> tupl
         if sq_b:
             return False, ((i, j), sq_a[0], sq_b[0])
     return True, None
+
+
+def cliques_reference(adj) -> list[tuple]:
+    """Every vertex subset whose vertices are pairwise adjacent, sorted by
+    size and then by the canonical positions of its vertices."""
+    verts = csorted(adj)
+    subsets = [
+        tuple(i for i in range(len(verts)) if mask >> i & 1) for mask in range(1, 2 ** len(verts))
+    ]
+    found = [s for s in subsets if all(verts[j] in adj[verts[i]] for i, j in combinations(s, 2))]
+    return [tuple(verts[i] for i in s) for s in sorted(found, key=lambda s: (len(s), s))]
+
+
+def chordless_squares_reference(adj) -> list[tuple]:
+    """Every 4-cycle v u w x of distinct vertices with neither diagonal an
+    edge, presented from its least vertex v and with u before x, sorted by
+    canon_key."""
+    out = []
+    for v, u, w, x in permutations(adj, 4):
+        cycle = u in adj[v] and w in adj[u] and x in adj[w] and v in adj[x]
+        chordless = w not in adj[v] and x not in adj[u]
+        first = canon_key(v) < min(canon_key(u), canon_key(w), canon_key(x))
+        if cycle and chordless and first and canon_key(u) < canon_key(x):
+            out.append((v, u, w, x))
+    return sorted(out, key=canon_key)
+
+
+def _merged(b1: CoordSimplex, b2: CoordSimplex):
+    """The simplex with the entries of both, or None when they give one
+    color two vertices."""
+    merged = dict(b1.entries)
+    for c, v in b2.entries:
+        if merged.setdefault(c, v) != v:
+            return None
+    return CoordSimplex.of(merged)
+
+
+def conn_graph_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> tuple:
+    """Nodes and edges of the connectivity graph by the pairwise rule:
+    nodes (maximal a, complementary b) in canon_key order, and an edge
+    (x, y), x before y, when the B-parts merge into one simplex and some
+    simplex of gamma_b complementary to the common face of the A-parts
+    contains the merge, every simplex of gamma_b tried."""
+    all_colors = frozenset(range(1, gamma_a.n + 1))
+    nodes = csorted(
+        (m, b)
+        for m in maximal_simplices_reference(gamma_a)
+        for b in gamma_b.simplices
+        if not m.colors & b.colors and m.colors | b.colors == all_colors
+    )
+    edges = set()
+    for (a1, b1), (a2, b2) in combinations(nodes, 2):
+        common = CoordSimplex(tuple(sorted(set(a1.entries) & set(a2.entries))))
+        union = _merged(b1, b2)
+        if union is not None and any(
+            union <= cand and cand.colors == all_colors - common.colors for cand in gamma_b.simplices
+        ):
+            edges.add(((a1, b1), (a2, b2)))
+    return tuple(nodes), frozenset(edges)

@@ -23,7 +23,13 @@ from clcc.pocset_hyperplanes import (
 )
 
 from conftest import grid_complex, tree_complex
-from corpus import random_flag_complex, random_pocset, random_smart_pair, rng
+from corpus import (
+    random_colored_complex,
+    random_flag_complex,
+    random_pocset,
+    random_smart_pair,
+    rng,
+)
 from oracles import (
     closed_relations_reference,
     cofaces_reference,
@@ -121,6 +127,21 @@ def test_pair_complexes_are_canonical(c4, c6, o3):
         Y = CubeComplex.from_json_dict(X.to_json_dict())
         assert all(Y.cells(d) == X.cells(d) for d in range(X.top_dim + 1))
         assert all(Y.facets(c) == X.facets(c) for d in range(X.top_dim + 1) for c in X.cells(d))
+
+
+def test_colored_complex_orders_are_canonical():
+    """Cells, the simplices of each color set and the maximal simplices of
+    a colored complex come out in canon_key order."""
+    r = rng(904)
+    complexes = [random_colored_complex(r, r.randint(1, 4), 7, 6) for _ in range(100)]
+    complexes += [random_flag_complex(r, r.randint(2, 4)) for _ in range(50)]
+    complexes += [K.link(s) for K in complexes[:50] for s in K.cells(0)[:2]]
+    for K in complexes:
+        for d in range(-1, K.top_dim + 1):
+            assert list(K.cells(d)) == csorted(K.cells(d))
+        for bucket in K.by_colorset.values():
+            assert list(bucket) == csorted(bucket)
+        assert list(K.maximal_simplices) == csorted(K.maximal_simplices)
 
 
 def test_random_pocsets_match_references():

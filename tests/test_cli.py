@@ -108,6 +108,27 @@ def test_malformed_json_exit_1():
     assert "error" in out_json(p)
 
 
+MALFORMED_JSON = {
+    "not-utf8": b"\xff\xfe{}",
+    "not-utf8-in-a-vertex-id": b'{"n": 1, "vertices": [{"id": "a\xff", "color": 1}], '
+                               b'"maximal_simplices": [["a\xff"]]}',
+    "nested-200000-deep": b"[" * 200_000 + b"]" * 200_000,
+    "5000-digit-number": b'{"n": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+def test_undecodable_json_is_a_structured_error(tmp_path, kind):
+    data = MALFORMED_JSON[kind]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    for args, stdin in ((["export", str(path)], None), (["export", "-"], data)):
+        p = subprocess.run(CLCC + args, input=stdin, capture_output=True, env=_ENV)
+        assert p.returncode == 1, (args, p.stderr)
+        assert "malformed JSON" in json.loads(p.stdout)["error"]["message"]
+        assert b"Traceback" not in p.stderr
+
+
 def test_domain_error_exit_1():
     # torus quotient has one-sided hyperplane classes
     pair = run(["generate", "surface", "--ka", "2", "--kb", "2"]).stdout

@@ -227,3 +227,8 @@ def test_barycentric_pair_rejects_same_edge_color(tetra_boundary, one_triangle):
         gen_barycentric_pair(
             tetra_boundary, one_triangle, {"V": 1, "E": 2, "F": 3}, {"V": 1, "E": 2, "F": 3}
         )
+
+
+def test_flag_complex_from_graph_rejects_an_edge_to_an_undeclared_vertex():
+    with pytest.raises(DomainError, match="unknown vertex id 'zz'"):
+        flag_complex_from_graph(2, [("x", 1), ("y", 2)], [("x", "y"), ("y", "zz")])

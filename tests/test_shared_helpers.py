@@ -1,26 +1,38 @@
-"""The purity check, the maximal-simplex rule and the graph walk are each
-written once and shared by every host class.  Each is compared here with
-an independent reference on the seeded corpus: the per-class purity scans
-and maximal-simplex comparisons in oracles.py, and networkx component
-counts for connectivity."""
+"""The purity check, the maximal-simplex rule and the graph walks
+(components, cliques, chordless squares, the criterion graph) are each
+written once and shared by every caller.  Each is compared here with an
+independent reference on the seeded corpus: the per-class purity scans,
+maximal-simplex comparisons and brute-force graph walks in oracles.py,
+and networkx components for connectivity."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import networkx as nx
 
-from clcc import build_clcc, gen_cross_polytope, gen_cycle
+from clcc import build_clcc, gen_cross_polytope, gen_cycle, prune_to_smart_pair
 from clcc.clcc_core import conn_graph, smartly_paired
 from clcc.pocset_hyperplanes import sageev
+from clcc.simplicial import _chordless_squares, cliques, components
 
 from conftest import grid_complex, tree_complex
 from corpus import (
     random_colored_complex,
+    random_flag_complex,
     random_pocset,
     random_smart_pair,
     random_two_complex,
     rng,
 )
-from oracles import is_pure_reference, k_gamma_complex, maximal_simplices_reference
+from oracles import (
+    chordless_squares_reference,
+    cliques_reference,
+    conn_graph_reference,
+    is_pure_reference,
+    k_gamma_complex,
+    maximal_simplices_reference,
+)
 
 
 def colored_hosts():
@@ -96,3 +108,82 @@ def test_connectivity_equals_networkx_component_count():
         assert G.is_connected() == expect
         seen.add(("criterion", expect))
     assert seen == {(kind, v) for kind in ("simplicial", "cube", "criterion") for v in (True, False)}
+
+
+def test_components_equal_networkx_components():
+    r = rng(7305)
+    sizes = set()
+    for _ in range(300):
+        count = r.randint(0, 40)
+        edges = [tuple(r.randrange(count) for _ in range(2)) for _ in range(r.randint(0, count))]
+        G = nx.Graph()
+        G.add_nodes_from(range(count))
+        G.add_edges_from(edges)
+        expect = [sorted(c) for c in nx.connected_components(G)]
+        assert components(count, edges) == expect
+        sizes.update(len(c) for c in expect)
+    assert components(0, []) == []
+    # isolated vertices, and components large enough that a set of their
+    # numbers does not iterate in sorted order
+    assert 1 in sizes and max(sizes) > 8
+
+
+def random_graph(r, ids) -> dict:
+    """A graph on `ids` with a random edge density, keyed in shuffled
+    order so that only a canonical sort gives the vertex order."""
+    ids = r.sample(ids, len(ids))
+    p = r.random()
+    adj = {v: set() for v in ids}
+    for a, b in combinations(ids, 2):
+        if r.random() < p:
+            adj[a].add(b)
+            adj[b].add(a)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def test_cliques_equal_every_pairwise_adjacent_subset():
+    r = rng(7306)
+    graphs = [random_graph(r, [f"v{i}" for i in range(r.randint(0, 10))]) for _ in range(300)]
+    graphs += [K.adjacency for K in colored_hosts()]
+    graphs += [S.adjacency for S in simplicial_hosts()]
+    largest = 0
+    for adj in graphs:
+        expect = cliques_reference(adj)
+        assert list(cliques(adj)) == expect
+        largest = max([largest] + [len(c) for c in expect])
+    assert largest >= 4
+
+
+def test_chordless_squares_equal_the_four_tuple_scan():
+    r = rng(7307)
+    found = 0
+    for _ in range(400):
+        adj = random_graph(r, [f"v{i}" for i in range(r.randint(0, 9))])
+        expect = chordless_squares_reference(adj)
+        assert _chordless_squares(adj) == expect
+        found += len(expect)
+    for K in colored_hosts():
+        assert _chordless_squares(K.adjacency) == chordless_squares_reference(K.adjacency)
+    assert found > 100
+
+
+def test_conn_graph_equals_the_pairwise_merge_rule():
+    r = rng(7308)
+    pairs = [random_smart_pair(r, 6) for _ in range(150)]
+    for _ in range(100):
+        n = r.randint(2, 4)
+        pairs.append(prune_to_smart_pair(random_flag_complex(r, n, 7), random_flag_complex(r, n, 7)))
+    clashes = joined = 0
+    for pair in pairs:
+        if pair is None or not pair[0].vertex_ids:
+            continue
+        G = conn_graph(*pair)
+        nodes, edges = conn_graph_reference(*pair)
+        assert (G.nodes, G.edges) == (nodes, edges)
+        joined += len(edges)
+        clashes += sum(
+            1 for (_, b1), (_, b2) in combinations(nodes, 2)
+            if any(b2.get(c) not in (None, v) for c, v in b1.entries)
+        )
+    # node pairs whose B-parts give one color two vertices are in the corpus
+    assert clashes > 0 and joined > 0

@@ -39,7 +39,12 @@ from corpus import (
     random_two_complex,
     rng,
 )
-from oracles import empty_squares_reference, is_flag_reference
+from oracles import (
+    chordless_squares_reference,
+    cliques_reference,
+    empty_squares_reference,
+    is_flag_reference,
+)
 
 
 def cell_counts(K) -> dict:
@@ -59,39 +64,6 @@ def octahedron_faces():
             if all(not (a[:-1] == b[:-1]) for a, b in combinations(sub, 2)):
                 faces.append(frozenset(sub))
     return faces
-
-
-def naive_chordless_squares(K):
-    """Quadruple scan, independent of the common-neighbour method."""
-    adj = K.adjacency
-    verts = sorted(adj)
-    found = set()
-    for quad in combinations(verts, 4):
-        for mid in combinations(quad[1:], 2):
-            a = quad[0]
-            c = next(v for v in quad[1:] if v not in mid)
-            b, d = mid
-            cycle_edges = [(a, b), (b, c), (c, d), (d, a)]
-            if all(y in adj[x] for x, y in cycle_edges):
-                if c not in adj[a] and d not in adj[b]:
-                    found.add(frozenset(quad))
-    return found
-
-
-def all_cliques(K):
-    adj = K.adjacency
-    verts = sorted(adj)
-    cliques = [frozenset([v]) for v in verts]
-    for k in range(2, len(verts) + 1):
-        layer = [
-            frozenset(sub)
-            for sub in combinations(verts, k)
-            if all(b in adj[a] for a, b in combinations(sub, 2))
-        ]
-        if not layer:
-            break
-        cliques.extend(layer)
-    return cliques
 
 
 # -- close_downward -----------------------------------------------------------
@@ -151,7 +123,7 @@ def test_flag_empty_triangle():
 def test_flag_octahedron_matches_clique_oracle(o3):
     ok, _ = is_flag(o3)
     assert ok
-    for clique in all_cliques(o3):
+    for clique in cliques_reference(o3.adjacency):
         assert o3.simplex_with_vertices(clique) is not None
 
 
@@ -296,7 +268,7 @@ def test_empty_squares_octahedron_matches_naive_scan(o3):
         frozenset({1, 3}),
         frozenset({2, 3}),
     }
-    assert {frozenset(sq.cycle) for sq in squares} == naive_chordless_squares(o3)
+    assert [sq.cycle for sq in squares] == chordless_squares_reference(o3.adjacency)
 
 
 def test_empty_squares_color_filter(o3):
@@ -325,7 +297,7 @@ def test_five_large(c4, c6):
 def test_five_large_barycentric_triangle(one_triangle):
     sub = barycentric_subdivision_2d(one_triangle, {"V": 1, "E": 2, "F": 3})
     assert is_5_large(sub)[0]
-    assert naive_chordless_squares(sub) == set()
+    assert chordless_squares_reference(sub.adjacency) == []
 
 
 def test_obes_c4(c4):
