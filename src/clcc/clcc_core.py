@@ -54,8 +54,8 @@ class CubeComplex:
     are built on first use: one cube index, each cube's dimension and
     position, which `facets`, `boundary_of`, `dim_of` and `in` read; and
     the coface table, the transpose of the facet table, which links walk.
-    `from_cells` complexes keep their vertex sets; pair-built ones pass
-    None and compute a vertex set only when asked.
+    `from_cells` and `sageev` complexes keep their vertex sets; pair-built
+    ones pass None and compute a vertex set only when asked.
     """
 
     def __init__(

@@ -120,10 +120,11 @@ def flag_complex_from_graph(
 ) -> ColoredComplex:
     """Clique (flag) completion of a colored graph: simplices are exactly
     the cliques, so the result is flag by construction.  An edge that
-    names an undeclared vertex is rejected by the build."""
-    colors = dict(vertices)
-    adj: dict[str, set[str]] = {v: set() for v in colors}
+    names an undeclared vertex, or a vertex declared with two colors, is
+    rejected by the build."""
+    vertices = list(vertices)
+    adj: dict[str, set[str]] = {v: set() for v, _ in vertices}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    return ColoredComplex.build(n, list(colors.items()), cliques(adj))
+    return ColoredComplex.build(n, vertices, cliques(adj))

@@ -190,29 +190,38 @@ class Pocset:
         return Pocset.from_relations(pair_ids, relations)
 
 
+def _halfspaces(X: CubeComplex) -> tuple[tuple, frozenset, dict]:
+    """The halfspace elements in sorted order, their strict inclusion
+    order, and each halfspace as the positions of its vertices in
+    `X.cells(0)`."""
+    op = X.opposition
+    endpoints = X.facet_positions(1)
+    count = len(X.cells(0))
+    parts: dict = {}
+    for h in range(len(op.classes)):
+        hid = f"h{h}"
+        comps = components(count, (e for e, k in zip(endpoints, op.label) if k != h))
+        if len(comps) != 2:
+            raise NotTwoSidedError(
+                f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
+            )
+        # cells(0) is in canonical order, so the first part holds the least vertex
+        parts[(hid, "-")], parts[(hid, "+")] = map(frozenset, comps)
+    elements = tuple(sorted(parts))
+    less = frozenset(
+        (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]
+    )
+    return elements, less, parts
+
+
 def halfspace_pocset(X: CubeComplex) -> Pocset:
     """Halfspaces ordered by inclusion of their vertex sets.
 
     Requires every hyperplane to be two-sided: removing its edges must
     split the 1-skeleton into exactly two components.  Quotients with
     one-sided classes (a torus, say) are rejected."""
+    elements, less, parts = _halfspaces(X)
     verts = X.cells(0)
-    op = X.opposition
-    endpoints = X.facet_positions(1)
-    parts: dict = {}  # halfspace -> the positions of its vertices
-    for h in range(len(op.classes)):
-        hid = f"h{h}"
-        comps = components(len(verts), (e for e, k in zip(endpoints, op.label) if k != h))
-        if len(comps) != 2:
-            raise NotTwoSidedError(
-                f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
-            )
-        # verts is in canonical order, so the first part holds the least vertex
-        parts[(hid, "-")], parts[(hid, "+")] = map(frozenset, comps)
-    elements = tuple(sorted(parts))
-    less = frozenset(
-        (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]
-    )
     sides = {e: frozenset(verts[i] for i in ps) for e, ps in parts.items()}
     return Pocset(elements, less, sides=sides)
 
@@ -257,42 +266,61 @@ def ultrafilters(S: Pocset) -> list[frozenset]:
 
 
 def sageev(S: Pocset) -> CubeComplex:
-    """Cube complex on the ultrafilters: edges between choices differing
-    in one conjugate pair, higher cubes filled whenever their 1-skeleton
-    is present (checked on all vertex subsets).
+    """Cube complex on the ultrafilters: a cube for each ultrafilter v
+    and set T of pairs such that switching v on any subset of T gives an
+    ultrafilter.
 
-    Cubes are grown on ultrafilter indices through a table of flips: the
-    index of u with pair p switched, or -1 when that is no ultrafilter."""
+    Cubes are grown on ultrafilter indices, each once, from its base
+    vertex: the vertex on the "-" side of every pair in T.  A cube (v, T)
+    gains a pair p beyond the largest in T where v is on the "-" side of
+    p, and (v, T + p) exists exactly when (v, T) and (w, T) do, w being v
+    switched at p.  Its facets are (v, T - q) and (v switched at q, T - q)
+    for each q in T + p, looked up in the dimension below, so the facet
+    table is written here.  The ultrafilters come in canonical order, so
+    a cube's vertex indices, sorted, are its canonical key."""
     verts = ultrafilters(S)
-    index = {u: i for i, u in enumerate(verts)}
     pair_ids = S.pair_ids
-    flips = []
-    for u in verts:
-        side = dict(u)
-        row = []
-        for pid in pair_ids:
-            e = (pid, side[pid])
-            row.append(index.get((u - {e}) | {star(e)}, -1))
-        flips.append(row)
+    bit = {pid: 1 << p for p, pid in enumerate(pair_ids)}
+    plus = [sum(bit[pid] for pid, side in u if side == "+") for u in verts]
+    index = {m: i for i, m in enumerate(plus)}
+    # ups[v]: each pair p where v is on the "-" side, with v switched at p
+    ups = []
+    for m in plus:
+        switched = ((p, index.get(m | 1 << p)) for p in range(len(pair_ids)) if not m >> p & 1)
+        ups.append([(p, w) for p, w in switched if w is not None])
 
-    cells: dict[int, list] = {0: [frozenset({u}) for u in verts]}
-    level = [(frozenset({i}), frozenset()) for i in range(len(verts))]
+    cells: dict[int, list] = {0: verts}
+    vsets: dict = {u: frozenset({u}) for u in verts}
+    positions: dict[int, list] = {}
+    # (base, mask of T) -> (vertex indices, T, position in cells(d))
+    level = {(i, 0): ((i,), (), i) for i in range(len(verts))}
     d = 0
     while level:
-        nxt = {}
-        for cube, toggled in level:
-            for p in range(len(pair_ids)):
-                if p in toggled:
-                    continue
-                flipped = [flips[i][p] for i in cube]
-                if -1 not in flipped:
-                    nxt.setdefault(cube.union(flipped), toggled | {p})
-        if not nxt:
+        grown = []
+        for (v, mask), (vs, toggled, _) in level.items():
+            last = toggled[-1] if toggled else -1
+            for p, w in ups[v]:
+                other = level.get((w, mask)) if p > last else None
+                if other is not None:
+                    cube = vs + other[0]
+                    grown.append((tuple(sorted(cube)), v, mask | 1 << p, cube, toggled + (p,)))
+        if not grown:
             break
         d += 1
-        cells[d] = [frozenset(verts[i] for i in cube) for cube in nxt]
-        level = list(nxt.items())
-    return CubeComplex.from_cells(cells)
+        grown.sort()
+        table = positions[d] = []
+        nxt = {}
+        for q, (_, v, mask, vs, toggled) in enumerate(grown):
+            fs = []
+            for j, p in enumerate(toggled):
+                m = mask ^ 1 << p
+                fs += (level[(v, m)][2], level[(vs[1 << j], m)][2])
+            table.append(tuple(sorted(fs)))
+            nxt[(v, mask)] = (vs, toggled, q)
+        cells[d] = [frozenset([verts[i] for i in vs]) for _, _, _, vs, _ in grown]
+        vsets.update(zip(cells[d], cells[d]))
+        level = nxt
+    return CubeComplex(cells, positions, vsets)
 
 
 def roller_duality_check(X: CubeComplex):
@@ -300,34 +328,31 @@ def roller_duality_check(X: CubeComplex):
 
     The natural map sends a vertex to the set of halfspaces containing
     it; success means that map is a cube-complex isomorphism.  Returns
-    (verdict, vertex bijection or None)."""
-    P = halfspace_pocset(X)
-    Y = sageev(P)
-    sides = P.sides or {}
-    by_h: dict = {}
-    for (hid, side), vs in sides.items():
-        by_h.setdefault(hid, []).append(((hid, side), vs))
+    (verdict, vertex bijection or None).
 
-    def embed(v) -> frozenset:
-        out = []
-        for hid, options in by_h.items():
-            hits = [e for e, vs in options if v in vs]
-            if len(hits) != 1:
-                raise DomainError(f"vertex {v!r} not on exactly one side of {hid}")
-            out.append(hits[0])
-        return frozenset(out)
-
-    mapping = {v: embed(v) for v in X.cells(0)}
-    y_verts = set(Y.cells(0))
-    if len(set(mapping.values())) != len(mapping) or set(mapping.values()) != y_verts:
+    The vertices of X are sent to their ultrafilters' positions in the
+    rebuild Y once; then, one dimension at a time, a d-cell of X goes to
+    the d-cell of Y whose facets are the images of its facets.  Cells
+    are determined by their facets, so this compares the facet tables
+    and reads no vertex sets."""
+    elements, less, parts = _halfspaces(X)
+    Y = sageev(Pocset(elements, less))
+    verts = X.cells(0)
+    sides: list = [[] for _ in verts]
+    for e in elements:
+        for i in parts[e]:
+            sides[i].append(e)
+    mapping = {v: frozenset(es) for v, es in zip(verts, sides)}
+    at = {u: i for i, u in enumerate(Y.cells(0))}
+    image = [at.get(u) for u in mapping.values()]
+    if len(verts) != len(at) or None in image or len(set(image)) != len(image):
         return False, None
     for d in range(1, max(X.top_dim, Y.top_dim) + 1):
-        xs = X.cells(d)
-        ys = set(Y.cells(d))
+        xs, ys = X.facet_positions(d), Y.facet_positions(d)
         if len(xs) != len(ys):
             return False, None
-        for c in xs:
-            image = frozenset(mapping[v] for v in X.vertices_of(c))
-            if image not in ys:
-                return False, None
+        at = {fs: q for q, fs in enumerate(ys)}
+        image = [at.get(tuple(sorted([image[f] for f in fs]))) for fs in xs]
+        if None in image:
+            return False, None
     return True, mapping

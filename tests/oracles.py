@@ -6,8 +6,11 @@ and a hand-made torus triangulation.  Nothing here calls the pair
 builder.  The naive references at the end recompute the canonical orders,
 facets, cofaces, links, boundary matrices, hyperplanes, crossing graphs,
 flag witnesses, pocset closures and ultrafilter cubes that the library
-derives from ranks, bitsets, facet and coface tables, integer edge
-indices and flip tables.
+derives from ranks, bitsets, facet and coface tables and integer edge
+indices; `sageev_reference` and `roller_duality_check_reference` keep
+the ultrafilter complex grown by flips and ranked by `from_cells`, and
+the duality verdict read from vertex sets, that the written facet table
+and the table comparison replace.
 The last ones are the pruning loop and the per-color-pair subcomplex
 scans that the factor predicates replace by a closed form and one square
 scan per complex, and the brute-force graph walks (every vertex subset,
@@ -21,7 +24,7 @@ from itertools import combinations, permutations, product
 from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex, smartly_paired
 from clcc.errors import DomainError
-from clcc.pocset_hyperplanes import CrossingGraph, star
+from clcc.pocset_hyperplanes import CrossingGraph, halfspace_pocset, star, ultrafilters
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
     ColoredComplex,
@@ -128,19 +131,21 @@ def csaszar_torus() -> SimplicialComplex:
 
 def from_cells_reference(cells) -> tuple[dict, dict]:
     """Cells per dimension and the facets of each cell, both sorted by
-    canon_key, facets found by comparing a cell with every cell one
-    dimension down."""
+    canon_key (computed once per cell), facets found by comparing a cell
+    with every cell one dimension down."""
     by_dim = {
         d: [next(iter(c)) if d == 0 else frozenset(c) for c in layer]
         for d, layer in cells.items()
     }
     vsets = {cid: frozenset([cid]) if d == 0 else cid for d, ids in by_dim.items() for cid in ids}
+    key = {cid: canon_key(cid) for cid in vsets}
     facets = {}
     for d, ids in by_dim.items():
         for cid in ids:
             lower = by_dim.get(d - 1, []) if d else []
-            facets[cid] = tuple(csorted(f for f in lower if vsets[f] <= vsets[cid]))
-    return {d: tuple(csorted(ids)) for d, ids in by_dim.items() if ids}, facets
+            inside = [f for f in lower if vsets[f] <= vsets[cid]]
+            facets[cid] = tuple(sorted(inside, key=key.__getitem__))
+    return {d: tuple(sorted(ids, key=key.__getitem__)) for d, ids in by_dim.items() if ids}, facets
 
 
 def hyperplane_classes_reference(X) -> list[tuple]:
@@ -294,6 +299,74 @@ def sageev_cells_reference(S) -> dict[int, set]:
         cells[d] = set(nxt)
         level = list(nxt.items())
     return cells
+
+
+def sageev_reference(S) -> CubeComplex:
+    """The ultrafilter complex grown through a table of single-pair flips,
+    each d-cube built from each of its 2d facets and deduplicated, then
+    handed to CubeComplex.from_cells as vertex sets, which ranks the
+    vertices and infers the facets by inclusion."""
+    verts = ultrafilters(S)
+    index = {u: i for i, u in enumerate(verts)}
+    flips = []
+    for u in verts:
+        side = dict(u)
+        row = []
+        for pid in S.pair_ids:
+            e = (pid, side[pid])
+            row.append(index.get((u - {e}) | {star(e)}, -1))
+        flips.append(row)
+    cells: dict[int, list] = {0: [frozenset({u}) for u in verts]}
+    level = [(frozenset({i}), frozenset()) for i in range(len(verts))]
+    d = 0
+    while level:
+        nxt = {}
+        for cube, toggled in level:
+            for p in range(len(S.pair_ids)):
+                if p in toggled:
+                    continue
+                flipped = [flips[i][p] for i in cube]
+                if -1 not in flipped:
+                    nxt.setdefault(cube.union(flipped), toggled | {p})
+        if not nxt:
+            break
+        d += 1
+        cells[d] = [frozenset(verts[i] for i in cube) for cube in nxt]
+        level = list(nxt.items())
+    return CubeComplex.from_cells(cells)
+
+
+def roller_duality_check_reference(X: CubeComplex):
+    """The duality verdict by vertex sets: each vertex goes to the
+    halfspaces whose side holds it, and each cell's image vertex set must
+    be a cell of sageev_reference of the halfspace pocset."""
+    P = halfspace_pocset(X)
+    Y = sageev_reference(P)
+    by_h: dict = {}
+    for (hid, side), vs in P.sides.items():
+        by_h.setdefault(hid, []).append(((hid, side), vs))
+
+    def embed(v) -> frozenset:
+        out = []
+        for hid, options in by_h.items():
+            hits = [e for e, vs in options if v in vs]
+            if len(hits) != 1:
+                raise DomainError(f"vertex {v!r} not on exactly one side of {hid}")
+            out.append(hits[0])
+        return frozenset(out)
+
+    mapping = {v: embed(v) for v in X.cells(0)}
+    if len(set(mapping.values())) != len(mapping) or set(mapping.values()) != set(Y.cells(0)):
+        return False, None
+    for d in range(1, max(X.top_dim, Y.top_dim) + 1):
+        xs = X.cells(d)
+        ys = set(Y.cells(d))
+        if len(xs) != len(ys):
+            return False, None
+        for c in xs:
+            if frozenset(mapping[v] for v in X.vertices_of(c)) not in ys:
+                return False, None
+    return True, mapping
 
 
 # ----------------------------------------------------------------------

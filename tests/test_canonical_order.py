@@ -1,11 +1,16 @@
 """The builders rank their atoms once and hand CubeComplex its cells in
 canonical order; the pocset code closes relations on bitsets and grows
-ultrafilter cubes through a flip table.  Every order and every result is
-compared here with the naive canon_key sorts and the fixed-point and
-dict-flip references in oracles.py, with ==, never through repr (a
-frozenset's iteration order depends on how it was built)."""
+each ultrafilter cube once, from its base vertex.  Every order and every
+result is compared here with the naive canon_key sorts and the
+fixed-point and dict-flip references in oracles.py, with ==, never
+through repr (a frozenset's iteration order depends on how it was
+built).  `sageev` writes its own facet table and `roller_duality_check`
+compares facet tables; both are checked against the `from_cells` and
+vertex-set references they replace."""
 
 from __future__ import annotations
+
+from math import comb
 
 import pytest
 
@@ -17,6 +22,7 @@ from clcc.pocset_hyperplanes import (
     Pocset,
     halfspace_pocset,
     hyperplanes,
+    roller_duality_check,
     sageev,
     star,
     ultrafilters,
@@ -36,7 +42,9 @@ from oracles import (
     from_cells_reference,
     hyperplane_classes_reference,
     k_gamma_complex,
+    roller_duality_check_reference,
     sageev_cells_reference,
+    sageev_reference,
     subdivided_k_gamma,
     ultrafilters_reference,
 )
@@ -46,21 +54,30 @@ def assert_canonical(X: CubeComplex) -> None:
     """Cells, facets, cofaces and hyperplane classes in canon_key order;
     facets equal to the cells one dimension down that a cell contains,
     and the coface table, as ascending positions, to the cells one
-    dimension up that contain it."""
+    dimension up that contain it.  canon_key and the vertex set of each
+    cell are computed once."""
+    cubes = [c for d in range(X.top_dim + 1) for c in X.cells(d)]
+    key = {c: canon_key(c) for c in cubes}
+    vertices = {c: X.vertices_of(c) for c in cubes}
+
+    def in_order(cs) -> bool:
+        keys = [key[c] for c in cs]
+        return keys == sorted(keys)
+
     for d in range(X.top_dim + 1):
         cells = X.cells(d)
-        assert list(cells) == csorted(cells)
+        assert in_order(cells)
         below = X.cells(d - 1) if d else ()
         for c in cells:
-            assert list(X.facets(c)) == csorted(X.facets(c))
-            assert set(X.facets(c)) == {f for f in below if X.vertices_of(f) <= X.vertices_of(c)}
+            assert in_order(X.facets(c))
+            assert set(X.facets(c)) == {f for f in below if vertices[f] <= vertices[c]}
     cofaces = cofaces_reference(X)
     for d in range(X.top_dim + 1):
         table = X._cofaces[d]
         assert all(list(qs) == sorted(qs) for qs in table)
         ups = [tuple(X.cells(d + 1)[q] for q in qs) for qs in table]
         assert ups == [cofaces[c] for c in X.cells(d)]
-        assert all(list(us) == csorted(us) for us in ups)
+        assert all(in_order(us) for us in ups)
     assert [hp.edges for hp in hyperplanes(X)] == hyperplane_classes_reference(X)
 
 
@@ -90,10 +107,12 @@ def test_grids_and_trees_match_reference():
     for rows, cols in ((1, 1), (2, 3), (4, 4), (1, 6)):
         X = assert_matches_reference(grid_cells(rows, cols))
         assert_halfspaces_canonical(X)
+        assert roller_duality_check(X) == roller_duality_check_reference(X)
     for edges in ([("v0", "v1"), ("v1", "v2")], [("c", "l0"), ("c", "l1"), ("c", "l2")]):
         X = tree_complex(edges)
         cells = {d: [X.vertices_of(c) for c in X.cells(d)] for d in range(X.top_dim + 1)}
         assert_halfspaces_canonical(assert_matches_reference(cells))
+        assert roller_duality_check(X) == roller_duality_check_reference(X)
 
 
 def test_cells_given_out_of_order_match_reference():
@@ -144,6 +163,21 @@ def test_colored_complex_orders_are_canonical():
         assert list(K.maximal_simplices) == csorted(K.maximal_simplices)
 
 
+def assert_sageev_matches_reference(S: Pocset) -> CubeComplex:
+    """sageev equals the flip-grown, from_cells-ranked reference in cells,
+    vertex sets and facet tables, and its duality verdict and mapping
+    equal the vertex-set reference's."""
+    Y, ref = sageev(S), sageev_reference(S)
+    assert Y.top_dim == ref.top_dim
+    for d in range(ref.top_dim + 1):
+        assert Y.cells(d) == ref.cells(d)
+        assert Y.facet_positions(d) == ref.facet_positions(d)
+        assert [Y.vertices_of(c) for c in Y.cells(d)] == [ref.vertices_of(c) for c in ref.cells(d)]
+    verdict = roller_duality_check(Y)
+    assert verdict[0] and verdict == roller_duality_check_reference(Y)
+    return Y
+
+
 def test_random_pocsets_match_references():
     r = rng(904)
     for _ in range(40):
@@ -151,13 +185,22 @@ def test_random_pocsets_match_references():
         U = ultrafilters(S)
         assert U == csorted(U)
         assert U == ultrafilters_reference(S)
-        Y = sageev(S)
+        Y = assert_sageev_matches_reference(S)
         ref = sageev_cells_reference(S)
         assert {d: {Y.vertices_of(c) for c in Y.cells(d)} for d in range(Y.top_dim + 1)} == ref
         assert_matches_reference({d: list(cs) for d, cs in ref.items()})
         assert_halfspaces_canonical(Y)
         for e in S.elements:
             assert list(S.above[e]) == csorted(y for x, y in S.less if x == e)
+    for m in range(7):
+        Y = assert_sageev_matches_reference(Pocset.from_relations([f"p{i}" for i in range(m)], []))
+        assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [
+            comb(m, d) * 2 ** (m - d) for d in range(m + 1)
+        ]
+    chain = [f"c{i:02d}" for i in range(30)]
+    S = Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
+    Y = assert_sageev_matches_reference(S)
+    assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [31, 30]
 
 
 def _axioms_hold(elements, less) -> bool:

@@ -20,7 +20,7 @@ from clcc import (
     is_connected,
     is_flag,
 )
-from clcc.errors import DomainError
+from clcc.errors import ComplexError, DomainError
 
 from oracles import (
     csaszar_torus,
@@ -232,3 +232,10 @@ def test_barycentric_pair_rejects_same_edge_color(tetra_boundary, one_triangle):
 def test_flag_complex_from_graph_rejects_an_edge_to_an_undeclared_vertex():
     with pytest.raises(DomainError, match="unknown vertex id 'zz'"):
         flag_complex_from_graph(2, [("x", 1), ("y", 2)], [("x", "y"), ("y", "zz")])
+
+
+def test_flag_complex_from_graph_rejects_a_vertex_declared_with_two_colors():
+    with pytest.raises(ComplexError, match="vertex 'x' declared with two colors"):
+        flag_complex_from_graph(2, [("x", 1), ("x", 2), ("y", 1)], [("x", "y")])
+    K = flag_complex_from_graph(2, [("x", 1), ("x", 1), ("y", 2)], [("x", "y")])
+    assert K.vertices == (("x", 1), ("y", 2))

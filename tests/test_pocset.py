@@ -2,7 +2,8 @@ from collections import deque
 
 import pytest
 
-from clcc import build_clcc, gen_cycle
+from clcc import ColoredComplex, build_clcc, gen_cycle, gen_racg_pair
+from clcc.clcc_core import CubeComplex
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.pocset_hyperplanes import (
     Pocset,
@@ -18,6 +19,7 @@ from clcc.pocset_hyperplanes import (
 
 from conftest import grid_complex, tree_complex
 from corpus import random_pocset, rng
+from oracles import roller_duality_check_reference
 
 
 def four_cycle():
@@ -25,8 +27,6 @@ def four_cycle():
 
 
 def _cycle_complex(n):
-    from clcc.clcc_core import CubeComplex
-
     verts = [f"c{i}" for i in range(n)]
     edges = [frozenset({f"c{i}", f"c{(i + 1) % n}"}) for i in range(n)]
     return CubeComplex.from_cells({0: [frozenset({v}) for v in verts], 1: edges})
@@ -298,14 +298,38 @@ def test_hollow_cube_fails_duality():
         for pos in range(3)
         for val in "01"
     ]
-    from clcc.clcc_core import CubeComplex
-
     hollow = CubeComplex.from_cells(
         {0: [frozenset({v}) for v in corners], 1: edges, 2: squares}
     )
     assert len(hyperplanes(hollow)) == 3
-    ok, _ = roller_duality_check(hollow)
-    assert not ok
+    assert roller_duality_check(hollow) == roller_duality_check_reference(hollow) == (False, None)
+
+
+def test_duality_check_reads_no_vertex_sets(monkeypatch):
+    """The check compares facet tables: no cube's vertex set is read, on
+    pair-built complexes (the tree-like pair of a one-vertex gamma, as
+    built and as loaded from JSON, and the subdivided square of an edge)
+    or on a sageev complex."""
+    point = ColoredComplex.build(1, [("v1", 1)], [["v1"]])
+    edge = ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]])
+    tree = build_clcc(*gen_racg_pair(point))
+    hosts = [
+        tree,
+        CubeComplex.from_json_dict(tree.to_json_dict()),
+        build_clcc(*gen_racg_pair(edge)),
+        sageev(Pocset.from_relations(["h", "k", "m"], [(("h", "+"), ("k", "+"))])),
+    ]
+    assert all(X.has_pair_origin for X in hosts[:3])
+    calls = []
+    vertices_of = CubeComplex.vertices_of
+    monkeypatch.setattr(
+        CubeComplex, "vertices_of", lambda X, cube: calls.append(cube) or vertices_of(X, cube)
+    )
+    verdicts = [roller_duality_check(X) for X in hosts]
+    assert calls == []
+    monkeypatch.undo()
+    assert all(ok for ok, _ in verdicts)
+    assert verdicts == [roller_duality_check_reference(X) for X in hosts]
 
 
 def test_pocset_roundtrip_small():
