@@ -19,7 +19,7 @@ from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
-from clcc.errors import ComplexError, DomainError, PairError
+from clcc.errors import ComplexError, DomainError
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
     ColoredComplex,
@@ -28,6 +28,7 @@ from clcc.simplicial import (
     SimplicialComplex,
     _chordless_squares,
     check_color_count,
+    check_same_color_count,
     components,
     is_flag,
     pure_dimensional,
@@ -54,21 +55,21 @@ class CubeComplex:
     are built on first use: one cube index, each cube's dimension and
     position, which `facets`, `boundary_of`, `dim_of` and `in` read; and
     the coface table, the transpose of the facet table, which links walk.
-    `from_cells` and `sageev` complexes keep their vertex sets; pair-built
-    ones pass None and compute a vertex set only when asked.
+    No vertex sets are stored: a `from_cells` or `sageev` cell of
+    dimension d >= 1 is its own vertex set, and a vertex v has {v}; a
+    pair-built cube's vertex set is computed when asked.  Only pair-built
+    complexes have a color count `n`.
     """
 
     def __init__(
         self,
         cubes_by_dim: Mapping[int, tuple],
         facet_positions: Mapping[int, tuple],
-        vertex_sets: Optional[Mapping[CubeId, frozenset]],
         n: Optional[int] = None,
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
     ):
         self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
         self._facet_positions = {d: tuple(facet_positions[d]) for d in self._cubes_by_dim if d}
-        self._vsets = None if vertex_sets is None else dict(vertex_sets)
         self.n = n
         self.defining_pair = defining_pair
 
@@ -133,15 +134,15 @@ class CubeComplex:
                         f"{d}-cube {set(cell)} has {len(fs)} facets, expected {2 * d}"
                     )
                 table.append(tuple(fs))
-        return CubeComplex(ordered, positions, vsets)
+        return CubeComplex(ordered, positions)
 
     # -- queries ---------------------------------------------------------
 
     @property
     def has_pair_origin(self) -> bool:
-        """Built from cube pairs (a, b): the one builder that stores no
-        vertex sets."""
-        return self._vsets is None
+        """Built from cube pairs (a, b): the one builder that gives a color
+        count."""
+        return self.n is not None
 
     @property
     def top_dim(self) -> int:
@@ -179,13 +180,12 @@ class CubeComplex:
         return cube in self._index
 
     def vertices_of(self, cube: CubeId) -> frozenset:
-        """The vertex set of a cube.  Pair-built complexes store none and
-        compute it on each call."""
-        if self._vsets is not None:
-            return self._vsets[cube]
-        if cube not in self._index:
-            raise KeyError(cube)
-        return _cube_vertices(*cube)
+        """The vertex set of a cube, computed on each call for a pair-built
+        complex."""
+        d = self._index[cube][0]
+        if self.has_pair_origin:
+            return _cube_vertices(*cube)
+        return cube if d else frozenset({cube})
 
     def facets(self, cube: CubeId) -> tuple:
         d, p = self._index[cube]
@@ -254,16 +254,9 @@ class CubeComplex:
     def to_json_dict(self) -> dict:
         if not self.has_pair_origin:
             raise DomainError("only pair-built complexes have a JSON form")
-        cubes = []
-        for d in sorted(self._cubes_by_dim):
-            for a, b in self._cubes_by_dim[d]:
-                cubes.append(
-                    {
-                        "a": {str(c): v for c, v in a.entries},
-                        "b": {str(c): v for c, v in b.entries},
-                        "dim": d,
-                    }
-                )
+        cubes = [
+            {**cube_json(cube), "dim": d} for d, cs in self._cubes_by_dim.items() for cube in cs
+        ]
         return {"n": self.n, "cubes": cubes}
 
     @staticmethod
@@ -273,22 +266,22 @@ class CubeComplex:
 
         The cube sides span a pair of factors, and every cube of the
         document is a cube of that pair.  So a document that is all the
-        cubes of that pair comes back as its complex, with `defining_pair`
-        set, and its links take the join formula.  One budget, tied to
-        the document's cube count, bounds the work: the spanning stops
-        once a factor has more than _FACES_PER_CUBE faces per cube, and
-        the cube enumeration once it has more cubes than the document.
-        Then, or when a vertex id has two colors in one factor, the cubes
-        are assembled as given, with no pair."""
+        cubes of that pair gets it as `defining_pair`, and its links take
+        the join formula.  The cubes are assembled once, as given; one
+        budget, tied to their count, bounds the search for the pair: the
+        spanning stops once a factor has more than _FACES_PER_CUBE faces
+        per cube, and the cube enumeration once it has more cubes than the
+        document.  Then, or when a vertex id has two colors in one factor,
+        the complex has no pair."""
         n, cubes, sides_a, sides_b = _read_cube_document(doc)
-        count = len({(id(a), id(b)) for a, b in cubes})  # equal sides are one object
+        X = _assemble_pair_cubes(n, cubes, defining_pair=None)
+        count = sum(map(len, X._cubes_by_dim.values()))
         budget = _FACES_PER_CUBE * count
         pair = (_spanned_factor(n, sides_a, budget), _spanned_factor(n, sides_b, budget))
-        if pair[0] is not None and pair[1] is not None:
-            pairs = _covering_pairs(*pair, limit=count)
-            if pairs is not None:  # at most the document's cubes, all among them
-                return _assemble_pair_cubes(n, pairs, defining_pair=pair)
-        return _assemble_pair_cubes(n, cubes, defining_pair=None)
+        if None not in pair and _covering_pairs(*pair, limit=count) is not None:
+            # at most the document's cubes, all among them: the same cubes
+            X.defining_pair = pair
+        return X
 
 
 class Opposition(NamedTuple):
@@ -328,6 +321,12 @@ def _opposition_walk(X: CubeComplex) -> Opposition:
 # ----------------------------------------------------------------------
 # construction from a colored pair
 # ----------------------------------------------------------------------
+
+
+def cube_json(cube) -> dict:
+    """The JSON form of a pair-built cube (a, b), without its dimension."""
+    a, b = cube
+    return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
 
 
 def complementary(a: CoordSimplex, b: CoordSimplex, n: int) -> bool:
@@ -402,7 +401,7 @@ def _assemble_pair_cubes(n, pairs, defining_pair):
             _raise_missing_facet(side_a[ia], side_b[ib], present)
         fs.sort()
         positions[len(overlap)].append(tuple(fs))
-    return CubeComplex(by_dim, positions, None, n=n, defining_pair=defining_pair)
+    return CubeComplex(by_dim, positions, n=n, defining_pair=defining_pair)
 
 
 def _raise_missing_facet(a: CoordSimplex, b: CoordSimplex, present) -> None:
@@ -447,8 +446,7 @@ def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     cube dimension and faces shrink either side on an overlap color.  When
     the largest simplices of the two sides together have fewer than n
     colors, no pair covers and the complex is empty."""
-    if gamma_a.n != gamma_b.n:
-        raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+    check_same_color_count(gamma_a, gamma_b)
     pairs = _covering_pairs(gamma_a, gamma_b)
     return _assemble_pair_cubes(gamma_a.n, pairs, defining_pair=(gamma_a, gamma_b))
 
@@ -576,8 +574,7 @@ def smartly_paired(
     """Every maximal simplex on each side has a complementary simplex on
     the other.  The empty simplex complements a full-cover simplex and is
     always available."""
-    if gamma_a.n != gamma_b.n:
-        raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+    check_same_color_count(gamma_a, gamma_b)
     for side, K, other in (("A", gamma_a, gamma_b), ("B", gamma_b, gamma_a)):
         for m in K.maximal_simplices:
             if not other.partners(m.colors):
@@ -618,8 +615,7 @@ def prune_to_smart_pair(
     included; a pair with no complementary simplices at all collapses to
     two empty complexes (which are not smartly paired for n >= 1).
     """
-    if gamma_a.n != gamma_b.n:
-        raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+    check_same_color_count(gamma_a, gamma_b)
     kept = []
     for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
         partnered = [
@@ -669,8 +665,7 @@ def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
     empty provided the witness covers every color).  Containment is
     tested on entry sets: B-parts that clash on a color are contained in
     no simplex, so they need no check of their own."""
-    if gamma_a.n != gamma_b.n:
-        raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+    check_same_color_count(gamma_a, gamma_b)
     nodes = [(m, b) for m in gamma_a.maximal_simplices for b in gamma_b.partners(m.colors)]
     edges = set()
     for (a1, b1), (a2, b2) in combinations(nodes, 2):
@@ -795,8 +790,7 @@ class _JoinLinks:
     same simplex has other links in other complexes."""
 
     def __init__(self, gamma_a: ColoredComplex, gamma_b: ColoredComplex):
-        if gamma_a.n != gamma_b.n:
-            raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+        check_same_color_count(gamma_a, gamma_b)
         self.gamma_a, self.gamma_b = gamma_a, gamma_b
         self._memo_a: dict = {}
         self._memo_b: dict = {}

@@ -3,12 +3,13 @@
 All subcommands read JSON (`-` = stdin), write canonical JSON payloads to
 stdout, and are pipeline-composable.  Exit codes: 0 success, 1 domain
 error (with a structured error payload), 2 usage error.  A one-line run
-report goes to stderr; `--report` upgrades it to JSON with input digests
-and timings.
+report goes to stderr; `--report` upgrades it to JSON with the digest of
+every document the command read, and timings.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import sys
@@ -23,6 +24,7 @@ from clcc.clcc_core import (
     build_clcc,
     classify_vertex_links,
     conn_graph,
+    cube_json,
     dimension,
     euler_characteristic,
     is_connected,
@@ -58,10 +60,15 @@ PRESET_2COMPLEXES = {
 }
 
 
-def _read_doc(src: str) -> dict:
+# The documents the running command has read, by role; set by `_command`.
+_INPUTS: contextvars.ContextVar[dict] = contextvars.ContextVar("inputs")
+
+
+def _read_doc(src: str, role: str) -> dict:
     """The JSON object in a file or, for "-", on stdin; every document the
     commands read is an object.  Both are decoded as strict UTF-8, so
-    stdin does not take the locale's error handler."""
+    stdin does not take the locale's error handler.  The document is
+    recorded under `role` in the running command's inputs."""
     try:
         if src == "-":
             doc = json.loads(sys.stdin.buffer.read().decode("utf-8"))
@@ -77,6 +84,7 @@ def _read_doc(src: str) -> dict:
         raise ComplexError(f"cannot read {src}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ComplexError(f"expected a JSON object in {src}, got {type(doc).__name__}")
+    _INPUTS.get()[role] = doc
     return doc
 
 
@@ -125,14 +133,30 @@ def _pair_doc(ga: ColoredComplex, gb: ColoredComplex) -> dict:
     return {"gamma_a": ga.to_json_dict(), "gamma_b": gb.to_json_dict()}
 
 
+# What a command declaring `reads=kind` gets as its first argument: the
+# document of that kind, parsed.  The kind is also the document's role.
+_READERS = {
+    "pair": _load_pair,
+    "complex": CubeComplex.from_json_dict,
+    "pocset": Pocset.from_json_dict,
+    "input": lambda doc: doc,
+}
+
+
 @click.group()
 def main():
     """Coupled-link cube complexes: build, measure, certify."""
 
 
-def _command(name: str, failure=None):
-    """Register a subcommand of `main` whose body returns (payload, inputs),
-    `inputs` naming the documents it read; the wrapper adds --report.
+def _command(name: str, reads=None, failure=None):
+    """Register a subcommand of `main` whose body returns its payload; the
+    wrapper adds --report.
+
+    A command that `reads` a kind of document ("pair", "complex",
+    "pocset" or the raw "input") gets the INPUT_SRC argument (default
+    "-"), and its body gets that document, read and parsed through
+    `_READERS`, as its first argument.  Every document read through
+    `_read_doc` while the command runs is recorded under its role.
 
     The wrapper times the body, maps a DomainError to exit 1 with an error
     payload on stdout, and otherwise writes the canonical payload to
@@ -152,13 +176,21 @@ def _command(name: str, failure=None):
         @functools.wraps(body)
         def run(out=None, report=False, **params):
             t0 = time.perf_counter()
+            inputs: dict = {}
+            token = _INPUTS.set(inputs)
             try:
-                payload, inputs = body(**params)
+                if reads:
+                    doc = _read_doc(params.pop("input_src"), reads)
+                    payload = body(_READERS[reads](doc), **params)
+                else:
+                    payload = body(**params)
             except DomainError as exc:
                 error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
                 click.echo(canonical_json({"error": error}), file=sys.stdout)
                 click.echo(f"clcc {name}: error: {exc}", file=sys.stderr)
                 sys.exit(1)
+            finally:
+                _INPUTS.reset(token)
             text = canonical_json(payload)
             if out and out != "-":
                 with open(out, "w", encoding="utf-8") as fh:
@@ -179,6 +211,8 @@ def _command(name: str, failure=None):
                 sys.exit(1)
 
         command = main.command(name)(run)
+        if reads:
+            command.params.append(click.Argument(["input_src"], default="-", required=False))
         command.params.append(click.Option(["--report"], is_flag=True,
                                            help="JSON run report on stderr"))
         return command
@@ -207,36 +241,31 @@ def _command(name: str, failure=None):
 @click.option("--out", default=None, help="output path (default stdout)")
 def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
     """Emit a ready-made complex or pair."""
-    inputs = {}
     if family == "surface":
-        a, b = generators.gen_surface_pair(ka, kb)
-        payload = _pair_doc(a, b)
-    elif family == "cycle":
-        payload = generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
-    elif family == "crosspolytope":
-        payload = generators.gen_cross_polytope(nn).to_json_dict()
-    elif family in ("salvetti", "racg"):
+        return _pair_doc(*generators.gen_surface_pair(ka, kb))
+    if family == "cycle":
+        return generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
+    if family == "crosspolytope":
+        return generators.gen_cross_polytope(nn).to_json_dict()
+    if family in ("salvetti", "racg"):
         if gamma is None:
             raise ComplexError(f"{family} needs --gamma")
-        doc = _read_doc(gamma)
-        inputs["gamma"] = doc
-        g = ColoredComplex.from_json_dict(doc)
+        g = ColoredComplex.from_json_dict(_read_doc(gamma, "gamma"))
         make = generators.gen_salvetti_pair if family == "salvetti" else generators.gen_racg_pair
-        payload = _pair_doc(*make(g))
-    else:  # barycentric
-        if gamma is None or lam is None:
-            raise ComplexError("barycentric needs --gamma and --lam")
+        return _pair_doc(*make(g))
+    # barycentric
+    if gamma is None or lam is None:
+        raise ComplexError("barycentric needs --gamma and --lam")
 
-        def load2(src):
-            if src in PRESET_2COMPLEXES:
-                return PRESET_2COMPLEXES[src]()
-            return SimplicialComplex.from_json_dict(_read_doc(src))
+    def load2(src, role):
+        if src in PRESET_2COMPLEXES:
+            return PRESET_2COMPLEXES[src]()
+        return SimplicialComplex.from_json_dict(_read_doc(src, role))
 
-        cmap_a = dict(zip(("V", "E", "F"), colors_a))
-        cmap_b = dict(zip(("V", "E", "F"), colors_b))
-        pair = generators.gen_barycentric_pair(load2(gamma), load2(lam), cmap_a, cmap_b)
-        payload = _pair_doc(*pair)
-    return payload, inputs
+    cmap_a = dict(zip(("V", "E", "F"), colors_a))
+    cmap_b = dict(zip(("V", "E", "F"), colors_b))
+    return _pair_doc(*generators.gen_barycentric_pair(
+        load2(gamma, "gamma"), load2(lam, "lam"), cmap_a, cmap_b))
 
 
 # -- build ---------------------------------------------------------------
@@ -248,10 +277,8 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
 @click.option("--out", default=None)
 def build(input_src, pair_opt):
     """Build the cube complex of a pair."""
-    doc = _read_doc(pair_opt or input_src)
-    ga, gb = _load_pair(doc)
-    X = build_clcc(ga, gb)
-    return X.to_json_dict(), {"pair": doc}
+    ga, gb = _load_pair(_read_doc(pair_opt or input_src, "pair"))
+    return build_clcc(ga, gb).to_json_dict()
 
 
 # -- check ---------------------------------------------------------------
@@ -281,7 +308,7 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
         raise click.UsageError("choose exactly one property and at most one input")
     prop = chosen[0]
     input_src = positional[0] if positional else "-"
-    doc = _read_doc(input_src)
+    doc = _read_doc(input_src, "input")
     witness = None
     if prop in ("flag", "5large", "obes"):
         K = ColoredComplex.from_json_dict(doc)
@@ -311,62 +338,53 @@ def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
             witness = {"method": method}
             if w:
                 v, clique = w
-                witness["vertex"] = hz2._cell_json(v)
+                witness["vertex"] = cube_json(v)
                 witness["clique"] = [str(x) for x in clique]
-    return {"property": prop, "holds": holds, "witness": witness}, {"input": doc}
+    return {"property": prop, "holds": holds, "witness": witness}
 
 
 # -- link ------------------------------------------------------------------
 
 
-@_command("link")
-@click.argument("input_src", default="-", required=False)
+@_command("link", reads="pair")
 @click.option("--a", "a", default="{}", callback=_simplex_option,
               help='A-side simplex, e.g. {"1": "a0"}')
 @click.option("--b", "b", default="{}", callback=_simplex_option, help="B-side simplex")
 @click.option("--out", default=None)
-def link(input_src, a, b):
+def link(pair, a, b):
     """Link of a cube of the pair complex (join of the two simplex links)."""
-    doc = _read_doc(input_src)
-    ga, gb = _load_pair(doc)
-    X = build_clcc(ga, gb)
+    X = build_clcc(*pair)
     L = link_of_cube(X, (a, b))
     pretty = L.relabeled(
         {v: (f"{v[0]}:{v[1]}" if isinstance(v, tuple) else v) for v in L.vertex_ids}
     )
-    return pretty.to_json_dict(), {"pair": doc}
+    return pretty.to_json_dict()
 
 
 # -- connect -----------------------------------------------------------------
 
 
-@_command("connect")
-@click.argument("input_src", default="-", required=False)
-def connect(input_src):
+@_command("connect", reads="pair")
+def connect(pair):
     """Connectedness by BFS and, when smartly paired, by the criterion graph."""
-    doc = _read_doc(input_src)
-    ga, gb = _load_pair(doc)
+    ga, gb = pair
     bfs = is_connected(ga, gb, engine="bfs")
     smart, _ = smartly_paired(ga, gb)
     graph = conn_graph(ga, gb) if smart else None
     crit = graph.is_connected() if smart else None
     nodes = len(graph.nodes) if smart else None
-    payload = {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
-               "criterion_nodes": nodes}
-    return payload, {"pair": doc}
+    return {"connected": bfs, "engines": {"bfs": bfs, "criterion": crit},
+            "criterion_nodes": nodes}
 
 
 # -- invariants ---------------------------------------------------------------
 
 
-@_command("invariants")
+@_command("invariants", reads="complex")
 @click.argument("what", type=click.Choice(["chi", "dim", "links"]))
-@click.argument("input_src", default="-", required=False)
-def invariants(what, input_src):
+def invariants(X, what):
     """Euler characteristic, dimension/purity, or vertex-link tags of a
     built complex."""
-    doc = _read_doc(input_src)
-    X = CubeComplex.from_json_dict(doc)
     if what == "chi":
         payload = {"chi": euler_characteristic(X)}
     elif what == "dim":
@@ -380,54 +398,47 @@ def invariants(what, input_src):
         payload = {
             "counts": counts,
             "links": [
-                {"vertex": hz2._cell_json(v), "tag": tag}
-                for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(hz2._cell_json(kv[0])))
+                {"vertex": cube_json(v), "tag": tag}
+                for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(cube_json(kv[0])))
             ],
         }
-    return payload, {"complex": doc}
+    return payload
 
 
 # -- homology -------------------------------------------------------------------
 
 
-@_command("homology")
-@click.argument("input_src", default="-", required=False)
+@_command("homology", reads="complex")
 @click.option("--reduced", is_flag=True, help="highlight the reduced vector")
-def homology(input_src, reduced):
+def homology(X, reduced):
     """Betti numbers over Z/2 (both reduced and unreduced are reported)."""
-    doc = _read_doc(input_src)
-    X = CubeComplex.from_json_dict(doc)
     red = hz2.betti(X, reduced=True)
     unred = hz2.betti(X, reduced=False)
-    payload = {
+    return {
         "betti": list((red if reduced else unred).ranks),
         "reduced": list(red.ranks),
         "unreduced": list(unred.ranks),
         "chi": X.euler_characteristic(),
     }
-    return payload, {"complex": doc}
 
 
 # -- cycle -----------------------------------------------------------------------
 
 
-@_command("cycle")
-@click.argument("input_src", default="-", required=False)
+@_command("cycle", reads="pair")
 @click.option("--omega-a", default=None, help="chain JSON over gamma_a (default: top cells)")
 @click.option("--omega-b", default=None, help="chain JSON over gamma_b (default: top cells)")
 @click.option("--out", default=None)
-def cycle(input_src, omega_a, omega_b):
+def cycle(pair, omega_a, omega_b):
     """Chain on the pair complex generated by two smartly paired chains."""
-    doc = _read_doc(input_src)
-    ga, gb = _load_pair(doc)
+    ga, gb = pair
 
-    def load_chain(src, host):
+    def load_chain(src, host, role):
         if src is None:
             return hz2.top_chain(host)
-        cdoc = _read_doc(src)
+        cdoc = _read_doc(src, role)
         if not (
-            isinstance(cdoc, dict)
-            and isinstance(cdoc.get("dim"), int)
+            isinstance(cdoc.get("dim"), int)
             and not isinstance(cdoc["dim"], bool)
             and isinstance(cdoc.get("cells"), list)
             and all(
@@ -447,29 +458,26 @@ def cycle(input_src, omega_a, omega_b):
             cells.append(s)
         return hz2.chain(host, cdoc["dim"], cells)
 
-    wa = load_chain(omega_a, ga)
-    wb = load_chain(omega_b, gb)
+    wa = load_chain(omega_a, ga, "omega_a")
+    wb = load_chain(omega_b, gb, "omega_b")
     X = build_clcc(ga, gb)
     out_chain = hz2.clcc_cycle(wa, wb, ambient=X)
     payload = out_chain.to_json_dict()
     payload["is_cycle"] = hz2.is_cycle(out_chain)
     payload["inputs_are_cycles"] = [hz2.is_cycle(wa), hz2.is_cycle(wb)]
-    return payload, {"pair": doc}
+    return payload
 
 
 # -- hyperplanes --------------------------------------------------------------------
 
 
-@_command("hyperplanes")
-@click.argument("input_src", default="-", required=False)
-def hyperplanes_cmd(input_src):
+@_command("hyperplanes", reads="complex")
+def hyperplanes_cmd(X):
     """Hyperplane classes, directions and the crossing graph."""
-    doc = _read_doc(input_src)
-    X = CubeComplex.from_json_dict(doc)
     hps = hyperplanes(X)
     dirs, valid = directions(X)
     cg = crossing_graph(X)
-    payload = {
+    return {
         "classes": [
             {"id": h.hid, "edges": len(h.edges), "direction": dirs[h.hid]} for h in hps
         ],
@@ -477,78 +485,60 @@ def hyperplanes_cmd(input_src):
         "crossing": sorted(sorted(e) for e in cg.edges),
         "self_crossing": sorted(cg.self_crossing),
     }
-    return payload, {"complex": doc}
 
 
 # -- sageev ---------------------------------------------------------------------------
 
 
-@_command("sageev")
-@click.argument("input_src", default="-", required=False)
-def sageev_cmd(input_src):
+@_command("sageev", reads="pocset")
+def sageev_cmd(S):
     """Cube complex of a pocset's ultrafilters."""
-    doc = _read_doc(input_src)
-    S = Pocset.from_json_dict(doc)
     Y = sageev(S)
-    payload = {
+    return {
         "cells": {str(d): len(Y.cells(d)) for d in range(Y.top_dim + 1)},
         "vertices": sorted(
             ["".join(e) for e in sorted(u)] for u in Y.cells(0)
         ),
     }
-    return payload, {"pocset": doc}
 
 
 # -- duality -----------------------------------------------------------------------------
 
 
-@_command("duality")
-@click.argument("input_src", default="-", required=False)
-def duality(input_src):
+@_command("duality", reads="complex")
+def duality(X):
     """Halfspace pocset round-trip: rebuild the complex from its
     halfspaces and verify the isomorphism."""
-    doc = _read_doc(input_src)
-    X = CubeComplex.from_json_dict(doc)
     ok, mapping = roller_duality_check(X)
-    payload = {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
-    return payload, {"complex": doc}
+    return {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
 
 
 # -- certify -----------------------------------------------------------------------------
 
 
-@_command("certify")
-@click.argument("input_src", default="-", required=False)
-def certify_cmd(input_src):
+@_command("certify", reads="pair")
+def certify_cmd(pair):
     """Hyperbolicity certificate for a pair."""
-    doc = _read_doc(input_src)
-    ga, gb = _load_pair(doc)
-    cert = certify(ga, gb)
-    return cert.to_json_dict(), {"pair": doc}
+    return certify(*pair).to_json_dict()
 
 
 # -- export ------------------------------------------------------------------------------
 
 
-@_command("export")
-@click.argument("input_src", default="-", required=False)
+@_command("export", reads="input")
 @click.option("--out", default=None)
-def export(input_src):
+def export(doc):
     """Re-emit any recognized document in canonical form (round-trip
     stable)."""
-    doc = _read_doc(input_src)
     if "gamma_a" in doc:
-        ga, gb = _load_pair(doc)
-        payload = _pair_doc(ga, gb)
-    elif "cubes" in doc:
-        payload = CubeComplex.from_json_dict(doc).to_json_dict()
-    elif "pairs" in doc:
-        payload = Pocset.from_json_dict(doc).to_json_dict()
-    elif "n" in doc:
-        payload = ColoredComplex.from_json_dict(doc).to_json_dict()
-    elif "vertices" in doc:
-        payload = SimplicialComplex.from_json_dict(doc).to_json_dict()
-    else:
-        raise ComplexError("unrecognized document type")
-    return payload, {"input": doc}
+        return _pair_doc(*_load_pair(doc))
+    if "cubes" in doc:
+        return CubeComplex.from_json_dict(doc).to_json_dict()
+    if "pairs" in doc:
+        return Pocset.from_json_dict(doc).to_json_dict()
+    if "n" in doc:
+        return ColoredComplex.from_json_dict(doc).to_json_dict()
+    if "vertices" in doc:
+        return SimplicialComplex.from_json_dict(doc).to_json_dict()
+    raise ComplexError("unrecognized document type")
 

@@ -15,9 +15,15 @@ from typing import Iterable, Optional
 
 from clcc import gf2
 from clcc.canon import csorted
-from clcc.errors import DomainError, PairError
-from clcc.clcc_core import CubeComplex, build_clcc
-from clcc.simplicial import ColoredComplex, CoordSimplex, SimplicialComplex, simplicial_join
+from clcc.errors import DomainError
+from clcc.clcc_core import CubeComplex, build_clcc, cube_json
+from clcc.simplicial import (
+    ColoredComplex,
+    CoordSimplex,
+    SimplicialComplex,
+    check_same_color_count,
+    simplicial_join,
+)
 
 
 def _same_host(h1, h2) -> bool:
@@ -65,8 +71,7 @@ def _cell_json(cell):
     if isinstance(cell, CoordSimplex):
         return sorted(cell.vertex_ids)
     if isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[0], CoordSimplex):
-        a, b = cell
-        return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
+        return cube_json(cell)
     if isinstance(cell, frozenset):
         return sorted(str(v) for v in cell)
     return str(cell)
@@ -204,8 +209,7 @@ def smartly_paired_chains(omega_a: Chain2, omega_b: Chain2) -> bool:
     ha, hb = omega_a.host, omega_b.host
     if not isinstance(ha, ColoredComplex) or not isinstance(hb, ColoredComplex):
         raise DomainError("smart pairing of chains needs colored hosts")
-    if ha.n != hb.n:
-        raise PairError(f"color counts differ: {ha.n} vs {hb.n}")
+    check_same_color_count(ha, hb)
     n = ha.n
     for cells, other_cells in ((omega_a.cells, omega_b.cells), (omega_b.cells, omega_a.cells)):
         for s in cells:

@@ -13,12 +13,13 @@ from itertools import combinations
 from typing import Optional
 
 from clcc.canon import digest
-from clcc.errors import DomainError, PairError
+from clcc.errors import DomainError
 from clcc.clcc_core import _JoinLinks
+from clcc.generators import gen_barycentric_pair
 from clcc.simplicial import (
     ColoredComplex,
     SimplicialComplex,
-    barycentric_subdivision_2d,
+    check_same_color_count,
     is_5_large,
     is_flag,
     is_obes,
@@ -89,8 +90,7 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     NotHyperbolic by the exact Coxeter criterion; (4) every vertex link
     of the pair complex 5-large, decided from the factor links by the
     join formula.  Anything else is Unknown."""
-    if gamma_a.n != gamma_b.n:
-        raise PairError(f"color counts differ: {gamma_a.n} vs {gamma_b.n}")
+    check_same_color_count(gamma_a, gamma_b)
     dig = _pair_digest(gamma_a, gamma_b)
     flag_a, clique_a = is_flag(gamma_a)
     flag_b, clique_b = is_flag(gamma_b)
@@ -170,10 +170,7 @@ def certify_barycentric(
     By construction the subdivisions have only bicolor empty squares and
     are pairwise 5-large; both facts are re-verified here and a failure
     is an internal error, never Unknown."""
-    if colors_gamma.get("E") == colors_lam.get("E"):
-        raise DomainError("edge-barycentre colors must differ between the two factors")
-    ga = barycentric_subdivision_2d(gamma, colors_gamma)
-    gb = barycentric_subdivision_2d(lam, colors_lam)
+    ga, gb = gen_barycentric_pair(gamma, lam, colors_gamma, colors_lam)
     obes_a, bad_a = is_obes(ga)
     obes_b, bad_b = is_obes(gb)
     if not (obes_a and obes_b):

@@ -97,8 +97,11 @@ class Pocset:
         for e in self.elements:
             if star(e) not in elems:
                 raise PocsetError(f"element {e} lacks its conjugate")
+        # in sorted order, so that the violation reported does not depend
+        # on the hash seed
+        less = sorted(self.less)
         succ: dict = {}
-        for x, y in self.less:
+        for x, y in less:
             if x not in elems or y not in elems:
                 raise PocsetError(f"relation {x} < {y} uses unknown elements")
             if x == y:
@@ -109,8 +112,8 @@ class Pocset:
                 raise PocsetError(f"involution does not reverse {x} < {y}")
             if (y, x) in self.less:
                 raise PocsetError(f"antisymmetry violated on {x}, {y}")
-            succ.setdefault(x, set()).add(y)
-        for x, y in self.less:
+            succ.setdefault(x, {})[y] = None  # a dict keeps the sorted order
+        for x, y in less:
             for w in succ.get(y, ()):
                 if w not in succ[x]:
                     raise PocsetError(f"order not transitive: {x} < {y} < {w}")
@@ -290,7 +293,6 @@ def sageev(S: Pocset) -> CubeComplex:
         ups.append([(p, w) for p, w in switched if w is not None])
 
     cells: dict[int, list] = {0: verts}
-    vsets: dict = {u: frozenset({u}) for u in verts}
     positions: dict[int, list] = {}
     # (base, mask of T) -> (vertex indices, T, position in cells(d))
     level = {(i, 0): ((i,), (), i) for i in range(len(verts))}
@@ -318,9 +320,8 @@ def sageev(S: Pocset) -> CubeComplex:
             table.append(tuple(sorted(fs)))
             nxt[(v, mask)] = (vs, toggled, q)
         cells[d] = [frozenset([verts[i] for i in vs]) for _, _, _, vs, _ in grown]
-        vsets.update(zip(cells[d], cells[d]))
         level = nxt
-    return CubeComplex(cells, positions, vsets)
+    return CubeComplex(cells, positions)
 
 
 def roller_duality_check(X: CubeComplex):

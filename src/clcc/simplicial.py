@@ -171,6 +171,12 @@ def check_color_count(n) -> None:
         raise ComplexError(f"n must be an integer >= 1, got {n!r}")
 
 
+def check_same_color_count(K_A, K_B) -> None:
+    """The two complexes of a pair must have one color count."""
+    if K_A.n != K_B.n:
+        raise PairError(f"color counts differ: {K_A.n} vs {K_B.n}")
+
+
 def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
     """Everything reachable from `starts` by repeatedly following
     `neighbours`, the starts included."""
@@ -282,10 +288,8 @@ class ColoredComplex:
                 faces.update(combinations(top.entries, k))
         return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
 
-    def _replace_simplices(self, simplices: frozenset[CoordSimplex],
-                           colors: Optional[Mapping[str, int]] = None) -> "ColoredComplex":
-        if colors is None:
-            colors = {v: self._colors[v] for s in simplices for _, v in s.entries}
+    def _replace_simplices(self, simplices: frozenset[CoordSimplex]) -> "ColoredComplex":
+        colors = {v: self._colors[v] for s in simplices for _, v in s.entries}
         return ColoredComplex(self.n, colors, simplices)
 
     # -- basic queries -----------------------------------------------
@@ -725,8 +729,7 @@ def pairwise_5_large(
     """For every color pair, at least one side's bicolored full
     subcomplex has no empty squares; the witness is the least pair where
     both have one."""
-    if K_A.n != K_B.n:
-        raise PairError(f"color counts differ: {K_A.n} vs {K_B.n}")
+    check_same_color_count(K_A, K_B)
     sq_a, sq_b = K_A.bicolor_squares, K_B.bicolor_squares
     pair = min(sq_a.keys() & sq_b.keys(), default=None)
     if pair is None:
