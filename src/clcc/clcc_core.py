@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, DomainError
@@ -413,32 +413,85 @@ def _raise_missing_facet(a: CoordSimplex, b: CoordSimplex, present) -> None:
                 raise ComplexError(f"facet {f} missing; cube family not downward consistent")
 
 
+def _covering_buckets(
+    gamma_a: ColoredComplex, gamma_b: ColoredComplex, grow: Optional[int] = None
+) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """The buckets of pairs (a, b) whose colors cover {1..n} and overlap in
+    at most `grow` colors (any number when None): (bucket of a's, bucket
+    of b's, overlap colors), every a of one colorset S and every b of
+    one.  Both factors are downward closed, so the b-colorsets covering S
+    are {1..n} - S grown by colors of S, and a grown set that gamma_b
+    lacks ends its branch: each lookup finds a bucket or ends a branch.
+    When the largest simplices of the two sides together have fewer than
+    n colors, nothing covers."""
+    n = gamma_a.n
+    by_a, by_b = gamma_a.by_colorset, gamma_b.by_colorset
+    if n > max(map(len, by_a)) + max(map(len, by_b)):
+        return
+    all_colors = frozenset(range(1, n + 1))
+    for colors, bucket_a in by_a.items():
+        stack = [(all_colors - colors, sorted(colors), ())]
+        while stack:
+            need, extra, overlap = stack.pop()
+            bucket_b = by_b.get(need)
+            if bucket_b is None:
+                continue
+            yield bucket_a, bucket_b, overlap
+            if grow is None or len(overlap) < grow:
+                stack.extend(
+                    (need | {c}, extra[k + 1:], overlap + (c,)) for k, c in enumerate(extra)
+                )
+
+
 def _covering_pairs(
     gamma_a: ColoredComplex, gamma_b: ColoredComplex, limit: Optional[int] = None
 ) -> Optional[list]:
     """All pairs (a, b) whose colors cover {1..n}, or None as soon as there
-    would be more than `limit`.  Both factors are downward closed, so the
-    b-colorsets covering an a-colorset S are {1..n} - S grown by colors of
-    S, and a grown set that gamma_b lacks ends its branch: each lookup
-    finds a bucket of pairs or ends a branch."""
-    n = gamma_a.n
-    if n > max(map(len, gamma_a.simplices)) + max(map(len, gamma_b.simplices)):
-        return []
-    all_colors = frozenset(range(1, n + 1))
-    by_b = gamma_b.by_colorset
+    would be more than `limit`: a bucket that would pass it is not built."""
     pairs: list = []
-    for colors, bucket_a in gamma_a.by_colorset.items():
-        stack = [(all_colors - colors, sorted(colors))]
-        while stack:
-            need, extra = stack.pop()
-            bucket_b = by_b.get(need)
-            if bucket_b is None:
-                continue
-            if limit is not None and len(pairs) + len(bucket_a) * len(bucket_b) > limit:
-                return None
-            pairs.extend(product(bucket_a, bucket_b))
-            stack.extend((need | {c}, extra[k + 1:]) for k, c in enumerate(extra))
+    for bucket_a, bucket_b, _ in _covering_buckets(gamma_a, gamma_b):
+        if limit is not None and len(pairs) + len(bucket_a) * len(bucket_b) > limit:
+            return None
+        pairs.extend(product(bucket_a, bucket_b))
     return pairs
+
+
+def _pair_entries(v) -> tuple:
+    """The sort key of a pair (a, b): canon_key of a CoordSimplex is
+    (6, entries), so this orders pairs as `csorted` does."""
+    return v[0].entries, v[1].entries
+
+
+def _pair_vertices(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> list:
+    """The vertices of the pair complex, the pairs (a, b) whose colors
+    partition {1..n}, in the order of its cells(0), with no cube built."""
+    return sorted(
+        (v for bucket_a, bucket_b, _ in _covering_buckets(gamma_a, gamma_b, grow=0)
+         for v in product(bucket_a, bucket_b)),
+        key=_pair_entries,
+    )
+
+
+def _pair_edges(gamma_a: ColoredComplex, gamma_b: ColoredComplex, vertices: list) -> list:
+    """The edges of the pair complex as pairs of positions in `vertices`,
+    with no cube built: the covering pairs (a, b) that overlap in one
+    color i, each joining the vertices (a - i, b) and (a, b - i).  The
+    simplices of a bucket share their colors, so color i sits at one
+    place in the entries of each."""
+    index = {_pair_entries(v): p for p, v in enumerate(vertices)}
+    edges = []
+    for bucket_a, bucket_b, overlap in _covering_buckets(gamma_a, gamma_b, grow=1):
+        if not overlap:
+            continue
+        (i,) = overlap
+        ka = sorted(bucket_a[0].colors).index(i)
+        kb = sorted(bucket_b[0].colors).index(i)
+        ends_b = [(b.entries, b.entries[:kb] + b.entries[kb + 1:]) for b in bucket_b]
+        for a in bucket_a:
+            ea = a.entries
+            fa = ea[:ka] + ea[ka + 1:]
+            edges += [(index[fa, eb], index[ea, fb]) for eb, fb in ends_b]
+    return edges
 
 
 def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
@@ -648,40 +701,87 @@ def euler_characteristic(X: CubeComplex) -> int:
 
 @dataclass(frozen=True)
 class ConnGraph:
-    """Connectivity witness graph on the vertices with maximal A-part."""
+    """Connectivity witness graph on the vertices with maximal A-part.
+
+    The edges are kept as groups of node positions, ascending: every two
+    nodes of a group are joined, and every edge lies in some group."""
 
     nodes: tuple
-    edges: frozenset
+    groups: frozenset
+
+    @property
+    def edges(self) -> frozenset:
+        """The joined node pairs (x, y), x before y."""
+        nodes = self.nodes
+        return frozenset(
+            (nodes[p], nodes[q]) for group in self.groups for p, q in combinations(group, 2)
+        )
 
     def is_connected(self) -> bool:
-        index = {v: i for i, v in enumerate(self.nodes)}
-        return len(components(len(index), ((index[u], index[v]) for u, v in self.edges))) == 1
+        spans = ((group[0], p) for group in self.groups for p in group[1:])
+        return len(components(len(self.nodes), spans)) == 1
 
 
 def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
     """Nodes are pairs (maximal a, complementary b); two nodes are joined
     when some simplex of gamma_b is complementary to the intersection of
     their A-parts and contains both B-parts (the intersection may be
-    empty provided the witness covers every color).  Containment is
-    tested on entry sets: B-parts that clash on a color are contained in
-    no simplex, so they need no check of their own."""
+    empty provided the witness covers every color).
+
+    No pair of nodes is tested.  Nodes (a1, b1) and (a2, b2) are joined
+    exactly when some vertex (f, c) of the pair complex has f a face of
+    a1 and of a2, and b1 and b2 faces of c: the common face of a1 and a2
+    with a witness is one, and for such an (f, c), c cut down to the
+    colors the common face lacks is a witness.  So each vertex (f, c)
+    gives a group, the nodes (m, c cut down to the colors m lacks) of the
+    maximal m containing f, and it is enough to take for f the empty face
+    and the faces that two maximal simplices share."""
     check_same_color_count(gamma_a, gamma_b)
-    nodes = [(m, b) for m in gamma_a.maximal_simplices for b in gamma_b.partners(m.colors)]
-    edges = set()
-    for (a1, b1), (a2, b2) in combinations(nodes, 2):
-        common = frozenset(c for c, _ in set(a1.entries) & set(a2.entries))
-        both = set(b1.entries) | set(b2.entries)
-        if any(both.issubset(cand.entries) for cand in gamma_b.partners(common)):
-            edges.add(((a1, b1), (a2, b2)))
-    return ConnGraph(tuple(csorted(nodes)), frozenset(edges))
+    maximal = gamma_a.maximal_simplices
+    nodes, position = [], {}
+    for k, m in enumerate(maximal):
+        for b in gamma_b.partners(m.colors):
+            position[k, b.entries] = len(nodes)
+            nodes.append((m, b))
+    entry_sets = [set(m.entries) for m in maximal]
+    at_vertex: dict = {}
+    for k, m in enumerate(maximal):
+        for _, v in m.entries:
+            at_vertex.setdefault(v, []).append(k)
+    members = {(): range(len(maximal))}  # a shared face -> the maximal k containing it
+    for k, m in enumerate(maximal):
+        for k2 in {k2 for _, v in m.entries for k2 in at_vertex[v] if k2 > k}:
+            f = tuple(e for e in m.entries if e in entry_sets[k2])
+            if f not in members:
+                members[f] = [j for j in at_vertex[f[0][1]] if entry_sets[j].issuperset(f)]
+    groups = set()
+    for f, ks in members.items():
+        if len(ks) < 2:
+            continue
+        has = [maximal[j].colors for j in ks]
+        shared = frozenset.intersection(*has)
+        # a group reads c only on the colors some member lacks
+        for cut in {
+            tuple(e for e in c.entries if e[0] not in shared)
+            for c in gamma_b.partners(frozenset(color for color, _ in f))
+        }:
+            groups.add(tuple(
+                position[j, tuple(e for e in cut if e[0] not in colors)]
+                for j, colors in zip(ks, has)
+            ))
+    return ConnGraph(tuple(nodes), frozenset(groups))
 
 
 def is_connected(gamma_a: ColoredComplex, gamma_b: ColoredComplex, engine: str = "bfs") -> bool:
-    """Two engines: breadth-first search of the built complex, or the
-    maximal-A-part criterion graph (which requires a smartly paired
-    input).  The empty complex counts as disconnected."""
+    """Two engines: breadth-first search of the 1-skeleton of the pair
+    complex, read from the factors, or the maximal-A-part criterion graph
+    (which requires a smartly paired input).  The empty complex counts as
+    disconnected."""
     if engine == "bfs":
-        return build_clcc(gamma_a, gamma_b).is_connected()
+        check_same_color_count(gamma_a, gamma_b)
+        vertices = _pair_vertices(gamma_a, gamma_b)
+        edges = _pair_edges(gamma_a, gamma_b, vertices)
+        return len(components(len(vertices), edges)) == 1
     if engine == "criterion":
         ok, witness = smartly_paired(gamma_a, gamma_b)
         if not ok:
@@ -797,9 +897,7 @@ class _JoinLinks:
 
     def vertices(self) -> list:
         """The complementary pairs (a, b), in the order of X.cells(0)."""
-        return csorted(
-            (a, b) for a in self.gamma_a.simplices for b in self.gamma_b.partners(a.colors)
-        )
+        return _pair_vertices(self.gamma_a, self.gamma_b)
 
     def _factor_links(self, v) -> tuple[_FactorLink, _FactorLink]:
         a, b = v

@@ -143,7 +143,19 @@ _READERS = {
 }
 
 
+def _show_help(ctx, param, value) -> None:
+    """The --help callback of `main` and of every command: click's own,
+    but echoing to sys.stdout by name, for the reason `_command` gives."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+_help_option = click.help_option(callback=_show_help)
+
+
 @click.group()
+@_help_option
 def main():
     """Coupled-link cube complexes: build, measure, certify."""
 
@@ -167,10 +179,12 @@ def _command(name: str, reads=None, failure=None):
     reported as usual, the one-line report says what fails, and the exit
     code is 1.
 
-    Every echo names its stream.  Without `file=`, click wraps the current
-    sys.stdout/sys.stderr and caches the wrapper in a WeakKeyDictionary
-    whose value is the stream itself, so each stream swapped in by an
-    in-process caller (click.testing.CliRunner) would stay alive."""
+    Every echo names its stream, the help's included (`_show_help`
+    replaces click's --help callback).  Without `file=`, click wraps the
+    current sys.stdout/sys.stderr and caches the wrapper in a
+    WeakKeyDictionary whose value is the stream itself, so each stream
+    swapped in by an in-process caller (click.testing.CliRunner) would
+    stay alive."""
 
     def wrap(body):
         @functools.wraps(body)
@@ -215,7 +229,7 @@ def _command(name: str, reads=None, failure=None):
             command.params.append(click.Argument(["input_src"], default="-", required=False))
         command.params.append(click.Option(["--report"], is_flag=True,
                                            help="JSON run report on stderr"))
-        return command
+        return _help_option(command)
 
     return wrap
 

@@ -3,7 +3,8 @@
 These rebuild the reference objects from scratch: the coordinate-cube
 complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
-builder.  The naive references at the end recompute the canonical orders,
+builder, except `is_connected_bfs_reference`: the connectivity of the
+built complex, which the BFS engine reads from the factors.  The naive references at the end recompute the canonical orders,
 facets, cofaces, links, boundary matrices, hyperplanes, crossing graphs,
 flag witnesses, pocset closures and ultrafilter cubes that the library
 derives from ranks, bitsets, facet and coface tables and integer edge
@@ -22,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from clcc.canon import canon_key, csorted
-from clcc.clcc_core import CubeComplex, smartly_paired
+from clcc.clcc_core import CubeComplex, build_clcc, smartly_paired
 from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import CrossingGraph, halfspace_pocset, star, ultrafilters
 from clcc.simplicial import (
@@ -562,3 +563,9 @@ def conn_graph_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> tu
         ):
             edges.add(((a1, b1), (a2, b2)))
     return tuple(nodes), frozenset(edges)
+
+
+def is_connected_bfs_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> bool:
+    """Connectivity of the pair complex read from its built facet table:
+    every cube assembled, then the components of its vertices and edges."""
+    return build_clcc(gamma_a, gamma_b).is_connected()

@@ -722,6 +722,9 @@ def test_in_process_invocations_keep_no_capture_stream():
         assert runner.invoke(main, ["check", "5large", "-"], input=c4).exit_code == 1
         assert runner.invoke(main, ["homology", "-"], input="[]").exit_code == 1
         assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+    for args in (["--help"], *([name, "--help"] for name in main.commands)):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and result.stdout.startswith("Usage: "), args
     assert _capture_streams() == []
 
 

@@ -15,7 +15,6 @@ change, print `{case_id: run_case(case, paths)}` for every case.
 
 import hashlib
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -219,21 +218,8 @@ def _text(name: str) -> str:
     return canonical_json(DOCS[name])
 
 
-def _help(command_names) -> bytes:
-    """What `--help` prints, rendered as CliRunner renders it.  Click's
-    help option echoes without naming its stream, so an in-process
-    `--help` would keep the runner's capture stream alive."""
-    with CliRunner().isolation():
-        ctx = click.Context(main, info_name="main")
-        for name in command_names:
-            ctx = click.Context(main.commands[name], info_name=name, parent=ctx)
-        return (ctx.get_help() + "\n").encode()
-
-
 def run_case(case, paths: dict) -> tuple[int, str]:
     _, args, stdin = case
-    if args[-1] == "--help":
-        return 0, hashlib.sha256(_help(args[:-1])).hexdigest()
     args = [paths.get(a[1:-1], a) if a.startswith("{") else a for a in args]
     result = CliRunner().invoke(main, args, input=None if stdin is None else _text(stdin))
     return result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest()

@@ -1,20 +1,32 @@
 """The purity check, the maximal-simplex rule and the graph walks
-(components, cliques, chordless squares, the criterion graph) are each
-written once and shared by every caller.  Each is compared here with an
-independent reference on the seeded corpus: the per-class purity scans,
-maximal-simplex comparisons and brute-force graph walks in oracles.py,
-and networkx components for connectivity."""
+(components, cliques, chordless squares, the criterion graph, the
+1-skeleton of a pair complex) are each written once and shared by every
+caller.  Each is compared here with an independent reference on the
+seeded corpus: the per-class purity scans, maximal-simplex comparisons,
+brute-force graph walks and the built complex's connectivity in
+oracles.py, and networkx components for connectivity."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 import networkx as nx
+import pytest
 
-from clcc import build_clcc, gen_cross_polytope, gen_cycle, prune_to_smart_pair
-from clcc.clcc_core import conn_graph, smartly_paired
+from clcc import (
+    build_clcc,
+    gen_barycentric_pair,
+    gen_cross_polytope,
+    gen_cycle,
+    gen_surface_pair,
+    is_connected,
+    prune_to_smart_pair,
+)
+from clcc import clcc_core
+from clcc.clcc_core import _empty_complex, _JoinLinks, conn_graph, smartly_paired
+from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import sageev
-from clcc.simplicial import _chordless_squares, cliques, components
+from clcc.simplicial import SimplicialComplex, _chordless_squares, cliques, components
 
 from conftest import grid_complex, tree_complex
 from corpus import (
@@ -29,6 +41,7 @@ from oracles import (
     chordless_squares_reference,
     cliques_reference,
     conn_graph_reference,
+    is_connected_bfs_reference,
     is_pure_reference,
     k_gamma_complex,
     maximal_simplices_reference,
@@ -187,3 +200,73 @@ def test_conn_graph_equals_the_pairwise_merge_rule():
         )
     # node pairs whose B-parts give one color two vertices are in the corpus
     assert clashes > 0 and joined > 0
+
+
+TRIANGLE = SimplicialComplex.from_maximal(["p", "q", "r"], [["p", "q", "r"]])
+TETRA = SimplicialComplex.from_maximal(
+    ["p", "q", "r", "s"], [["p", "q", "r"], ["p", "q", "s"], ["p", "r", "s"], ["q", "r", "s"]]
+)
+
+
+def engine_pairs():
+    """Seeded smart pairs, random flag pairs as drawn (most are not smart)
+    and pruned, the generator families and the empty pair."""
+    r = rng(7309)
+    pairs = [random_smart_pair(r, 6) for _ in range(120)]
+    for _ in range(80):
+        n = r.randint(2, 4)
+        ga, gb = random_flag_complex(r, n, 8), random_flag_complex(r, n, 8)
+        pairs += [(ga, gb), prune_to_smart_pair(ga, gb)]
+    pairs += [
+        gen_surface_pair(2, 3),
+        gen_surface_pair(4, 4),
+        (gen_cross_polytope(3), gen_cross_polytope(3, prefix="b")),
+        (gen_cross_polytope(2), gen_cycle(3, prefix="b")),
+        gen_barycentric_pair(TETRA, TETRA, {"V": 1, "E": 2, "F": 3}, {"V": 2, "E": 1, "F": 3}),
+        gen_barycentric_pair(TRIANGLE, TETRA, {"V": 1, "E": 2, "F": 3}, {"V": 1, "E": 3, "F": 2}),
+        (_empty_complex(2), _empty_complex(2)),
+    ]
+    return [pair for pair in pairs if pair is not None]
+
+
+def test_both_connectivity_engines_equal_the_built_complex_and_networkx():
+    seen = set()
+    for ga, gb in engine_pairs():
+        X = build_clcc(ga, gb)
+        expect = is_connected_bfs_reference(ga, gb)
+        edges = (tuple(X.vertices_of(e)) for e in X.cells(1))
+        assert _connected_by_networkx(X.cells(0), edges) == expect
+        assert is_connected(ga, gb, "bfs") == expect
+        assert _JoinLinks(ga, gb).vertices() == list(X.cells(0))
+        seen.add(("bfs", expect))
+        if smartly_paired(ga, gb)[0]:
+            assert is_connected(ga, gb, "criterion") == expect
+            assert _connected_by_networkx(*conn_graph_reference(ga, gb)) == expect
+            seen.add(("criterion", expect))
+        else:
+            with pytest.raises(DomainError):
+                is_connected(ga, gb, "criterion")
+            seen.add(("not smart", expect))
+    # each engine meets connected and disconnected pairs; non-smart pairs
+    # of both kinds reach the BFS engine only
+    assert seen == {(kind, v) for kind in ("bfs", "criterion", "not smart") for v in (True, False)}
+
+
+def test_bfs_engine_builds_no_cube(monkeypatch):
+    calls = []
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return call
+
+    for name in ("build_clcc", "_assemble_pair_cubes"):
+        monkeypatch.setattr(clcc_core, name, counted(name, getattr(clcc_core, name)))
+    monkeypatch.setattr(clcc_core.CubeComplex, "__init__",
+                        counted("CubeComplex", clcc_core.CubeComplex.__init__))
+    verdicts = {is_connected(ga, gb, "bfs") for ga, gb in engine_pairs()}
+    assert verdicts == {True, False} and calls == []
+    # the counters do count
+    clcc_core.build_clcc(*gen_surface_pair(2, 3))
+    assert calls == ["build_clcc", "_assemble_pair_cubes", "CubeComplex"]
