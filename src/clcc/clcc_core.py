@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, DomainError
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
+    CellStore,
     ColoredComplex,
     ColoredMap,
     CoordSimplex,
@@ -30,8 +31,8 @@ from clcc.simplicial import (
     check_color_count,
     check_same_color_count,
     components,
+    connected,
     is_flag,
-    pure_dimensional,
     reach,
     simplicial_join,
 )
@@ -41,24 +42,23 @@ AUGMENTATION = "<augmentation>"
 CubeId = object  # (CoordSimplex, CoordSimplex) for pair-built complexes
 
 
-class CubeComplex:
+class CubeComplex(CellStore):
     """Finite cube complex with explicit facet relation.
 
     Every d-cube has exactly 2d facets; cubes are determined by their
     vertex sets (gluings with repeated faces are rejected at ingestion).
 
-    The builders hand over the cells of each dimension, already in
-    canonical order, and the facet table: for each dimension d >= 1, the
-    facets of each d-cell as sorted positions in `cells(d - 1)`.  That
-    table is the one facet relation stored; purity, Betti numbers,
-    connectivity and the hyperplane walk read it.  Two more structures
-    are built on first use: one cube index, each cube's dimension and
-    position, which `facets`, `boundary_of`, `dim_of` and `in` read; and
-    the coface table, the transpose of the facet table, which links walk.
-    No vertex sets are stored: a `from_cells` or `sageev` cell of
-    dimension d >= 1 is its own vertex set, and a vertex v has {v}; a
-    pair-built cube's vertex set is computed when asked.  Only pair-built
-    complexes have a color count `n`.
+    The cells are kept in the store that the simplicial hosts share
+    (`CellStore`); the builders hand over the cells, in canonical order,
+    and the facet table, which purity, Betti numbers, connectivity and
+    the hyperplane walk read.  The cube index (read by `facets`,
+    `boundary_of`, `dim_of` and `in`) and the coface table (walked by
+    links) are built on first use.  There are no cells below dimension
+    0: the augmentation stays outside the store.  No vertex sets are
+    stored: a `from_cells` or `sageev` cell of dimension d >= 1 is its
+    own vertex set, and a vertex v has {v}; a pair-built cube's vertex
+    set is computed when asked.  Only pair-built complexes have a color
+    count `n`.
     """
 
     def __init__(
@@ -68,8 +68,8 @@ class CubeComplex:
         n: Optional[int] = None,
         defining_pair: Optional[tuple[ColoredComplex, ColoredComplex]] = None,
     ):
-        self._cubes_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
-        self._facet_positions = {d: tuple(facet_positions[d]) for d in self._cubes_by_dim if d}
+        self._cells_by_dim = {d: tuple(cs) for d, cs in sorted(cubes_by_dim.items()) if cs}
+        self._facet_positions = {d: tuple(facet_positions[d]) for d in self._cells_by_dim if d}
         self.n = n
         self.defining_pair = defining_pair
 
@@ -144,38 +144,6 @@ class CubeComplex:
         count."""
         return self.n is not None
 
-    @property
-    def top_dim(self) -> int:
-        return max(self._cubes_by_dim, default=-1)
-
-    def cells(self, d: int) -> tuple:
-        return self._cubes_by_dim.get(d, ())
-
-    def facet_positions(self, d: int) -> tuple:
-        """For d >= 1, the facets of each d-cell, in the order of
-        `cells(d)`, as sorted positions in `cells(d - 1)`."""
-        return self._facet_positions.get(d, ())
-
-    @cached_property
-    def _index(self) -> dict:
-        """Each cube's dimension and its position in `cells(dimension)`."""
-        return {c: (d, p) for d, cs in self._cubes_by_dim.items() for p, c in enumerate(cs)}
-
-    @cached_property
-    def _cofaces(self) -> dict:
-        """The transpose of the facet table: for each d, the cofaces of
-        each d-cell as ascending positions in `cells(d + 1)`."""
-        up: dict = {d: [[] for _ in cs] for d, cs in self._cubes_by_dim.items()}
-        for d, table in self._facet_positions.items():
-            lower = up[d - 1]
-            for q, ps in enumerate(table):
-                for p in ps:
-                    lower[p].append(q)
-        return {d: tuple(map(tuple, rows)) for d, rows in up.items()}
-
-    def dim_of(self, cube: CubeId) -> int:
-        return self._index[cube][0]
-
     def __contains__(self, cube: CubeId) -> bool:
         return cube in self._index
 
@@ -199,18 +167,10 @@ class CubeComplex:
     def boundary_of(self, cube: CubeId) -> tuple:
         return self.facets(cube) if self._index[cube][0] else (AUGMENTATION,)
 
-    is_pure = cached_property(pure_dimensional)
-
     @cached_property
     def opposition(self) -> "Opposition":
         """The hyperplane structure, walked once per complex."""
         return _opposition_walk(self)
-
-    def is_connected(self) -> bool:
-        return len(components(len(self.cells(0)), self.facet_positions(1))) == 1
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(cs) for d, cs in self._cubes_by_dim.items())
 
     # -- links -----------------------------------------------------------
 
@@ -227,27 +187,26 @@ class CubeComplex:
     def link_data(self, cube: CubeId):
         """Adjacency-derived link: one (m)-simplex per (k+m+1)-cube above
         `cube`; vertices are the (k+1)-cubes.  Returns the link and the
-        coface -> link-cell map used by localization.  The coface table is
-        walked up on positions: the link cell of a (k+1)-cube is itself,
-        and a higher coface's is the union of its facets' link cells."""
+        coface -> link-cell map used by localization.  The star is walked
+        up the coface table: the link cell of a (k+1)-cube is itself, and
+        a higher coface's is the union of the link cells of its facets in
+        the star."""
         if cube not in self._index:
             raise DomainError(f"cube {cube!r} not in complex")
-        k, p = self._index[cube]
-        ups = self._cofaces[k][p]
-        one_up = tuple(self.cells(k + 1)[q] for q in ups)
         cell_map: dict = {cube: frozenset()}
-        level = {q: {c} for q, c in zip(ups, one_up)}
-        for d in range(k + 1, self.top_dim + 1):
-            cells, table, above = self.cells(d), self._cofaces[d], {}
-            for q, link_cell in level.items():
-                link_cell = cell_map[cells[q]] = frozenset(link_cell)
-                for r in table[q]:
-                    above.setdefault(r, set()).update(link_cell)
-            level = above
+        below: dict = {}
+        for d, level in islice(self._star(cube), 1, None):  # the cofaces above the cube
+            cells, table, here = self.cells(d), self._facet_positions[d], {}
+            for q in level:
+                parts = [below[f] for f in table[q] if f in below]
+                # one dimension up, no facet is in the star above the cube
+                link_cell = frozenset().union(*parts) if parts else frozenset([cells[q]])
+                here[q] = cell_map[cells[q]] = link_cell
+            below = here
+        one_up = [c for c, link_cell in cell_map.items() if len(link_cell) == 1]
         return SimplicialComplex(one_up, frozenset(cell_map.values())), cell_map
 
-    def link_complex(self, cube: CubeId) -> SimplicialComplex:
-        return self.link_data(cube)[0]
+    link_complex = CellStore.link
 
     # -- io ----------------------------------------------------------------
 
@@ -255,7 +214,7 @@ class CubeComplex:
         if not self.has_pair_origin:
             raise DomainError("only pair-built complexes have a JSON form")
         cubes = [
-            {**cube_json(cube), "dim": d} for d, cs in self._cubes_by_dim.items() for cube in cs
+            {**cube_json(cube), "dim": d} for d, cs in self._cells_by_dim.items() for cube in cs
         ]
         return {"n": self.n, "cubes": cubes}
 
@@ -275,7 +234,7 @@ class CubeComplex:
         the complex has no pair."""
         n, cubes, sides_a, sides_b = _read_cube_document(doc)
         X = _assemble_pair_cubes(n, cubes, defining_pair=None)
-        count = sum(map(len, X._cubes_by_dim.values()))
+        count = sum(map(len, X._cells_by_dim.values()))
         budget = _FACES_PER_CUBE * count
         pair = (_spanned_factor(n, sides_a, budget), _spanned_factor(n, sides_b, budget))
         if None not in pair and _covering_pairs(*pair, limit=count) is not None:
@@ -672,9 +631,11 @@ def prune_to_smart_pair(
     kept = []
     for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
         partnered = [
-            s for colors, bucket in K.by_colorset.items() if other.partners(colors) for s in bucket
+            s.entries for colors, bucket in K.by_colorset.items() if other.partners(colors)
+            for s in bucket
         ]
-        kept.append(reach(partnered, lambda s: K.boundary_of(s) if s.entries else ()))
+        faces = reach(partnered, lambda e: [e[:i] + e[i + 1 :] for i in range(len(e))])
+        kept.append([s for s in K.simplices if s.entries in faces])
     if not kept[0]:
         return _empty_complex(gamma_a.n), _empty_complex(gamma_a.n)
     if len(kept[0]) == len(gamma_a.simplices) and len(kept[1]) == len(gamma_b.simplices):
@@ -719,7 +680,7 @@ class ConnGraph:
 
     def is_connected(self) -> bool:
         spans = ((group[0], p) for group in self.groups for p in group[1:])
-        return len(components(len(self.nodes), spans)) == 1
+        return connected(len(self.nodes), spans)
 
 
 def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
@@ -781,7 +742,7 @@ def is_connected(gamma_a: ColoredComplex, gamma_b: ColoredComplex, engine: str =
         check_same_color_count(gamma_a, gamma_b)
         vertices = _pair_vertices(gamma_a, gamma_b)
         edges = _pair_edges(gamma_a, gamma_b, vertices)
-        return len(components(len(vertices), edges)) == 1
+        return connected(len(vertices), edges)
     if engine == "criterion":
         ok, witness = smartly_paired(gamma_a, gamma_b)
         if not ok:
@@ -829,30 +790,43 @@ def classify_vertex_links(X: CubeComplex) -> dict:
 
 
 def _is_circle(L: SimplicialComplex) -> bool:
+    """Connected, each vertex's row of the 0-cofaces two edges long."""
     return (
         L.top_dim == 1
-        and bool(L.vertex_ids)
-        and all(L.degree(v) == 2 for v in L.vertex_ids)
+        and all(len(row) == 2 for row in L._cofaces[0])
         and L.is_connected()
     )
 
 
+def _vertex_links_are_circles(L: SimplicialComplex) -> bool:
+    """For a connected 2-complex whose edges each lie in two triangles,
+    read off the star of each vertex v: its link (the edges at v, joined
+    by the triangles at v) has every vertex in two edges, so it is a
+    circle when it is connected."""
+    table = L.facet_positions(2)
+    for v in L.cells(0):
+        _, (_, edges), (_, triangles) = L._star(v)
+        at = {e: i for i, e in enumerate(edges)}
+        if not connected(len(at), ([at[f] for f in table[t] if f in at] for t in triangles)):
+            return False
+    return True
+
+
 def _classify_link(L: SimplicialComplex) -> str:
+    """An edge lies in two triangles when its 1-cofaces row has two."""
     d = L.top_dim
     if d >= 3:
         return "unknown"
     if _is_circle(L):
         return "circle"
-    if d == 2 and L.is_connected():
-        edge_ok = all(
-            sum(1 for t in L.cells(2) if e <= t) == 2 for e in L.cells(1)
-        )
-        if (
-            edge_ok
-            and all(_is_circle(L.link(frozenset([v]))) for v in L.vertex_ids)
-            and L.euler_characteristic() == 2
-        ):
-            return "2-sphere"
+    if (
+        d == 2
+        and L.is_connected()
+        and all(len(row) == 2 for row in L._cofaces[1])
+        and L.euler_characteristic() == 2
+        and _vertex_links_are_circles(L)
+    ):
+        return "2-sphere"
     return "other"
 
 
@@ -963,14 +937,12 @@ class CubicalMap:
 
     @cached_property
     def is_injective(self) -> bool:
-        images = [self.apply(c) for d in range(self.source.top_dim + 1) for c in self.source.cells(d)]
+        images = [self.apply(c) for c in self.source._index]
         return len(set(images)) == len(images)
 
     @cached_property
     def is_surjective(self) -> bool:
-        image = {self.apply(c) for d in range(self.source.top_dim + 1) for c in self.source.cells(d)}
-        total = {c for d in range(self.target.top_dim + 1) for c in self.target.cells(d)}
-        return image == total
+        return {self.apply(c) for c in self.source._index} == self.target._index.keys()
 
     def compose(self, inner: "CubicalMap") -> "CubicalMap":
         return induced_map(self.f_a.compose(inner.f_a), self.f_b.compose(inner.f_b))

@@ -426,8 +426,7 @@ def invariants(X, what):
 @click.option("--reduced", is_flag=True, help="highlight the reduced vector")
 def homology(X, reduced):
     """Betti numbers over Z/2 (both reduced and unreduced are reported)."""
-    red = hz2.betti(X, reduced=True)
-    unred = hz2.betti(X, reduced=False)
+    red, unred = hz2.betti_vectors(X)
     return {
         "betti": list((red if reduced else unred).ranks),
         "reduced": list(red.ranks),

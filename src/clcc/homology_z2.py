@@ -4,8 +4,9 @@ Chains are finite sets of cells (set symmetric difference = addition).
 The augmented complex has a single (-1)-cell, the augmentation, and the
 boundary of a vertex is that cell; dimension -1 chains are a single bit.
 Hosts expose cells(d), boundary_of(cell), facet_positions(d),
-link_data(cell), top_dim and is_pure; ColoredComplex, SimplicialComplex
-and CubeComplex all qualify.
+link_data(cell), top_dim and is_pure.  ColoredComplex, SimplicialComplex
+and CubeComplex share one cell store (`clcc.simplicial.CellStore`), which
+gives them all but boundary_of and link_data.
 """
 
 from __future__ import annotations
@@ -28,14 +29,6 @@ from clcc.simplicial import (
 
 def _same_host(h1, h2) -> bool:
     return h1 is h2 or h1 == h2
-
-
-def _cell_dim(host, cell) -> int:
-    if isinstance(host, CubeComplex):
-        return host.dim_of(cell)
-    if isinstance(cell, CoordSimplex):
-        return cell.dim
-    return len(cell) - 1
 
 
 @dataclass(frozen=True)
@@ -138,28 +131,33 @@ def _boundary_rows(host, k: int) -> list[int]:
     return rows
 
 
-def betti(host, reduced: bool = True) -> BettiVector:
-    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices."""
+def betti_vectors(host) -> tuple[BettiVector, BettiVector]:
+    """The reduced and the unreduced Betti numbers b_0..b_top, from one
+    GF(2) rank of each boundary matrix.  They differ only in b_0, by the
+    rank of the augmentation: 1 when there are vertices."""
     top = host.top_dim
     if top < 0:
-        return BettiVector(reduced, ())
-    counts = {d: len(host.cells(d)) for d in range(top + 1)}
-    ranks = {top + 1: 0}
-    for k in range(1, top + 1):
-        ranks[k] = gf2.rank(_boundary_rows(host, k), counts[k - 1])
-    ranks[0] = (1 if counts.get(0) else 0) if reduced else 0
-    out = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
-    return BettiVector(reduced, out)
+        return BettiVector(True, ()), BettiVector(False, ())
+    counts = [len(host.cells(d)) for d in range(top + 1)]
+    ranks = [0, *[gf2.rank(_boundary_rows(host, k), counts[k - 1]) for k in range(1, top + 1)], 0]
+    unreduced = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+    reduced = [unreduced[0] - (1 if counts[0] else 0)] + unreduced[1:]
+    return BettiVector(True, tuple(reduced)), BettiVector(False, tuple(unreduced))
+
+
+def betti(host, reduced: bool = True) -> BettiVector:
+    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices."""
+    return betti_vectors(host)[0 if reduced else 1]
 
 
 def localize(c: Chain2, e) -> Chain2:
     """Push a chain into the link of a cell e: each top cell through e
     contributes the corresponding link cell.  For e of the same dimension
     as the chain this is the augmentation coefficient of e."""
-    k = _cell_dim(c.host, e)
+    link, cell_map = c.host.link_data(e)
+    k = c.host.dim_of(e)
     if k > c.dim:
         raise DomainError(f"cannot localize a {c.dim}-chain at a {k}-cell")
-    link, cell_map = c.host.link_data(e)
     cells = {cell_map[x] for x in c.cells if x in cell_map}
     return Chain2(link, c.dim - k - 1, frozenset(cells))
 

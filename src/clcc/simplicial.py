@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -106,10 +106,6 @@ class CoordSimplex:
 
 EMPTY_SIMPLEX = CoordSimplex(())
 
-# The canonical order of simplices: canon_key of a CoordSimplex is
-# (6, entries), so the simplices of one complex sort by their entries.
-_ENTRIES = attrgetter("entries")
-
 
 @lru_cache(maxsize=4096)
 def _shared_color_set(colors: tuple[int, ...]) -> frozenset[int]:
@@ -190,14 +186,19 @@ def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
     return seen
 
 
-def components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The components of a graph on the vertices 0..count-1, each edge a
-    pair of vertex numbers: each component sorted, in the order of their
-    least vertices."""
+def _neighbour_lists(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     nbrs: list[list[int]] = [[] for _ in range(count)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
+    return nbrs
+
+
+def components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The components of a graph on the vertices 0..count-1, each edge a
+    pair of vertex numbers: each component sorted, in the order of their
+    least vertices."""
+    nbrs = _neighbour_lists(count, edges)
     placed = [False] * count
     out = []
     for v in range(count):
@@ -206,6 +207,12 @@ def components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
             for u in out[-1]:
                 placed[u] = True
     return out
+
+
+def connected(count: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether a graph on the vertices 0..count-1, each edge a pair of
+    vertex numbers, has exactly one component: vertex 0 reaches all."""
+    return count > 0 and len(reach([0], _neighbour_lists(count, edges).__getitem__)) == count
 
 
 def cliques(adj: Mapping) -> Iterator[tuple]:
@@ -227,33 +234,137 @@ def cliques(adj: Mapping) -> Iterator[tuple]:
         level = nxt
 
 
-def pure_dimensional(host) -> bool:
-    """Whether every cell of a homology host (top_dim, cells,
-    facet_positions) is a face of a top cell: going down from the top
-    cells, the facets of the cells reached so far cover every cell one
-    dimension lower."""
-    reached = range(len(host.cells(host.top_dim)))
-    for d in range(host.top_dim, 0, -1):
-        table = host.facet_positions(d)
-        reached = {p for c in reached for p in table[c]}
-        if len(reached) != len(host.cells(d - 1)):
-            return False
-    return True
+class CellStore:
+    """The cells of `ColoredComplex`, `SimplicialComplex` and
+    `CubeComplex`, each part built on first use: the cells of each
+    dimension in canonical order; the facet table, for each d the facets
+    of each d-cell as sorted positions in `cells(d - 1)`; the index,
+    each cell's (dimension, position) by its `_key`; the coface table,
+    the facet table's transpose.
+
+    A cube complex's builder hands over its cells and facet table, and a
+    cube is its own key.  A simplicial host (`simplices`) keys a simplex
+    by an ascending tuple, one item per vertex, that sorts as the simplex
+    does; a facet drops one vertex, so its key drops one item.  Its empty
+    simplex is `cells(-1)`, in the table for dimension 0."""
+
+    def _key(self, cell):
+        return cell
+
+    @cached_property
+    def _cells_by_dim(self) -> dict[int, tuple]:
+        buckets: dict[int, list] = {}
+        for s in self.simplices:
+            buckets.setdefault(len(s) - 1, []).append(s)
+        return {d: tuple(sorted(v, key=self._key)) for d, v in sorted(buckets.items())}
+
+    @cached_property
+    def _facet_positions(self) -> dict[int, tuple]:
+        # dropping a later item gives an earlier facet, so the facets
+        # dropping the last item first are in ascending order
+        index = self._index
+        keys = iter(index)  # in the order of the cells
+        tables = {
+            d: tuple([
+                tuple([index[k[:i] + k[i + 1 :]][1] for i in range(d, -1, -1)])
+                for k in islice(keys, len(cs))
+            ])
+            for d, cs in self._cells_by_dim.items()
+        }
+        tables.pop(-1, None)
+        return tables
+
+    @cached_property
+    def _index(self) -> dict:
+        key = self._key
+        return {key(c): (d, p) for d, cs in self._cells_by_dim.items() for p, c in enumerate(cs)}
+
+    @cached_property
+    def _cofaces(self) -> dict:
+        """The cofaces of each d-cell as ascending positions in cells(d+1)."""
+        up: dict = {d: [[] for _ in cs] for d, cs in self._cells_by_dim.items()}
+        for d, table in self._facet_positions.items():
+            lower = up[d - 1]
+            for q, ps in enumerate(table):
+                for p in ps:
+                    lower[p].append(q)
+        return {d: tuple(map(tuple, rows)) for d, rows in up.items()}
+
+    @property
+    def top_dim(self) -> int:
+        return max(self._cells_by_dim, default=-1)
+
+    def cells(self, d: int) -> tuple:
+        return self._cells_by_dim.get(d, ())
+
+    def facet_positions(self, d: int) -> tuple:
+        return self._facet_positions.get(d, ())
+
+    def dim_of(self, cell) -> int:
+        return self._index[self._key(cell)][0]
+
+    def boundary_of(self, cell) -> tuple:
+        """The facets of a simplex of this complex, the stored simplices."""
+        key = self._key(cell)
+        if not key:
+            raise ComplexError("the empty simplex has no boundary")
+        index, lower = self._index, self._cells_by_dim[len(key) - 2]
+        return tuple([lower[index[key[:i] + key[i + 1 :]][1]] for i in range(len(key))])
+
+    def _star(self, cell) -> Iterator[tuple[int, list[int]]]:
+        """The cofaces of a cell, itself included, walked up the coface
+        table: one level per dimension from the cell's own, each the
+        positions of its cofaces there.  The work is the size of the
+        star, not of the complex."""
+        d, p = self._index[self._key(cell)]
+        level = [p]
+        while level:
+            yield d, level
+            rows = self._cofaces[d]
+            level = list(dict.fromkeys([r for q in level for r in rows[q]]))
+            d += 1
+
+    def link(self, cell):
+        return self.link_data(cell)[0]
+
+    @cached_property
+    def is_pure(self) -> bool:
+        """Whether every cell is a face of a top cell: going down from the
+        top cells, the facets of the cells reached so far cover every
+        cell one dimension lower."""
+        reached = range(len(self.cells(self.top_dim)))
+        for d in range(self.top_dim, 0, -1):
+            table = self.facet_positions(d)
+            reached = {p for c in reached for p in table[c]}
+            if len(reached) != len(self.cells(d - 1)):
+                return False
+        return True
+
+    @cached_property
+    def maximal_simplices(self) -> tuple:
+        """Cells that no row of the facet table one dimension up lists, in
+        canonical order.  The empty simplex is maximal only in the
+        vertex-less complex."""
+        out = []
+        for d in range(-1, self.top_dim + 1):
+            listed = {p for ps in self.facet_positions(d + 1) for p in ps}
+            out += [c for p, c in enumerate(self.cells(d)) if p not in listed]
+        return tuple(csorted(out))
+
+    def is_connected(self) -> bool:
+        return connected(len(self.cells(0)), self.facet_positions(1))
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d * len(cs) for d, cs in self._cells_by_dim.items() if d >= 0)
 
 
-def maximal_cells(host) -> tuple:
-    """Cells that no row of the facet table one dimension up lists, in
-    canonical order.  A simplicial host's table for dimension 0 lists the
-    empty simplex, so it is maximal only in the vertex-less complex."""
-    out = []
-    for d in range(-1, host.top_dim + 1):
-        listed = {p for ps in host.facet_positions(d + 1) for p in ps}
-        out += [c for p, c in enumerate(host.cells(d)) if p not in listed]
-    return tuple(csorted(out))
+class ColoredComplex(CellStore):
+    """Downward-closed family of coordinate simplices over colored vertices.
 
+    A simplex's key is its entries: canon_key of a CoordSimplex is
+    (6, entries), so the simplices sort by their entries."""
 
-class ColoredComplex:
-    """Downward-closed family of coordinate simplices over colored vertices."""
+    _key = staticmethod(attrgetter("entries"))
 
     def __init__(self, n: int, colors: Mapping[str, int], simplices: frozenset[CoordSimplex]):
         self.n = n
@@ -311,12 +422,6 @@ class ColoredComplex:
     def __contains__(self, simplex: CoordSimplex) -> bool:
         return simplex in self.simplices
 
-    @cached_property
-    def _by_entries(self) -> dict[tuple, CoordSimplex]:
-        """Each stored simplex by its entries, for lookups that would
-        otherwise make a new simplex."""
-        return {s.entries: s for s in self.simplices}
-
     def simplex_with_vertices(self, vids: Iterable[str]) -> Optional[CoordSimplex]:
         """The simplex on exactly these vertex ids, or None; the vertex
         colors give its entries."""
@@ -324,14 +429,15 @@ class ColoredComplex:
         vids = set(vids)
         if not vids <= colors.keys():
             return None
-        return self._by_entries.get(tuple(sorted((colors[v], v) for v in vids)))
+        at = self._index.get(tuple(sorted((colors[v], v) for v in vids)))
+        return None if at is None else self.cells(at[0])[at[1]]
 
     @cached_property
     def by_colorset(self) -> dict[frozenset[int], tuple[CoordSimplex, ...]]:
         buckets: dict[frozenset[int], list[CoordSimplex]] = {}
         for s in self.simplices:
             buckets.setdefault(s.colors, []).append(s)
-        return {k: tuple(sorted(v, key=_ENTRIES)) for k, v in buckets.items()}
+        return {k: tuple(sorted(v, key=self._key)) for k, v in buckets.items()}
 
     @cached_property
     def _all_colors(self) -> frozenset[int]:
@@ -348,14 +454,11 @@ class ColoredComplex:
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
         nbrs: dict[str, set[str]] = {v: set() for v in self._colors}
-        for s in self.simplices:
-            if s.dim == 1:
-                (_, a), (_, b) = s.entries
-                nbrs[a].add(b)
-                nbrs[b].add(a)
+        for s in self.cells(1):
+            (_, a), (_, b) = s.entries
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         return {v: frozenset(ns) for v, ns in nbrs.items()}
-
-    maximal_simplices = cached_property(maximal_cells)
 
     @cached_property
     def squares(self) -> tuple[SquareWitness, ...]:
@@ -379,79 +482,31 @@ class ColoredComplex:
                 out.setdefault(tuple(sorted(sq.color_set)), sq)
         return out
 
-    @cached_property
-    def _cells_by_dim(self) -> dict[int, tuple[CoordSimplex, ...]]:
-        buckets: dict[int, list[CoordSimplex]] = {}
-        for s in self.simplices:
-            buckets.setdefault(s.dim, []).append(s)
-        return {d: tuple(sorted(v, key=_ENTRIES)) for d, v in buckets.items()}
-
     # -- homology host protocol ---------------------------------------
-
-    @property
-    def top_dim(self) -> int:
-        return max(self._cells_by_dim)
-
-    def cells(self, d: int) -> tuple[CoordSimplex, ...]:
-        return self._cells_by_dim.get(d, ())
 
     @property
     def augmentation_cell(self) -> CoordSimplex:
         return EMPTY_SIMPLEX
 
     def boundary_of(self, cell: CoordSimplex) -> tuple[CoordSimplex, ...]:
-        """The facets of a cell; for a cell of this complex they are the
-        stored simplices, so they are not made again and their hashes are
-        cached."""
-        if cell.dim < 0:
-            raise ComplexError("the empty simplex has no boundary")
-        if cell not in self.simplices:
-            return cell.facets()
-        stored, e = self._by_entries, cell.entries
-        return tuple([stored[e[:i] + e[i + 1 :]] for i in range(len(e))])
-
-    def facet_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """For d >= 1, the facets of each d-simplex, in the order of
-        `cells(d)`, as sorted positions in `cells(d - 1)`."""
-        index = {s.entries: i for i, s in enumerate(self.cells(d - 1))}
-        return tuple(
-            tuple(sorted([index[e[:i] + e[i + 1 :]] for i in range(len(e))]))
-            for e in (s.entries for s in self.cells(d))
-        )
-
-    is_pure = cached_property(pure_dimensional)
-
-    @cached_property
-    def _cofaces_up(self) -> dict[tuple, list[CoordSimplex]]:
-        """The simplices one dimension up from each simplex, by its entries."""
-        up: dict[tuple, list[CoordSimplex]] = {s.entries: [] for s in self.simplices}
-        for t in self.simplices:
-            e = t.entries
-            for i in range(len(e)):
-                up[e[:i] + e[i + 1 :]].append(t)
-        return up
+        """The facets of a simplex: the stored ones for a simplex of this
+        complex, made anew for another."""
+        return super().boundary_of(cell) if cell in self.simplices else cell.facets()
 
     def link_data(self, e: CoordSimplex):
-        """Link of e plus the coface -> link-cell correspondence.  The
-        cofaces of e are walked up from e, so the work is the size of its
-        star, not of the complex."""
+        """Link of e plus the coface -> link-cell correspondence, on the
+        star of e: a coface's link cell is its entries outside e."""
         if e not in self.simplices:
             raise ComplexError(f"simplex {e} not in complex")
-        cell_map: dict[CoordSimplex, CoordSimplex] = {}
-        link_cells = set()
         drop = set(e.entries)
-        for s in reach([e], lambda c: self._cofaces_up[c.entries]):
-            rest = CoordSimplex(tuple(x for x in s.entries if x not in drop))
-            cell_map[s] = rest
-            link_cells.add(rest)
-        link = self._replace_simplices(frozenset(link_cells))
-        return link, cell_map
+        cell_map = {
+            s: CoordSimplex(tuple(x for x in s.entries if x not in drop))
+            for d, level in self._star(e)
+            for s in map(self.cells(d).__getitem__, level)
+        }
+        return self._replace_simplices(frozenset(cell_map.values())), cell_map
 
     # -- structural ops ------------------------------------------------
-
-    def link(self, simplex: CoordSimplex) -> "ColoredComplex":
-        link, _ = self.link_data(simplex)
-        return link
 
     def full_subcomplex(self, vids: Iterable[str]) -> "ColoredComplex":
         keep = set(vids)
@@ -521,8 +576,12 @@ class ColoredComplex:
         return ColoredComplex.build(n, vertices, maximal)
 
 
-class SimplicialComplex:
-    """Uncolored simplicial complex; simplices are frozensets of vertex ids."""
+class SimplicialComplex(CellStore):
+    """Uncolored simplicial complex; simplices are frozensets of vertex ids.
+
+    The vertices are ranked once, in canonical order, and a simplex's
+    key is the sorted ranks of its vertices, which sort as canon_key
+    sorts the simplices."""
 
     def __init__(self, vertices: Sequence, simplices: frozenset[frozenset]):
         self.vertex_ids = tuple(csorted(vertices))
@@ -530,47 +589,26 @@ class SimplicialComplex:
 
     @staticmethod
     def from_maximal(vertices: Iterable, maximal: Iterable[Iterable]) -> "SimplicialComplex":
-        verts = tuple(csorted(set(vertices)))
-        vset = set(verts)
+        vset = set(vertices)
         fam: set[frozenset] = {frozenset()}
         for m in maximal:
             m = frozenset(m)
             if not m <= vset:
                 raise ComplexError(f"unknown vertex ids {csorted(m - vset)}")
             for k in range(len(m) + 1):
-                fam.update(frozenset(c) for c in combinations(csorted(m), k))
-        return SimplicialComplex(verts, frozenset(fam))
+                fam.update(map(frozenset, combinations(m, k)))
+        return SimplicialComplex(vset, frozenset(fam))
 
     @cached_property
-    def _cells_by_dim(self) -> dict[int, tuple[frozenset, ...]]:
-        buckets: dict[int, list[frozenset]] = {}
-        for s in self.simplices:
-            buckets.setdefault(len(s) - 1, []).append(s)
-        return {d: tuple(csorted(v)) for d, v in buckets.items()}
+    def _rank(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertex_ids)}
 
-    @property
-    def top_dim(self) -> int:
-        return max(self._cells_by_dim) if self._cells_by_dim else -1
-
-    def cells(self, d: int) -> tuple[frozenset, ...]:
-        return self._cells_by_dim.get(d, ())
+    def _key(self, s: frozenset) -> tuple[int, ...]:
+        return tuple(sorted(map(self._rank.__getitem__, s)))
 
     @property
     def augmentation_cell(self) -> frozenset:
         return frozenset()
-
-    def boundary_of(self, cell: frozenset) -> tuple[frozenset, ...]:
-        if not cell:
-            raise ComplexError("the empty simplex has no boundary")
-        return tuple(cell - {v} for v in csorted(cell))
-
-    def facet_positions(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """For d >= 1, the facets of each d-simplex, in the order of
-        `cells(d)`, as sorted positions in `cells(d - 1)`."""
-        index = {s: i for i, s in enumerate(self.cells(d - 1))}
-        return tuple(tuple(sorted([index[s - {v}] for v in s])) for s in self.cells(d))
-
-    is_pure = cached_property(pure_dimensional)
 
     def __contains__(self, simplex: frozenset) -> bool:
         return frozenset(simplex) in self.simplices
@@ -588,37 +626,24 @@ class SimplicialComplex:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        if not self.vertex_ids:
-            return False
-        return len(reach(self.vertex_ids[:1], self.adjacency.__getitem__)) == len(self.vertex_ids)
+        # a declared vertex that lies in no simplex is a component alone
+        return len(self.cells(0)) == len(self.vertex_ids) and super().is_connected()
 
     def link_data(self, e: frozenset):
+        """Link of e plus the coface -> link-cell correspondence, on the
+        star of e: a coface's link cell is its vertices outside e."""
         e = frozenset(e)
         if e not in self.simplices:
             raise ComplexError("simplex not in complex")
-        cell_map: dict[frozenset, frozenset] = {}
-        link_cells = set()
-        for s in self.simplices:
-            if e <= s:
-                rest = s - e
-                cell_map[s] = rest
-                link_cells.add(rest)
-        link_vertices = {v for cell in link_cells for v in cell}
-        return SimplicialComplex(tuple(csorted(link_vertices)), frozenset(link_cells)), cell_map
-
-    def link(self, e: frozenset) -> "SimplicialComplex":
-        return self.link_data(e)[0]
+        cell_map = {
+            s: s - e for d, level in self._star(e) for s in map(self.cells(d).__getitem__, level)
+        }
+        link_cells = frozenset(cell_map.values())
+        return SimplicialComplex(frozenset().union(*link_cells), link_cells), cell_map
 
     def relabeled(self, rename: Mapping) -> "SimplicialComplex":
         fam = frozenset(frozenset(rename.get(v, v) for v in s) for s in self.simplices)
         return SimplicialComplex(tuple(rename.get(v, v) for v in self.vertex_ids), fam)
-
-    maximal_simplices = cached_property(maximal_cells)
-
-    def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** d * len(cells) for d, cells in self._cells_by_dim.items() if d >= 0
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,7 +5,8 @@ complex of a right-angled Coxeter kernel, its cube-by-cube subdivision,
 and a hand-made torus triangulation.  Nothing here calls the pair
 builder, except `is_connected_bfs_reference`: the connectivity of the
 built complex, which the BFS engine reads from the factors.  The naive references at the end recompute the canonical orders,
-facets, cofaces, links, boundary matrices, hyperplanes, crossing graphs,
+facets, cofaces, links (of cubes and of simplices, and their tags),
+boundary matrices, hyperplanes, crossing graphs,
 flag witnesses, pocset closures and ultrafilter cubes that the library
 derives from ranks, bitsets, facet and coface tables and integer edge
 indices; `sageev_reference` and `roller_duality_check_reference` keep
@@ -435,6 +436,71 @@ def link_data_reference(cube, cofaces: dict) -> tuple:
         for c in _upward_closure(cube, cofaces)
     }
     return SimplicialComplex(one_up, frozenset(cell_map.values()) | {frozenset()}), cell_map
+
+
+def simplex_link_data_reference(K, e) -> tuple:
+    """The link of a simplex of a colored or uncolored complex and its
+    coface -> link-cell map, by a scan of every simplex: each simplex
+    holding e maps to its part outside e.  A colored link keeps the
+    ambient colors of its vertices."""
+    if isinstance(K, ColoredComplex):
+        cell_map = {
+            s: CoordSimplex(tuple(x for x in s.entries if x not in e.entries))
+            for s in K.simplices
+            if e <= s
+        }
+        colors = {v: K.color_of(v) for c in cell_map.values() for v in c.vertex_ids}
+        return ColoredComplex(K.n, colors, frozenset(cell_map.values())), cell_map
+    cell_map = {s: s - e for s in K.simplices if e <= s}
+    vertices = {v for c in cell_map.values() for v in c}
+    return SimplicialComplex(vertices, frozenset(cell_map.values())), cell_map
+
+
+def _graph_connected(vertices, edges) -> bool:
+    vertices = list(vertices)
+    seen = set(vertices[:1])
+    grown = True
+    while grown:
+        grown = False
+        for a, b in edges:
+            if (a in seen) != (b in seen):
+                seen |= {a, b}
+                grown = True
+    return bool(vertices) and seen == set(vertices)
+
+
+def classify_link_reference(L: SimplicialComplex) -> str:
+    """The vertex-link tag read off the simplices alone: degrees and
+    connectivity from the edge list, the triangles of each edge counted
+    over every triangle, and each vertex link by the scanning
+    `simplex_link_data_reference`."""
+    def by_size(S, k):
+        return [s for s in S.simplices if len(s) == k]
+
+    def circle(S) -> bool:
+        edges = [tuple(e) for e in by_size(S, 2)]
+        return (
+            max(map(len, S.simplices)) == 2
+            and all(sum(v in e for e in edges) == 2 for v in S.vertex_ids)
+            and _graph_connected(S.vertex_ids, edges)
+        )
+
+    d = max(map(len, L.simplices)) - 1
+    if d >= 3:
+        return "unknown"
+    if circle(L):
+        return "circle"
+    triangles = by_size(L, 3)
+    chi = sum((-1) ** (len(s) - 1) for s in L.simplices if s)
+    if (
+        d == 2
+        and _graph_connected(L.vertex_ids, [tuple(e) for e in by_size(L, 2)])
+        and all(sum(e <= t for t in triangles) == 2 for e in by_size(L, 2))
+        and all(circle(simplex_link_data_reference(L, frozenset([v]))[0]) for v in L.vertex_ids)
+        and chi == 2
+    ):
+        return "2-sphere"
+    return "other"
 
 
 def is_pure_reference(host) -> bool:

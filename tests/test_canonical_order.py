@@ -6,7 +6,9 @@ fixed-point and dict-flip references in oracles.py, with ==, never
 through repr (a frozenset's iteration order depends on how it was
 built).  `sageev` writes its own facet table and `roller_duality_check`
 compares facet tables; both are checked against the `from_cells` and
-vertex-set references they replace."""
+vertex-set references they replace.  A `SimplicialComplex` orders its
+simplices by the sorted canonical ranks of their vertices, so ordering
+one costs a canon_key call per vertex, not per simplex."""
 
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ from math import comb
 
 import pytest
 
-from clcc import build_clcc, gen_cross_polytope, gen_cycle
+from clcc import build_clcc, canon, gen_cross_polytope, gen_cycle, gen_surface_pair
 from clcc.canon import canon_key, csorted
-from clcc.clcc_core import CubeComplex
+from clcc.clcc_core import CubeComplex, join_link_of_cube
 from clcc.errors import PocsetError
 from clcc.pocset_hyperplanes import (
     Pocset,
@@ -27,6 +29,7 @@ from clcc.pocset_hyperplanes import (
     star,
     ultrafilters,
 )
+from clcc.simplicial import SimplicialComplex, simplicial_join
 
 from conftest import grid_complex, tree_complex
 from corpus import (
@@ -246,3 +249,70 @@ def test_transitivity_check_matches_naive_check():
             with pytest.raises(PocsetError, match="order not transitive"):
                 Pocset(S.elements, less)
     assert broken > 0
+
+
+def simplicial_order_hosts() -> list[SimplicialComplex]:
+    """Uncolored complexes on every kind of vertex id the package makes:
+    the adjacency links of cube complexes (pair cubes, `from_cells`
+    vertex sets and vertex ids, `sageev` index sets), the join links,
+    joins whose vertices are tagged ("A", v) / ("B", v), and ids of
+    mixed type."""
+    r = rng(907)
+    cubes = [build_clcc(gen_cycle(2), gen_cycle(3, prefix="b")),
+             build_clcc(gen_cross_polytope(3), gen_cross_polytope(3, prefix="b")),
+             CubeComplex.from_json_dict(build_clcc(*gen_surface_pair(3, 4)).to_json_dict()),
+             grid_complex(3, 3), tree_complex([("c", "l0"), ("c", "l1")])]
+    cubes += [sageev(random_pocset(r, max_pairs=4)) for _ in range(6)]
+    pairs = []
+    while len(pairs) < 12:
+        pair = random_smart_pair(r, max_vertices=6)
+        if pair is not None:
+            pairs.append(pair)
+    cubes += [build_clcc(*pair) for pair in pairs]
+    hosts = [X.link_complex(v) for X in cubes for v in X.cells(0)[:4]]
+    hosts += [X.link_complex(e) for X in cubes for e in X.cells(1)[:2]]
+    hosts += [join_link_of_cube(*pair, v) for pair in pairs for v in build_clcc(*pair).cells(0)[:3]]
+    factors = [K.uncolored() for pair in pairs for K in pair]
+    hosts += [simplicial_join(K, K) for K in factors[:8]]  # every vertex tagged
+    hosts += [simplicial_join(K, L) for K, L in zip(factors[:8], factors[8:16])]
+    mixed = ["x", 3, ("t", 1), ("t", "a"), frozenset({"z", 2}), -1]
+    hosts += [SimplicialComplex.from_maximal(mixed, [mixed[:3], mixed[2:5], [mixed[5], "x"]]),
+              SimplicialComplex.from_maximal(mixed, [mixed[k:k + 2] for k in range(5)])]
+    return hosts
+
+
+def test_simplicial_cells_are_in_canonical_order():
+    hosts = simplicial_order_hosts()
+    tagged = [S for S in hosts if S.vertex_ids and all(
+        isinstance(v, tuple) and v[0] in ("A", "B") for v in S.vertex_ids)]
+    assert tagged and sum(S.top_dim >= 2 for S in hosts) > 20
+    for S in hosts:
+        for d in range(-1, S.top_dim + 1):
+            assert list(S.cells(d)) == csorted(S.cells(d)), d
+        assert list(S.maximal_simplices) == csorted(S.maximal_simplices)
+
+
+def test_ordering_a_simplicial_complex_calls_canon_key_per_vertex(monkeypatch):
+    """Building a complex and its whole store calls canon_key exactly as
+    often as ranking its vertices alone does."""
+    calls = 0
+    plain = canon.canon_key
+
+    def counting(obj):
+        nonlocal calls
+        calls += 1
+        return plain(obj)
+
+    monkeypatch.setattr(canon, "canon_key", counting)
+    more_cells = 0
+    for S in simplicial_order_hosts():
+        calls = 0
+        csorted(S.vertex_ids)
+        per_vertex = calls
+        calls = 0
+        T = SimplicialComplex(S.vertex_ids, S.simplices)
+        cells = [T.cells(d) for d in range(-1, T.top_dim + 1)]
+        T.facet_positions(1), T.is_pure, T.is_connected(), T._cofaces
+        assert calls == per_vertex
+        more_cells += sum(map(len, cells)) > 2 * len(T.vertex_ids)
+    assert more_cells > 50

@@ -9,9 +9,11 @@ documents loaded with and without their pair, on `from_cells` grids and
 trees, on `sageev` complexes, and on colored and uncolored simplicial
 hosts.  Betti numbers are checked against the boundary matrices built
 cell by cell from `boundary_of`, and purity against the coface scan.
-On the same cube complexes, the link and coface -> link-cell map of
-every cube are checked against the closure walk on cofaces found by
-vertex-set inclusion (`link_data_reference`)."""
+The link and coface -> link-cell map of every cell, walked on the star,
+are checked too: of every cube against the closure walk on cofaces
+found by vertex-set inclusion (`link_data_reference`), and of every
+simplex of the colored and uncolored hosts against a scan of all the
+simplices (`simplex_link_data_reference`)."""
 
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from oracles import (
     is_pure_reference,
     k_gamma_complex,
     link_data_reference,
+    simplex_link_data_reference,
     subdivided_k_gamma,
 )
 
@@ -131,12 +134,16 @@ def betti_reference(host, reduced: bool) -> tuple:
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
-def assert_links_match(X: CubeComplex) -> None:
-    """The link and the whole cell map of every cube against the closure
-    walk."""
-    cofaces = cofaces_reference(X)
-    for cube in cofaces:
-        assert X.link_data(cube) == link_data_reference(cube, cofaces), cube
+def assert_links_match(host) -> None:
+    """The link and the whole cell map of every cell: of a cube against
+    the closure walk, of a simplex against the scan."""
+    if isinstance(host, CubeComplex):
+        cofaces = cofaces_reference(host)
+        for cube in cofaces:
+            assert host.link_data(cube) == link_data_reference(cube, cofaces), cube
+    else:
+        for s in host.simplices:
+            assert host.link_data(s) == simplex_link_data_reference(host, s), s
 
 
 def assert_host_matches(host) -> int:
@@ -144,8 +151,7 @@ def assert_host_matches(host) -> int:
     for reduced in (True, False):
         assert betti(host, reduced).ranks == betti_reference(host, reduced)
     assert host.is_pure == is_pure_reference(host)
-    if isinstance(host, CubeComplex):
-        assert_links_match(host)
+    assert_links_match(host)
     return checked
 
 

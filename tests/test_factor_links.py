@@ -49,8 +49,10 @@ from corpus import (
     random_colored_complex,
     random_flag_complex,
     random_smart_pair,
+    random_two_complex,
     rng,
 )
+from oracles import classify_link_reference, csaszar_torus
 
 
 def adjacency_is_npc(ga, gb):
@@ -171,6 +173,34 @@ def fixture_pairs():
         (o3, book),
         (empty_triangle, o3),
     ]
+
+
+def two_octahedra_on_two_points() -> SimplicialComplex:
+    """Two octahedra sharing two opposite vertices p, q and nothing else:
+    connected, each edge in two triangles and chi = 2, but the links of
+    p and q are two 4-cycles each, so it is no 2-sphere."""
+    tris = [[p, f"{side}{a}", f"{side}{b}"] for side in "xy" for p in "pq"
+            for a in "+-" for b in ("0", "1")]
+    verts = {v for t in tris for v in t}
+    return SimplicialComplex.from_maximal(verts, tris)
+
+
+def test_link_tags_equal_the_scanning_classifier():
+    """_classify_link reads the coface table and the stars; the reference
+    counts the triangles of each edge over every triangle and scans every
+    simplex for each vertex link."""
+    r = rng(1401)
+    hosts = [build_clcc(*pair).link_complex(v) for pair in fixture_pairs()
+             for v in build_clcc(*pair).cells(0)[:6]]
+    hosts += [K.link(s).uncolored() for ga, gb in fixture_pairs() for K in (ga, gb)
+              for s in K.cells(0)[:3] + K.cells(1)[:2]]
+    hosts += [random_two_complex(r) for _ in range(60)]
+    hosts += [csaszar_torus(), two_octahedra_on_two_points(),
+              gen_cross_polytope(3).uncolored(), gen_cross_polytope(4).uncolored()]
+    tags = [_classify_link(L) for L in hosts]
+    assert tags == [classify_link_reference(L) for L in hosts]
+    assert set(tags) == {"circle", "2-sphere", "other", "unknown"}
+    assert _classify_link(two_octahedra_on_two_points()) == "other"
 
 
 def test_factor_links_match_adjacency_links_on_fixtures():

@@ -1,5 +1,9 @@
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+from clcc import gf2
 from clcc import (
     betti,
     boundary,
@@ -20,6 +24,7 @@ from clcc import (
     top_chain,
     zero_chain,
 )
+from clcc.cli import main
 from clcc.errors import DomainError
 from clcc.homology_z2 import Chain2, support_subcomplex
 from clcc.simplicial import barycentric_subdivision_2d
@@ -358,3 +363,22 @@ def test_chain_validation(torus, c4):
         Chain2(torus, 1, frozenset(torus.cells(2)[:1]))
     with pytest.raises(DomainError):
         top_chain(torus) + top_chain(c4)
+
+
+def test_homology_command_ranks_each_boundary_matrix_once(monkeypatch, torus):
+    """`clcc homology` reports the reduced and the unreduced vector from
+    one GF(2) rank of each boundary matrix."""
+    ranked = []
+    plain = gf2.rank
+
+    def counting(rows, ncols):
+        ranked.append(len(rows))
+        return plain(rows, ncols)
+
+    monkeypatch.setattr(gf2, "rank", counting)
+    res = CliRunner().invoke(main, ["homology", "-"], input=json.dumps(torus.to_json_dict()))
+    assert res.exit_code == 0, res.output
+    assert ranked == [len(torus.cells(k)) for k in range(1, torus.top_dim + 1)]
+    got = json.loads(res.stdout)
+    assert got["reduced"] == list(betti(torus).ranks) == [0, 2, 1]
+    assert got["unreduced"] == list(betti(torus, reduced=False).ranks) == [1, 2, 1]

@@ -1,6 +1,6 @@
 """The purity check, the maximal-simplex rule and the graph walks
-(components, cliques, chordless squares, the criterion graph, the
-1-skeleton of a pair complex) are each written once and shared by every
+(components, connectivity, cliques, chordless squares, the criterion
+graph, the 1-skeleton of a pair complex) are each written once and shared by every
 caller.  Each is compared here with an independent reference on the
 seeded corpus: the per-class purity scans, maximal-simplex comparisons,
 brute-force graph walks and the built complex's connectivity in
@@ -26,7 +26,13 @@ from clcc import clcc_core
 from clcc.clcc_core import _empty_complex, _JoinLinks, conn_graph, smartly_paired
 from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import sageev
-from clcc.simplicial import SimplicialComplex, _chordless_squares, cliques, components
+from clcc.simplicial import (
+    SimplicialComplex,
+    _chordless_squares,
+    cliques,
+    components,
+    connected,
+)
 
 from conftest import grid_complex, tree_complex
 from corpus import (
@@ -125,7 +131,7 @@ def test_connectivity_equals_networkx_component_count():
 
 def test_components_equal_networkx_components():
     r = rng(7305)
-    sizes = set()
+    sizes, verdicts = set(), set()
     for _ in range(300):
         count = r.randint(0, 40)
         edges = [tuple(r.randrange(count) for _ in range(2)) for _ in range(r.randint(0, count))]
@@ -134,8 +140,11 @@ def test_components_equal_networkx_components():
         G.add_edges_from(edges)
         expect = [sorted(c) for c in nx.connected_components(G)]
         assert components(count, edges) == expect
+        assert connected(count, edges) == (len(expect) == 1)
         sizes.update(len(c) for c in expect)
-    assert components(0, []) == []
+        verdicts.add(len(expect) == 1)
+    assert components(0, []) == [] and not connected(0, [])
+    assert verdicts == {True, False}
     # isolated vertices, and components large enough that a set of their
     # numbers does not iterate in sorted order
     assert 1 in sizes and max(sizes) > 8
