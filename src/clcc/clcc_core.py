@@ -28,6 +28,7 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     _chordless_squares,
+    _neighbour_lists,
     check_color_count,
     check_same_color_count,
     components,
@@ -781,78 +782,75 @@ def classify_vertex_links(X: CubeComplex) -> dict:
 
     A pair-built complex tags its links from the factor links by the join
     formula; a complex with no defining pair (loaded from JSON, or built
-    by hand) tags the adjacency link of each vertex.
+    by hand) tags each vertex's link off its star in X.  Either way the
+    tags are read by `_classify_link`, and no link complex is built.
     """
     if X.defining_pair is not None:
         links = _JoinLinks(*X.defining_pair)
         return {v: links.tag(v) for v in X.cells(0)}
-    return {v: _classify_link(X.link_complex(v)) for v in X.cells(0)}
+    return {v: _classify_link(X, v) for v in X.cells(0)}
 
 
-def _is_circle(L: SimplicialComplex) -> bool:
-    """Connected, each vertex's row of the 0-cofaces two edges long."""
-    return (
-        L.top_dim == 1
-        and all(len(row) == 2 for row in L._cofaces[0])
-        and L.is_connected()
-    )
+def _link_edges(host: CellStore, star: list) -> list:
+    """The link edges of a walked star, the cofaces two dimensions up, as
+    index pairs into its first level: an edge's ends are its facets there."""
+    if len(star) < 3:
+        return []
+    (_, verts), (d, edges) = star[1:3]
+    at, table = {q: i for i, q in enumerate(verts)}, host.facet_positions(d)
+    return [[at[f] for f in table[e] if f in at] for e in edges]
 
 
-def _vertex_links_are_circles(L: SimplicialComplex) -> bool:
-    """For a connected 2-complex whose edges each lie in two triangles,
-    read off the star of each vertex v: its link (the edges at v, joined
-    by the triangles at v) has every vertex in two edges, so it is a
-    circle when it is connected."""
-    table = L.facet_positions(2)
-    for v in L.cells(0):
-        _, (_, edges), (_, triangles) = L._star(v)
-        at = {e: i for i, e in enumerate(edges)}
-        if not connected(len(at), ([at[f] for f in table[t] if f in at] for t in triangles)):
-            return False
-    return True
-
-
-def _classify_link(L: SimplicialComplex) -> str:
-    """An edge lies in two triangles when its 1-cofaces row has two."""
-    d = L.top_dim
-    if d >= 3:
-        return "unknown"
-    if _is_circle(L):
+def _classify_link(host: CellStore, cell) -> str:
+    """The tag of the link of a cell of `host`, read off the cell's star
+    on positions with no link complex built.  A link k-simplex is a coface
+    k + 1 dimensions up: the star's depth is the link's dimension, and its
+    level sizes give chi.  A link vertex's degree and a link edge's count
+    of triangles are coface-row lengths.  The link of a link vertex is the
+    link of that coface, so the 2-sphere test recurses here."""
+    star = list(host._star(cell))
+    if len(star) not in (3, 4):  # a link of dimension 3 or more, or no edge
+        return "unknown" if len(star) > 4 else "other"
+    (_, verts), (d, edges), *triangles = star[1:]
+    rows, cells = host._cofaces, host.cells(d - 1)
+    if triangles:  # a closed surface: each edge in two triangles, chi = 2
+        chi = len(verts) - len(edges) + len(triangles[0][1])
+        closed = chi == 2 and all(len(rows[d][e]) == 2 for e in edges)
+    else:
+        closed = all(len(rows[d - 1][u]) == 2 for u in verts)
+    if not (closed and connected(len(verts), _link_edges(host, star))):
+        return "other"
+    if not triangles:
         return "circle"
-    if (
-        d == 2
-        and L.is_connected()
-        and all(len(row) == 2 for row in L._cofaces[1])
-        and L.euler_characteristic() == 2
-        and _vertex_links_are_circles(L)
-    ):
-        return "2-sphere"
-    return "other"
+    return "2-sphere" if all(_classify_link(host, cells[u]) == "circle" for u in verts) else "other"
 
 
 class _FactorLink:
-    """Invariants of one factor link lk_K(s), each computed on first use."""
+    """Invariants of one factor link lk_K(s), read off the star of s in K,
+    each on first use.  Only `is_flag` builds the link."""
 
     def __init__(self, K: ColoredComplex, s: CoordSimplex):
-        self.link = K.link(s).uncolored()
-        self.dim = self.link.top_dim
-        self.size = len(self.link.vertex_ids)
+        self.K, self.s, self.star = K, s, list(K._star(s))
+        self.dim = len(self.star) - 2
+        self.size = len(self.star[1][1]) if self.dim >= 0 else 0
 
     @cached_property
     def tag(self) -> str:
-        return _classify_link(self.link)
+        return _classify_link(self.K, self.s)
 
     @cached_property
     def has_empty_square(self) -> bool:
-        return bool(_chordless_squares(self.link.adjacency))
+        nbrs = _neighbour_lists(self.size, _link_edges(self.K, self.star))
+        return bool(_chordless_squares({u: set(ns) for u, ns in enumerate(nbrs)}))
 
     @cached_property
     def has_non_adjacent_pair(self) -> bool:
-        return any(len(ns) < self.size - 1 for ns in self.link.adjacency.values())
+        edges = len(self.star[2][1]) if self.dim >= 1 else 0
+        return edges < self.size * (self.size - 1) // 2
 
     @cached_property
     def is_flag(self) -> bool:
-        return is_flag(self.link)[0]
+        return is_flag(self.K.link(self.s))[0]
 
 
 class _JoinLinks:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, PairError
@@ -137,8 +137,10 @@ class SquareWitness:
         return {"cycle": list(self.cycle), "colors": list(self.colors)}
 
 
-def _chordless_squares(adj: Mapping[str, frozenset[str]]) -> list[tuple[str, str, str, str]]:
+def _chordless_squares(adj: Mapping[object, AbstractSet]) -> list[tuple]:
     """All chordless 4-cycles of a graph, each once, canonically ordered.
+    The vertices are any ids that `csorted` orders: a factor's vertex ids,
+    or the int positions of a link read off a star.
 
     Scans the non-adjacent pairs v < w (the candidate diagonals) and then
     the non-adjacent pairs u < x among their common neighbours.  A square

@@ -5,7 +5,10 @@ For a pair-built complex, classify_vertex_links, certify's rule 4
 factors by the join formula lk(a, b) = lk_A(a) * lk_B(b).  Each is
 compared here with the same invariant computed on the adjacency link
 X.link_complex(v) of the built complex, vertex by vertex, on the seeded
-corpus and on fixtures that between them reach every tag.
+corpus and on fixtures that between them reach every tag.  Both paths
+tag with `_classify_link(host, cell)`, read off the star of the cell;
+its tags and the star reads of `_FactorLink` are checked against the
+built links, and a counter checks that no link complex is built.
 
 Each complex is also round-tripped through JSON: the loader recovers
 the pair its cube sides span when that pair has at most 8 faces per
@@ -23,6 +26,7 @@ import pytest
 from click.testing import CliRunner
 
 from clcc import (
+    ColoredComplex,
     CubeComplex,
     SimplicialComplex,
     build_clcc,
@@ -38,16 +42,25 @@ from clcc import (
 )
 from clcc.canon import canonical_json
 from clcc.cli import main
-from clcc.clcc_core import CoordSimplex, _classify_link, _cube_vertices, _JoinLinks
+from clcc.clcc_core import (
+    CoordSimplex,
+    _classify_link,
+    _cube_vertices,
+    _FactorLink,
+    _JoinLinks,
+)
 from clcc.errors import ComplexError
 from clcc.homology_z2 import _cell_json
 from clcc.hyperbolicity import ALL_RULES, RULE_LINKS_5_LARGE
+from clcc.pocset_hyperplanes import sageev
 from clcc.simplicial import _chordless_squares, is_flag
 
+from conftest import grid_complex, tree_complex
 from corpus import (
     planted_square_flag_complex,
     random_colored_complex,
     random_flag_complex,
+    random_pocset,
     random_smart_pair,
     random_two_complex,
     rng,
@@ -109,7 +122,7 @@ def compare_paths(ga, gb) -> Counter:
     assert links.vertices() == list(X.cells(0))
 
     adjacency = {v: X.link_complex(v) for v in X.cells(0)}
-    expected_tags = {v: _classify_link(L) for v, L in adjacency.items()}
+    expected_tags = {v: _classify_link(L, L.augmentation_cell) for v, L in adjacency.items()}
     tags = classify_vertex_links(X)
     assert list(tags.items()) == list(expected_tags.items())
     assert_loads_back(X, expected_tags)
@@ -197,10 +210,102 @@ def test_link_tags_equal_the_scanning_classifier():
     hosts += [random_two_complex(r) for _ in range(60)]
     hosts += [csaszar_torus(), two_octahedra_on_two_points(),
               gen_cross_polytope(3).uncolored(), gen_cross_polytope(4).uncolored()]
-    tags = [_classify_link(L) for L in hosts]
+    tags = [_classify_link(L, L.augmentation_cell) for L in hosts]
     assert tags == [classify_link_reference(L) for L in hosts]
     assert set(tags) == {"circle", "2-sphere", "other", "unknown"}
-    assert _classify_link(two_octahedra_on_two_points()) == "other"
+    octahedra = two_octahedra_on_two_points()
+    assert _classify_link(octahedra, octahedra.augmentation_cell) == "other"
+
+
+def test_star_tags_equal_the_reference_on_every_host():
+    """_classify_link(host, cell) reads the star of the cell in its host;
+    the reference tags the built link.  Every vertex of sageev complexes,
+    from_cells grids and trees, and every cell of the fixture factors."""
+    r = rng(1402)
+    hosts = [sageev(random_pocset(r, max_pairs=5)) for _ in range(30)]
+    hosts += [grid_complex(a, b) for a, b in ((1, 1), (2, 3), (3, 3), (1, 5))]
+    hosts += [tree_complex([("v0", "v1"), ("v1", "v2")]),
+              tree_complex([("c", "l0"), ("c", "l1"), ("c", "l2")])]
+    tags = Counter()
+    for X in hosts:
+        for v in X.cells(0):
+            tags[_classify_link(X, v)] += 1
+            assert _classify_link(X, v) == classify_link_reference(X.link(v)), v
+    for K in [K for pair in fixture_pairs() for K in pair]:
+        for d in range(-1, K.top_dim + 1):
+            for s in K.cells(d):
+                tags[_classify_link(K, s)] += 1
+                assert _classify_link(K, s) == classify_link_reference(K.link(s).uncolored()), s
+    assert set(tags) == {"circle", "2-sphere", "other", "unknown"}
+
+
+def census_factors() -> list:
+    r = rng(1403)
+    factors = [K for pair in fixture_pairs() for K in pair]
+    while len(factors) < 120:
+        pair = random_smart_pair(r, max_vertices=7)
+        if pair is not None:
+            factors += pair
+    factors += [planted_square_flag_complex(r, r.randint(2, 4)) for _ in range(20)]
+    return factors
+
+
+def test_factor_link_star_reads_equal_the_built_link():
+    """The invariants that _FactorLink reads off the star of s in K, on
+    every simplex of the fixture and census factors, against the same
+    questions asked of the built link lk_K(s)."""
+    seen = Counter()
+    for K in census_factors():
+        for d in range(-1, K.top_dim + 1):
+            for s in K.cells(d):
+                fl, L = _FactorLink(K, s), K.link(s).uncolored()
+                reads = (fl.dim, fl.size, fl.has_non_adjacent_pair, fl.has_empty_square,
+                         fl.is_flag)
+                assert reads == (
+                    L.top_dim,
+                    len(L.vertex_ids),
+                    any(len(ns) < len(L.vertex_ids) - 1 for ns in L.adjacency.values()),
+                    bool(_chordless_squares(L.adjacency)),
+                    is_flag(L)[0],
+                ), s
+                seen.update(f"{k}={v}" for k, v in zip(("pair", "square", "flag"), reads[2:]))
+    assert len(seen) == 6  # each predicate both ways
+
+
+def count_complexes_built(monkeypatch) -> Counter:
+    """Count every ColoredComplex and SimplicialComplex made from now on."""
+    built = Counter()
+    for cls in (ColoredComplex, SimplicialComplex):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_tags_squares_and_non_adjacency_build_no_link(monkeypatch):
+    pairs = fixture_pairs()
+    built_pairs = [build_clcc(*pair) for pair in pairs]
+    partial = [CubeComplex.from_json_dict(doc)
+               for ga, gb in LOADER_PAIRS for doc in fallback_documents(build_clcc(ga, gb))]
+    assert all(Y.defining_pair is None for Y in partial)
+    point_pair = (
+        close_downward(4, [("p", 1), ("q", 2), ("r", 1), ("s", 3)],
+                       [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"]]),
+        close_downward(4, [("t", 2), ("u", 3), ("t2", 2), ("w", 4)],
+                       [["t", "u"], ["u", "t2"], ["t2", "w"], ["w", "t"]]),
+    )
+    rule_4_pairs = [point_pair, pairs[1], pairs[2]]  # the cross-polytope pairs end Unknown
+    built = count_complexes_built(monkeypatch)
+    for X in built_pairs + partial:
+        classify_vertex_links(X)
+    certificates = [certify(*pair) for pair in rule_4_pairs]
+    assert not built
+    assert certificates[0].rule == RULE_LINKS_5_LARGE
+    assert all(c.attempted == ALL_RULES for c in certificates[1:])
 
 
 def test_factor_links_match_adjacency_links_on_fixtures():
@@ -259,7 +364,7 @@ def adjacency_links_output(doc) -> str:
         b = CoordSimplex.of({int(k): v for k, v in c["b"].items()})
         by_dim.setdefault(len(a.colors & b.colors), []).append(_cube_vertices(a, b))
     R = CubeComplex.from_cells(by_dim)
-    tags = {v: _classify_link(R.link_complex(v)) for v in R.cells(0)}
+    tags = {v: _classify_link(R, v) for v in R.cells(0)}
     links = sorted(({"vertex": _cell_json(v), "tag": t} for v, t in tags.items()),
                    key=lambda e: canonical_json(e["vertex"]))
     return canonical_json({"counts": dict(Counter(tags.values())), "links": links}) + "\n"
