@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
@@ -41,6 +42,8 @@ from clcc.simplicial import (
 AUGMENTATION = "<augmentation>"
 
 CubeId = object  # (CoordSimplex, CoordSimplex) for pair-built complexes
+
+_entries = attrgetter("entries")
 
 
 class CubeComplex(CellStore):
@@ -225,23 +228,26 @@ class CubeComplex(CellStore):
         cover {1..n}, and a declared "dim" must be the integer overlap size.
 
         The cube sides span a pair of factors, and every cube of the
-        document is a cube of that pair.  So a document that is all the
-        cubes of that pair gets it as `defining_pair`, and its links take
-        the join formula.  The cubes are assembled once, as given; one
-        budget, tied to their count, bounds the search for the pair: the
-        spanning stops once a factor has more than _FACES_PER_CUBE faces
-        per cube, and the cube enumeration once it has more cubes than the
-        document.  Then, or when a vertex id has two colors in one factor,
-        the complex has no pair."""
+        document is a cube of that pair.  So when that pair has exactly as
+        many cubes as the document (`_pair_cube_counts`, no cube made),
+        they are the same cubes: the complex is built from the pair's
+        colorset buckets, as `build_clcc` builds it, with the pair as
+        `defining_pair`, and its links take the join formula.  One budget,
+        tied to the document's distinct cubes, bounds the search for the
+        pair: the spanning stops once a factor has more than
+        _FACES_PER_CUBE faces per cube, and the count once the pair has
+        more cubes than the document.  Then, or when a vertex id has two
+        colors in one factor, the document's cubes are assembled as given
+        by the same assembler, and the complex has no pair.  Either way
+        the document is assembled once."""
         n, cubes, sides_a, sides_b = _read_cube_document(doc)
-        X = _assemble_pair_cubes(n, cubes, defining_pair=None)
-        count = sum(map(len, X._cells_by_dim.values()))
-        budget = _FACES_PER_CUBE * count
+        budget = _FACES_PER_CUBE * len(cubes)
         pair = (_spanned_factor(n, sides_a, budget), _spanned_factor(n, sides_b, budget))
-        if None not in pair and _covering_pairs(*pair, limit=count) is not None:
-            # at most the document's cubes, all among them: the same cubes
-            X.defining_pair = pair
-        return X
+        if None not in pair:
+            counts = _pair_cube_counts(*pair, limit=len(cubes))
+            if counts is not None and sum(counts.values()) == len(cubes):
+                return build_clcc(*pair)
+        return _assemble_pair_cubes(n, *_document_products(cubes, sides_a, sides_b))
 
 
 class Opposition(NamedTuple):
@@ -306,86 +312,125 @@ def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
     return frozenset(verts)
 
 
-def _assemble_pair_cubes(n, pairs, defining_pair):
-    """The cubes (a, b) in canonical order, and their facet table.
+class _Sides(NamedTuple):
+    """The sides of one factor, in entries order, and the rank of each
+    side by its entries."""
 
-    The distinct a- and b-simplices are ranked once, and a cube is keyed
-    by the int ia * nb + ib of its ranks, which sorts as the cube does.
-    A first pass over the sorted keys gives each cube its dimension (the
-    overlap size) and its position there; a second writes the positions
-    of the facets (ia - i, ib) and (ia, ib - i) of each overlap color i.
-    Two passes, because a face can sort after its cube.  A side's face
-    without color i is looked up only for the overlap colors i of its
-    cubes, so a wide side costs its width, not its width squared.  The
-    pairs of simplices are made once per cube."""
-    side_a = csorted({a for a, _ in pairs})
-    side_b = csorted({b for _, b in pairs})
-    rank_a = {a: i for i, a in enumerate(side_a)}
-    rank_b = {b: i for i, b in enumerate(side_b)}
-    nb = len(side_b)
-    keys = sorted({rank_a[a] * nb + rank_b[b] for a, b in pairs})
-    colors_a = [a.colors for a in side_a]
-    colors_b = [b.colors for b in side_b]
-    overlaps = []
-    where: dict[int, int] = {}
-    by_dim: dict[int, list] = {}
-    for k in keys:
-        ia, ib = divmod(k, nb)
-        overlap = colors_a[ia] & colors_b[ib]
-        overlaps.append(overlap)
-        cells = by_dim.setdefault(len(overlap), [])
-        where[k] = len(cells)
-        cells.append((side_a[ia], side_b[ib]))
-    # per side, filled on first use: color -> rank of the face without
-    # that color, or -1 when that face is no side
-    minus_a: list[dict] = [{} for _ in side_a]
-    minus_b: list[dict] = [{} for _ in side_b]
-    positions: dict[int, list] = {d: [] for d in by_dim if d}
-    for k, overlap in zip(keys, overlaps):
-        if not overlap:
-            continue
-        ia, ib = divmod(k, nb)
-        ma, mb = minus_a[ia], minus_b[ib]
-        fs = []
-        for i in overlap:
-            fa = ma.get(i)
-            if fa is None:
-                fa = ma[i] = rank_a.get(side_a[ia].minus(i), -1)
-            fb = mb.get(i)
-            if fb is None:
-                fb = mb[i] = rank_b.get(side_b[ib].minus(i), -1)
-            fs.append(where.get(fa * nb + ib) if fa >= 0 else None)
-            fs.append(where.get(k - ib + fb) if fb >= 0 else None)
-        if None in fs:
-            present = {c for cs in by_dim.values() for c in cs}
-            _raise_missing_facet(side_a[ia], side_b[ib], present)
-        fs.sort()
-        positions[len(overlap)].append(tuple(fs))
-    return CubeComplex(by_dim, positions, n=n, defining_pair=defining_pair)
+    sides: tuple
+    rank: dict
 
 
-def _raise_missing_facet(a: CoordSimplex, b: CoordSimplex, present) -> None:
-    """The first facet of (a, b) missing from `present`: overlap colors
-    ascending, (a - i, b) before (a, b - i)."""
-    for i in sorted(a.colors & b.colors):
-        for f in ((a.minus(i), b), (a, b.minus(i))):
-            if f not in present:
-                raise ComplexError(f"facet {f} missing; cube family not downward consistent")
+def _ranked(sides) -> _Sides:
+    ordered = tuple(sorted(sides, key=_entries))
+    return _Sides(ordered, {s.entries: r for r, s in enumerate(ordered)})
+
+
+def _faces(side: _Sides, ranks: tuple, i: int, memo: dict) -> list:
+    """The rank of the face without color i of each side of a bucket (the
+    ranks of sides that share their colors), once per bucket and color:
+    color i sits at one place in the entries of each.  A face that is no
+    side gets the rank len(side.sides), one past the last."""
+    key = ranks, i
+    faces = memo.get(key)
+    if faces is None:
+        sides, rank = side
+        k = [c for c, _ in sides[ranks[0]].entries].index(i)
+        missing = len(sides)
+        faces = memo[key] = [
+            rank.get(e[:k] + e[k + 1:], missing) for e in [sides[r].entries for r in ranks]
+        ]
+    return faces
+
+
+def _assemble_pair_cubes(n, side_a: _Sides, side_b: _Sides, products, defining_pair=None):
+    """The cubes (a, b) of the bucket products in canonical order, and
+    their facet table.
+
+    A product (ranks_a, ranks_b, overlap) is the cubes (a, b) for every a
+    of ranks_a and every b of ranks_b: each bucket's sides share their
+    colors, the pairs cover {1..n} and overlap in the colors `overlap`,
+    ascending, and no cube is in two products.  A cube is keyed by the int
+    ia * stride + ib of its side ranks, with stride len(side_b.sides) + 1,
+    which sorts as the cube does; a face that is no side (rank one past
+    the last) makes a key that no cube has.
+
+    Each product gives its cube keys and, per overlap color i, a column
+    of the keys of the facets (a - i, b) and one of (a, b - i), from the
+    face ranks of its buckets (`_faces`).  Dropping a later color gives
+    an earlier face, and a - i comes before a only when i is a's last
+    color; so one order of the 2d columns, the same for every cube of the
+    product, lists each cube's facets in canonical order: a - (a's last
+    color) if that is an overlap color, then the b-faces, then the other
+    a-faces, each by descending color.  The dimensions are then finished
+    from 0 up: each facet key is looked up in the sorted dimension below,
+    where a key's position rises with the key, so the rows come out
+    sorted, and a facet missing there raises, the first one in canonical
+    order named.  The pairs (a, b) are made once per cube, and no
+    CoordSimplex is hashed."""
+    sa, sb = side_a.sides, side_b.sides
+    stride = len(sb) + 1
+    keys: dict[int, list] = {}
+    columns: dict[int, list] = {}  # per dimension, the facet-key columns
+    memo_a: dict = {}
+    memo_b: dict = {}
+    for ra, rb, overlap in products:
+        d = len(overlap)
+        if d not in keys:
+            keys[d], columns[d] = [], [[] for _ in range(2 * d)]
+        keys[d] += [ia * stride + ib for ia in ra for ib in rb]
+        if d:
+            by_a, by_b = [], []
+            for i in reversed(overlap):
+                fa, fb = _faces(side_a, ra, i, memo_a), _faces(side_b, rb, i, memo_b)
+                by_a.append([x * stride + ib for x in fa for ib in rb])
+                by_b.append([ia * stride + y for ia in ra for y in fb])
+            last = overlap[-1] == sa[ra[0]].entries[-1][0]  # a - i before a
+            for column, part in zip(columns[d], by_a[:last] + by_b + by_a[last:]):
+                column += part
+    cells: dict[int, list] = {}
+    positions: dict[int, list] = {}
+    where: dict[int, int] = {}  # the key -> position of each cube one dimension down
+    for d in sorted(keys):
+        ks = keys[d]
+        order = sorted(range(len(ks)), key=ks.__getitem__)
+        ks = [ks[j] for j in order]
+        if d:
+            try:
+                rows = list(zip(*[list(map(where.__getitem__, c)) for c in columns[d]]))
+            except KeyError:
+                every = [(sa[k // stride], sb[k % stride]) for kd in keys.values() for k in kd]
+                raise _missing_facet(every) from None
+            positions[d] = [rows[j] for j in order]
+        where = dict(zip(ks, range(len(ks))))
+        cells[d] = [(sa[k // stride], sb[k % stride]) for k in ks]
+    return CubeComplex(cells, positions, n=n, defining_pair=defining_pair)
+
+
+def _missing_facet(cubes) -> ComplexError:
+    """The error for the first facet missing from a cube family that lacks
+    one: cubes in canonical order, overlap colors ascending, (a - i, b)
+    before (a, b - i).  Only this error path hashes the cubes."""
+    present = set(cubes)
+    for a, b in sorted(present, key=_pair_entries):
+        for i in sorted(a.colors & b.colors):
+            for f in ((a.minus(i), b), (a, b.minus(i))):
+                if f not in present:
+                    return ComplexError(f"facet {f} missing; cube family not downward consistent")
 
 
 def _covering_buckets(
-    gamma_a: ColoredComplex, gamma_b: ColoredComplex, grow: Optional[int] = None
+    n: int, by_a: Mapping[frozenset, tuple], by_b: Mapping[frozenset, tuple],
+    grow: Optional[int] = None,
 ) -> Iterator[tuple[tuple, tuple, tuple]]:
     """The buckets of pairs (a, b) whose colors cover {1..n} and overlap in
     at most `grow` colors (any number when None): (bucket of a's, bucket
-    of b's, overlap colors), every a of one colorset S and every b of
-    one.  Both factors are downward closed, so the b-colorsets covering S
-    are {1..n} - S grown by colors of S, and a grown set that gamma_b
-    lacks ends its branch: each lookup finds a bucket or ends a branch.
-    When the largest simplices of the two sides together have fewer than
-    n colors, nothing covers."""
-    n = gamma_a.n
-    by_a, by_b = gamma_a.by_colorset, gamma_b.by_colorset
+    of b's, overlap colors ascending), every a of one colorset S and every
+    b of one.  The buckets are those of `by_a` and `by_b`, each factor's
+    simplices (or their ranks) by colorset.  Both factors are downward
+    closed, so the b-colorsets covering S are {1..n} - S grown by colors
+    of S, and a grown set that by_b lacks ends its branch: each lookup
+    finds a bucket or ends a branch.  When the largest simplices of the
+    two sides together have fewer than n colors, nothing covers."""
     if n > max(map(len, by_a)) + max(map(len, by_b)):
         return
     all_colors = frozenset(range(1, n + 1))
@@ -403,17 +448,24 @@ def _covering_buckets(
                 )
 
 
-def _covering_pairs(
+def _pair_cube_counts(
     gamma_a: ColoredComplex, gamma_b: ColoredComplex, limit: Optional[int] = None
-) -> Optional[list]:
-    """All pairs (a, b) whose colors cover {1..n}, or None as soon as there
-    would be more than `limit`: a bucket that would pass it is not built."""
-    pairs: list = []
-    for bucket_a, bucket_b, _ in _covering_buckets(gamma_a, gamma_b):
-        if limit is not None and len(pairs) + len(bucket_a) * len(bucket_b) > limit:
+) -> Optional[dict[int, int]]:
+    """The number of cubes of each dimension of the pair complex, with no
+    cube made: |bucket_a| * |bucket_b| summed over the covering bucket
+    products of each overlap size.  None as soon as the total passes
+    `limit`."""
+    counts: dict[int, int] = {}
+    total = 0
+    for bucket_a, bucket_b, overlap in _covering_buckets(
+        gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset
+    ):
+        size = len(bucket_a) * len(bucket_b)
+        total += size
+        if limit is not None and total > limit:
             return None
-        pairs.extend(product(bucket_a, bucket_b))
-    return pairs
+        counts[len(overlap)] = counts.get(len(overlap), 0) + size
+    return dict(sorted(counts.items()))
 
 
 def _pair_entries(v) -> tuple:
@@ -426,7 +478,8 @@ def _pair_vertices(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> list:
     """The vertices of the pair complex, the pairs (a, b) whose colors
     partition {1..n}, in the order of its cells(0), with no cube built."""
     return sorted(
-        (v for bucket_a, bucket_b, _ in _covering_buckets(gamma_a, gamma_b, grow=0)
+        (v for bucket_a, bucket_b, _ in _covering_buckets(
+            gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset, grow=0)
          for v in product(bucket_a, bucket_b)),
         key=_pair_entries,
     )
@@ -440,7 +493,9 @@ def _pair_edges(gamma_a: ColoredComplex, gamma_b: ColoredComplex, vertices: list
     place in the entries of each."""
     index = {_pair_entries(v): p for p, v in enumerate(vertices)}
     edges = []
-    for bucket_a, bucket_b, overlap in _covering_buckets(gamma_a, gamma_b, grow=1):
+    for bucket_a, bucket_b, overlap in _covering_buckets(
+        gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset, grow=1
+    ):
         if not overlap:
             continue
         (i,) = overlap
@@ -454,67 +509,133 @@ def _pair_edges(gamma_a: ColoredComplex, gamma_b: ColoredComplex, vertices: list
     return edges
 
 
+def _ranked_buckets(K: ColoredComplex) -> tuple[_Sides, dict]:
+    """The simplices of K ranked by entries, and each colorset bucket as
+    the ranks of its simplices."""
+    side = _ranked(K.simplices)
+    return side, {
+        colors: tuple([side.rank[s.entries] for s in bucket])
+        for colors, bucket in K.by_colorset.items()
+    }
+
+
 def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     """All pairs (a, b) whose colors cover {1..n}; the overlap size is the
     cube dimension and faces shrink either side on an overlap color.  When
     the largest simplices of the two sides together have fewer than n
-    colors, no pair covers and the complex is empty."""
+    colors, no pair covers and the complex is empty.  Each factor's
+    simplices are ranked once, and the cubes are assembled from the
+    covering products of the colorset buckets, as ranks."""
     check_same_color_count(gamma_a, gamma_b)
-    pairs = _covering_pairs(gamma_a, gamma_b)
-    return _assemble_pair_cubes(gamma_a.n, pairs, defining_pair=(gamma_a, gamma_b))
+    side_a, by_a = _ranked_buckets(gamma_a)
+    side_b, by_b = _ranked_buckets(gamma_b)
+    products = _covering_buckets(gamma_a.n, by_a, by_b)
+    return _assemble_pair_cubes(gamma_a.n, side_a, side_b, products, (gamma_a, gamma_b))
 
 
 class _SideReader:
-    """Parses the cube sides of one factor, each distinct side once: a side
-    is looked up by its raw items, then by its sorted entries, so equal
-    sides are one simplex.  Each gives (simplex, every vertex id a string);
-    a side with another vertex id is refused by the caller, so it is
-    never shared."""
+    """Interns the cube sides of one factor to int positions, each distinct
+    side parsed once.  `known` holds the position of each raw spelling
+    read so far, by its items; a new spelling is parsed here and looked up
+    by its sorted entries, so equal sides share one position.  A side with
+    a vertex id that is not a string gets a position of its own, marked in
+    `text`; the caller refuses it, so it is never shared."""
 
     def __init__(self):
-        self._by_raw: dict = {}
-        self.sides: dict = {}  # entries -> the one simplex
+        self.known: dict = {}
+        self._by_entries: dict = {}
+        self.sides: list = []  # position -> simplex
+        self.text: list = []  # position -> every vertex id a string
 
-    def __call__(self, raw) -> tuple[CoordSimplex, bool]:
-        key = tuple(raw.items())
-        try:
-            return self._by_raw[key]
-        except (KeyError, TypeError):  # new, or an unhashable vertex id
-            pass
+    def __call__(self, raw) -> int:
         s = CoordSimplex.of({int(c): v for c, v in raw.items()})
         if not all(isinstance(v, str) for _, v in s.entries):
-            return s, False
-        self._by_raw[key] = self.sides.setdefault(s.entries, s), True
-        return self._by_raw[key]
+            self.sides.append(s)
+            self.text.append(False)
+            return len(self.sides) - 1
+        pos = self._by_entries.setdefault(s.entries, len(self.sides))
+        if pos == len(self.sides):
+            self.sides.append(s)
+            self.text.append(True)
+        self.known[tuple(raw.items())] = pos
+        return pos
 
 
-def _read_cube_document(doc) -> tuple[int, list, tuple, tuple]:
-    """n, the cubes (a, b) in document order, and the distinct a- and
-    b-sides of a cube document, checked cube by cube."""
+def _read_cube_document(doc) -> tuple[int, set, list, list]:
+    """n, the distinct cubes as the ints pa * len(sides_b) + pb of their
+    side positions, and the distinct a- and b-sides of a cube document.
+
+    Every item is read before any is checked, so a malformed item
+    anywhere is reported first.  Then the cubes are checked in document
+    order, so the first bad cube is the one named: a side with a vertex
+    id that is not a string, then the colors and the declared dim, those
+    once per distinct (a-colorset, b-colorset, dim)."""
     read_a, read_b = _SideReader(), _SideReader()
+    known_a, known_b = read_a.known, read_b.known
+    raw = []
     try:
         n = doc["n"]
-        raw = [(read_a(item["a"]), read_b(item["b"]), item.get("dim")) for item in doc["cubes"]]
+        for item in doc["cubes"]:  # the reader's own lookup, inlined: once per cube
+            side = item["a"]
+            try:
+                pa = known_a[tuple(side.items())]
+            except (KeyError, TypeError):  # new, or an unhashable vertex id
+                pa = read_a(side)
+            side = item["b"]
+            try:
+                pb = known_b[tuple(side.items())]
+            except (KeyError, TypeError):
+                pb = read_b(side)
+            raw.append((pa, pb, item.get("dim")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed cube complex document: {exc}") from exc
     check_color_count(n)
-    for (a, a_text), (b, b_text), dim in raw:
-        if not (a_text and b_text):
-            raise ComplexError(f"cube ({a}, {b}) has a vertex id that is not a string")
-        colors = a.colors | b.colors
-        if len(colors) != n or min(colors) < 1 or max(colors) > n:
-            raise ComplexError(f"cube ({a}, {b}) does not cover the colors 1..{n}")
-        overlap = len(a.colors & b.colors)
-        if dim is None:
+    sides_a, sides_b = read_a.sides, read_b.sides
+    colors_a, colors_b = [s.colors for s in sides_a], [s.colors for s in sides_b]
+    text = all(read_a.text) and all(read_b.text)  # if not, every cube is checked in full
+    checked: set = set()  # (a-colorset, b-colorset, dim) of good cubes, dim None or an int
+    for pa, pb, dim in raw:
+        ca, cb = colors_a[pa], colors_b[pb]
+        key = (ca, cb, dim) if text and (dim is None or type(dim) is int) else None
+        if key in checked:
             continue
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ComplexError(f"cube ({a}, {b}) declares dim {dim!r}, which is not an integer")
-        if dim != overlap:
-            raise ComplexError(
-                f"cube ({a}, {b}) declares dim {dim!r}, but its colors overlap in {overlap}"
-            )
-    cubes = [(a, b) for (a, _), (b, _), _ in raw]
-    return n, cubes, tuple(read_a.sides.values()), tuple(read_b.sides.values())
+        cube = f"cube ({sides_a[pa]}, {sides_b[pb]})"
+        if not (read_a.text[pa] and read_b.text[pb]):
+            raise ComplexError(f"{cube} has a vertex id that is not a string")
+        colors, overlap = ca | cb, len(ca & cb)
+        if len(colors) != n or min(colors) < 1 or max(colors) > n:
+            raise ComplexError(f"{cube} does not cover the colors 1..{n}")
+        if dim is not None:
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise ComplexError(f"{cube} declares dim {dim!r}, which is not an integer")
+            if dim != overlap:
+                raise ComplexError(
+                    f"{cube} declares dim {dim!r}, but its colors overlap in {overlap}"
+                )
+        if key is not None:
+            checked.add(key)
+    nb = len(sides_b)
+    return n, {pa * nb + pb for pa, pb, _ in raw}, sides_a, sides_b
+
+
+def _document_products(cubes: set, sides_a: list, sides_b: list) -> tuple:
+    """The document's sides ranked, and its distinct cubes as bucket
+    products for `_assemble_pair_cubes`: the cubes of one a-side whose
+    b-sides share a colorset are one product."""
+    side_a, side_b = _ranked(sides_a), _ranked(sides_b)
+    rank_a = [side_a.rank[s.entries] for s in sides_a]
+    rank_b = [side_b.rank[s.entries] for s in sides_b]
+    colors_b = [s.colors for s in sides_b]
+    nb = len(sides_b)
+    groups: dict = {}
+    for k in cubes:
+        pa, pb = divmod(k, nb)
+        groups.setdefault((pa, colors_b[pb]), []).append(rank_b[pb])
+    products = [
+        ((rank_a[pa],), tuple(ranks_b), tuple(sorted(sides_a[pa].colors & colors)))
+        for (pa, colors), ranks_b in groups.items()
+    ]
+    return side_a, side_b, products
 
 
 # A document's cube sides may span factors of at most this many faces
@@ -806,23 +927,52 @@ def _classify_link(host: CellStore, cell) -> str:
     on positions with no link complex built.  A link k-simplex is a coface
     k + 1 dimensions up: the star's depth is the link's dimension, and its
     level sizes give chi.  A link vertex's degree and a link edge's count
-    of triangles are coface-row lengths.  The link of a link vertex is the
-    link of that coface, so the 2-sphere test recurses here."""
+    of triangles are coface-row lengths, and the 2-sphere test reads the
+    links of the link vertices off the same levels
+    (`_vertex_links_are_circles`)."""
     star = list(host._star(cell))
     if len(star) not in (3, 4):  # a link of dimension 3 or more, or no edge
         return "unknown" if len(star) > 4 else "other"
     (_, verts), (d, edges), *triangles = star[1:]
-    rows, cells = host._cofaces, host.cells(d - 1)
+    rows = host._cofaces
     if triangles:  # a closed surface: each edge in two triangles, chi = 2
         chi = len(verts) - len(edges) + len(triangles[0][1])
         closed = chi == 2 and all(len(rows[d][e]) == 2 for e in edges)
     else:
         closed = all(len(rows[d - 1][u]) == 2 for u in verts)
-    if not (closed and connected(len(verts), _link_edges(host, star))):
+    ends = _link_edges(host, star)
+    if not (closed and connected(len(verts), ends)):
         return "other"
     if not triangles:
         return "circle"
-    return "2-sphere" if all(_classify_link(host, cells[u]) == "circle" for u in verts) else "other"
+    return "2-sphere" if _vertex_links_are_circles(host, star, ends) else "other"
+
+
+def _vertex_links_are_circles(host: CellStore, star: list, ends: list) -> bool:
+    """Whether the link of every vertex u of a connected 2-dimensional link
+    whose edges each lie in two triangles is a circle, read off the
+    walked star: `ends` gives each link edge its two ends.
+
+    The vertices of lk(u) are the link edges at u, and each triangle at u
+    joins its two edges there.  Each edge lies in two triangles, so every
+    vertex of lk(u) has degree 2 and lk(u) is a union of cycles; it is a
+    circle exactly when those triangles connect the edges at u.  So a
+    link edge at one of its ends is a flag, numbered 2e or 2e + 1; each
+    triangle joins, at each of its three vertices, the flags of its two
+    edges there; and each lk(u) is one circle exactly when the flags form
+    one component per link vertex (every vertex has an edge, since the
+    link is connected)."""
+    (_, verts), (d, edges), (_, triangles) = star[1:]
+    at, table = {q: j for j, q in enumerate(edges)}, host.facet_positions(d + 1)
+    joins = []
+    for t in triangles:
+        flag_at: dict = {}  # a vertex of t -> the first flag of t there
+        for e in [at[g] for g in table[t] if g in at]:
+            for flag, u in enumerate(ends[e], 2 * e):
+                other = flag_at.setdefault(u, flag)
+                if other != flag:
+                    joins.append((other, flag))
+    return len(components(2 * len(edges), joins)) == len(verts)
 
 
 class _FactorLink:

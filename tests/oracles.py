@@ -15,9 +15,11 @@ the duality verdict read from vertex sets, that the written facet table
 and the table comparison replace.
 The last ones are the pruning loop and the per-color-pair subcomplex
 scans that the factor predicates replace by a closed form and one square
-scan per complex, and the brute-force graph walks (every vertex subset,
+scan per complex, the brute-force graph walks (every vertex subset,
 every 4-tuple, every pair of nodes merged) that the shared graph helpers
-replace."""
+replace, and the pair assembler that hashes each cube's two sides, fed
+every covering pair of simplices, that assembly on the colorset buckets
+replaces."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from itertools import combinations, permutations, product
 
 from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex, build_clcc, smartly_paired
-from clcc.errors import DomainError
+from clcc.errors import ComplexError, DomainError
 from clcc.pocset_hyperplanes import CrossingGraph, halfspace_pocset, star, ultrafilters
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
@@ -635,3 +637,46 @@ def is_connected_bfs_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex)
     """Connectivity of the pair complex read from its built facet table:
     every cube assembled, then the components of its vertices and edges."""
     return build_clcc(gamma_a, gamma_b).is_connected()
+
+
+def covering_pairs_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> list:
+    """Every pair (a, b) of simplices of the two factors whose colors cover
+    {1..n}, by a scan of all pairs of simplices."""
+    all_colors = frozenset(range(1, gamma_a.n + 1))
+    return [(a, b) for a in gamma_a.simplices for b in gamma_b.simplices
+            if a.colors | b.colors == all_colors]
+
+
+def pair_cubes_reference(n: int, pairs) -> CubeComplex:
+    """The cube complex on a family of pairs (a, b), by the assembler that
+    the bucket products replace: the distinct a- and b-simplices ranked by
+    `csorted`, each cube keyed by its two ranks, and the facets (a - i, b)
+    and (a, b - i) of each overlap color i looked up by value.  A family
+    that lacks a facet raises for the first one missing: cubes in
+    canonical order, overlap colors ascending, (a - i, b) before
+    (a, b - i)."""
+    side_a = csorted({a for a, _ in pairs})
+    side_b = csorted({b for _, b in pairs})
+    rank_a = {a: i for i, a in enumerate(side_a)}
+    rank_b = {b: i for i, b in enumerate(side_b)}
+    nb = len(side_b)
+    keys = sorted({rank_a[a] * nb + rank_b[b] for a, b in pairs})
+    present = {(side_a[k // nb], side_b[k % nb]) for k in keys}
+    by_dim: dict[int, list] = {}
+    where: dict = {}
+    for k in keys:
+        a, b = side_a[k // nb], side_b[k % nb]
+        cells = by_dim.setdefault(len(a.colors & b.colors), [])
+        where[a, b] = len(cells)
+        cells.append((a, b))
+    positions: dict[int, list] = {d: [] for d in by_dim if d}
+    for k in keys:
+        a, b = side_a[k // nb], side_b[k % nb]
+        facets = [f for i in sorted(a.colors & b.colors)
+                  for f in ((a.minus(i), b), (a, b.minus(i)))]
+        for f in facets:
+            if f not in present:
+                raise ComplexError(f"facet {f} missing; cube family not downward consistent")
+        if facets:
+            positions[len(facets) // 2].append(tuple(sorted(where[f] for f in facets)))
+    return CubeComplex(by_dim, positions, n=n)

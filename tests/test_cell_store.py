@@ -5,7 +5,10 @@ cached hash and color set.
 Vertex sets are checked against an oracle that never calls
 `_cube_vertices`: the 0-cells reached by following facets down.  The
 missing-facet error is checked against a plain scan of the cube pairs in
-canonical order."""
+canonical order, and the document reader's errors against the cube they
+name.  Assembly on the colorset buckets hashes each side a bounded
+number of times, not each cube; a counter on `CoordSimplex.__hash__`
+checks that."""
 
 from __future__ import annotations
 
@@ -18,9 +21,10 @@ from hypothesis import strategies as st
 
 from clcc import build_clcc, gen_cross_polytope, gen_cycle, gen_surface_pair
 from clcc.canon import canonical_json, csorted
+from clcc import clcc_core
 from clcc.clcc_core import CubeComplex
 from clcc.errors import ComplexError
-from clcc.simplicial import CoordSimplex
+from clcc.simplicial import ColoredComplex, CoordSimplex
 
 from conftest import grid_complex
 from corpus import random_colored_complex, random_smart_pair, rng
@@ -133,6 +137,123 @@ def test_a_document_missing_a_facet_raises_the_same_error():
             )
             raised += 1
     assert raised > 40
+
+
+def count_side_hashes(monkeypatch) -> list:
+    calls = []
+    plain = CoordSimplex.__hash__
+
+    def counted(self):
+        calls.append(1)
+        return plain(self)
+
+    monkeypatch.setattr(CoordSimplex, "__hash__", counted)
+    return calls
+
+
+def test_assembly_hashes_each_side_a_bounded_number_of_times(monkeypatch):
+    ga0, gb0 = gen_surface_pair(12, 12)
+    ga, gb = (ColoredComplex(K.n, dict(K.vertices), K.simplices) for K in (ga0, gb0))
+    doc = build_clcc(ga0, gb0).to_json_dict()
+    sides = {canonical_json(c[k]) + k for c in doc["cubes"] for k in "ab"}
+    budget = len(sides) * (doc["n"] + 1)
+    assert budget < len(doc["cubes"]) / 4  # a bound per cube would not fit
+    calls = count_side_hashes(monkeypatch)
+    X = build_clcc(ga, gb)
+    built = len(calls)
+    Y = CubeComplex.from_json_dict(doc)
+    loaded = len(calls) - built
+    assert Y.defining_pair is not None and Y.cells(2) == X.cells(2)
+    assert built <= budget and loaded <= budget, (built, loaded, budget)
+    calls.clear()
+    Y.facets(Y.cells(2)[0])  # the counter counts: the cube index hashes every cube
+    assert len(calls) >= 2 * len(doc["cubes"])
+
+
+def surface_document() -> dict:
+    return build_clcc(*gen_surface_pair(3, 4)).to_json_dict()
+
+
+def test_a_document_is_assembled_once_on_either_path(monkeypatch):
+    doc = surface_document()
+    top = next(k for k, c in enumerate(doc["cubes"]) if c["dim"] == 2)
+    partial = {**doc, "cubes": doc["cubes"][:top] + doc["cubes"][top + 1:]}
+    calls = []
+    assemble = clcc_core._assemble_pair_cubes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(clcc_core, "_assemble_pair_cubes", counted)
+    for kept, pair in ((doc, True), (partial, False)):
+        calls.clear()
+        assert (CubeComplex.from_json_dict(kept).defining_pair is not None) == pair
+        assert len(calls) == 1
+
+
+def load_error(doc) -> str:
+    with pytest.raises(ComplexError) as info:
+        CubeComplex.from_json_dict(doc)
+    return str(info.value)
+
+
+def test_the_bad_cube_after_good_ones_on_its_colorsets_is_named():
+    doc = surface_document()
+    cubes = doc["cubes"]
+    square = next(c for c in cubes if c["dim"] == 2)
+    edge = next(c for c in cubes if c["dim"] == 1)
+    # the good cubes before it have its colorsets and the dim that the bad
+    # dim equals (True == 1, 1.0 == 1)
+    bad = [
+        (edge, True, "declares dim True, which is not an integer"),
+        (edge, 1.0, "declares dim 1.0, which is not an integer"),
+        (square, 2.0, "declares dim 2.0, which is not an integer"),
+        (square, "2", "declares dim '2', which is not an integer"),
+        (square, [2], "declares dim [2], which is not an integer"),
+        (square, 1, "declares dim 1, but its colors overlap in 2"),
+        (edge, 3, "declares dim 3, but its colors overlap in 1"),
+    ]
+    for cube, dim, text in bad:
+        a, b = _cube_of(cube)
+        got = load_error({**doc, "cubes": cubes + [{**cube, "dim": dim}]})
+        assert got == f"cube ({a}, {b}) {text}", dim
+    # a cube on the a-colorset of many good ones that does not cover
+    short = {**edge, "b": {}, "dim": 0}
+    ea = _cube_of(short)[0]
+    assert load_error({**doc, "cubes": cubes + [short]}) == (
+        f"cube ({ea}, <empty>) does not cover the colors 1..2"
+    )
+    # a vertex id that is not a string, on sides like the good ones
+    for raw in ({"1": 5}, {"1": ["x"]}, {"1": None, "2": "b0"}):
+        odd = {**edge, "a": raw}
+        side = CoordSimplex.of({int(c): v for c, v in raw.items()})
+        assert load_error({**doc, "cubes": cubes + [odd]}) == (
+            f"cube ({side}, {_cube_of(edge)[1]}) has a vertex id that is not a string"
+        )
+    # the first bad cube in document order is the one named
+    a, b = _cube_of(square)
+    first = {**square, "dim": 0}
+    assert load_error({**doc, "cubes": cubes[:5] + [first] + cubes[5:] + [{**edge, "dim": 5}]}) == (
+        f"cube ({a}, {b}) declares dim 0, but its colors overlap in 2"
+    )
+
+
+def test_a_malformed_item_anywhere_wins_over_a_color_error():
+    doc = surface_document()
+    cubes = doc["cubes"]
+    not_covering = {**cubes[0], "b": {}}
+    assert "does not cover" in load_error({**doc, "cubes": [not_covering] + cubes})
+    for item, text in (
+        ({"a": {}}, "'b'"),
+        ({"b": {}}, "'a'"),
+        ({"a": [], "b": {}}, "'list' object has no attribute 'items'"),
+        ({"a": {"x": "v"}, "b": {}}, "invalid literal for int() with base 10: 'x'"),
+        ("cube", "string indices must be integers"),
+    ):
+        got = load_error({**doc, "cubes": [not_covering] + cubes + [item]})
+        assert got.startswith("malformed cube complex document: "), got
+        assert text in got, (got, text)
 
 
 def test_colored_lookups_return_the_stored_simplices():

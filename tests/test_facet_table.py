@@ -13,13 +13,37 @@ The link and coface -> link-cell map of every cell, walked on the star,
 are checked too: of every cube against the closure walk on cofaces
 found by vertex-set inclusion (`link_data_reference`), and of every
 simplex of the colored and uncolored hosts against a scan of all the
-simplices (`simplex_link_data_reference`)."""
+simplices (`simplex_link_data_reference`).
+
+Pair assembly on the colorset buckets is checked against the assembler
+it replaces (`pair_cubes_reference`, fed every covering pair of
+simplices): cells and facet tables of `build_clcc` on the `manifolds`
+pairs, a raw and pruned census and the generator families, and of the
+JSON loader on complete, shuffled, repeated, respelled and partial
+documents.  The cube counts read off the buckets are checked against
+the built complexes on the same corpus."""
 
 from __future__ import annotations
 
-from clcc import build_clcc, gen_cross_polytope, gen_cycle, gen_surface_pair, gf2
-from clcc.clcc_core import CubeComplex, dimension
-from clcc.errors import NotTwoSidedError
+import random
+import time
+
+import pytest
+
+from clcc import (
+    build_clcc,
+    close_downward,
+    gen_barycentric_pair,
+    gen_cross_polytope,
+    gen_cycle,
+    gen_racg_pair,
+    gen_salvetti_pair,
+    gen_surface_pair,
+    gf2,
+    prune_to_smart_pair,
+)
+from clcc.clcc_core import CubeComplex, _pair_cube_counts, dimension
+from clcc.errors import ComplexError, NotTwoSidedError
 from clcc.homology_z2 import betti
 from clcc.pocset_hyperplanes import (
     crossing_graph,
@@ -28,18 +52,27 @@ from clcc.pocset_hyperplanes import (
     hyperplanes,
     sageev,
 )
-from clcc.simplicial import SimplicialComplex
+from clcc.simplicial import CoordSimplex, SimplicialComplex
 
 from conftest import grid_complex, tree_complex
-from corpus import random_colored_complex, random_pocset, random_smart_pair, rng
+from corpus import (
+    planted_square_flag_complex,
+    random_colored_complex,
+    random_flag_complex,
+    random_pocset,
+    random_smart_pair,
+    rng,
+)
 from oracles import (
     boundary_rows_reference,
     cofaces_reference,
+    covering_pairs_reference,
     csaszar_torus,
     facet_positions_reference,
     is_pure_reference,
     k_gamma_complex,
     link_data_reference,
+    pair_cubes_reference,
     simplex_link_data_reference,
     subdivided_k_gamma,
 )
@@ -221,3 +254,164 @@ def test_the_pipeline_never_builds_the_cube_keyed_maps():
     assert "_index" in X.__dict__ and "_cofaces" not in X.__dict__
     X.link_data(X.cells(0)[0])
     assert "_cofaces" in X.__dict__
+
+
+# -- pair assembly on the colorset buckets --------------------------------------------
+
+
+def manifold_pairs() -> list:
+    """The closed-manifold pairs of the `manifolds` benchmark workload."""
+    tetra = SimplicialComplex.from_maximal("abcd", ["abc", "abd", "acd", "bcd"])
+    return [
+        (gen_cross_polytope(4), gen_cross_polytope(4, prefix="b")),
+        gen_surface_pair(20, 20),
+        gen_barycentric_pair(tetra, tetra, {"V": 1, "E": 2, "F": 3}, {"V": 2, "E": 1, "F": 3}),
+    ]
+
+
+def census_pairs(count: int = 150) -> list:
+    """Seeded raw pairs, n in 1..4, then each pruned to a smart pair."""
+    r = rng(1306)
+    raw = []
+    for _ in range(count):
+        n = r.randint(1, 4)
+        raw.append((random_colored_complex(r, n, 7, 6), random_colored_complex(r, n, 7, 6)))
+    return raw + [prune_to_smart_pair(ga, gb) for ga, gb in raw]
+
+
+def generator_pairs() -> list:
+    """A pair of each generator family."""
+    r = rng(1307)
+    path = close_downward(3, [("x", 1), ("y", 2), ("z", 3)], [["x", "y"], ["z"]])
+    tri = SimplicialComplex.from_maximal("abc", ["ab", "bc", "ca"])
+    return [
+        (gen_cycle(4), gen_cycle(5, prefix="b")),
+        (gen_cross_polytope(1), gen_cross_polytope(1, prefix="b")),
+        (gen_cross_polytope(3), gen_cross_polytope(3, prefix="b")),
+        gen_surface_pair(3, 4),
+        gen_salvetti_pair(path),
+        gen_racg_pair(gen_cycle(4)),
+        gen_barycentric_pair(tri, tri, {"V": 1, "E": 2, "F": 3}, {"V": 2, "E": 1, "F": 3}),
+        (random_flag_complex(r, 3), planted_square_flag_complex(r, 3)),
+        (random_flag_complex(r, 4, p_edge=0.7), random_flag_complex(r, 4, p_edge=0.7)),
+    ]
+
+
+def assembly_corpus() -> list:
+    return manifold_pairs() + census_pairs() + generator_pairs()
+
+
+def assert_same_complex(X: CubeComplex, R: CubeComplex) -> int:
+    """The same cells, in the same order, and the same facet tables;
+    returns the cell count."""
+    assert X.top_dim == R.top_dim
+    for d in range(X.top_dim + 1):
+        assert X.cells(d) == R.cells(d), d
+        assert X.facet_positions(d) == R.facet_positions(d), d
+    return sum(len(X.cells(d)) for d in range(X.top_dim + 1))
+
+
+def test_pair_cube_counts_equal_the_built_complex():
+    dims = set()
+    for ga, gb in assembly_corpus():
+        X = build_clcc(ga, gb)
+        counts = _pair_cube_counts(ga, gb)
+        assert counts == {d: len(X.cells(d)) for d in range(X.top_dim + 1)}
+        assert max(counts, default=-1) == dimension(X)[0]
+        assert sum((-1) ** d * c for d, c in counts.items()) == X.euler_characteristic()
+        total = sum(counts.values())
+        assert _pair_cube_counts(ga, gb, limit=total) == counts
+        if total:
+            assert _pair_cube_counts(ga, gb, limit=total - 1) is None
+        dims.add(X.top_dim)
+    assert {-1, 0, 1, 2, 3, 4} <= dims
+
+
+def test_pair_cube_counts_build_no_product():
+    # 3000 a-vertices of color 1 against 3000 b-vertices of color 2: nine
+    # million vertices, counted from two bucket sizes
+    k = 3000
+    ga = close_downward(2, [(f"a{i}", 1) for i in range(k)], [[f"a{i}"] for i in range(k)])
+    gb = close_downward(2, [(f"b{i}", 2) for i in range(k)], [[f"b{i}"] for i in range(k)])
+    start = time.perf_counter()
+    assert _pair_cube_counts(ga, gb) == {0: k * k}
+    assert _pair_cube_counts(ga, gb, limit=4 * k) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_build_clcc_equals_the_reference_assembler():
+    checked = sum(
+        assert_same_complex(build_clcc(ga, gb),
+                            pair_cubes_reference(ga.n, covering_pairs_reference(ga, gb)))
+        for ga, gb in assembly_corpus()
+    )
+    assert checked > 20_000
+
+
+def document_cubes(doc) -> list:
+    """The distinct cubes of a document, read with no interning."""
+    def side(raw):
+        return CoordSimplex.of({int(c): v for c, v in raw.items()})
+    return list({(side(c["a"]), side(c["b"])) for c in doc["cubes"]})
+
+
+def loader_documents(X: CubeComplex, r: random.Random) -> dict:
+    """The JSON form of X as it is, with its cubes shuffled, with a third
+    of them repeated, with the color keys of half the a-sides respelled
+    ("01" for 1), with one a-vertex id given to a vertex of another color
+    (no pair, though every cube is there), less one top cube (the rest is
+    still downward closed), and less one cube below the top (a facet goes
+    missing)."""
+    doc = X.to_json_dict()
+    cubes = doc["cubes"]
+    shuffled = list(cubes)
+    r.shuffle(shuffled)
+    respelled = [{**c, "a": {k.zfill(2): v for k, v in c["a"].items()}} for c in cubes[::2]]
+    docs = {
+        "complete": doc,
+        "shuffled": {**doc, "cubes": shuffled},
+        "repeated": {**doc, "cubes": cubes + cubes[::3]},
+        "respelled": {**doc, "cubes": respelled + cubes[1::2]},
+    }
+    vertices = sorted({(c, v) for cube in cubes for c, v in cube["a"].items()})
+    if len({c for c, _ in vertices}) > 1:  # give one vertex id two colors
+        (cu, u), (_, w) = vertices[0], next(x for x in vertices if x[0] != vertices[0][0])
+        docs["two-colored"] = {**doc, "cubes": [
+            {**c, "a": {k: u if v == w else v for k, v in c["a"].items()}} for c in cubes
+        ]}
+    top = [k for k, c in enumerate(cubes) if c["dim"] == X.top_dim]
+    below = [k for k, c in enumerate(cubes) if c["dim"] == X.top_dim - 1]
+    if top:
+        k = r.choice(top)
+        docs["less a top cube"] = {**doc, "cubes": cubes[:k] + cubes[k + 1:]}
+    if below:
+        k = r.choice(below)
+        docs["less a facet"] = {**doc, "cubes": cubes[:k] + cubes[k + 1:]}
+    return docs
+
+
+def test_the_loader_equals_the_reference_assembler():
+    r = random.Random(1308)
+    seen = {"pair": 0, "as given": 0, "raised": 0}
+    for ga, gb in census_pairs(40) + generator_pairs():
+        X = build_clcc(ga, gb)
+        if not X.cells(0):
+            continue
+        pair_kept = None
+        for name, doc in loader_documents(X, r).items():
+            try:
+                R = pair_cubes_reference(doc["n"], document_cubes(doc))
+            except ComplexError as exc:
+                with pytest.raises(ComplexError) as info:
+                    CubeComplex.from_json_dict(doc)
+                assert str(info.value) == str(exc), name
+                seen["raised"] += 1
+                continue
+            Y = CubeComplex.from_json_dict(doc)
+            assert_same_complex(Y, R)
+            if name == "complete":
+                pair_kept = Y.defining_pair is not None
+            elif name in ("shuffled", "repeated", "respelled"):  # the same cubes
+                assert (Y.defining_pair is not None) == pair_kept, name
+            seen["pair" if Y.defining_pair is not None else "as given"] += 1
+    assert seen["pair"] > 250 and seen["as given"] > 100 and seen["raised"] > 40

@@ -308,6 +308,23 @@ def test_tags_squares_and_non_adjacency_build_no_link(monkeypatch):
     assert all(c.attempted == ALL_RULES for c in certificates[1:])
 
 
+def test_the_2_sphere_test_walks_one_star_per_vertex(monkeypatch):
+    """The links of the link vertices are read off the levels of the
+    vertex's own star, so tagging the 2-sphere links of the subdivided
+    tetrahedra, loaded with no pair, walks each vertex's star once."""
+    pair = gen_barycentric_pair(TETRA, TETRA, {"V": 1, "E": 2, "F": 3}, {"V": 2, "E": 1, "F": 3})
+    X = build_clcc(*pair)
+    Y = CubeComplex.from_json_dict(X.to_json_dict())
+    Y.defining_pair = None
+    walks = []
+    star = CubeComplex._star
+    monkeypatch.setattr(CubeComplex, "_star", lambda self, cell: walks.append(cell) or star(self, cell))
+    tags = classify_vertex_links(Y)
+    assert set(tags.values()) == {"2-sphere"} and len(tags) == 384
+    assert walks == list(Y.cells(0))
+    assert list(tags.items()) == list(classify_vertex_links(X).items())
+
+
 def test_factor_links_match_adjacency_links_on_fixtures():
     seen = Counter()
     for ga, gb in fixture_pairs():
