@@ -548,7 +548,7 @@ class _SideReader:
         self.text: list = []  # position -> every vertex id a string
 
     def __call__(self, raw) -> int:
-        s = CoordSimplex.of({int(c): v for c, v in raw.items()})
+        s = CoordSimplex.from_json(raw)
         if not all(isinstance(v, str) for _, v in s.entries):
             self.sides.append(s)
             self.text.append(False)

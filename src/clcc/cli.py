@@ -94,7 +94,7 @@ def _simplex_option(ctx, param, value: str) -> CoordSimplex:
         doc = json.loads(value)
         if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
             raise ValueError("not an object of string vertex ids")
-        return CoordSimplex.of({int(c): v for c, v in doc.items()})
+        return CoordSimplex.from_json(doc)
     except ValueError as exc:
         raise click.BadParameter(
             f'expected a JSON object color -> vertex id, e.g. {{"1": "a0"}} ({exc})'
@@ -170,11 +170,12 @@ def _command(name: str, reads=None, failure=None):
     `_READERS`, as its first argument.  Every document read through
     `_read_doc` while the command runs is recorded under its role.
 
-    The wrapper times the body, maps a DomainError to exit 1 with an error
-    payload on stdout, and otherwise writes the canonical payload to
-    stdout (or to --out) and a run report to stderr: one line, or with
-    --report a JSON object with the input digests and timings.  Inputs
-    are digested only for that report.  `failure` maps the payload to
+    The wrapper times the body, maps a DomainError, MemoryError or
+    RecursionError to exit 1 with an error payload on stdout, and
+    otherwise writes the canonical payload to stdout (or to --out) and a
+    run report to stderr: one line, or with --report a JSON object with
+    the input digests and timings.  Inputs are digested only for that
+    report.  `failure` maps the payload to
     what fails, or None; when something fails, the payload is written and
     reported as usual, the one-line report says what fails, and the exit
     code is 1.
@@ -198,7 +199,7 @@ def _command(name: str, reads=None, failure=None):
                     payload = body(_READERS[reads](doc), **params)
                 else:
                     payload = body(**params)
-            except DomainError as exc:
+            except (DomainError, MemoryError, RecursionError) as exc:
                 error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
                 click.echo(canonical_json({"error": error}), file=sys.stdout)
                 click.echo(f"clcc {name}: error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     check_same_color_count,
+    join_cells,
     simplicial_join,
 )
 
@@ -169,22 +170,8 @@ def join_chains(sigma: Chain2, omega: Chain2) -> Chain2:
         if isinstance(ch.host, CubeComplex):
             raise DomainError("join is only defined for simplicial hosts")
     J = simplicial_join(sigma.host, omega.host)
-    la = sigma.host.uncolored() if isinstance(sigma.host, ColoredComplex) else sigma.host
-    lb = omega.host.uncolored() if isinstance(omega.host, ColoredComplex) else omega.host
-    if set(la.vertex_ids) & set(lb.vertex_ids):
-        ren_a = lambda v: ("A", v)
-        ren_b = lambda v: ("B", v)
-    else:
-        ren_a = ren_b = lambda v: v
-
-    def vset(cell, rename):
-        ids = cell.vertex_ids if isinstance(cell, CoordSimplex) else cell
-        return frozenset(rename(v) for v in ids)
-
-    cells = {
-        vset(s, ren_a) | vset(t, ren_b) for s in sigma.cells for t in omega.cells
-    }
-    return Chain2(J, sigma.dim + omega.dim + 1, frozenset(cells))
+    cells = join_cells(sigma.host, omega.host, sigma.cells, omega.cells)
+    return Chain2(J, sigma.dim + omega.dim + 1, cells)
 
 
 def support_subcomplex(c: Chain2) -> ColoredComplex:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
-from clcc.canon import csorted
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
 from clcc.simplicial import components
@@ -126,16 +126,30 @@ class Pocset:
         return (x, y) in self.less
 
     @cached_property
-    def _rank(self) -> dict:
-        """Position of each element in canonical order."""
-        return {e: i for i, e in enumerate(csorted(self.elements))}
-
-    @cached_property
-    def above(self) -> dict:
-        out: dict = {e: [] for e in self.elements}
-        for x, y in self.less:
-            out[x].append(y)
-        return {e: tuple(sorted(v, key=self._rank.__getitem__)) for e, v in out.items()}
+    def _ultrafilter_masks(self) -> tuple[int, ...]:
+        """Every ultrafilter as the mask of its "+" sides (bit p for
+        pair_ids[p]), in canonical order: sides are chosen in `pair_ids`
+        order, "+" first, carrying the pairs chosen or forced to each side
+        as two masks; a pair in both is a contradiction.  Elements sort by
+        pair id, then "+" before "-", so no sort is needed."""
+        pair_ids = self.pair_ids
+        bit = {pid: 1 << p for p, pid in enumerate(pair_ids)}
+        # up[e]: the pairs of e and of every element above it, by side
+        up = {e: [0, 0] for e in self.elements}
+        for x, (pid, side) in chain(zip(self.elements, self.elements), self.less):
+            up[x][side == "-"] |= bit[pid]
+        sides = [(up[(pid, "-")], up[(pid, "+")]) for pid in pair_ids]
+        out, stack = [], [(0, 0, 0)]
+        while stack:
+            p, plus, minus = stack.pop()
+            if p == len(sides):
+                out.append(plus)
+                continue
+            for up_plus, up_minus in sides[p]:  # "+" is pushed last, so walked first
+                on, off = plus | up_plus, minus | up_minus
+                if not on & off:
+                    stack.append((p + 1, on, off))
+        return tuple(out)
 
     @staticmethod
     def from_relations(pair_ids, relations) -> "Pocset":
@@ -235,37 +249,13 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
 
 
 def ultrafilters(S: Pocset) -> list[frozenset]:
-    """All complete consistent choices, by backtracking with forced-side
-    propagation (finiteness makes the descending chain condition free)."""
-    pair_ids = S.pair_ids
-    results: list[frozenset] = []
-
-    def extend(i: int, chosen: dict, forced: dict):
-        if i == len(pair_ids):
-            results.append(frozenset(chosen.items()))
-            return
-        pid = pair_ids[i]
-        options = [forced[pid]] if pid in forced else ["-", "+"]
-        for side in options:
-            e = (pid, side)
-            new_forced = dict(forced)
-            ok = True
-            for fid, fside in S.above[e]:
-                if fid in chosen:
-                    if chosen[fid] != fside:
-                        ok = False
-                        break
-                elif new_forced.setdefault(fid, fside) != fside:
-                    ok = False
-                    break
-            if ok:
-                chosen[pid] = side
-                extend(i + 1, chosen, new_forced)
-                del chosen[pid]
-
-    extend(0, {}, {})
-    rank = S._rank
-    return sorted(results, key=lambda u: sorted(rank[e] for e in u))
+    """All complete consistent choices of one side per pair, in canonical
+    order, read off `S._ultrafilter_masks` (finiteness makes the
+    descending chain condition free)."""
+    sides = [((pid, "-"), (pid, "+")) for pid in S.pair_ids]
+    return [
+        frozenset([s[m >> p & 1] for p, s in enumerate(sides)]) for m in S._ultrafilter_masks
+    ]
 
 
 def sageev(S: Pocset) -> CubeComplex:
@@ -281,15 +271,13 @@ def sageev(S: Pocset) -> CubeComplex:
     for each q in T + p, looked up in the dimension below, so the facet
     table is written here.  The ultrafilters come in canonical order, so
     a cube's vertex indices, sorted, are its canonical key."""
-    verts = ultrafilters(S)
-    pair_ids = S.pair_ids
-    bit = {pid: 1 << p for p, pid in enumerate(pair_ids)}
-    plus = [sum(bit[pid] for pid, side in u if side == "+") for u in verts]
+    verts, plus = ultrafilters(S), S._ultrafilter_masks
     index = {m: i for i, m in enumerate(plus)}
     # ups[v]: each pair p where v is on the "-" side, with v switched at p
     ups = []
+    pairs = range(len(S.pair_ids))
     for m in plus:
-        switched = ((p, index.get(m | 1 << p)) for p in range(len(pair_ids)) if not m >> p & 1)
+        switched = ((p, index.get(m | 1 << p)) for p in pairs if not m >> p & 1)
         ups.append([(p, w) for p, w in switched if w is not None])
 
     cells: dict[int, list] = {0: verts}

@@ -53,6 +53,12 @@ class CoordSimplex:
             raise ComplexError(f"duplicate color in simplex {entries}")
         return CoordSimplex(entries)
 
+    @staticmethod
+    def from_json(raw: Mapping[str, str]) -> "CoordSimplex":
+        """A simplex written as a JSON object color -> vertex id; keys
+        that spell one color twice, such as "1" and "01", are refused."""
+        return CoordSimplex.of([(int(c), v) for c, v in raw.items()])
+
     @property
     def colors(self) -> frozenset[int]:
         try:
@@ -668,10 +674,16 @@ class SimplicialComplex(CellStore):
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimplicialComplex":
+        """Vertex ids must be strings, as `to_json_dict` writes them, so
+        that a document re-exports byte-identically."""
         try:
-            return SimplicialComplex.from_maximal(doc["vertices"], doc["maximal_simplices"])
+            vertices, maximal = doc["vertices"], doc["maximal_simplices"]
         except (KeyError, TypeError) as exc:
             raise ComplexError(f"malformed simplicial document: {exc}") from exc
+        lists = [vertices, *maximal] if isinstance(maximal, list) else [maximal]
+        if not all(isinstance(m, list) and all(isinstance(v, str) for v in m) for m in lists):
+            raise ComplexError("vertices and maximal simplices must be lists of string ids")
+        return SimplicialComplex.from_maximal(vertices, maximal)
 
 
 # ----------------------------------------------------------------------
@@ -714,22 +726,31 @@ def full_subcomplex(K: ColoredComplex, vids: Iterable[str]) -> ColoredComplex:
     return K.full_subcomplex(vids)
 
 
-def _as_uncolored(K) -> SimplicialComplex:
-    return K.uncolored() if isinstance(K, ColoredComplex) else K
+def _vertex_set(cell) -> frozenset:
+    return cell.vertex_ids if isinstance(cell, CoordSimplex) else frozenset(cell)
+
+
+def join_cells(K1, K2, cells_1, cells_2) -> frozenset:
+    """Each cell of K1 in cells_1 (a vertex set, or a CoordSimplex of a
+    colored K1) joined with each cell of K2 in cells_2, as vertex sets of
+    the join of K1 and K2.  Ids pass through when the two vertex sets are
+    disjoint (so joining with the vertex-less complex returns the other
+    complex unchanged); on any collision every vertex is tagged ("A", id)
+    / ("B", id)."""
+    if set(K1.vertex_ids).isdisjoint(K2.vertex_ids):
+        left, right = list(map(_vertex_set, cells_1)), list(map(_vertex_set, cells_2))
+    else:
+        left = [frozenset([("A", v) for v in _vertex_set(c)]) for c in cells_1]
+        right = [frozenset([("B", v) for v in _vertex_set(c)]) for c in cells_2]
+    return frozenset(s | t for s in left for t in right)
 
 
 def simplicial_join(K1, K2) -> SimplicialComplex:
     """Join of two complexes; simplices are unions of one simplex from
-    each side.  Output carries no coloring.  Vertex ids pass through when
-    the two vertex sets are disjoint (so joining with the vertex-less
-    complex returns the other complex unchanged); on any collision every
-    vertex is tagged ("A", id) / ("B", id)."""
-    L, R = _as_uncolored(K1), _as_uncolored(K2)
-    if set(L.vertex_ids) & set(R.vertex_ids):
-        L = L.relabeled({v: ("A", v) for v in L.vertex_ids})
-        R = R.relabeled({v: ("B", v) for v in R.vertex_ids})
-    fam = frozenset(s | t for s in L.simplices for t in R.simplices)
-    return SimplicialComplex(L.vertex_ids + R.vertex_ids, fam)
+    each side, named by `join_cells`.  Output carries no coloring."""
+    # the join of the two whole vertex sets is the join's vertex set
+    (vertices,) = join_cells(K1, K2, [K1.vertex_ids], [K2.vertex_ids])
+    return SimplicialComplex(vertices, join_cells(K1, K2, K1.simplices, K2.simplices))
 
 
 def empty_squares(K: ColoredComplex) -> list[SquareWitness]:

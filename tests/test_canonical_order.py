@@ -110,6 +110,8 @@ def test_grids_and_trees_match_reference():
     for rows, cols in ((1, 1), (2, 3), (4, 4), (1, 6)):
         X = assert_matches_reference(grid_cells(rows, cols))
         assert_halfspaces_canonical(X)
+        S = halfspace_pocset(X)
+        assert ultrafilters(S) == ultrafilters_reference(S)
         assert roller_duality_check(X) == roller_duality_check_reference(X)
     for edges in ([("v0", "v1"), ("v1", "v2")], [("c", "l0"), ("c", "l1"), ("c", "l2")]):
         X = tree_complex(edges)
@@ -193,13 +195,18 @@ def test_random_pocsets_match_references():
         assert {d: {Y.vertices_of(c) for c in Y.cells(d)} for d in range(Y.top_dim + 1)} == ref
         assert_matches_reference({d: list(cs) for d, cs in ref.items()})
         assert_halfspaces_canonical(Y)
-        for e in S.elements:
-            assert list(S.above[e]) == csorted(y for x, y in S.less if x == e)
-    for m in range(7):
-        Y = assert_sageev_matches_reference(Pocset.from_relations([f"p{i}" for i in range(m)], []))
+    for m in range(9):
+        S = Pocset.from_relations([f"p{i}" for i in range(m)], [])
+        assert ultrafilters(S) == ultrafilters_reference(S)
+        Y = assert_sageev_matches_reference(S)
         assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [
             comb(m, d) * 2 ** (m - d) for d in range(m + 1)
         ]
+    for m in range(1, 13):
+        chain = [f"c{i:02d}" for i in range(m)]
+        S = Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
+        assert ultrafilters(S) == ultrafilters_reference(S)
+        assert len(assert_sageev_matches_reference(S).cells(0)) == m + 1
     chain = [f"c{i:02d}" for i in range(30)]
     S = Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
     Y = assert_sageev_matches_reference(S)

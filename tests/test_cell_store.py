@@ -249,6 +249,7 @@ def test_a_malformed_item_anywhere_wins_over_a_color_error():
         ({"b": {}}, "'a'"),
         ({"a": [], "b": {}}, "'list' object has no attribute 'items'"),
         ({"a": {"x": "v"}, "b": {}}, "invalid literal for int() with base 10: 'x'"),
+        ({"a": {"1": "v", "01": "w"}, "b": {}}, "duplicate color in simplex"),
         ("cube", "string indices must be integers"),
     ):
         got = load_error({**doc, "cubes": [not_covering] + cubes + [item]})

@@ -294,7 +294,7 @@ def test_generate_crosspolytope_and_obes():
 def test_link_malformed_simplex_is_usage_error():
     pair = run(["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
     for option in ("--a", "--b"):
-        for spec in ("notjson", '{"x":"a0"}', "[1]", '{"1": 5}'):
+        for spec in ("notjson", '{"x":"a0"}', "[1]", '{"1": 5}', '{"1": "a0", "01": "a1"}'):
             p = run(["link", "-", option, spec], stdin=pair, check=False)
             assert p.returncode == 2
             assert option in p.stderr
@@ -331,6 +331,20 @@ def test_malformed_documents_are_structured_errors():
         p = run(["homology", "-"], stdin=canonical_json(doc), check=False)
         assert p.returncode == 1
         assert out_json(p)["error"]["type"] == "ComplexError"
+        assert "Traceback" not in p.stderr
+
+
+def test_export_refuses_what_it_could_not_write_back():
+    """A side that spells one color twice, and an uncolored document with
+    an id that is not a string, would each re-export as another document."""
+    respelled = {"n": 2, "cubes": [{"a": {"1": "x", "01": "y", "2": "z"}, "b": {}, "dim": 0}]}
+    uncolored = {"vertices": [1, "1"], "maximal_simplices": [[1], ["1"]]}
+    for doc, text in ((respelled, "malformed cube complex document: duplicate color"),
+                      (uncolored, "vertices and maximal simplices must be lists of string ids")):
+        p = run(["export", "-"], stdin=canonical_json(doc), check=False)
+        assert p.returncode == 1
+        error = out_json(p)["error"]
+        assert (error["type"], error["message"][:len(text)]) == ("ComplexError", text)
         assert "Traceback" not in p.stderr
 
 
@@ -636,6 +650,20 @@ def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
 
 
 # -- in-process invocations --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc):
+    def body_raises(S):
+        raise exc("out of room")
+
+    monkeypatch.setattr("clcc.cli.sageev", body_raises)
+    pocset = canonical_json({"pairs": [{"id": "h"}], "less": []})
+    result = CliRunner().invoke(main, ["sageev", "-"], input=pocset)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    error = {"command": "sageev", "type": exc.__name__, "message": "out of room"}
+    assert json.loads(result.stdout) == {"error": error}
 
 
 def test_report_digests_each_input_document(tmp_path):

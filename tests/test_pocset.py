@@ -1,4 +1,5 @@
 from collections import deque
+from functools import cached_property
 
 import pytest
 
@@ -269,6 +270,25 @@ def test_nested_pairs_give_path():
     Y = sageev(S)
     assert {d: len(Y.cells(d)) for d in (0, 1)} == {0: 3, 1: 2}
     assert Y.top_dim == 1
+
+
+def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
+    """The two readers share one cached enumeration per pocset."""
+    enumerate_masks = Pocset._ultrafilter_masks.func
+    runs = []
+
+    def counted(S):
+        runs.append(S)
+        return enumerate_masks(S)
+
+    masks = cached_property(counted)
+    masks.__set_name__(Pocset, "_ultrafilter_masks")
+    monkeypatch.setattr(Pocset, "_ultrafilter_masks", masks)
+    S = Pocset.from_relations(["h", "k", "m"], [(("h", "+"), ("k", "+"))])
+    U = ultrafilters(S)
+    Y = sageev(S)
+    assert runs == [S]
+    assert len(U) == 6 and list(Y.cells(0)) == U
 
 
 def test_duality_on_small_complexes():
