@@ -904,93 +904,87 @@ def classify_vertex_links(X: CubeComplex) -> dict:
     A pair-built complex tags its links from the factor links by the join
     formula; a complex with no defining pair (loaded from JSON, or built
     by hand) tags each vertex's link off its star in X.  Either way the
-    tags are read by `_classify_link`, and no link complex is built.
+    tags are read by `_LinkSummary`, and no link complex is built.
     """
     if X.defining_pair is not None:
         links = _JoinLinks(*X.defining_pair)
         return {v: links.tag(v) for v in X.cells(0)}
-    return {v: _classify_link(X, v) for v in X.cells(0)}
+    return {v: _LinkSummary(X, v).tag for v in X.cells(0)}
 
 
-def _link_edges(host: CellStore, star: list) -> list:
-    """The link edges of a walked star, the cofaces two dimensions up, as
-    index pairs into its first level: an edge's ends are its facets there."""
-    if len(star) < 3:
-        return []
-    (_, verts), (d, edges) = star[1:3]
-    at, table = {q: i for i, q in enumerate(verts)}, host.facet_positions(d)
-    return [[at[f] for f in table[e] if f in at] for e in edges]
+class _LinkSummary:
+    """The link of a cell of any host (a cube, a factor simplex, or a whole
+    complex's empty simplex), read off the cell's star, walked once, on
+    positions: each invariant on first use, and only `is_flag` builds the
+    link.
 
+    A link k-simplex is a coface k + 1 dimensions up: the star's depth is
+    the link's dimension, its first level above the cell the link
+    vertices, and its level sizes give chi.  A link vertex's degree and a
+    link edge's count of triangles are coface-row lengths, and the
+    2-sphere test reads the links of the link vertices off the same
+    levels (`_vertex_links_are_circles`)."""
 
-def _classify_link(host: CellStore, cell) -> str:
-    """The tag of the link of a cell of `host`, read off the cell's star
-    on positions with no link complex built.  A link k-simplex is a coface
-    k + 1 dimensions up: the star's depth is the link's dimension, and its
-    level sizes give chi.  A link vertex's degree and a link edge's count
-    of triangles are coface-row lengths, and the 2-sphere test reads the
-    links of the link vertices off the same levels
-    (`_vertex_links_are_circles`)."""
-    star = list(host._star(cell))
-    if len(star) not in (3, 4):  # a link of dimension 3 or more, or no edge
-        return "unknown" if len(star) > 4 else "other"
-    (_, verts), (d, edges), *triangles = star[1:]
-    rows = host._cofaces
-    if triangles:  # a closed surface: each edge in two triangles, chi = 2
-        chi = len(verts) - len(edges) + len(triangles[0][1])
-        closed = chi == 2 and all(len(rows[d][e]) == 2 for e in edges)
-    else:
-        closed = all(len(rows[d - 1][u]) == 2 for u in verts)
-    ends = _link_edges(host, star)
-    if not (closed and connected(len(verts), ends)):
-        return "other"
-    if not triangles:
-        return "circle"
-    return "2-sphere" if _vertex_links_are_circles(host, star, ends) else "other"
-
-
-def _vertex_links_are_circles(host: CellStore, star: list, ends: list) -> bool:
-    """Whether the link of every vertex u of a connected 2-dimensional link
-    whose edges each lie in two triangles is a circle, read off the
-    walked star: `ends` gives each link edge its two ends.
-
-    The vertices of lk(u) are the link edges at u, and each triangle at u
-    joins its two edges there.  Each edge lies in two triangles, so every
-    vertex of lk(u) has degree 2 and lk(u) is a union of cycles; it is a
-    circle exactly when those triangles connect the edges at u.  So a
-    link edge at one of its ends is a flag, numbered 2e or 2e + 1; each
-    triangle joins, at each of its three vertices, the flags of its two
-    edges there; and each lk(u) is one circle exactly when the flags form
-    one component per link vertex (every vertex has an edge, since the
-    link is connected)."""
-    (_, verts), (d, edges), (_, triangles) = star[1:]
-    at, table = {q: j for j, q in enumerate(edges)}, host.facet_positions(d + 1)
-    joins = []
-    for t in triangles:
-        flag_at: dict = {}  # a vertex of t -> the first flag of t there
-        for e in [at[g] for g in table[t] if g in at]:
-            for flag, u in enumerate(ends[e], 2 * e):
-                other = flag_at.setdefault(u, flag)
-                if other != flag:
-                    joins.append((other, flag))
-    return len(components(2 * len(edges), joins)) == len(verts)
-
-
-class _FactorLink:
-    """Invariants of one factor link lk_K(s), read off the star of s in K,
-    each on first use.  Only `is_flag` builds the link."""
-
-    def __init__(self, K: ColoredComplex, s: CoordSimplex):
-        self.K, self.s, self.star = K, s, list(K._star(s))
+    def __init__(self, host: CellStore, cell):
+        self.host, self.cell, self.star = host, cell, list(host._star(cell))
         self.dim = len(self.star) - 2
         self.size = len(self.star[1][1]) if self.dim >= 0 else 0
 
     @cached_property
+    def ends(self) -> list:
+        """The link edges, the cofaces two dimensions up, as index pairs
+        into the first level: an edge's ends are its facets there."""
+        if self.dim < 1:
+            return []
+        (_, verts), (d, edges) = self.star[1:3]
+        at, table = {q: i for i, q in enumerate(verts)}, self.host.facet_positions(d)
+        return [[at[f] for f in table[e] if f in at] for e in edges]
+
+    @cached_property
     def tag(self) -> str:
-        return _classify_link(self.K, self.s)
+        if self.dim not in (1, 2):  # a link of dimension 3 or more, or no edge
+            return "unknown" if self.dim > 2 else "other"
+        (_, verts), (d, edges), *triangles = self.star[1:]
+        rows = self.host._cofaces
+        if triangles:  # a closed surface: each edge in two triangles, chi = 2
+            chi = len(verts) - len(edges) + len(triangles[0][1])
+            closed = chi == 2 and all(len(rows[d][e]) == 2 for e in edges)
+        else:
+            closed = all(len(rows[d - 1][u]) == 2 for u in verts)
+        if not (closed and connected(len(verts), self.ends)):
+            return "other"
+        if not triangles:
+            return "circle"
+        return "2-sphere" if self._vertex_links_are_circles() else "other"
+
+    def _vertex_links_are_circles(self) -> bool:
+        """Whether the link of every vertex u of a connected 2-dimensional
+        link whose edges each lie in two triangles is a circle.
+
+        The vertices of lk(u) are the link edges at u, and each triangle at
+        u joins its two edges there.  Each edge lies in two triangles, so
+        every vertex of lk(u) has degree 2 and lk(u) is a union of cycles;
+        it is a circle exactly when those triangles connect the edges at u.
+        So a link edge at one of its ends is a flag, numbered 2e or 2e + 1;
+        each triangle joins, at each of its three vertices, the flags of
+        its two edges there; and each lk(u) is one circle exactly when the
+        flags form one component per link vertex (every vertex has an
+        edge, since the link is connected)."""
+        (_, verts), (d, edges), (_, triangles) = self.star[1:]
+        at, table = {q: j for j, q in enumerate(edges)}, self.host.facet_positions(d + 1)
+        joins = []
+        for t in triangles:
+            flag_at: dict = {}  # a vertex of t -> the first flag of t there
+            for e in [at[g] for g in table[t] if g in at]:
+                for flag, u in enumerate(self.ends[e], 2 * e):
+                    other = flag_at.setdefault(u, flag)
+                    if other != flag:
+                        joins.append((other, flag))
+        return len(components(2 * len(edges), joins)) == len(verts)
 
     @cached_property
     def has_empty_square(self) -> bool:
-        nbrs = _neighbour_lists(self.size, _link_edges(self.K, self.star))
+        nbrs = _neighbour_lists(self.size, self.ends)
         return bool(_chordless_squares({u: set(ns) for u, ns in enumerate(nbrs)}))
 
     @cached_property
@@ -1000,7 +994,7 @@ class _FactorLink:
 
     @cached_property
     def is_flag(self) -> bool:
-        return is_flag(self.K.link(self.s))[0]
+        return is_flag(self.host.link(self.cell))[0]
 
 
 class _JoinLinks:
@@ -1021,12 +1015,12 @@ class _JoinLinks:
         """The complementary pairs (a, b), in the order of X.cells(0)."""
         return _pair_vertices(self.gamma_a, self.gamma_b)
 
-    def _factor_links(self, v) -> tuple[_FactorLink, _FactorLink]:
+    def _factor_links(self, v) -> tuple[_LinkSummary, _LinkSummary]:
         a, b = v
         if a not in self._memo_a:
-            self._memo_a[a] = _FactorLink(self.gamma_a, a)
+            self._memo_a[a] = _LinkSummary(self.gamma_a, a)
         if b not in self._memo_b:
-            self._memo_b[b] = _FactorLink(self.gamma_b, b)
+            self._memo_b[b] = _LinkSummary(self.gamma_b, b)
         return self._memo_a[a], self._memo_b[b]
 
     def tag(self, v) -> str:
@@ -1124,10 +1118,11 @@ def induced_map(f_a: ColoredMap, f_b: ColoredMap) -> CubicalMap:
 
 def _check_link_condition(phi: CubicalMap) -> None:
     # full-subcomplex inclusions must induce injective link maps whose
-    # image spans a full subcomplex of the target link
+    # image spans a full subcomplex of the target link; both complexes are
+    # built, so the links are their adjacency links, read off the stars
     for v in phi.source.cells(0):
-        src = join_link_of_cube(*phi.source.defining_pair, v)
-        dst = join_link_of_cube(*phi.target.defining_pair, phi.apply(v))
+        src = phi.source.link(v)
+        dst = phi.target.link(phi.apply(v))
         image_vertices = [phi.apply(u) for u in src.vertex_ids]
         if len(set(image_vertices)) != len(image_vertices):
             raise ComplexError(f"link map at {v} is not injective")

@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 
 import click
 
@@ -407,16 +408,9 @@ def invariants(X, what):
         payload = {"dim": d, "pure": pure}
     else:
         tags = classify_vertex_links(X)
-        counts: dict[str, int] = {}
-        for tag in tags.values():
-            counts[tag] = counts.get(tag, 0) + 1
-        payload = {
-            "counts": counts,
-            "links": [
-                {"vertex": cube_json(v), "tag": tag}
-                for v, tag in sorted(tags.items(), key=lambda kv: canonical_json(cube_json(kv[0])))
-            ],
-        }
+        links = [{"vertex": cube_json(v), "tag": tag} for v, tag in tags.items()]
+        links.sort(key=lambda entry: canonical_json(entry["vertex"]))
+        payload = {"counts": dict(Counter(tags.values())), "links": links}
     return payload
 
 

@@ -792,8 +792,10 @@ def barycentric_subdivision_2d(
     tripartite-colored by cell dimension.
 
     Vertices are barycentres of nonempty simplices; simplices are chains
-    of proper inclusions.  color_map sends "V", "E", "F" bijectively onto
-    {1, 2, 3}.  The output is always flag.
+    of proper inclusions, the faces of the full flags of the maximal
+    simplices, which `ColoredComplex.build` closes downward.  color_map
+    sends "V", "E", "F" bijectively onto {1, 2, 3}.  The output is always
+    flag.
     """
     if K.top_dim > 2:
         raise ComplexError(f"dimension {K.top_dim} > 2 not supported")
@@ -805,22 +807,14 @@ def barycentric_subdivision_2d(
         return "|".join(str(v) for v in csorted(s))
 
     verts = [(bid(s), dim_color[len(s) - 1]) for d in (0, 1, 2) for s in K.cells(d)]
-    chains: list[list[frozenset]] = []
-    for d in (0, 1, 2):
-        for s in K.cells(d):
-            chains.append([s])
-    for e in K.cells(1):
-        for v in e:
-            chains.append([frozenset([v]), e])
-    for f in K.cells(2):
-        for v in f:
-            chains.append([frozenset([v]), f])
-        for pair in combinations(csorted(f), 2):
-            e = frozenset(pair)
-            chains.append([e, f])
-            for v in e:
-                chains.append([frozenset([v]), e, f])
-    maximal = [[bid(s) for s in chain] for chain in chains]
+
+    def flags(s: frozenset) -> list[list[frozenset]]:
+        # a vertex has one flag; a larger simplex ends each flag of a facet
+        if len(s) == 1:
+            return [[s]]
+        return [chain + [s] for v in s for chain in flags(s - {v})]
+
+    maximal = [[bid(t) for t in chain] for s in K.maximal_simplices if s for chain in flags(s)]
     return ColoredComplex.build(3, verts, maximal)
 
 

@@ -19,7 +19,9 @@ scan per complex, the brute-force graph walks (every vertex subset,
 every 4-tuple, every pair of nodes merged) that the shared graph helpers
 replace, and the pair assembler that hashes each cube's two sides, fed
 every covering pair of simplices, that assembly on the colorset buckets
-replaces."""
+replaces.  The cross-polytope recogniser that scans every clique and the
+barycentric subdivision that lists every chain of faces by hand are the
+references of their counted and recursive replacements."""
 
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     empty_squares,
+    is_flag,
 )
 
 
@@ -680,3 +683,46 @@ def pair_cubes_reference(n: int, pairs) -> CubeComplex:
         if facets:
             positions[len(facets) // 2].append(tuple(sorted(where[f] for f in facets)))
     return CubeComplex(by_dim, positions, n=n)
+
+
+def is_full_cross_polytope_reference(K: ColoredComplex) -> bool:
+    """Two vertices per color, every pair of vertices of different colors
+    joined, and flag by a scan of every clique: the recogniser that the
+    vertex and edge counts replace."""
+    if len(K.vertex_ids) != 2 * K.n:
+        return False
+    classes = [K.color_class(c) for c in range(1, K.n + 1)]
+    if any(len(cl) != 2 for cl in classes):
+        return False
+    adj = K.adjacency
+    for ca, cb in combinations(classes, 2):
+        for u in ca:
+            for v in cb:
+                if v not in adj[u]:
+                    return False
+    return is_flag(K)[0]
+
+
+def barycentric_subdivision_2d_reference(K: SimplicialComplex, color_map) -> ColoredComplex:
+    """The barycentric subdivision of a complex of dimension <= 2 with every
+    chain of faces listed by hand, one case per shape of chain: the
+    enumeration that the full flags of the maximal simplices replace."""
+    dim_color = {0: color_map["V"], 1: color_map["E"], 2: color_map["F"]}
+
+    def bid(s: frozenset) -> str:
+        return "|".join(str(v) for v in csorted(s))
+
+    verts = [(bid(s), dim_color[len(s) - 1]) for d in (0, 1, 2) for s in K.cells(d)]
+    chains: list[list[frozenset]] = [[s] for d in (0, 1, 2) for s in K.cells(d)]
+    for e in K.cells(1):
+        for v in e:
+            chains.append([frozenset([v]), e])
+    for f in K.cells(2):
+        for v in f:
+            chains.append([frozenset([v]), f])
+        for pair in combinations(csorted(f), 2):
+            e = frozenset(pair)
+            chains.append([e, f])
+            for v in e:
+                chains.append([frozenset([v]), e, f])
+    return ColoredComplex.build(3, verts, [[bid(s) for s in chain] for chain in chains])

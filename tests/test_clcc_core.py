@@ -24,7 +24,8 @@ from clcc import (
     prune_to_smart_pair,
     smartly_paired,
 )
-from clcc.clcc_core import CubeComplex, join_link_of_cube
+from clcc import clcc_core
+from clcc.clcc_core import CubeComplex, CubicalMap, _check_link_condition, join_link_of_cube
 from clcc.errors import ComplexError, DomainError, PairError
 from clcc.simplicial import EMPTY_SIMPLEX
 
@@ -535,6 +536,27 @@ def test_full_inclusion_induces_injective_local_isometry(c4):
     assert inc.is_full_inclusion
     phi = induced_map(inc, ColoredMap.identity(gen_cycle(3, prefix="b")))
     assert phi.is_injective and not phi.is_surjective
+
+
+def test_the_link_condition_reads_the_built_links(monkeypatch, c4):
+    """induced_map checks full inclusions on the links of the two complexes
+    it built, with no join link made; the check still refuses a link map
+    whose image is not full."""
+    calls = []
+    monkeypatch.setattr(
+        clcc_core, "join_link_of_cube", lambda *args: calls.append(args) or join_link_of_cube(*args)
+    )
+    gb = gen_cycle(3, prefix="b")
+    ident = ColoredMap.identity(gb)
+    for sub in (c4, c4.full_subcomplex(["v0", "v2"]), c4.full_subcomplex(["v0", "v1", "v2"])):
+        assert induced_map(ColoredMap.inclusion(sub, c4), ident).is_injective
+    assert not calls
+    path = close_downward(2, c4.vertices, [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]])
+    f = ColoredMap.inclusion(path, c4)
+    assert not f.is_full_inclusion
+    phi = CubicalMap(build_clcc(path, gb), build_clcc(c4, gb), f, ident)
+    with pytest.raises(ComplexError, match="not a full subcomplex"):
+        _check_link_condition(phi)
 
 
 def test_quotient_induces_surjection():

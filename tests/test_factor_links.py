@@ -6,9 +6,10 @@ factors by the join formula lk(a, b) = lk_A(a) * lk_B(b).  Each is
 compared here with the same invariant computed on the adjacency link
 X.link_complex(v) of the built complex, vertex by vertex, on the seeded
 corpus and on fixtures that between them reach every tag.  Both paths
-tag with `_classify_link(host, cell)`, read off the star of the cell;
-its tags and the star reads of `_FactorLink` are checked against the
-built links, and a counter checks that no link complex is built.
+read the links with `_LinkSummary(host, cell)`, which walks the star of
+the cell once; its tags and its other star reads are checked against
+the built links, and counters check that no link complex is built and
+that no star is walked twice.
 
 Each complex is also round-tripped through JSON: the loader recovers
 the pair its cube sides span when that pair has at most 8 faces per
@@ -42,18 +43,11 @@ from clcc import (
 )
 from clcc.canon import canonical_json
 from clcc.cli import main
-from clcc.clcc_core import (
-    CoordSimplex,
-    _classify_link,
-    _cube_vertices,
-    _FactorLink,
-    _JoinLinks,
-)
+from clcc.clcc_core import CoordSimplex, _JoinLinks, _LinkSummary, cube_json
 from clcc.errors import ComplexError
-from clcc.homology_z2 import _cell_json
 from clcc.hyperbolicity import ALL_RULES, RULE_LINKS_5_LARGE
 from clcc.pocset_hyperplanes import sageev
-from clcc.simplicial import _chordless_squares, is_flag
+from clcc.simplicial import CellStore, _chordless_squares, is_flag
 
 from conftest import grid_complex, tree_complex
 from corpus import (
@@ -65,7 +59,7 @@ from corpus import (
     random_two_complex,
     rng,
 )
-from oracles import classify_link_reference, csaszar_torus
+from oracles import classify_link_reference, csaszar_torus, pair_cubes_reference
 
 
 def adjacency_is_npc(ga, gb):
@@ -122,7 +116,7 @@ def compare_paths(ga, gb) -> Counter:
     assert links.vertices() == list(X.cells(0))
 
     adjacency = {v: X.link_complex(v) for v in X.cells(0)}
-    expected_tags = {v: _classify_link(L, L.augmentation_cell) for v, L in adjacency.items()}
+    expected_tags = {v: _LinkSummary(L, L.augmentation_cell).tag for v, L in adjacency.items()}
     tags = classify_vertex_links(X)
     assert list(tags.items()) == list(expected_tags.items())
     assert_loads_back(X, expected_tags)
@@ -199,7 +193,7 @@ def two_octahedra_on_two_points() -> SimplicialComplex:
 
 
 def test_link_tags_equal_the_scanning_classifier():
-    """_classify_link reads the coface table and the stars; the reference
+    """_LinkSummary.tag reads the coface table and the stars; the reference
     counts the triangles of each edge over every triangle and scans every
     simplex for each vertex link."""
     r = rng(1401)
@@ -210,15 +204,15 @@ def test_link_tags_equal_the_scanning_classifier():
     hosts += [random_two_complex(r) for _ in range(60)]
     hosts += [csaszar_torus(), two_octahedra_on_two_points(),
               gen_cross_polytope(3).uncolored(), gen_cross_polytope(4).uncolored()]
-    tags = [_classify_link(L, L.augmentation_cell) for L in hosts]
+    tags = [_LinkSummary(L, L.augmentation_cell).tag for L in hosts]
     assert tags == [classify_link_reference(L) for L in hosts]
     assert set(tags) == {"circle", "2-sphere", "other", "unknown"}
     octahedra = two_octahedra_on_two_points()
-    assert _classify_link(octahedra, octahedra.augmentation_cell) == "other"
+    assert _LinkSummary(octahedra, octahedra.augmentation_cell).tag == "other"
 
 
 def test_star_tags_equal_the_reference_on_every_host():
-    """_classify_link(host, cell) reads the star of the cell in its host;
+    """_LinkSummary(host, cell).tag reads the star of the cell in its host;
     the reference tags the built link.  Every vertex of sageev complexes,
     from_cells grids and trees, and every cell of the fixture factors."""
     r = rng(1402)
@@ -229,13 +223,13 @@ def test_star_tags_equal_the_reference_on_every_host():
     tags = Counter()
     for X in hosts:
         for v in X.cells(0):
-            tags[_classify_link(X, v)] += 1
-            assert _classify_link(X, v) == classify_link_reference(X.link(v)), v
+            tags[_LinkSummary(X, v).tag] += 1
+            assert _LinkSummary(X, v).tag == classify_link_reference(X.link(v)), v
     for K in [K for pair in fixture_pairs() for K in pair]:
         for d in range(-1, K.top_dim + 1):
             for s in K.cells(d):
-                tags[_classify_link(K, s)] += 1
-                assert _classify_link(K, s) == classify_link_reference(K.link(s).uncolored()), s
+                tags[_LinkSummary(K, s).tag] += 1
+                assert _LinkSummary(K, s).tag == classify_link_reference(K.link(s).uncolored()), s
     assert set(tags) == {"circle", "2-sphere", "other", "unknown"}
 
 
@@ -251,14 +245,14 @@ def census_factors() -> list:
 
 
 def test_factor_link_star_reads_equal_the_built_link():
-    """The invariants that _FactorLink reads off the star of s in K, on
+    """The invariants that _LinkSummary reads off the star of s in K, on
     every simplex of the fixture and census factors, against the same
     questions asked of the built link lk_K(s)."""
     seen = Counter()
     for K in census_factors():
         for d in range(-1, K.top_dim + 1):
             for s in K.cells(d):
-                fl, L = _FactorLink(K, s), K.link(s).uncolored()
+                fl, L = _LinkSummary(K, s), K.link(s).uncolored()
                 reads = (fl.dim, fl.size, fl.has_non_adjacent_pair, fl.has_empty_square,
                          fl.is_flag)
                 assert reads == (
@@ -325,6 +319,24 @@ def test_the_2_sphere_test_walks_one_star_per_vertex(monkeypatch):
     assert list(tags.items()) == list(classify_vertex_links(X).items())
 
 
+def test_join_tags_walk_each_factor_star_once(monkeypatch):
+    """classify_vertex_links of a pair-built complex summarises each
+    factor simplex of a vertex once, and the summary walks its star once,
+    whichever of its reads the tag asks for."""
+    walks = Counter()
+    star = CellStore._star
+    monkeypatch.setattr(
+        CellStore, "_star", lambda self, cell: walks.update([(id(self), cell)]) or star(self, cell)
+    )
+    for ga, gb in fixture_pairs():
+        X = build_clcc(ga, gb)
+        walks.clear()
+        classify_vertex_links(X)
+        sides = {(id(ga), a) for a, _ in X.cells(0)} | {(id(gb), b) for _, b in X.cells(0)}
+        assert set(walks) == sides
+        assert set(walks.values()) == {1}
+
+
 def test_factor_links_match_adjacency_links_on_fixtures():
     seen = Counter()
     for ga, gb in fixture_pairs():
@@ -373,16 +385,15 @@ def test_factor_links_match_adjacency_links_on_unpruned_pairs():
 
 def adjacency_links_output(doc) -> str:
     """What `clcc invariants links` prints for a cube document when every
-    vertex link is the adjacency link: the complex is rebuilt here by
-    `from_cells` from the cubes' vertex sets, with no pair."""
-    by_dim: dict = {}
-    for c in doc["cubes"]:
-        a = CoordSimplex.of({int(k): v for k, v in c["a"].items()})
-        b = CoordSimplex.of({int(k): v for k, v in c["b"].items()})
-        by_dim.setdefault(len(a.colors & b.colors), []).append(_cube_vertices(a, b))
-    R = CubeComplex.from_cells(by_dim)
-    tags = {v: _classify_link(R, v) for v in R.cells(0)}
-    links = sorted(({"vertex": _cell_json(v), "tag": t} for v, t in tags.items()),
+    vertex link is the adjacency link: the complex is rebuilt here from
+    the document's cubes, as side pairs, by `pair_cubes_reference`, with
+    no pair and none of the loader's code."""
+    def side(raw):
+        return CoordSimplex.of({int(k): v for k, v in raw.items()})
+
+    R = pair_cubes_reference(doc["n"], [(side(c["a"]), side(c["b"])) for c in doc["cubes"]])
+    tags = {v: _LinkSummary(R, v).tag for v in R.cells(0)}
+    links = sorted(({"vertex": cube_json(v), "tag": t} for v, t in tags.items()),
                    key=lambda e: canonical_json(e["vertex"]))
     return canonical_json({"counts": dict(Counter(tags.values())), "links": links}) + "\n"
 

@@ -1,11 +1,16 @@
+from itertools import combinations
+
 import pytest
 
 from clcc import (
     certify,
     certify_barycentric,
     close_downward,
+    flag_complex_from_graph,
     gen_cross_polytope,
     gen_cycle,
+    gen_racg_pair,
+    hyperbolicity,
     moussong,
 )
 from clcc.errors import DomainError, PairError
@@ -17,9 +22,10 @@ from clcc.hyperbolicity import (
     RULE_SIDE_5_LARGE_B,
     _is_full_cross_polytope,
 )
-from clcc.simplicial import SimplicialComplex
+from clcc.simplicial import SimplicialComplex, is_flag
 
-from corpus import planted_square_flag_complex, rng
+from corpus import planted_square_flag_complex, random_flag_complex, rng
+from oracles import is_full_cross_polytope_reference
 
 
 def test_certify_surface_pair_is_hyperbolic(c4):
@@ -136,6 +142,38 @@ def test_full_cross_polytope_detector(o2, o3, c4):
     assert _is_full_cross_polytope(o3)
     assert _is_full_cross_polytope(c4)  # alternating 4-cycle is one
     assert not _is_full_cross_polytope(gen_cycle(3))
+
+
+def test_the_cross_polytope_count_equals_the_clique_scan():
+    """On flag factors, recognising the cross-polytope by its vertex and
+    edge counts agrees with checking every cross-color pair and every
+    clique.  Near misses: one vertex recolored, or cross-color edges
+    dropped."""
+    r = rng(504)
+    factors = []
+    for _ in range(300):
+        n = r.randint(1, 4)
+        colors = [c for c in range(1, n + 1) for _ in range(2)]
+        if r.random() < 0.3:
+            colors[r.randrange(2 * n)] = r.randint(1, n)
+        vertices = [(f"v{k}", c) for k, c in enumerate(colors)]
+        p = r.choice((1.0, 1.0, 0.95, 0.7))
+        edges = [(a, b) for (a, ca), (b, cb) in combinations(vertices, 2)
+                 if ca != cb and r.random() < p]
+        factors.append(flag_complex_from_graph(n, vertices, edges))
+    factors += [random_flag_complex(r, r.randint(1, 4)) for _ in range(200)]
+    found = [_is_full_cross_polytope(K) for K in factors]
+    assert found == [is_full_cross_polytope_reference(K) for K in factors]
+    assert 50 < sum(found) < len(found) - 50
+
+
+def test_certify_asks_each_factor_once_whether_it_is_flag(monkeypatch):
+    # rule 3 recognises the cross-polytope with no second clique scan
+    calls = []
+    monkeypatch.setattr(hyperbolicity, "is_flag", lambda K: calls.append(K) or is_flag(K))
+    cert = certify(*gen_racg_pair(gen_cycle(2)))
+    assert cert.rule == RULE_RACG_SQUARE
+    assert len(calls) == 2
 
 
 def test_soundness_harness_small():

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,7 @@ from corpus import (
     rng,
 )
 from oracles import (
+    barycentric_subdivision_2d_reference,
     chordless_squares_reference,
     cliques_reference,
     empty_squares_reference,
@@ -426,6 +427,26 @@ def test_edge_color_subcomplexes_of_subdivision_are_5_large():
         for pair in ((1, 2), (2, 3)):
             assert not [sq for sq in empty_squares(sub) if sq.color_set == set(pair)]
             assert not empty_squares_reference(sub, pair)
+
+
+def test_barycentric_subdivision_equals_the_chain_enumeration():
+    """The full flags of the maximal simplices, closed downward, against
+    every chain of faces listed by hand, under every color map: random
+    2-complexes, and complexes with lone edges and vertices."""
+    r = rng(104)
+    hosts = [random_two_complex(r) for _ in range(100)]
+    hosts += [
+        SimplicialComplex.from_maximal("pqrst", [["p", "q", "r"], ["r", "s"], ["t"]]),
+        SimplicialComplex.from_maximal("pq", [["p", "q"]]),
+        SimplicialComplex.from_maximal("p", [["p"]]),
+        SimplicialComplex.from_maximal("", []),
+    ]
+    for K in hosts:
+        for colors in permutations((1, 2, 3)):
+            color_map = dict(zip("VEF", colors))
+            assert barycentric_subdivision_2d(K, color_map) == (
+                barycentric_subdivision_2d_reference(K, color_map)
+            )
 
 
 def test_closure_preserves_flag_verdict():
