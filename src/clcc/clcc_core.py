@@ -178,16 +178,6 @@ class CubeComplex(CellStore):
 
     # -- links -----------------------------------------------------------
 
-    def edge_orientation(self, edge: CubeId) -> tuple:
-        """Orientation convention for pair-built edges: from the endpoint
-        with more A-coordinates to the one with fewer.  Metadata only; no
-        invariant consumes it."""
-        if not self.has_pair_origin:
-            raise DomainError("edge orientation needs a pair-built complex")
-        a, b = edge
-        (i,) = a.colors & b.colors
-        return ((a, b.minus(i)), (a.minus(i), b))
-
     def link_data(self, cube: CubeId):
         """Adjacency-derived link: one (m)-simplex per (k+m+1)-cube above
         `cube`; vertices are the (k+1)-cubes.  Returns the link and the
@@ -264,16 +254,31 @@ class Opposition(NamedTuple):
 def _opposition_walk(X: CubeComplex) -> Opposition:
     """Two edges of a square are opposite when their four endpoints are
     distinct.  The facet table gives each edge its endpoints and each
-    square its edges as positions, so the walk is on ints."""
+    square its four edges as positions, so the walk is on ints: the
+    first edge's opposite is the one of the other three that has neither
+    of its endpoints, and the remaining two must be disjoint too.  A
+    square's pairs are listed with the first edge's pair first."""
     edges = X.cells(1)
-    ends = [frozenset(ps) for ps in X.facet_positions(1)]
+    ends = X.facet_positions(1)
     squares, opposite = [], []
-    for sq, fs in zip(X.cells(2), X.facet_positions(2)):
-        pairs = [(e, f) for e, f in combinations(fs, 2) if ends[e].isdisjoint(ends[f])]
-        if len(pairs) != 2:
-            raise DomainError(f"square {sq!r} does not have two opposite edge pairs")
-        opposite += pairs
-        squares.append(pairs[0] + pairs[1])
+    for sq, (e, f, g, h) in zip(X.cells(2), X.facet_positions(2)):
+        u, v = ends[e]
+        x, y = ends[f]
+        if x == u or x == v or y == u or y == v:  # f meets e
+            x, y = ends[g]
+            if not (x == u or x == v or y == u or y == v):
+                f, g = g, f
+            else:
+                x, y = ends[h]
+                if x == u or x == v or y == u or y == v:
+                    raise _not_a_square(sq)
+                f, g, h = h, f, g
+        x, y = ends[g]
+        u, v = ends[h]
+        if x == u or x == v or y == u or y == v:  # g meets h
+            raise _not_a_square(sq)
+        opposite += ((e, f), (g, h))
+        squares.append((e, f, g, h))
     classes = components(len(edges), opposite)
     label = [0] * len(edges)
     for h, members in enumerate(classes):
@@ -282,6 +287,10 @@ def _opposition_walk(X: CubeComplex) -> Opposition:
     return Opposition(
         tuple(tuple(edges[m] for m in c) for c in classes), tuple(label), tuple(squares)
     )
+
+
+def _not_a_square(sq) -> DomainError:
+    return DomainError(f"square {sq!r} does not have two opposite edge pairs")
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """GF(2) linear algebra on bit-packed rows.
 
-Rows are Python ints used as bitsets (bit j = column j).  Rank and
-row-span queries are all the homology engine needs; both run one
-Gaussian elimination that pivots on the highest set bit of each row.
+Rows are Python ints used as bitsets (bit j = column j).  Pivot
+columns, rank and row-span queries are all the homology engine needs;
+each runs one Gaussian elimination that pivots on the highest set bit of
+each row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def _eliminate(rows: Iterable[int], basis: dict[int, int]) -> dict[int, int]:
                 break
             row ^= other
     return basis
+
+
+def pivots(rows: Iterable[int]):
+    """The pivot columns of the matrix with the given rows: the highest
+    set bits of the rows of one echelon basis, as many as its rank."""
+    return _eliminate(rows, {}).keys()
 
 
 def rank(rows: Iterable[int], ncols: int) -> int:

@@ -120,11 +120,11 @@ class BettiVector:
         return {"reduced": self.reduced, "ranks": list(self.ranks)}
 
 
-def _boundary_rows(host, k: int) -> list[int]:
-    """The boundary matrix of the k-cells, one bitset row per cell over the
-    positions of the (k-1)-cells."""
+def _boundary_rows(table: Iterable[tuple]) -> list[int]:
+    """Boundary matrix rows from facet-table rows: one bitset per cell
+    over the positions of its facets."""
     rows = []
-    for ps in host.facet_positions(k):
+    for ps in table:
         row = 0
         for p in ps:
             row ^= 1 << p
@@ -133,21 +133,35 @@ def _boundary_rows(host, k: int) -> list[int]:
 
 
 def betti_vectors(host) -> tuple[BettiVector, BettiVector]:
-    """The reduced and the unreduced Betti numbers b_0..b_top, from one
+    """The reduced and the unreduced Betti numbers b_0..b_top, from the
     GF(2) rank of each boundary matrix.  They differ only in b_0, by the
-    rank of the augmentation: 1 when there are vertices."""
+    rank of the augmentation: 1 when there are vertices.
+
+    The matrices are reduced from the top dimension down, with clearing
+    (Chen and Kerber, "Persistent homology computation with a twist",
+    2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
+    A row of the reduced ∂(k+1) is a k-cycle whose pivot is its highest
+    k-cell j, so the boundary of j is a sum of boundaries of k-cells
+    before j.  Each such row of ∂k is left out: the rank of ∂k is that
+    of its other c_k - rank ∂(k+1) rows."""
     top = host.top_dim
     if top < 0:
         return BettiVector(True, ()), BettiVector(False, ())
     counts = [len(host.cells(d)) for d in range(top + 1)]
-    ranks = [0, *[gf2.rank(_boundary_rows(host, k), counts[k - 1]) for k in range(1, top + 1)], 0]
+    ranks = [0] * (top + 2)
+    cleared = ()
+    for k in range(top, 0, -1):
+        kept = [ps for q, ps in enumerate(host.facet_positions(k)) if q not in cleared]
+        cleared = gf2.pivots(_boundary_rows(kept))
+        ranks[k] = len(cleared)
     unreduced = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
     reduced = [unreduced[0] - (1 if counts[0] else 0)] + unreduced[1:]
     return BettiVector(True, tuple(reduced)), BettiVector(False, tuple(unreduced))
 
 
 def betti(host, reduced: bool = True) -> BettiVector:
-    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices."""
+    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices,
+    reduced with clearing (`betti_vectors`)."""
     return betti_vectors(host)[0 if reduced else 1]
 
 
@@ -237,4 +251,4 @@ def is_boundary(c: Chain2) -> bool:
     vec = 0
     for cell in c.cells:
         vec ^= 1 << index[cell]
-    return gf2.in_rowspan(vec, _boundary_rows(c.host, c.dim + 1), len(index))
+    return gf2.in_rowspan(vec, _boundary_rows(c.host.facet_positions(c.dim + 1)), len(index))

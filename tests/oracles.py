@@ -6,7 +6,8 @@ and a hand-made torus triangulation.  Nothing here calls the pair
 builder, except `is_connected_bfs_reference`: the connectivity of the
 built complex, which the BFS engine reads from the factors.  The naive references at the end recompute the canonical orders,
 facets, cofaces, links (of cubes and of simplices, and their tags),
-boundary matrices, hyperplanes, crossing graphs,
+boundary matrices and the Betti numbers of their full elimination (which
+clearing replaces), hyperplanes, crossing graphs,
 flag witnesses, pocset closures and ultrafilter cubes that the library
 derives from ranks, bitsets, facet and coface tables and integer edge
 indices; `sageev_reference` and `roller_duality_check_reference` keep
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+from clcc import gf2
 from clcc.canon import canon_key, csorted
 from clcc.clcc_core import CubeComplex, build_clcc, smartly_paired
 from clcc.errors import ComplexError, DomainError
@@ -391,6 +393,20 @@ def boundary_rows_reference(host, k: int, index_low: dict) -> list[int]:
             row ^= 1 << index_low[f]
         rows.append(row)
     return rows
+
+
+def betti_reference(host, reduced: bool) -> tuple:
+    """Betti numbers from the rank of every row of every boundary matrix,
+    each row built from `boundary_of`, with no clearing."""
+    top = host.top_dim
+    if top < 0:
+        return ()
+    counts = [len(host.cells(d)) for d in range(top + 1)] + [0]
+    ranks = [(1 if counts[0] else 0) if reduced else 0] + [0] * (top + 1)
+    for k in range(1, top + 1):
+        index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
+        ranks[k] = gf2.rank(boundary_rows_reference(host, k, index_low), len(index_low))
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
 def facet_positions_reference(host, d: int) -> tuple:

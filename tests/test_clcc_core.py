@@ -296,20 +296,6 @@ def test_prune_preserves_complex_on_random_pairs():
             assert smartly_paired(pa, pb)[0]
 
 
-def test_edge_orientation_metadata(c4):
-    X = build_clcc(c4, gen_cycle(3, prefix="b"))
-    for e in X.cells(1):
-        tail, head = X.edge_orientation(e)
-        assert {tail, head} == set(X.vertices_of(e))
-        # the head lost one A-color relative to the tail
-        assert len(head[0].entries) == len(tail[0].entries) - 1
-    from conftest import grid_complex
-
-    grid = grid_complex(1, 1)
-    with pytest.raises(DomainError):
-        grid.edge_orientation(grid.cells(1)[0])
-
-
 # -- dimension ------------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from clcc import (
     close_downward,
     doubly_smartly_paired,
     fundamental_class,
+    gen_cross_polytope,
     gen_cycle,
     gen_racg_pair,
     is_boundary,
@@ -30,6 +32,7 @@ from clcc.homology_z2 import Chain2, support_subcomplex
 from clcc.simplicial import barycentric_subdivision_2d
 
 from corpus import random_chain, random_smart_pair, rng
+from oracles import boundary_rows_reference
 
 
 @pytest.fixture
@@ -365,20 +368,58 @@ def test_chain_validation(torus, c4):
         top_chain(torus) + top_chain(c4)
 
 
+def counting_pivots(monkeypatch) -> list:
+    """The rows handed to each GF(2) elimination, with its pivots."""
+    handed = []
+    plain = gf2.pivots
+
+    def counting(rows):
+        rows = list(rows)
+        found = plain(rows)
+        handed.append((rows, set(found)))
+        return found
+
+    monkeypatch.setattr(gf2, "pivots", counting)
+    return handed
+
+
+def assert_cleared_eliminations(host, handed) -> None:
+    """One elimination per boundary matrix, from the top down: ∂top gets
+    all of its rows, and ∂k exactly the c_k - rank ∂(k+1) rows of the
+    k-cells that are not pivots of ∂(k+1), so no cleared row is ranked."""
+    top = host.top_dim
+    assert len(handed) == top
+    rank_above, cleared = 0, set()
+    for k, (rows, pivots) in zip(range(top, 0, -1), handed):
+        index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
+        full = boundary_rows_reference(host, k, index_low)
+        assert len(rows) == len(host.cells(k)) - rank_above
+        assert rows == [row for q, row in enumerate(full) if q not in cleared]
+        rank_above, cleared = gf2.rank(full, len(index_low)), pivots
+        assert len(pivots) == rank_above
+
+
 def test_homology_command_ranks_each_boundary_matrix_once(monkeypatch, torus):
     """`clcc homology` reports the reduced and the unreduced vector from
-    one GF(2) rank of each boundary matrix."""
-    ranked = []
-    plain = gf2.rank
-
-    def counting(rows, ncols):
-        ranked.append(len(rows))
-        return plain(rows, ncols)
-
-    monkeypatch.setattr(gf2, "rank", counting)
+    one GF(2) elimination of each boundary matrix, cleared of the rows
+    that the one above shows dependent."""
+    handed = counting_pivots(monkeypatch)
     res = CliRunner().invoke(main, ["homology", "-"], input=json.dumps(torus.to_json_dict()))
     assert res.exit_code == 0, res.output
-    assert ranked == [len(torus.cells(k)) for k in range(1, torus.top_dim + 1)]
+    assert [len(rows) for rows, _ in handed] == [16, 32 - 15]
+    assert_cleared_eliminations(torus, handed)
     got = json.loads(res.stdout)
     assert got["reduced"] == list(betti(torus).ranks) == [0, 2, 1]
     assert got["unreduced"] == list(betti(torus, reduced=False).ranks) == [1, 2, 1]
+
+
+def test_clearing_reaches_every_boundary_matrix_below_the_top(monkeypatch):
+    """On the 3-torus and the 4-torus both ∂1 and the matrices between it
+    and the top are cleared."""
+    handed = counting_pivots(monkeypatch)
+    for n in (3, 4):
+        X = build_clcc(gen_cross_polytope(n), gen_cross_polytope(n, prefix="b"))
+        handed.clear()
+        assert betti(X, reduced=False).ranks == tuple(comb(n, k) for k in range(n + 1))
+        assert_cleared_eliminations(X, handed)
+        assert all(len(rows) < len(X.cells(k)) for k, (rows, _) in zip(range(n - 1, 0, -1), handed[1:]))

@@ -4,7 +4,8 @@
 opposition by comparing endpoint indices; `hyperplanes`, `directions`,
 `crossing_graph` and `halfspace_pocset` all read that one walk.  Each is
 compared here with the naive references in oracles.py on pair-built,
-JSON-loaded and `from_cells` hosts.  For pair-built hosts the paper's
+JSON-loaded and `from_cells` hosts, and so are the walk's opposite
+pairs of each square.  For pair-built hosts the paper's
 local structure is checked as a property: every hyperplane lies inside
 one key bucket (i, a(i), b(i)) of its edges, though a bucket may hold
 several hyperplanes.
@@ -46,6 +47,7 @@ from oracles import (
     crossing_graph_reference,
     halfspace_sides_reference,
     hyperplane_classes_reference,
+    opposition_pairs_reference,
     subdivided_k_gamma,
 )
 
@@ -112,6 +114,11 @@ def assert_matches_references(X: CubeComplex) -> None:
     assert [hp.hid for hp in hps] == [f"h{i}" for i in range(len(hps))]
     assert [hp.edges for hp in hps] == hyperplane_classes_reference(X)
     assert crossing_graph(X) == crossing_graph_reference(X)
+    index = {e: i for i, e in enumerate(X.cells(1))}
+    assert X.opposition.squares == tuple(
+        tuple(index[e] for pair in opposition_pairs_reference(X, sq) for e in pair)
+        for sq in X.cells(2)
+    )
     if X.has_pair_origin:
         dirs, valid = directions(X)
         assert valid
@@ -208,12 +215,11 @@ def test_returned_list_is_a_copy():
 
 
 def test_square_without_two_opposite_pairs_raises():
-    # a triangle with a pendant edge: only {1, 4} and {2, 3} are disjoint
-    X = CubeComplex.from_cells({
-        0: [{1}, {2}, {3}, {4}],
-        1: [{1, 2}, {1, 3}, {1, 4}, {2, 3}],
-        2: [{1, 2, 3, 4}],
-    })
-    for reader in (hyperplanes, crossing_graph, halfspace_pocset):
-        with pytest.raises(DomainError, match="does not have two opposite edge pairs"):
-            reader(X)
+    # a triangle with a pendant edge: no edge is opposite the first, {1, 2};
+    # then {1, 2} opposite {3, 4}, but the other two edges meet at 1
+    for edges in ([{1, 2}, {1, 3}, {1, 4}, {2, 3}], [{1, 2}, {3, 4}, {1, 3}, {1, 4}]):
+        X = CubeComplex.from_cells({0: [{1}, {2}, {3}, {4}], 1: edges, 2: [{1, 2, 3, 4}]})
+        assert X.cells(1)[0] == frozenset({1, 2})
+        for reader in (hyperplanes, crossing_graph, halfspace_pocset):
+            with pytest.raises(DomainError, match="does not have two opposite edge pairs"):
+                reader(X)
