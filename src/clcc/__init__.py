@@ -17,11 +17,9 @@ from clcc.simplicial import (
     barycentric_subdivision_2d,
     close_downward,
     empty_squares,
-    full_subcomplex,
     is_5_large,
     is_flag,
     is_obes,
-    link_simplex,
     pairwise_5_large,
     simplicial_join,
 )

@@ -200,8 +200,6 @@ class CubeComplex(CellStore):
         one_up = [c for c, link_cell in cell_map.items() if len(link_cell) == 1]
         return SimplicialComplex(one_up, frozenset(cell_map.values())), cell_map
 
-    link_complex = CellStore.link
-
     # -- io ----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -697,7 +695,7 @@ def join_link_of_cube(
     """lk_A(a) * lk_B(b) for the cube (a, b), each link vertex named by the
     cube one dimension up that it stands for: u in lk_A(a) is (a + u, b)
     and w in lk_B(b) is (a, b + w).  This is the adjacency link
-    X.link_complex(cube) of the pair complex X, computed from the factors."""
+    X.link(cube) of the pair complex X, computed from the factors."""
     a, b = cube
     la, lb = gamma_a.link(a), gamma_b.link(b)
     up_a = {u: (a.plus(c, u), b) for u, c in la.vertices}

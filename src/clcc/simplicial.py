@@ -360,7 +360,18 @@ class CellStore:
         return tuple(csorted(out))
 
     def is_connected(self) -> bool:
+        """One component of 0-cells: a declared vertex in no simplex is no
+        cell, so it counts here no more than in `betti` or χ."""
         return connected(len(self.cells(0)), self.facet_positions(1))
+
+    @cached_property
+    def _flag_witness(self) -> Optional[tuple]:
+        """The least clique of the 1-skeleton that spans no simplex, or
+        None: the one clique scan of a simplicial host, read by `is_flag`.
+        `cliques` yields by size, then lexicographically, so the first
+        failure found is the least."""
+        unspanned = (q for q in cliques(self.adjacency) if len(q) > 2 and not self._spans(q))
+        return next(unspanned, None)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cells_by_dim.items() if d >= 0)
@@ -439,6 +450,9 @@ class ColoredComplex(CellStore):
             return None
         at = self._index.get(tuple(sorted((colors[v], v) for v in vids)))
         return None if at is None else self.cells(at[0])[at[1]]
+
+    def _spans(self, vids) -> bool:
+        return self.simplex_with_vertices(vids) is not None
 
     @cached_property
     def by_colorset(self) -> dict[frozenset[int], tuple[CoordSimplex, ...]]:
@@ -526,9 +540,9 @@ class ColoredComplex(CellStore):
         return ColoredComplex(self.n, colors, fam)
 
     def relabeled(self, rename: Mapping[str, str]) -> "ColoredComplex":
-        if len(set(rename.values())) != len(rename):
-            raise ComplexError("relabeling is not injective")
         colors = {rename.get(v, v): c for v, c in self._colors.items()}
+        if len(colors) != len(self._colors):
+            raise ComplexError("relabeling is not injective")
         fam = frozenset(
             CoordSimplex(tuple(sorted((c, rename.get(v, v)) for c, v in s.entries)))
             for s in self.simplices
@@ -621,6 +635,9 @@ class SimplicialComplex(CellStore):
     def __contains__(self, simplex: frozenset) -> bool:
         return frozenset(simplex) in self.simplices
 
+    def _spans(self, vids) -> bool:
+        return frozenset(vids) in self.simplices
+
     @cached_property
     def adjacency(self) -> dict:
         nbrs: dict = {v: set() for v in self.vertex_ids}
@@ -632,10 +649,6 @@ class SimplicialComplex(CellStore):
 
     def degree(self, v) -> int:
         return len(self.adjacency[v])
-
-    def is_connected(self) -> bool:
-        # a declared vertex that lies in no simplex is a component alone
-        return len(self.cells(0)) == len(self.vertex_ids) and super().is_connected()
 
     def link_data(self, e: frozenset):
         """Link of e plus the coface -> link-cell correspondence, on the
@@ -702,28 +715,10 @@ def is_flag(K) -> tuple[bool, Optional[tuple]]:
 
     Accepts colored or uncolored complexes.  On failure returns the
     minimal non-spanning clique (smallest size, then lexicographically
-    first): `cliques` yields them in that order, so the first failure
-    found is that witness.
+    first).  Each complex scans its cliques once, on the first ask.
     """
-    if isinstance(K, ColoredComplex):
-        spans = lambda vids: K.simplex_with_vertices(vids) is not None
-    else:
-        spans = lambda vids: frozenset(vids) in K.simplices
-    for clique in cliques(K.adjacency):
-        if len(clique) >= 3 and not spans(clique):
-            return False, clique
-    return True, None
-
-
-def link_simplex(K: ColoredComplex, simplex: CoordSimplex) -> ColoredComplex:
-    """General link: tau is in lk(sigma) iff tau and sigma are disjoint
-    and their union is a simplex of K.  The link of the empty simplex is
-    K itself; ambient coloring is kept."""
-    return K.link(simplex)
-
-
-def full_subcomplex(K: ColoredComplex, vids: Iterable[str]) -> ColoredComplex:
-    return K.full_subcomplex(vids)
+    clique = K._flag_witness
+    return clique is None, clique
 
 
 def _vertex_set(cell) -> frozenset:

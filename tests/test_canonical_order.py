@@ -276,8 +276,8 @@ def simplicial_order_hosts() -> list[SimplicialComplex]:
         if pair is not None:
             pairs.append(pair)
     cubes += [build_clcc(*pair) for pair in pairs]
-    hosts = [X.link_complex(v) for X in cubes for v in X.cells(0)[:4]]
-    hosts += [X.link_complex(e) for X in cubes for e in X.cells(1)[:2]]
+    hosts = [X.link(v) for X in cubes for v in X.cells(0)[:4]]
+    hosts += [X.link(e) for X in cubes for e in X.cells(1)[:2]]
     hosts += [join_link_of_cube(*pair, v) for pair in pairs for v in build_clcc(*pair).cells(0)[:3]]
     factors = [K.uncolored() for pair in pairs for K in pair]
     hosts += [simplicial_join(K, K) for K in factors[:8]]  # every vertex tagged

@@ -204,7 +204,7 @@ def test_join_link_equals_adjacency_link_everywhere():
         for d in range(X.top_dim + 1):
             for cube in X.cells(d):
                 joined = join_link_of_cube(ga, gb, cube)
-                adjacency = X.link_complex(cube)
+                adjacency = X.link(cube)
                 assert set(joined.vertex_ids) == set(adjacency.vertex_ids)
                 assert set(joined.simplices) == set(adjacency.simplices)
 

@@ -4,7 +4,7 @@ For a pair-built complex, classify_vertex_links, certify's rule 4
 (every vertex link 5-large) and is_npc read the vertex links off the
 factors by the join formula lk(a, b) = lk_A(a) * lk_B(b).  Each is
 compared here with the same invariant computed on the adjacency link
-X.link_complex(v) of the built complex, vertex by vertex, on the seeded
+X.link(v) of the built complex, vertex by vertex, on the seeded
 corpus and on fixtures that between them reach every tag.  Both paths
 read the links with `_LinkSummary(host, cell)`, which walks the star of
 the cell once; its tags and its other star reads are checked against
@@ -69,7 +69,7 @@ def adjacency_is_npc(ga, gb):
         return True, "flag-inputs", None
     X = build_clcc(ga, gb)
     for v in X.cells(0):
-        ok, clique = is_flag(X.link_complex(v))
+        ok, clique = is_flag(X.link(v))
         if not ok:
             return False, "direct-links", (v, clique)
     return True, "direct-links", None
@@ -115,7 +115,7 @@ def compare_paths(ga, gb) -> Counter:
     links = _JoinLinks(ga, gb)
     assert links.vertices() == list(X.cells(0))
 
-    adjacency = {v: X.link_complex(v) for v in X.cells(0)}
+    adjacency = {v: X.link(v) for v in X.cells(0)}
     expected_tags = {v: _LinkSummary(L, L.augmentation_cell).tag for v, L in adjacency.items()}
     tags = classify_vertex_links(X)
     assert list(tags.items()) == list(expected_tags.items())
@@ -197,7 +197,7 @@ def test_link_tags_equal_the_scanning_classifier():
     counts the triangles of each edge over every triangle and scans every
     simplex for each vertex link."""
     r = rng(1401)
-    hosts = [build_clcc(*pair).link_complex(v) for pair in fixture_pairs()
+    hosts = [build_clcc(*pair).link(v) for pair in fixture_pairs()
              for v in build_clcc(*pair).cells(0)[:6]]
     hosts += [K.link(s).uncolored() for ga, gb in fixture_pairs() for K in (ga, gb)
               for s in K.cells(0)[:3] + K.cells(1)[:2]]

@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import clcc.simplicial as simplicial
-from clcc import certify, flag_complex_from_graph, prune_to_smart_pair
+from clcc import certify, flag_complex_from_graph, is_npc, prune_to_smart_pair
+from clcc.clcc_core import _LinkSummary
 from clcc.generators import gen_barycentric_pair
 from clcc.hyperbolicity import RULE_PAIRWISE_OBES
 from clcc.simplicial import (
@@ -20,6 +21,7 @@ from clcc.simplicial import (
     ColoredComplex,
     empty_squares,
     is_5_large,
+    is_flag,
     is_obes,
     pairwise_5_large,
 )
@@ -33,6 +35,7 @@ from corpus import (
 )
 from oracles import (
     empty_squares_reference,
+    is_flag_reference,
     pairwise_5_large_reference,
     prune_to_smart_pair_reference,
 )
@@ -175,3 +178,36 @@ def test_certify_scans_each_factor_once(monkeypatch):
         assert len(calls) <= 2, (ga, gb)
         scans += len(calls)
     assert scans
+
+
+def test_flagness_is_asked_once_per_complex(monkeypatch):
+    """`is_flag`, then `certify`, then `is_npc` scan each factor's cliques
+    once.  A fresh copy scans again, and so does every link that a link
+    summary builds."""
+    scanned = []
+    scan = simplicial.cliques
+    monkeypatch.setattr(simplicial, "cliques", lambda adj: scanned.append(adj) or scan(adj))
+    verdicts = set()
+    for ga, gb in corpus():
+        ga, gb = fresh(ga), fresh(gb)
+        scanned.clear()
+        flag = is_flag(ga)[0] and is_flag(gb)[0]
+        certify(ga, gb)
+        assert is_npc(ga, gb)[1] == ("flag-inputs" if flag else "direct-links")
+        assert sum(adj is ga.adjacency for adj in scanned) == 1, (ga, gb)
+        assert sum(adj is gb.adjacency for adj in scanned) == 1, (ga, gb)
+        assert len(scanned) == 2 or not flag
+        verdicts.add(flag)
+        scanned.clear()
+        assert is_flag(fresh(ga)) == is_flag(ga)
+        assert len(scanned) == 1
+    assert verdicts == {True, False}
+    links = 0
+    for K in complexes():
+        cells = (EMPTY_SIMPLEX, *K.cells(0)[:2], *K.cells(1)[:1])
+        scanned.clear()
+        got = [_LinkSummary(K, s).is_flag for s in cells]
+        assert len(scanned) == len(cells)
+        assert got == [is_flag_reference(K.link(s))[0] for s in cells]
+        links += len(cells)
+    assert links

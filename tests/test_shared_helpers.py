@@ -14,6 +14,8 @@ import networkx as nx
 import pytest
 
 from clcc import (
+    ColoredComplex,
+    betti,
     build_clcc,
     gen_barycentric_pair,
     gen_cross_polytope,
@@ -109,7 +111,8 @@ def _connected_by_networkx(nodes, edges) -> bool:
 def test_connectivity_equals_networkx_component_count():
     seen = set()
     for S in simplicial_hosts():
-        expect = _connected_by_networkx(S.vertex_ids, (tuple(e) for e in S.cells(1)))
+        nodes = (v for (v,) in S.cells(0))
+        expect = _connected_by_networkx(nodes, (tuple(e) for e in S.cells(1)))
         assert S.is_connected() == expect
         seen.add(("simplicial", expect))
     for X in cube_hosts():
@@ -127,6 +130,23 @@ def test_connectivity_equals_networkx_component_count():
         assert G.is_connected() == expect
         seen.add(("criterion", expect))
     assert seen == {(kind, v) for kind in ("simplicial", "cube", "criterion") for v in (True, False)}
+
+
+def test_isolated_vertices_follow_one_rule():
+    """A declared vertex in no simplex is no 0-cell: `is_connected`, the
+    reduced Betti numbers and χ all ignore it, on either simplicial host."""
+    S = SimplicialComplex.from_maximal("abc", ["ab"])
+    K = ColoredComplex.build(2, [("a", 1), ("b", 1), ("c", 2), ("d", 2)], ["ac", "bc"])
+    hosts = [S, K, K.uncolored(), SimplicialComplex.from_maximal("ab", [])]
+    hosts += simplicial_hosts() + colored_hosts()
+    unused = 0
+    for host in hosts:
+        expect = bool(host.cells(0)) and betti(host).ranks[0] == 0
+        assert host.is_connected() == expect, host
+        unused += len(host.cells(0)) < len(host.vertex_ids)
+    assert S.is_connected() and K.is_connected() and K.uncolored().is_connected()
+    assert S.euler_characteristic() == 1
+    assert unused > 4
 
 
 def test_components_equal_networkx_components():

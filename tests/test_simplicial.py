@@ -11,13 +11,11 @@ from clcc import (
     close_downward,
     empty_squares,
     flag_complex_from_graph,
-    full_subcomplex,
     gen_cross_polytope,
     gen_cycle,
     is_5_large,
     is_flag,
     is_obes,
-    link_simplex,
     pairwise_5_large,
     prune_to_smart_pair,
     simplicial_join,
@@ -143,7 +141,7 @@ def flag_corpus():
         yield gb
         X = build_clcc(ga, gb)
         for v in X.cells(0)[:3]:
-            yield X.link_complex(v)
+            yield X.link(v)
     for _ in range(60):
         yield random_two_complex(r)
     # hollow tetrahedra: every triangle spans, the 4-clique does not
@@ -161,53 +159,53 @@ def test_flag_matches_reference_on_corpus():
     assert {None, 3, 4} <= verdicts
 
 
-# -- link_simplex ------------------------------------------------------------------
+# -- link --------------------------------------------------------------------------
 
 
 def test_link_of_cycle_vertex(c6):
     v = c6.simplex_with_vertices(["v0"])
-    link = link_simplex(c6, v)
+    link = c6.link(v)
     assert cell_counts(link) == {0: 2}
     assert {c6.color_of(u) for u, in (s.vertex_ids for s in link.cells(0))} == {2}
 
 
 def test_link_in_octahedron(o3):
     v = o3.simplex_with_vertices(["a1+"])
-    link = link_simplex(o3, v)
+    link = o3.link(v)
     assert cell_counts(link) == {0: 4, 1: 4}
     assert {link.color_of(u) for u in link.vertex_ids} == {2, 3}
 
 
 def test_link_of_empty_simplex_is_identity(o3):
-    assert link_simplex(o3, EMPTY_SIMPLEX) == o3
+    assert o3.link(EMPTY_SIMPLEX) == o3
 
 
 def test_link_requires_membership(c4):
     with pytest.raises(ComplexError):
-        link_simplex(c4, CoordSimplex.of({1: "nope"}))
+        c4.link(CoordSimplex.of({1: "nope"}))
 
 
 # -- full_subcomplex -----------------------------------------------------------------
 
 
 def test_full_subcomplex_everything(c6):
-    assert full_subcomplex(c6, c6.vertex_ids) == c6
+    assert c6.full_subcomplex(c6.vertex_ids) == c6
 
 
 def test_full_subcomplex_edge(c6):
-    sub = full_subcomplex(c6, ["v0", "v1"])
+    sub = c6.full_subcomplex(["v0", "v1"])
     assert cell_counts(sub) == {0: 2, 1: 1}
 
 
 def test_full_subcomplex_of_octahedron_is_square(o3):
-    sub = full_subcomplex(o3, [v for v in o3.vertex_ids if o3.color_of(v) in (1, 2)])
+    sub = o3.full_subcomplex([v for v in o3.vertex_ids if o3.color_of(v) in (1, 2)])
     assert cell_counts(sub) == {0: 4, 1: 4}
     assert empty_squares(sub)  # the bicolor square survives
 
 
 def test_full_subcomplex_unknown_id(c4):
     with pytest.raises(ComplexError):
-        full_subcomplex(c4, ["ghost"])
+        c4.full_subcomplex(["ghost"])
 
 
 # -- simplicial_join --------------------------------------------------------------------
@@ -382,7 +380,7 @@ def flag_complexes(draw):
 def test_link_of_flag_complex_is_flag(K):
     assert is_flag(K)[0]
     for s in sorted(K.simplices, key=lambda s: s.entries)[:12]:
-        link = link_simplex(K, s)
+        link = K.link(s)
         assert is_flag(link)[0]
 
 
@@ -396,7 +394,16 @@ def test_flag_link_equals_full_subcomplex_on_common_neighbours(K):
         nbrs = set(K.vertex_ids)
         for v in s.vertex_ids:
             nbrs &= adj[v]
-        assert link_simplex(K, s) == full_subcomplex(K, nbrs)
+        assert K.link(s) == K.full_subcomplex(nbrs)
+
+
+def test_relabeling_that_merges_vertices_is_refused():
+    K = ColoredComplex.build(2, [("a", 1), ("b", 1), ("c", 2)], [["a", "c"], ["b", "c"]])
+    for rename in ({"a": "b"}, {"a": "x", "c": "x"}, {"b": "c"}):
+        with pytest.raises(ComplexError):
+            K.relabeled(rename)
+    swapped = K.relabeled({"a": "b", "b": "a", "ghost": "c"})
+    assert cell_counts(swapped) == cell_counts(K) == {0: 3, 1: 2}
 
 
 @given(flag_complexes())
