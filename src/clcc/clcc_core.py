@@ -29,10 +29,9 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     _chordless_squares,
-    _neighbour_lists,
     check_color_count,
     check_same_color_count,
-    components,
+    component_roots,
     connected,
     is_flag,
     reach,
@@ -277,14 +276,15 @@ def _opposition_walk(X: CubeComplex) -> Opposition:
             raise _not_a_square(sq)
         opposite += ((e, f), (g, h))
         squares.append((e, f, g, h))
-    classes = components(len(edges), opposite)
-    label = [0] * len(edges)
-    for h, members in enumerate(classes):
-        for m in members:
-            label[m] = h
-    return Opposition(
-        tuple(tuple(edges[m] for m in c) for c in classes), tuple(label), tuple(squares)
-    )
+    # a class's root is its least edge, so the classes are numbered in
+    # the order of their first edges
+    number: dict = {}
+    roots = component_roots(len(edges), opposite)
+    label = tuple([number.setdefault(r, len(number)) for r in roots])
+    classes: list = [[] for _ in number]
+    for e, h in zip(edges, label):
+        classes[h].append(e)
+    return Opposition(tuple(map(tuple, classes)), label, tuple(squares))
 
 
 def _not_a_square(sq) -> DomainError:
@@ -987,12 +987,15 @@ class _LinkSummary:
                     other = flag_at.setdefault(u, flag)
                     if other != flag:
                         joins.append((other, flag))
-        return len(components(2 * len(edges), joins)) == len(verts)
+        return len(set(component_roots(2 * len(edges), joins))) == len(verts)
 
     @cached_property
     def has_empty_square(self) -> bool:
-        nbrs = _neighbour_lists(self.size, self.ends)
-        return bool(_chordless_squares({u: set(ns) for u, ns in enumerate(nbrs)}))
+        nbrs: dict = {u: set() for u in range(self.size)}
+        for u, v in self.ends:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return bool(_chordless_squares(nbrs))
 
     @cached_property
     def has_non_adjacent_pair(self) -> bool:

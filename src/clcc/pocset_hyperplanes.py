@@ -15,7 +15,7 @@ from typing import Optional
 
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
-from clcc.simplicial import components
+from clcc.simplicial import component_roots
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,15 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, frozenset, dict]:
     parts: dict = {}
     for h in range(len(op.classes)):
         hid = f"h{h}"
-        comps = components(count, (e for e, k in zip(endpoints, op.label) if k != h))
-        if len(comps) != 2:
+        roots = component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))
+        sides = len(set(roots))
+        if sides != 2:
             raise NotTwoSidedError(
-                f"hyperplane {hid} separates the complex into {len(comps)} parts, not 2"
+                f"hyperplane {hid} separates the complex into {sides} parts, not 2"
             )
-        # cells(0) is in canonical order, so the first part holds the least vertex
-        parts[(hid, "-")], parts[(hid, "+")] = map(frozenset, comps)
+        # cells(0) is in canonical order, so the "-" side holds the least vertex
+        parts[(hid, "-")] = frozenset([i for i, r in enumerate(roots) if not r])
+        parts[(hid, "+")] = frozenset([i for i, r in enumerate(roots) if r])
     elements = tuple(sorted(parts))
     less = frozenset(
         (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]

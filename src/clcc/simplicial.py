@@ -194,33 +194,33 @@ def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
     return seen
 
 
-def _neighbour_lists(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    nbrs: list[list[int]] = [[] for _ in range(count)]
+def component_roots(count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """For each vertex of a graph on the vertices 0..count-1, each edge a
+    pair of vertex numbers, the least vertex of its component.
+
+    A union-find (Tarjan 1975) in which no vertex's parent is above it: a
+    union hangs the larger root under the smaller, and `find` halves its
+    path.  Then one pass upwards leaves every vertex at its root, since
+    its parent, below it, is already there.  `edges` is read once."""
+    root = list(range(count))
     for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
-
-
-def components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The components of a graph on the vertices 0..count-1, each edge a
-    pair of vertex numbers: each component sorted, in the order of their
-    least vertices."""
-    nbrs = _neighbour_lists(count, edges)
-    placed = [False] * count
-    out = []
-    for v in range(count):
-        if not placed[v]:
-            out.append(sorted(reach([v], nbrs.__getitem__)))
-            for u in out[-1]:
-                placed[u] = True
-    return out
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    for x in range(count):
+        root[x] = root[root[x]]
+    return root
 
 
 def connected(count: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Whether a graph on the vertices 0..count-1, each edge a pair of
-    vertex numbers, has exactly one component: vertex 0 reaches all."""
-    return count > 0 and len(reach([0], _neighbour_lists(count, edges).__getitem__)) == count
+    vertex numbers, has exactly one component: every root is vertex 0."""
+    return count > 0 and not any(component_roots(count, edges))
 
 
 def cliques(adj: Mapping) -> Iterator[tuple]:
@@ -312,11 +312,13 @@ class CellStore:
         return self._index[self._key(cell)][0]
 
     def boundary_of(self, cell) -> tuple:
-        """The facets of a simplex of this complex, the stored simplices."""
+        """The facets of a simplex of this complex, the stored simplices;
+        a cell outside the complex raises KeyError."""
         key = self._key(cell)
+        index = self._index
+        lower = self.cells(index[key][0] - 1)
         if not key:
             raise ComplexError("the empty simplex has no boundary")
-        index, lower = self._index, self._cells_by_dim[len(key) - 2]
         return tuple([lower[index[key[:i] + key[i + 1 :]][1]] for i in range(len(key))])
 
     def _star(self, cell) -> Iterator[tuple[int, list[int]]]:
@@ -358,6 +360,17 @@ class CellStore:
             listed = {p for ps in self.facet_positions(d + 1) for p in ps}
             out += [c for p, c in enumerate(self.cells(d)) if p not in listed]
         return tuple(csorted(out))
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """Each vertex id's neighbours in the 1-skeleton of a simplicial
+        host, keyed in the order of `vertex_ids`."""
+        nbrs: dict = {v: set() for v in self.vertex_ids}
+        for s in self.cells(1):
+            a, b = _vertex_set(s)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        return {v: frozenset(ns) for v, ns in nbrs.items()}
 
     def is_connected(self) -> bool:
         """One component of 0-cells: a declared vertex in no simplex is no
@@ -474,15 +487,6 @@ class ColoredComplex(CellStore):
         return self.by_colorset.get(self._all_colors - colors, ())
 
     @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self._colors}
-        for s in self.cells(1):
-            (_, a), (_, b) = s.entries
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return {v: frozenset(ns) for v, ns in nbrs.items()}
-
-    @cached_property
     def squares(self) -> tuple[SquareWitness, ...]:
         """The chordless 4-cycles of the 1-skeleton, lexicographically
         ordered: the one scan that every square predicate reads."""
@@ -509,11 +513,6 @@ class ColoredComplex(CellStore):
     @property
     def augmentation_cell(self) -> CoordSimplex:
         return EMPTY_SIMPLEX
-
-    def boundary_of(self, cell: CoordSimplex) -> tuple[CoordSimplex, ...]:
-        """The facets of a simplex: the stored ones for a simplex of this
-        complex, made anew for another."""
-        return super().boundary_of(cell) if cell in self.simplices else cell.facets()
 
     def link_data(self, e: CoordSimplex):
         """Link of e plus the coface -> link-cell correspondence, on the
@@ -638,15 +637,6 @@ class SimplicialComplex(CellStore):
     def _spans(self, vids) -> bool:
         return frozenset(vids) in self.simplices
 
-    @cached_property
-    def adjacency(self) -> dict:
-        nbrs: dict = {v: set() for v in self.vertex_ids}
-        for s in self.cells(1):
-            a, b = s
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return {v: frozenset(ns) for v, ns in nbrs.items()}
-
     def degree(self, v) -> int:
         return len(self.adjacency[v])
 
@@ -663,8 +653,11 @@ class SimplicialComplex(CellStore):
         return SimplicialComplex(frozenset().union(*link_cells), link_cells), cell_map
 
     def relabeled(self, rename: Mapping) -> "SimplicialComplex":
+        vertices = [rename.get(v, v) for v in self.vertex_ids]
+        if len(set(vertices)) != len(vertices):
+            raise ComplexError("relabeling is not injective")
         fam = frozenset(frozenset(rename.get(v, v) for v in s) for s in self.simplices)
-        return SimplicialComplex(tuple(rename.get(v, v) for v in self.vertex_ids), fam)
+        return SimplicialComplex(vertices, fam)
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,7 +24,7 @@ from clcc.canon import canonical_json, csorted
 from clcc import clcc_core
 from clcc.clcc_core import CubeComplex
 from clcc.errors import ComplexError
-from clcc.simplicial import ColoredComplex, CoordSimplex
+from clcc.simplicial import ColoredComplex, CoordSimplex, SimplicialComplex
 
 from conftest import grid_complex
 from corpus import random_colored_complex, random_smart_pair, rng
@@ -273,7 +273,26 @@ def test_colored_lookups_return_the_stored_simplices():
             pick = r.sample(vids, r.randint(0, len(vids))) + r.sample(["v0", "x"], 1)
             assert K.simplex_with_vertices(pick) == by_vertex_set.get(frozenset(pick))
     outside = CoordSimplex(((1, "x"), (2, "y")))
-    assert K.boundary_of(outside) == outside.facets()
+    with pytest.raises(KeyError):
+        K.boundary_of(outside)
+
+
+def test_a_cell_outside_the_complex_has_no_boundary_on_any_host():
+    """Each outside cell but the last has all its facets in the complex."""
+    path = SimplicialComplex.from_maximal("abc", ["ab", "bc"])
+    K = ColoredComplex.build(3, [("a", 1), ("b", 2), ("c", 3)], ["ab", "bc"])
+    X = build_clcc(gen_cycle(2), gen_cycle(2, prefix="b"))
+    a, b = X.cells(2)[0]
+    outside = [
+        (path, frozenset("ac")),
+        (K, CoordSimplex(((1, "a"), (3, "c")))),
+        (X, (b, a)),
+        (path, frozenset("ax")),
+    ]
+    for host, cell in outside:
+        with pytest.raises(KeyError):
+            host.boundary_of(cell)
+    assert set(path.boundary_of(frozenset("ab"))) == {frozenset("a"), frozenset("b")}
 
 
 # -- CoordSimplex is a value ----------------------------------------------------------

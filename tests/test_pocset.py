@@ -192,15 +192,17 @@ def test_halfspaces_of_square_are_incomparable():
 
 def test_halfspaces_reject_torus(c4):
     X = build_clcc(c4, gen_cycle(2, prefix="b"))
-    with pytest.raises(NotTwoSidedError):
+    with pytest.raises(NotTwoSidedError) as err:
         halfspace_pocset(X)
+    assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
 
 
 def test_four_cycle_halfspaces_are_rejected():
     # removing a singleton class keeps the circle connected, which is the
     # documented signal for a non-CAT(0) input
-    with pytest.raises(NotTwoSidedError):
+    with pytest.raises(NotTwoSidedError) as err:
         halfspace_pocset(_cycle_complex(4))
+    assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
 
 
 # -- pocset axioms / json -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The purity check, the maximal-simplex rule and the graph walks
-(components, connectivity, cliques, chordless squares, the criterion
-graph, the 1-skeleton of a pair complex) are each written once and shared by every
-caller.  Each is compared here with an independent reference on the
-seeded corpus: the per-class purity scans, maximal-simplex comparisons,
-brute-force graph walks and the built complex's connectivity in
-oracles.py, and networkx components for connectivity."""
+(component roots, connectivity, cliques, chordless squares, the
+criterion graph, the 1-skeleton of a pair complex) are each written once
+and shared by every caller.  Each is compared here with an independent
+reference on the seeded corpus: the per-class purity scans,
+maximal-simplex comparisons, brute-force graph walks and the built
+complex's connectivity in oracles.py, and networkx components for the
+component roots and connectivity."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from clcc.simplicial import (
     SimplicialComplex,
     _chordless_squares,
     cliques,
-    components,
+    component_roots,
     connected,
 )
 
@@ -149,7 +150,9 @@ def test_isolated_vertices_follow_one_rule():
     assert unused > 4
 
 
-def test_components_equal_networkx_components():
+def test_component_roots_equal_networkx_components():
+    """Every vertex gets the least vertex of its networkx component, with
+    the edges given as a list or as a generator, which is read once."""
     r = rng(7305)
     sizes, verdicts = set(), set()
     for _ in range(300):
@@ -158,16 +161,26 @@ def test_components_equal_networkx_components():
         G = nx.Graph()
         G.add_nodes_from(range(count))
         G.add_edges_from(edges)
-        expect = [sorted(c) for c in nx.connected_components(G)]
-        assert components(count, edges) == expect
-        assert connected(count, edges) == (len(expect) == 1)
-        sizes.update(len(c) for c in expect)
-        verdicts.add(len(expect) == 1)
-    assert components(0, []) == [] and not connected(0, [])
+        comps = list(nx.connected_components(G))
+        expect = [min(c) for v in range(count) for c in comps if v in c]
+        assert component_roots(count, edges) == expect
+        assert component_roots(count, (e for e in edges)) == expect
+        assert connected(count, edges) == (len(comps) == 1)
+        sizes.update(len(c) for c in comps)
+        verdicts.add(len(comps) == 1)
+    assert component_roots(0, []) == [] and not connected(0, [])
     assert verdicts == {True, False}
     # isolated vertices, and components large enough that a set of their
     # numbers does not iterate in sorted order
     assert 1 in sizes and max(sizes) > 8
+    # a long path in descending order hangs each vertex one step below the
+    # last; in shuffled order, with random ends first, the trees are mixed.
+    # A final pass that stops short of the roots leaves a vertex off its root.
+    path = [(v, v + 1) for v in range(300)]
+    shuffled = [e if r.random() < 0.5 else e[::-1] for e in r.sample(path, len(path))]
+    for order in (path[::-1], shuffled):
+        assert component_roots(301, (e for e in order)) == [0] * 301
+        assert connected(301, order) and not connected(302, order)
 
 
 def random_graph(r, ids) -> dict:
