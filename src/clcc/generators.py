@@ -8,11 +8,15 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from clcc.errors import DomainError
+from clcc.canon import canon_key
+from clcc.errors import ComplexError, DomainError
 from clcc.simplicial import (
+    EMPTY_SIMPLEX,
     ColoredComplex,
+    CoordSimplex,
     SimplicialComplex,
     barycentric_subdivision_2d,
+    check_vertex_colors,
     cliques,
     is_flag,
 )
@@ -119,12 +123,32 @@ def flag_complex_from_graph(
     n: int, vertices, edges
 ) -> ColoredComplex:
     """Clique (flag) completion of a colored graph: simplices are exactly
-    the cliques, so the result is flag by construction.  An edge that
-    names an undeclared vertex, or a vertex declared with two colors, is
-    rejected by the build."""
-    vertices = list(vertices)
-    adj: dict[str, set[str]] = {v: set() for v, _ in vertices}
+    the cliques, so the result is flag by construction.
+
+    The graph's vertices are the (color, id) entries, so `cliques` yields
+    each clique once, as the sorted entries of its simplex; the cliques
+    are already closed downwards.  The vertices are checked as
+    `ColoredComplex.build` checks them.  Then, as the build of every
+    clique would refuse them: the least undeclared endpoint, in canonical
+    order, is refused, else the least edge joining two vertices of one
+    color.  Self-loops and repeated edges are ignored."""
+    colors = check_vertex_colors(n, vertices)
+    adj: dict[tuple, set] = {(c, v): set() for v, c in colors.items()}
+    unknown, clashes = [], []
     for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return ColoredComplex.build(n, vertices, cliques(adj))
+        if a not in colors or b not in colors:
+            unknown += [v for v in (a, b) if v not in colors]
+        elif a != b:
+            ca, cb = colors[a], colors[b]
+            if ca == cb:
+                clashes.append((a, b))
+            else:
+                adj[ca, a].add((cb, b))
+                adj[cb, b].add((ca, a))
+    if unknown:
+        raise ComplexError(f"unknown vertex id {min(unknown, key=canon_key)!r}")
+    if clashes:
+        a, b = min(clashes, key=lambda edge: sorted(map(canon_key, edge)))
+        CoordSimplex.of([(colors[a], a), (colors[b], b)])  # refuses one color twice
+    simplices = frozenset([EMPTY_SIMPLEX, *map(CoordSimplex, cliques(adj))])
+    return ColoredComplex(n, colors, simplices)

@@ -8,6 +8,7 @@ are immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
@@ -18,40 +19,42 @@ from clcc.canon import csorted
 from clcc.errors import ComplexError, PairError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoordSimplex:
     """Simplex of a colored complex, stored as color -> vertex entries.
 
     The value is `entries` alone.  The hash and the color set are cached
-    in two more slots, each filled on first use, so building a simplex
-    stores one field and a simplex used as a key is hashed once.  Equal
-    color sets are one shared frozenset."""
+    in two more slots, None until first use, so a simplex used as a key
+    is hashed once and a cache is read without raising.  Equal color
+    sets are one shared frozenset.  The slots are written through their
+    descriptors, which is what `object.__setattr__` does on a frozen
+    class, without its lookup of the slot by name."""
 
     entries: tuple[tuple[int, str], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _colors: frozenset = field(init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _colors: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, entries: tuple[tuple[int, str], ...]) -> None:
+        _set_entries(self, entries)
+        _set_hash(self, None)
+        _set_colors(self, None)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-            return h
+            _set_hash(self, h)
+        return h
 
     def __reduce__(self):
-        # the default state of a frozen slotted dataclass reads every
-        # field, and an empty cache slot cannot be read
+        # the entries alone: a string's hash differs between processes,
+        # so a cached hash must not travel
         return CoordSimplex, (self.entries,)
 
     @staticmethod
     def of(mapping: Mapping[int, str] | Iterable[tuple[int, str]]) -> "CoordSimplex":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        entries = tuple(sorted(items))
-        colors = [c for c, _ in entries]
-        if len(set(colors)) != len(colors):
-            raise ComplexError(f"duplicate color in simplex {entries}")
-        return CoordSimplex(entries)
+        items = mapping.items() if isinstance(mapping, abc.Mapping) else mapping
+        return CoordSimplex(_checked_entries(items))
 
     @staticmethod
     def from_json(raw: Mapping[str, str]) -> "CoordSimplex":
@@ -61,12 +64,11 @@ class CoordSimplex:
 
     @property
     def colors(self) -> frozenset[int]:
-        try:
-            return self._colors
-        except AttributeError:
+        colors = self._colors
+        if colors is None:
             colors = _shared_color_set(tuple(c for c, _ in self.entries))
-            object.__setattr__(self, "_colors", colors)
-            return colors
+            _set_colors(self, colors)
+        return colors
 
     @property
     def vertex_ids(self) -> frozenset[str]:
@@ -110,7 +112,19 @@ class CoordSimplex:
         return f"<{body}>" if body else "<empty>"
 
 
+_set_entries = CoordSimplex.entries.__set__
+_set_hash = CoordSimplex._hash.__set__
+_set_colors = CoordSimplex._colors.__set__
 EMPTY_SIMPLEX = CoordSimplex(())
+
+
+def _checked_entries(items: Iterable[tuple[int, str]]) -> tuple[tuple[int, str], ...]:
+    """The (color, vertex) items as sorted simplex entries; two items of
+    one color are refused."""
+    entries = tuple(sorted(items))
+    if len({c for c, _ in entries}) != len(entries):
+        raise ComplexError(f"duplicate color in simplex {entries}")
+    return entries
 
 
 @lru_cache(maxsize=4096)
@@ -173,6 +187,20 @@ def check_color_count(n) -> None:
     """A color count n must be an integer >= 1 (a bool is no count)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ComplexError(f"n must be an integer >= 1, got {n!r}")
+
+
+def check_vertex_colors(n, vertices: Iterable[tuple[str, int]]) -> dict[str, int]:
+    """The color of each declared vertex id, in declaration order, for a
+    complex on the colors 1..n.  Refuses a bad n, a color out of range
+    and a vertex declared with two colors; declaring one twice is fine."""
+    check_color_count(n)
+    colors: dict[str, int] = {}
+    for vid, c in vertices:
+        if not 1 <= c <= n:
+            raise ComplexError(f"color {c} of vertex {vid!r} out of range 1..{n}")
+        if colors.setdefault(vid, c) != c:
+            raise ComplexError(f"vertex {vid!r} declared with two colors")
+    return colors
 
 
 def check_same_color_count(K_A, K_B) -> None:
@@ -412,13 +440,7 @@ class ColoredComplex(CellStore):
         maximal: Iterable[Iterable[str]],
     ) -> "ColoredComplex":
         """Downward closure of the given maximal simplices (idempotent)."""
-        check_color_count(n)
-        colors: dict[str, int] = {}
-        for vid, c in vertices:
-            if not 1 <= c <= n:
-                raise ComplexError(f"color {c} of vertex {vid!r} out of range 1..{n}")
-            if colors.setdefault(vid, c) != c:
-                raise ComplexError(f"vertex {vid!r} declared with two colors")
+        colors = check_vertex_colors(n, vertices)
         faces: set[tuple] = {()}  # entry tuples, so each simplex is made once
         for vset in maximal:
             entries = []
@@ -426,9 +448,9 @@ class ColoredComplex(CellStore):
                 if vid not in colors:
                     raise ComplexError(f"unknown vertex id {vid!r}")
                 entries.append((colors[vid], vid))
-            top = CoordSimplex.of(entries)  # rejects duplicate colors
-            for k in range(len(top.entries) + 1):
-                faces.update(combinations(top.entries, k))
+            top = _checked_entries(entries)
+            for k in range(len(top) + 1):
+                faces.update(combinations(top, k))
         return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
 
     def _replace_simplices(self, simplices: frozenset[CoordSimplex]) -> "ColoredComplex":

@@ -22,7 +22,9 @@ replace, and the pair assembler that hashes each cube's two sides, fed
 every covering pair of simplices, that assembly on the colorset buckets
 replaces.  The cross-polytope recogniser that scans every clique and the
 barycentric subdivision that lists every chain of faces by hand are the
-references of their counted and recursive replacements."""
+references of their counted and recursive replacements.  The clique
+completion that closes each clique downwards, as if it were maximal, is
+the reference of the one that makes each clique one simplex."""
 
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from clcc.simplicial import (
     ColoredComplex,
     CoordSimplex,
     SimplicialComplex,
+    cliques,
     empty_squares,
     is_flag,
 )
@@ -602,6 +605,19 @@ def cliques_reference(adj) -> list[tuple]:
     ]
     found = [s for s in subsets if all(verts[j] in adj[verts[i]] for i, j in combinations(s, 2))]
     return [tuple(verts[i] for i in s) for s in sorted(found, key=lambda s: (len(s), s))]
+
+
+def flag_complex_from_graph_reference(n, vertices, edges) -> ColoredComplex:
+    """The clique completion as the downward closure of every clique of
+    the graph on vertex ids, each clique handed to the build as if it
+    were maximal; an edge's undeclared endpoint is a vertex of that graph,
+    so the build refuses it."""
+    vertices = list(vertices)
+    adj: dict = {v: set() for v, _ in vertices}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return ColoredComplex.build(n, vertices, cliques(adj))
 
 
 def chordless_squares_reference(adj) -> list[tuple]:

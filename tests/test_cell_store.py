@@ -306,12 +306,14 @@ _entries = st.dictionaries(st.integers(1, 6), st.sampled_from(["a", "b", "v0", "
 def test_coord_simplex_value_contract(entries):
     s, t = CoordSimplex(entries), CoordSimplex.of(dict(entries))
     want = frozenset(c for c, _ in entries)
-    assert not hasattr(s, "_hash") and not hasattr(s, "_colors")  # nothing cached yet
+    assert s._hash is None and s._colors is None  # nothing cached yet
     assert s == t and repr(s) == repr(t)
     assert s.colors == want and s.colors is s.colors == want  # after caching
-    assert hash(s) == hash(t) == hash(CoordSimplex(entries))
+    assert s._colors is s.colors and s._hash is None
+    assert hash(s) == hash(t) == hash(CoordSimplex(entries)) == hash(entries)
+    assert s._hash == hash(entries) and t._hash == hash(entries)
     assert s == t and repr(s) == repr(t)  # s has cached both, t only its hash
-    assert not hasattr(t, "_colors") and t.colors == want
+    assert t._colors is None and t.colors == want
     assert t.colors is s.colors  # one shared frozenset per color tuple
     assert {s: 1}[CoordSimplex(entries)] == 1
     assert pickle.loads(pickle.dumps(s)) == s

@@ -1,7 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpus
 from clcc import (
     betti,
     build_clcc,
@@ -21,9 +24,11 @@ from clcc import (
     is_flag,
 )
 from clcc.errors import ComplexError, DomainError
+from clcc.simplicial import ColoredComplex, CoordSimplex
 
 from oracles import (
     csaszar_torus,
+    flag_complex_from_graph_reference,
     k_gamma_complex,
     racg_vertex_embedding,
     subdivided_k_gamma,
@@ -239,3 +244,116 @@ def test_flag_complex_from_graph_rejects_a_vertex_declared_with_two_colors():
         flag_complex_from_graph(2, [("x", 1), ("x", 2), ("y", 1)], [("x", "y")])
     K = flag_complex_from_graph(2, [("x", 1), ("x", 1), ("y", 2)], [("x", "y")])
     assert K.vertices == (("x", 1), ("y", 2))
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        # the least undeclared endpoint in canonical order, not the first edge
+        ([("x", 1), ("y", 2)], [("x", "zz"), ("x", "aa")], "unknown vertex id 'aa'"),
+        # an undeclared endpoint wins over a same-colored edge
+        ([("x", 1), ("y", 1), ("z", 2)], [("z", "q"), ("x", "y")], "unknown vertex id 'q'"),
+        # the least same-colored edge in canonical order
+        (
+            [("x", 1), ("y", 1), ("a", 2), ("b", 2)],
+            [("x", "y"), ("a", "b")],
+            "duplicate color in simplex ((2, 'a'), (2, 'b'))",
+        ),
+    ],
+)
+def test_flag_complex_from_graph_error_precedence(vertices, edges, message):
+    for complete in (flag_complex_from_graph, flag_complex_from_graph_reference):
+        with pytest.raises(ComplexError) as info:
+            complete(2, vertices, edges)
+        assert str(info.value) == message
+
+
+def test_flag_complex_from_graph_ignores_self_loops_and_repeated_edges():
+    vertices = [("x", 1), ("y", 2)]
+    K = flag_complex_from_graph(2, vertices, [("x", "x"), ("x", "y"), ("y", "x"), ("x", "y")])
+    assert K == flag_complex_from_graph(2, vertices, [("x", "y")])
+    assert len(K.simplices) == 4
+
+
+def _completion(complete, n, vertices, edges):
+    """The complex's n, vertices and simplices, or the error's text."""
+    try:
+        K = complete(n, vertices, edges)
+    except ComplexError as exc:
+        return str(exc)
+    return K.n, K.vertices, K.simplices
+
+
+def test_flag_completion_matches_the_reference_on_the_corpus_graphs(monkeypatch):
+    graphs = []
+    monkeypatch.setattr(
+        corpus, "flag_complex_from_graph", lambda *graph: graphs.append(graph)
+    )
+    for salt in range(40):
+        r = corpus.rng(9100 + salt)
+        for n in (2, 3, 4):
+            corpus.random_flag_complex(r, n)
+            corpus.planted_square_flag_complex(r, n)
+    for k in (1, 2, 3):
+        verts = [(f"v{i}", i) for i in range(1, k + 1)]
+        pairs = list(combinations([v for v, _ in verts], 2))
+        for mask in range(2 ** len(pairs)):
+            graphs.append((k, verts, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+    assert len(graphs) == 240 + 1 + 2 + 8
+    for graph in graphs:
+        got = _completion(flag_complex_from_graph, *graph)
+        assert got == _completion(flag_complex_from_graph_reference, *graph)
+        assert not isinstance(got, str)
+
+
+_ids = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+
+
+@st.composite
+def _graphs(draw, ends: str):
+    """A colored graph.  Its edges join declared vertices of two colors
+    (`ends="two colors"`, self-loops aside), any declared vertices
+    (`"declared"`), or any ids; only in the last are the vertices'
+    colors unchecked."""
+    n = draw(st.integers(1, 4))
+    if ends == "any":
+        vertices = draw(st.lists(st.tuples(_ids, st.integers(1, n + 1)), max_size=6))
+        ids = _ids | st.just("zz")
+        return n, vertices, draw(st.lists(st.tuples(ids, ids), max_size=8))
+    colors = draw(st.dictionaries(_ids, st.integers(1, n), max_size=6))
+    pairs = [
+        (a, b) for a in colors for b in colors
+        if ends == "declared" or a == b or colors[a] != colors[b]
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return n, list(colors.items()), edges
+
+
+@given(graph=st.sampled_from(["two colors", "declared", "any"]).flatmap(_graphs))
+@settings(max_examples=300, deadline=None)
+def test_flag_completion_matches_the_reference_on_random_graphs(graph):
+    got = _completion(flag_complex_from_graph, *graph)
+    assert got == _completion(flag_complex_from_graph_reference, *graph)
+
+
+def test_flag_completion_makes_each_simplex_once(monkeypatch):
+    made = []
+    init = CoordSimplex.__init__
+
+    def counted(self, entries):
+        made.append(entries)
+        init(self, entries)
+
+    def closure(*args):
+        raise AssertionError("flag completion closed a clique downwards")
+
+    monkeypatch.setattr(CoordSimplex, "__init__", counted)
+    monkeypatch.setattr(ColoredComplex, "build", staticmethod(closure))
+    # the octahedron's 1-skeleton: its cliques are the 27 faces of the
+    # cross-polytope, the empty one included
+    vertices = [(f"{i}{s}", i) for i in (1, 2, 3) for s in "+-"]
+    edges = [(a, b) for (a, ca), (b, cb) in combinations(vertices, 2) if ca != cb]
+    K = flag_complex_from_graph(3, vertices, edges)
+    assert len(K.simplices) == 27
+    # the empty simplex is the shared EMPTY_SIMPLEX, and no other is made twice
+    assert sorted(made) == sorted(s.entries for s in K.simplices if s.entries)
