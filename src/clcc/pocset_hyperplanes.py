@@ -260,58 +260,77 @@ def ultrafilters(S: Pocset) -> list[frozenset]:
     ]
 
 
+def _sageev_tables(S: Pocset) -> list[list[tuple[int, ...]]]:
+    """The facet tables of the ultrafilter complex, dimension 1 first,
+    on the positions of `S._ultrafilter_masks`: a d-cube's facets are
+    positions among the (d-1)-cubes.
+
+    A cube (u, T) is named by its top vertex u, the ultrafilter on the
+    "+" side of every pair in T.  "+" sorts first, so u is the cube's
+    least vertex, and the canonical order of the d-cubes is u ascending,
+    then the mask of T descending.  (u, T) grows into (u, T + p) only for
+    p < min T, p descending, over the pairs where u switched to "-" at p
+    is an ultrafilter u_p, and (u, T + p) exists exactly when (u_p, T)
+    does: one int-keyed lookup.  Walking the d-cubes in order, the
+    (d+1)-cubes come out in order too, so nothing is sorted.
+
+    The facets of (u, T') come out ascending: (u, T' - q) for q
+    ascending, then (u_q, T' - q) for q descending.  With p = min T',
+    the first is the parent (u, T), the last is (u_p, T), and the ones
+    between are the parent's facets, in their order, each grown by p."""
+    plus = S._ultrafilter_masks
+    shift = len(S.pair_ids)
+    index = {m: i for i, m in enumerate(plus)}
+    # down[u]: (p, u switched to "-" at p), for p descending
+    down = []
+    for m in plus:
+        switched = ((p, index.get(m ^ 1 << p)) for p in reversed(range(shift)) if m >> p & 1)
+        down.append([(p, w) for p, w in switched if w is not None])
+    tables = []
+    # the d-cubes in order as (u, mask of T, min T, facets); at: u << shift | mask -> position;
+    # grown_by[f][p]: the position of (d-1)-cube f grown by p
+    level = [(u, 0, shift, ()) for u in range(len(plus))]
+    at = {u << shift: u for u in range(len(plus))}
+    grown_by: list = []
+    while True:
+        grown, nxt, children = [], {}, []
+        for parent, (u, mask, low, facets) in enumerate(level):
+            kids = {}
+            for p, w in down[u]:
+                if p < low:
+                    last = at.get(w << shift | mask)
+                    if last is not None:
+                        kids[p] = q = len(grown)
+                        mask_p = mask | 1 << p
+                        nxt[u << shift | mask_p] = q
+                        fs = (parent, *[grown_by[f][p] for f in facets], last)
+                        grown.append((u, mask_p, p, fs))
+            children.append(kids)
+        if not grown:
+            return tables
+        tables.append([fs for _, _, _, fs in grown])
+        level, at, grown_by = grown, nxt, children
+
+
 def sageev(S: Pocset) -> CubeComplex:
-    """Cube complex on the ultrafilters: a cube for each ultrafilter v
-    and set T of pairs such that switching v on any subset of T gives an
+    """Cube complex on the ultrafilters: a cube for each ultrafilter u
+    and set T of pairs such that switching u on any subset of T gives an
     ultrafilter.
 
-    Cubes are grown on ultrafilter indices, each once, from its base
-    vertex: the vertex on the "-" side of every pair in T.  A cube (v, T)
-    gains a pair p beyond the largest in T where v is on the "-" side of
-    p, and (v, T + p) exists exactly when (v, T) and (w, T) do, w being v
-    switched at p.  Its facets are (v, T - q) and (v switched at q, T - q)
-    for each q in T + p, looked up in the dimension below, so the facet
-    table is written here.  The ultrafilters come in canonical order, so
-    a cube's vertex indices, sorted, are its canonical key."""
-    verts, plus = ultrafilters(S), S._ultrafilter_masks
-    index = {m: i for i, m in enumerate(plus)}
-    # ups[v]: each pair p where v is on the "-" side, with v switched at p
-    ups = []
-    pairs = range(len(S.pair_ids))
-    for m in plus:
-        switched = ((p, index.get(m | 1 << p)) for p in pairs if not m >> p & 1)
-        ups.append([(p, w) for p, w in switched if w is not None])
-
+    The cubes and their facet table come from `_sageev_tables`: each
+    cube is grown once, from its top vertex u (on the "+" side of every
+    pair in T), by a pair below every pair in T, so every dimension
+    comes out in canonical order (u ascending, then the mask of T
+    descending) and its facets ascending, with no sort.  A cell is the
+    frozenset of its ultrafilters: the union of its first facet (the
+    parent) and its last."""
+    verts = ultrafilters(S)
+    tables = _sageev_tables(S)
     cells: dict[int, list] = {0: verts}
-    positions: dict[int, list] = {}
-    # (base, mask of T) -> (vertex indices, T, position in cells(d))
-    level = {(i, 0): ((i,), (), i) for i in range(len(verts))}
-    d = 0
-    while level:
-        grown = []
-        for (v, mask), (vs, toggled, _) in level.items():
-            last = toggled[-1] if toggled else -1
-            for p, w in ups[v]:
-                other = level.get((w, mask)) if p > last else None
-                if other is not None:
-                    cube = vs + other[0]
-                    grown.append((tuple(sorted(cube)), v, mask | 1 << p, cube, toggled + (p,)))
-        if not grown:
-            break
-        d += 1
-        grown.sort()
-        table = positions[d] = []
-        nxt = {}
-        for q, (_, v, mask, vs, toggled) in enumerate(grown):
-            fs = []
-            for j, p in enumerate(toggled):
-                m = mask ^ 1 << p
-                fs += (level[(v, m)][2], level[(vs[1 << j], m)][2])
-            table.append(tuple(sorted(fs)))
-            nxt[(v, mask)] = (vs, toggled, q)
-        cells[d] = [frozenset([verts[i] for i in vs]) for _, _, _, vs, _ in grown]
-        level = nxt
-    return CubeComplex(cells, positions)
+    below = [frozenset([u]) for u in verts]
+    for d, table in enumerate(tables, 1):
+        below = cells[d] = [below[fs[0]] | below[fs[-1]] for fs in table]
+    return CubeComplex(cells, dict(enumerate(tables, 1)))
 
 
 def roller_duality_check(X: CubeComplex):
@@ -321,29 +340,34 @@ def roller_duality_check(X: CubeComplex):
     it; success means that map is a cube-complex isomorphism.  Returns
     (verdict, vertex bijection or None).
 
-    The vertices of X are sent to their ultrafilters' positions in the
-    rebuild Y once; then, one dimension at a time, a d-cell of X goes to
-    the d-cell of Y whose facets are the images of its facets.  Cells
-    are determined by their facets, so this compares the facet tables
-    and reads no vertex sets."""
+    Each vertex of X is sent, by the mask of its "+" halfspaces, to a
+    position of the pocset's `_ultrafilter_masks`; then, one dimension
+    at a time, a d-cell of X goes to the d-cube of `_sageev_tables` whose
+    facets are the images of its facets.  Cells are determined by their
+    facets, so this compares facet tables only: it makes no rebuild
+    complex and reads no vertex sets, and the ultrafilters are built as
+    sets only for the mapping, when the verdict is True."""
     elements, less, parts = _halfspaces(X)
-    Y = sageev(Pocset(elements, less))
+    S = Pocset(elements, less)
     verts = X.cells(0)
-    sides: list = [[] for _ in verts]
-    for e in elements:
-        for i in parts[e]:
-            sides[i].append(e)
-    mapping = {v: frozenset(es) for v, es in zip(verts, sides)}
-    at = {u: i for i, u in enumerate(Y.cells(0))}
-    image = [at.get(u) for u in mapping.values()]
-    if len(verts) != len(at) or None in image or len(set(image)) != len(image):
+    signs = [0] * len(verts)
+    for p, pid in enumerate(S.pair_ids):
+        for i in parts[(pid, "+")]:
+            signs[i] |= 1 << p
+    masks = S._ultrafilter_masks
+    at = {m: i for i, m in enumerate(masks)}
+    positions = image = [at.get(m) for m in signs]
+    if len(verts) != len(masks) or None in image or len(set(image)) != len(image):
         return False, None
-    for d in range(1, max(X.top_dim, Y.top_dim) + 1):
-        xs, ys = X.facet_positions(d), Y.facet_positions(d)
+    tables = _sageev_tables(S)
+    for d in range(1, max(X.top_dim, len(tables)) + 1):
+        xs = X.facet_positions(d)
+        ys = tables[d - 1] if d <= len(tables) else ()
         if len(xs) != len(ys):
             return False, None
         at = {fs: q for q, fs in enumerate(ys)}
         image = [at.get(tuple(sorted([image[f] for f in fs]))) for fs in xs]
         if None in image:
             return False, None
-    return True, mapping
+    U = ultrafilters(S)
+    return True, {v: U[i] for v, i in zip(verts, positions)}

@@ -10,10 +10,16 @@ boundary matrices and the Betti numbers of their full elimination (which
 clearing replaces), hyperplanes, crossing graphs,
 flag witnesses, pocset closures and ultrafilter cubes that the library
 derives from ranks, bitsets, facet and coface tables and integer edge
-indices; `sageev_reference` and `roller_duality_check_reference` keep
-the ultrafilter complex grown by flips and ranked by `from_cells`, and
-the duality verdict read from vertex sets, that the written facet table
-and the table comparison replace.
+indices.  `sageev_reference` and `roller_duality_check_reference` keep
+the ultrafilter complex grown by flips, each cube from each of its
+facets, and ranked by `from_cells`, and the duality verdict read from
+the vertex sets of that rebuilt complex.  `sageev` replaces them by
+growing each cube (u, T) once, from its top vertex u (the "+" side of
+every pair in T), by a pair p below all of T: every dimension comes out
+in canonical order, u ascending, then the mask of T descending, and a
+cube's facets come out ascending with no sort: its parent (u, T), the
+parent's facets each grown by p, then (u switched at p, T).  The
+duality check compares those facet tables without building a complex.
 The last ones are the pruning loop and the per-color-pair subcomplex
 scans that the factor predicates replace by a closed form and one square
 scan per complex, the brute-force graph walks (every vertex subset,

@@ -1,12 +1,12 @@
 """The builders rank their atoms once and hand CubeComplex its cells in
 canonical order; the pocset code closes relations on bitsets and grows
-each ultrafilter cube once, from its base vertex.  Every order and every
+each ultrafilter cube once, from its top vertex.  Every order and every
 result is compared here with the naive canon_key sorts and the
 fixed-point and dict-flip references in oracles.py, with ==, never
 through repr (a frozenset's iteration order depends on how it was
-built).  `sageev` writes its own facet table and `roller_duality_check`
-compares facet tables; both are checked against the `from_cells` and
-vertex-set references they replace.  A `SimplicialComplex` orders its
+built).  `sageev` writes its own facet table in order, with no sort, and
+`roller_duality_check` compares facet tables; both are checked against
+the `from_cells` and vertex-set references they replace.  A `SimplicialComplex` orders its
 simplices by the sorted canonical ranks of their vertices, so ordering
 one costs a canon_key call per vertex, not per simplex."""
 
@@ -168,19 +168,49 @@ def test_colored_complex_orders_are_canonical():
         assert list(K.maximal_simplices) == csorted(K.maximal_simplices)
 
 
-def assert_sageev_matches_reference(S: Pocset) -> CubeComplex:
-    """sageev equals the flip-grown, from_cells-ranked reference in cells,
-    vertex sets and facet tables, and its duality verdict and mapping
-    equal the vertex-set reference's."""
+def assert_sageev_equals_reference(S: Pocset) -> CubeComplex:
+    """sageev equals the flip-grown, from_cells-ranked reference in its
+    cells (objects and order), facet tables and vertex sets."""
     Y, ref = sageev(S), sageev_reference(S)
     assert Y.top_dim == ref.top_dim
     for d in range(ref.top_dim + 1):
         assert Y.cells(d) == ref.cells(d)
         assert Y.facet_positions(d) == ref.facet_positions(d)
         assert [Y.vertices_of(c) for c in Y.cells(d)] == [ref.vertices_of(c) for c in ref.cells(d)]
+    return Y
+
+
+def assert_sageev_matches_reference(S: Pocset) -> CubeComplex:
+    """sageev equals the reference, and its duality verdict and mapping
+    equal the vertex-set reference's."""
+    Y = assert_sageev_equals_reference(S)
     verdict = roller_duality_check(Y)
     assert verdict[0] and verdict == roller_duality_check_reference(Y)
     return Y
+
+
+def free_pocset(m: int) -> Pocset:
+    return Pocset.from_relations([f"p{i}" for i in range(m)], [])
+
+
+def chain_pocset(m: int) -> Pocset:
+    chain = [f"c{i:02d}" for i in range(m)]
+    return Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
+
+
+def test_sageev_sweep_matches_reference():
+    """sageev grows each cube from its top vertex, by pairs below all of
+    its own, and writes its facets without a sort.  A growth order or a
+    bound that is off shows here: on 300 seeded random pocsets of up to 7
+    pairs, the free pocsets of up to 8 pairs and the chains of up to 12,
+    the cells in order, the facet tables and the vertex sets equal the
+    reference's."""
+    r = rng(905)
+    pocsets = [random_pocset(r, max_pairs=7) for _ in range(300)]
+    pocsets += [free_pocset(m) for m in range(9)] + [chain_pocset(m) for m in range(1, 13)]
+    assert max(len(S.pair_ids) for S in pocsets[:300]) == 7
+    for S in pocsets:
+        assert_sageev_equals_reference(S)
 
 
 def test_random_pocsets_match_references():
@@ -196,20 +226,17 @@ def test_random_pocsets_match_references():
         assert_matches_reference({d: list(cs) for d, cs in ref.items()})
         assert_halfspaces_canonical(Y)
     for m in range(9):
-        S = Pocset.from_relations([f"p{i}" for i in range(m)], [])
+        S = free_pocset(m)
         assert ultrafilters(S) == ultrafilters_reference(S)
         Y = assert_sageev_matches_reference(S)
         assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [
             comb(m, d) * 2 ** (m - d) for d in range(m + 1)
         ]
     for m in range(1, 13):
-        chain = [f"c{i:02d}" for i in range(m)]
-        S = Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
+        S = chain_pocset(m)
         assert ultrafilters(S) == ultrafilters_reference(S)
         assert len(assert_sageev_matches_reference(S).cells(0)) == m + 1
-    chain = [f"c{i:02d}" for i in range(30)]
-    S = Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
-    Y = assert_sageev_matches_reference(S)
+    Y = assert_sageev_matches_reference(chain_pocset(30))
     assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [31, 30]
 
 

@@ -5,7 +5,7 @@ each run's exit code and the SHA-256 of its stdout must equal the
 recorded ones.  The documents: the surface 2x3 pair, its built complex,
 that complex with its last cube dropped (it loads with no defining pair,
 so its links take the adjacency path), a tree-like complex, c4 and c6, a
-non-flag pair, two pocsets, two chain files and the barycentric presets.
+non-flag pair, three pocsets, two chain files and the barycentric presets.
 The `--help` text of `clcc` and of every subcommand is covered too.
 
 A case's arguments may name a fixture file as "{name}"; the path is not
@@ -47,6 +47,9 @@ DOCS = {
     "nonflag": {"gamma_a": HOLLOW, "gamma_b": gen_cross_polytope(3, prefix="b").to_json_dict()},
     "pocset": {"pairs": [{"id": "h"}, {"id": "k"}, {"id": "m"}],
                "less": [["h+", "k+"], ["k+", "m+"]]},
+    # two nested pairs and two free ones: the rebuild has cubes of dimension 3
+    "pocset_cubes": {"pairs": [{"id": "h"}, {"id": "k"}, {"id": "m"}, {"id": "n"}],
+                     "less": [["h+", "k+"]]},
     # an invalid pocset with several violations: the one reported must
     # not depend on the hash seed
     "pocset_bad": {"pairs": [{"id": "p0"}, {"id": "p1"}],
@@ -114,6 +117,7 @@ CASES = (
     ("hyperplanes-tree", ["hyperplanes", "-"], "tree"),
     ("hyperplanes-partial", ["hyperplanes", "-"], "partial"),
     ("sageev", ["sageev", "-"], "pocset"),
+    ("sageev-cubes", ["sageev", "-"], "pocset_cubes"),
     ("sageev-invalid", ["sageev"], "pocset_bad"),
     ("duality", ["duality", "-"], "tree"),
     ("duality-surface", ["duality", "-"], "built"),
@@ -194,6 +198,7 @@ GOLDEN = {
     "hyperplanes-tree": (0, "0095bd7f11e2488b0d05fa1595489d4a3a8a964d082048b35d60ad48581b3966"),
     "hyperplanes-partial": (0, "af203a20081d4cafc09e70f84e6a6affcb2b361a49deb9942a6adf8ee2ba889a"),
     "sageev": (0, "6dcef75c1ef568a47d567659df20d06ede064c1bda8487aab14624b22f71c389"),
+    "sageev-cubes": (0, "221a4460e4e4b2695a3b4dd67e5169059d998a3aaea517dd99230af12ebf0443"),
     # recorded once the reported pocset violation stopped depending on the hash seed
     "sageev-invalid": (1, "7438835476c2f0eca79613b2126f2a3c9967eeaa9f05950e7f5c0968470e70d5"),
     "duality": (0, "f33bfaeffcee8fc6d65a1f11e53b759eaad245c3ee5b038e69ef37ff9e733591"),

@@ -190,19 +190,22 @@ def test_halfspaces_of_square_are_incomparable():
     assert len(P.elements) == 4 and not P.less
 
 
+def assert_one_sided(X) -> None:
+    """The halfspace pocset and both duality checks refuse X."""
+    for refuse in (halfspace_pocset, roller_duality_check, roller_duality_check_reference):
+        with pytest.raises(NotTwoSidedError) as err:
+            refuse(X)
+        assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
+
+
 def test_halfspaces_reject_torus(c4):
-    X = build_clcc(c4, gen_cycle(2, prefix="b"))
-    with pytest.raises(NotTwoSidedError) as err:
-        halfspace_pocset(X)
-    assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
+    assert_one_sided(build_clcc(c4, gen_cycle(2, prefix="b")))
 
 
 def test_four_cycle_halfspaces_are_rejected():
     # removing a singleton class keeps the circle connected, which is the
     # documented signal for a non-CAT(0) input
-    with pytest.raises(NotTwoSidedError) as err:
-        halfspace_pocset(_cycle_complex(4))
-    assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
+    assert_one_sided(_cycle_complex(4))
 
 
 # -- pocset axioms / json -----------------------------------------------------------------
@@ -274,8 +277,8 @@ def test_nested_pairs_give_path():
     assert Y.top_dim == 1
 
 
-def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
-    """The two readers share one cached enumeration per pocset."""
+def count_mask_runs(monkeypatch) -> list:
+    """Record each pocset whose ultrafilter masks are enumerated."""
     enumerate_masks = Pocset._ultrafilter_masks.func
     runs = []
 
@@ -286,6 +289,12 @@ def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
     masks = cached_property(counted)
     masks.__set_name__(Pocset, "_ultrafilter_masks")
     monkeypatch.setattr(Pocset, "_ultrafilter_masks", masks)
+    return runs
+
+
+def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
+    """The two readers share one cached enumeration per pocset."""
+    runs = count_mask_runs(monkeypatch)
     S = Pocset.from_relations(["h", "k", "m"], [(("h", "+"), ("k", "+"))])
     U = ultrafilters(S)
     Y = sageev(S)
@@ -305,9 +314,9 @@ def test_duality_on_small_complexes():
         assert len(mapping) == len(X.cells(0))
 
 
-def test_hollow_cube_fails_duality():
-    # boundary of a 3-cube: halfspaces are fine but the ultrafilter
-    # rebuild fills the missing 3-cell
+def hollow_cube() -> CubeComplex:
+    """The boundary of a 3-cube: its halfspaces are fine, but the
+    ultrafilter rebuild fills the missing 3-cell."""
     corners = [f"{i}{j}{k}" for i in "01" for j in "01" for k in "01"]
     edges = [
         frozenset({a, b})
@@ -320,27 +329,33 @@ def test_hollow_cube_fails_duality():
         for pos in range(3)
         for val in "01"
     ]
-    hollow = CubeComplex.from_cells(
-        {0: [frozenset({v}) for v in corners], 1: edges, 2: squares}
-    )
+    return CubeComplex.from_cells({0: [frozenset({v}) for v in corners], 1: edges, 2: squares})
+
+
+def test_hollow_cube_fails_duality():
+    hollow = hollow_cube()
     assert len(hyperplanes(hollow)) == 3
     assert roller_duality_check(hollow) == roller_duality_check_reference(hollow) == (False, None)
 
 
-def test_duality_check_reads_no_vertex_sets(monkeypatch):
-    """The check compares facet tables: no cube's vertex set is read, on
-    pair-built complexes (the tree-like pair of a one-vertex gamma, as
+def duality_hosts() -> list[CubeComplex]:
+    """Pair-built complexes (the tree-like pair of a one-vertex gamma, as
     built and as loaded from JSON, and the subdivided square of an edge)
-    or on a sageev complex."""
+    and a sageev complex."""
     point = ColoredComplex.build(1, [("v1", 1)], [["v1"]])
     edge = ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]])
     tree = build_clcc(*gen_racg_pair(point))
-    hosts = [
+    return [
         tree,
         CubeComplex.from_json_dict(tree.to_json_dict()),
         build_clcc(*gen_racg_pair(edge)),
         sageev(Pocset.from_relations(["h", "k", "m"], [(("h", "+"), ("k", "+"))])),
     ]
+
+
+def test_duality_check_reads_no_vertex_sets(monkeypatch):
+    """The check compares facet tables: no cube's vertex set is read."""
+    hosts = duality_hosts()
     assert all(X.has_pair_origin for X in hosts[:3])
     calls = []
     vertices_of = CubeComplex.vertices_of
@@ -352,6 +367,29 @@ def test_duality_check_reads_no_vertex_sets(monkeypatch):
     monkeypatch.undo()
     assert all(ok for ok, _ in verdicts)
     assert verdicts == [roller_duality_check_reference(X) for X in hosts]
+
+
+def test_duality_check_builds_no_rebuild(monkeypatch):
+    """The check reads the rebuild's facet tables: it constructs no
+    CubeComplex and enumerates the ultrafilter masks once per call, and
+    its verdict and mapping are the reference's, the hollow cube's
+    (False, None) included."""
+    hosts = duality_hosts() + [hollow_cube()]
+    built = []
+    init = CubeComplex.__init__
+    monkeypatch.setattr(
+        CubeComplex, "__init__", lambda X, *args, **kw: built.append(X) or init(X, *args, **kw)
+    )
+    runs = count_mask_runs(monkeypatch)
+    verdicts = []
+    for X in hosts:
+        runs.clear()
+        verdicts.append(roller_duality_check(X))
+        assert len(runs) == 1
+    assert built == []
+    monkeypatch.undo()
+    assert verdicts == [roller_duality_check_reference(X) for X in hosts]
+    assert [ok for ok, _ in verdicts] == [True] * 4 + [False]
 
 
 def test_pocset_roundtrip_small():
