@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Optional
 
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
@@ -80,65 +79,75 @@ def star(element: tuple[str, str]) -> tuple[str, str]:
     return (pid, "-" if side == "+" else "+")
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 @dataclass(frozen=True)
 class Pocset:
     """Finite poset with a free order-reversing involution.
 
-    `less` is the full strict order as (x, y) pairs, transitively closed.
-    `sides` optionally carries the halfspace vertex sets when the pocset
-    came from a cube complex."""
+    `elements` are sorted, (pid, "+") then (pid, "-"), so the conjugate of
+    elements[i] is elements[i ^ 1].  The order is stored once, as rows:
+    bit j of rows[i] when elements[i] < elements[j], transitively closed.
+    `less` views the rows as (x, y) pairs; `sides` optionally carries the
+    halfspace vertex sets."""
 
     elements: tuple
-    less: frozenset
+    rows: tuple
     sides: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        elems = set(self.elements)
-        for e in self.elements:
-            if star(e) not in elems:
-                raise PocsetError(f"element {e} lacks its conjugate")
-        # in sorted order, so that the violation reported does not depend
-        # on the hash seed
-        less = sorted(self.less)
-        succ: dict = {}
-        for x, y in less:
-            if x not in elems or y not in elems:
-                raise PocsetError(f"relation {x} < {y} uses unknown elements")
-            if x == y:
+        elements, rows, n = self.elements, self.rows, len(self.elements)
+        if elements != tuple((pid, s) for pid in sorted({e[0] for e in elements}) for s in "+-"):
+            raise PocsetError(f"elements {elements!r} are not sorted pairs (pid, '+'), (pid, '-')")
+        if len(rows) != n or any(row >> n for row in rows):
+            raise PocsetError(f"the order needs {n} rows of {n}-bit masks")
+        # rows in order, bits ascending: the sorted (x, y) order
+        order = [(i, j) for i, row in enumerate(rows) for j in _bits(row)]
+        for i, j in order:
+            x, y = elements[i], elements[j]
+            if i == j:
                 raise PocsetError(f"irreflexivity violated at {x}")
-            if y == star(x):
+            if j == i ^ 1:
                 raise PocsetError(f"{x} comparable with its conjugate")
-            if (star(y), star(x)) not in self.less:
+            if not rows[j ^ 1] >> (i ^ 1) & 1:
                 raise PocsetError(f"involution does not reverse {x} < {y}")
-            if (y, x) in self.less:
+            if rows[j] >> i & 1:
                 raise PocsetError(f"antisymmetry violated on {x}, {y}")
-            succ.setdefault(x, {})[y] = None  # a dict keeps the sorted order
-        for x, y in less:
-            for w in succ.get(y, ()):
-                if w not in succ[x]:
-                    raise PocsetError(f"order not transitive: {x} < {y} < {w}")
+        for i, j in order:
+            if missing := rows[j] & ~rows[i]:
+                x, y, w = elements[i], elements[j], elements[_bits(missing)[0]]
+                raise PocsetError(f"order not transitive: {x} < {y} < {w}")
+
+    @cached_property
+    def less(self) -> frozenset:
+        """The order as (x, y) pairs, read off the rows."""
+        e = self.elements
+        return frozenset((e[i], e[j]) for i, row in enumerate(self.rows) for j in _bits(row))
 
     @property
     def pair_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({pid for pid, _ in self.elements}))
-
-    def lt(self, x, y) -> bool:
-        return (x, y) in self.less
+        return tuple(pid for pid, _ in self.elements[::2])
 
     @cached_property
     def _ultrafilter_masks(self) -> tuple[int, ...]:
         """Every ultrafilter as the mask of its "+" sides (bit p for
         pair_ids[p]), in canonical order: sides are chosen in `pair_ids`
         order, "+" first, carrying the pairs chosen or forced to each side
-        as two masks; a pair in both is a contradiction.  Elements sort by
-        pair id, then "+" before "-", so no sort is needed."""
-        pair_ids = self.pair_ids
-        bit = {pid: 1 << p for p, pid in enumerate(pair_ids)}
-        # up[e]: the pairs of e and of every element above it, by side
-        up = {e: [0, 0] for e in self.elements}
-        for x, (pid, side) in chain(zip(self.elements, self.elements), self.less):
-            up[x][side == "-"] |= bit[pid]
-        sides = [(up[(pid, "-")], up[(pid, "+")]) for pid in pair_ids]
+        as two masks; a pair in both is a contradiction.  The masks of each
+        element come off its row: bit j is pair j >> 1, on side j & 1."""
+        # up[i]: the pairs of elements[i] and of every element above it, by side
+        up = [[0, 0] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in _bits(row | 1 << i):
+                up[i][j & 1] |= 1 << (j >> 1)
+        sides = [(up[i + 1], up[i]) for i in range(0, len(up), 2)]
         out, stack = [], [(0, 0, 0)]
         while stack:
             p, plus, minus = stack.pop()
@@ -153,10 +162,9 @@ class Pocset:
 
     @staticmethod
     def from_relations(pair_ids, relations) -> "Pocset":
-        """Close the given x < y relations under involution and
-        transitivity (Warshall's algorithm on one bitset row per element),
-        then validate the axioms."""
-        elements = tuple(sorted((pid, s) for pid in pair_ids for s in ("+", "-")))
+        """Close the x < y relations under involution and transitivity
+        (Warshall's algorithm on the rows), then check the axioms."""
+        elements = tuple(sorted({(pid, s) for pid in pair_ids for s in ("+", "-")}))
         index = {e: i for i, e in enumerate(elements)}
         rows = [0] * len(elements)
         for x, y in relations:
@@ -164,18 +172,11 @@ class Pocset:
                 if u not in index or v not in index:
                     raise PocsetError(f"relation {u} < {v} uses unknown elements")
                 rows[index[u]] |= 1 << index[v]
-        for k, row_k in enumerate(rows):
-            bit = 1 << k
-            for i, row_i in enumerate(rows):
-                if row_i & bit:
-                    rows[i] = row_i | rows[k]
-        less = frozenset(
-            (x, elements[j])
-            for x, row in zip(elements, rows)
-            for j in range(row.bit_length())
-            if row >> j & 1
-        )
-        return Pocset(elements, less)
+        for k in range(len(rows)):
+            for i, row in enumerate(rows):
+                if row >> k & 1:
+                    rows[i] = row | rows[k]
+        return Pocset(elements, tuple(rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,10 +208,10 @@ class Pocset:
         return Pocset.from_relations(pair_ids, relations)
 
 
-def _halfspaces(X: CubeComplex) -> tuple[tuple, frozenset, dict]:
-    """The halfspace elements in sorted order, their strict inclusion
-    order, and each halfspace as the positions of its vertices in
-    `X.cells(0)`."""
+def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list]:
+    """The halfspace elements in sorted order, their order as rows (bit j
+    of rows[i] when halfspace i is strictly inside halfspace j), and each
+    halfspace as the mask of its vertices' positions in `X.cells(0)`."""
     op = X.opposition
     endpoints = X.facet_positions(1)
     count = len(X.cells(0))
@@ -224,13 +225,12 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, frozenset, dict]:
                 f"hyperplane {hid} separates the complex into {sides} parts, not 2"
             )
         # cells(0) is in canonical order, so the "-" side holds the least vertex
-        parts[(hid, "-")] = frozenset([i for i, r in enumerate(roots) if not r])
-        parts[(hid, "+")] = frozenset([i for i, r in enumerate(roots) if r])
+        plus = sum(1 << i for i, r in enumerate(roots) if r)
+        parts[(hid, "-")], parts[(hid, "+")] = ((1 << count) - 1) ^ plus, plus
     elements = tuple(sorted(parts))
-    less = frozenset(
-        (x, y) for x in elements for y in elements if x != y and parts[x] < parts[y]
-    )
-    return elements, less, parts
+    masks = [parts[e] for e in elements]
+    rows = tuple(sum(1 << j for j, b in enumerate(masks) if a != b and not a & ~b) for a in masks)
+    return elements, rows, masks
 
 
 def halfspace_pocset(X: CubeComplex) -> Pocset:
@@ -239,10 +239,10 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     Requires every hyperplane to be two-sided: removing its edges must
     split the 1-skeleton into exactly two components.  Quotients with
     one-sided classes (a torus, say) are rejected."""
-    elements, less, parts = _halfspaces(X)
+    elements, rows, halves = _halfspaces(X)
     verts = X.cells(0)
-    sides = {e: frozenset(verts[i] for i in ps) for e, ps in parts.items()}
-    return Pocset(elements, less, sides=sides)
+    sides = {e: frozenset(verts[i] for i in _bits(m)) for e, m in zip(elements, halves)}
+    return Pocset(elements, rows, sides=sides)
 
 
 # ----------------------------------------------------------------------
@@ -347,12 +347,12 @@ def roller_duality_check(X: CubeComplex):
     facets, so this compares facet tables only: it makes no rebuild
     complex and reads no vertex sets, and the ultrafilters are built as
     sets only for the mapping, when the verdict is True."""
-    elements, less, parts = _halfspaces(X)
-    S = Pocset(elements, less)
+    elements, rows, halves = _halfspaces(X)
+    S = Pocset(elements, rows)
     verts = X.cells(0)
     signs = [0] * len(verts)
-    for p, pid in enumerate(S.pair_ids):
-        for i in parts[(pid, "+")]:
+    for p, plus in enumerate(halves[::2]):
+        for i in _bits(plus):
             signs[i] |= 1 << p
     masks = S._ultrafilter_masks
     at = {m: i for i, m in enumerate(masks)}

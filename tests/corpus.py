@@ -88,6 +88,16 @@ def random_pocset(r: random.Random, max_pairs: int = 6) -> Pocset:
     return Pocset.from_relations(pair_ids, [])
 
 
+def order_rows(elements, less) -> tuple[int, ...]:
+    """The (x, y) pairs of `less` as `Pocset` rows: bit j of rows[i] when
+    elements[i] < elements[j]."""
+    index = {e: i for i, e in enumerate(elements)}
+    rows = [0] * len(elements)
+    for x, y in less:
+        rows[index[x]] |= 1 << index[y]
+    return tuple(rows)
+
+
 def random_chain(r: random.Random, host, dim: int):
     from clcc.homology_z2 import Chain2
 

@@ -7,8 +7,8 @@ builder, except `is_connected_bfs_reference`: the connectivity of the
 built complex, which the BFS engine reads from the factors.  The naive references at the end recompute the canonical orders,
 facets, cofaces, links (of cubes and of simplices, and their tags),
 boundary matrices and the Betti numbers of their full elimination (which
-clearing replaces), hyperplanes, crossing graphs,
-flag witnesses, pocset closures and ultrafilter cubes that the library
+clearing replaces), hyperplanes, crossing graphs, flag witnesses, pocset
+closures, the pocset axiom check and ultrafilter cubes that the library
 derives from ranks, bitsets, facet and coface tables and integer edge
 indices.  `sageev_reference` and `roller_duality_check_reference` keep
 the ultrafilter complex grown by flips, each cube from each of its
@@ -274,6 +274,37 @@ def closed_relations_reference(pair_ids, relations) -> frozenset:
                     rel.add((x, w))
                     changed = True
     return frozenset(rel)
+
+
+def pocset_check_reference(elements, less):
+    """The error text of the first pocset axiom that (elements, less)
+    violates, or None: the check on (x, y) pairs that the bitmask rows
+    replace.  Each element needs its conjugate; then every relation, in
+    sorted order, is irreflexive, not to a conjugate, reversed by the
+    involution and antisymmetric; then, again in sorted order, every
+    x < y < w has x < w."""
+    elems = set(elements)
+    for e in elements:
+        if star(e) not in elems:
+            return f"element {e} lacks its conjugate"
+    succ: dict = {}
+    for x, y in sorted(less):
+        if x not in elems or y not in elems:
+            return f"relation {x} < {y} uses unknown elements"
+        if x == y:
+            return f"irreflexivity violated at {x}"
+        if y == star(x):
+            return f"{x} comparable with its conjugate"
+        if (star(y), star(x)) not in less:
+            return f"involution does not reverse {x} < {y}"
+        if (y, x) in less:
+            return f"antisymmetry violated on {x}, {y}"
+        succ.setdefault(x, {})[y] = None  # a dict keeps the sorted order
+    for x, y in sorted(less):
+        for w in succ.get(y, ()):
+            if w not in succ[x]:
+                return f"order not transitive: {x} < {y} < {w}"
+    return None
 
 
 def ultrafilters_reference(S) -> list[frozenset]:

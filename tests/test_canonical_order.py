@@ -33,6 +33,7 @@ from clcc.simplicial import SimplicialComplex, simplicial_join
 
 from conftest import grid_complex, tree_complex
 from corpus import (
+    order_rows,
     random_colored_complex,
     random_flag_complex,
     random_pocset,
@@ -45,6 +46,7 @@ from oracles import (
     from_cells_reference,
     hyperplane_classes_reference,
     k_gamma_complex,
+    pocset_check_reference,
     roller_duality_check_reference,
     sageev_cells_reference,
     sageev_reference,
@@ -240,15 +242,6 @@ def test_random_pocsets_match_references():
     assert [len(Y.cells(d)) for d in range(Y.top_dim + 1)] == [31, 30]
 
 
-def _axioms_hold(elements, less) -> bool:
-    elems = set(elements)
-    return all(
-        x in elems and y in elems and x != y and y != star(x)
-        and (star(y), star(x)) in less and (y, x) not in less
-        for x, y in less
-    ) and all((x, w) in less for x, y in less for z, w in less if y == z)
-
-
 def test_from_relations_matches_fixed_point_closure():
     r = rng(905)
     raised = 0
@@ -258,7 +251,7 @@ def test_from_relations_matches_fixed_point_closure():
         elements = [(pid, s) for pid in pair_ids for s in "+-"]
         relations = [tuple(r.sample(elements, 2)) for _ in range(r.randint(0, 2 * m))]
         closed = closed_relations_reference(pair_ids, relations)
-        if _axioms_hold(elements, closed):
+        if pocset_check_reference(elements, closed) is None:
             assert Pocset.from_relations(pair_ids, relations).less == closed
         else:
             raised += 1
@@ -276,13 +269,69 @@ def test_transitivity_check_matches_naive_check():
             continue
         x, w = csorted(S.less)[r.randrange(len(S.less))]
         less = S.less - {(x, w), (star(w), star(x))}
-        if _axioms_hold(S.elements, less):
-            assert Pocset(S.elements, less).less == less
+        if pocset_check_reference(S.elements, less) is None:
+            assert Pocset(S.elements, order_rows(S.elements, less)).less == less
         else:
             broken += 1
             with pytest.raises(PocsetError, match="order not transitive"):
-                Pocset(S.elements, less)
+                Pocset(S.elements, order_rows(S.elements, less))
     assert broken > 0
+
+
+def _check_text(build, *args):
+    """The error text of build(*args), or None when it raises nothing."""
+    try:
+        build(*args)
+    except PocsetError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_pocset(r, max_pairs: int):
+    """Pair ids, relations, elements and closed order of a seeded random
+    pocset, closed and checked by the oracles alone, so the sweep does not
+    lean on the code it tests."""
+    m = r.randint(1, max_pairs)
+    pair_ids = [f"p{i}" for i in range(m)]
+    elements = tuple((pid, s) for pid in pair_ids for s in "+-")
+    for _ in range(40):
+        pids = [r.sample(pair_ids, 2) for _ in range(r.randint(0, 2 * m))] if m > 1 else []
+        relations = [((a, r.choice("+-")), (b, r.choice("+-"))) for a, b in pids]
+        less = closed_relations_reference(pair_ids, relations)
+        if pocset_check_reference(elements, less) is None:
+            return pair_ids, relations, elements, less
+    return pair_ids, [], elements, frozenset()
+
+
+def test_pocset_check_matches_reference_check():
+    """The constructor checks the rows with bit operations; the reference
+    walks the sorted (x, y) pairs.  On 300 seeded pocsets and, for each,
+    one relation dropped, one relation and its conjugate dropped, all but
+    the covering relations dropped, x < x*, a 2-cycle and x < x added,
+    both give the same verdict and the same error text.  On the pocset's
+    relations and the dropped variants, `from_relations` gives the
+    fixed-point closure, or the reference's error on it."""
+    r = rng(908)
+    kinds = ("irreflexivity", "conjugate", "involution", "antisymmetry", "transitive")
+    seen = set()
+    for _ in range(300):
+        pair_ids, relations, elements, less = _reference_pocset(r, max_pairs=7)
+        x, y = r.sample(elements, 2) if len(elements) > 2 else elements
+        drop = csorted(less)[r.randrange(len(less))] if less else None
+        dropped = [less - {drop}, less - {drop, (star(drop[1]), star(drop[0]))}] if drop else []
+        dropped.append(less - {(a, d) for a, b in less for c, d in less if b == c})
+        added = [less | {(x, star(x))}, less | {(x, y), (y, x)}, less | {(x, x)}]
+        for variant in [less, *dropped, *added]:
+            text = pocset_check_reference(elements, variant)
+            seen.update(k for k in kinds if text and k in text)
+            assert _check_text(Pocset, elements, order_rows(elements, variant)) == text
+        for variant in [relations, *dropped]:
+            closed = closed_relations_reference(pair_ids, variant)
+            text = pocset_check_reference(elements, closed)
+            assert _check_text(Pocset.from_relations, pair_ids, variant) == text
+            if text is None:
+                assert Pocset.from_relations(pair_ids, variant).less == closed
+    assert seen == set(kinds)
 
 
 def simplicial_order_hosts() -> list[SimplicialComplex]:

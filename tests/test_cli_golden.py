@@ -5,7 +5,7 @@ each run's exit code and the SHA-256 of its stdout must equal the
 recorded ones.  The documents: the surface 2x3 pair, its built complex,
 that complex with its last cube dropped (it loads with no defining pair,
 so its links take the adjacency path), a tree-like complex, c4 and c6, a
-non-flag pair, three pocsets, two chain files and the barycentric presets.
+non-flag pair, four pocsets, two chain files and the barycentric presets.
 The `--help` text of `clcc` and of every subcommand is covered too.
 
 A case's arguments may name a fixture file as "{name}"; the path is not
@@ -54,6 +54,9 @@ DOCS = {
     # not depend on the hash seed
     "pocset_bad": {"pairs": [{"id": "p0"}, {"id": "p1"}],
                    "less": [["p0+", "p1-"], ["p1-", "p0+"], ["p1+", "p0+"], ["p1+", "p0-"]]},
+    # a+ < b+ < a-: closure makes a+ comparable with its conjugate
+    "pocset_conjugate": {"pairs": [{"id": "a"}, {"id": "b"}],
+                         "less": [["a+", "b+"], ["b+", "a-"]]},
     "chain_a": {"dim": 1, "cells": [["a0", "a1"], ["a1", "a2"], ["a2", "a3"], ["a0", "a3"]]},
     "chain_b": {"dim": 0, "cells": [["b0"]]},
     "triangle": {"vertices": ["p", "q", "r"], "maximal_simplices": [["p", "q", "r"]]},
@@ -119,6 +122,7 @@ CASES = (
     ("sageev", ["sageev", "-"], "pocset"),
     ("sageev-cubes", ["sageev", "-"], "pocset_cubes"),
     ("sageev-invalid", ["sageev"], "pocset_bad"),
+    ("sageev-conjugate", ["sageev", "-"], "pocset_conjugate"),
     ("duality", ["duality", "-"], "tree"),
     ("duality-surface", ["duality", "-"], "built"),
     ("duality-partial", ["duality", "-"], "partial"),
@@ -201,6 +205,8 @@ GOLDEN = {
     "sageev-cubes": (0, "221a4460e4e4b2695a3b4dd67e5169059d998a3aaea517dd99230af12ebf0443"),
     # recorded once the reported pocset violation stopped depending on the hash seed
     "sageev-invalid": (1, "7438835476c2f0eca79613b2126f2a3c9967eeaa9f05950e7f5c0968470e70d5"),
+    # recorded before the pocset order moved to bitmask rows
+    "sageev-conjugate": (1, "b05d2153518f7c6b14cdd88e2d7c9351582eecabf51d6a54b5ab9d3ec5f07e47"),
     "duality": (0, "f33bfaeffcee8fc6d65a1f11e53b759eaad245c3ee5b038e69ef37ff9e733591"),
     "duality-surface": (1, "a899738c78aff7c11a4f500c587bf8c0dfccc62ed12783f9f8d2e1ed8d091a3f"),
     "duality-partial": (1, "a899738c78aff7c11a4f500c587bf8c0dfccc62ed12783f9f8d2e1ed8d091a3f"),

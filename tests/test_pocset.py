@@ -19,7 +19,7 @@ from clcc.pocset_hyperplanes import (
 )
 
 from conftest import grid_complex, tree_complex
-from corpus import random_pocset, rng
+from corpus import order_rows, random_pocset, rng
 from oracles import roller_duality_check_reference
 
 
@@ -74,7 +74,7 @@ def pocsets_isomorphic(S: Pocset, X) -> bool:
             return False
     for x in S.elements:
         for y in S.elements:
-            if (S.lt(x, y)) != ((phi[x], phi[y]) in P.less):
+            if ((x, y) in S.less) != ((phi[x], phi[y]) in P.less):
                 return False
     return True
 
@@ -212,13 +212,29 @@ def test_four_cycle_halfspaces_are_rejected():
 
 
 def test_pocset_axioms_enforced():
+    h = (("h", "+"), ("h", "-"))
     with pytest.raises(PocsetError):
-        Pocset((("h", "+"), ("h", "-")), frozenset({(("h", "+"), ("h", "-"))}))
+        Pocset(h, order_rows(h, {h}))
     with pytest.raises(PocsetError):
-        Pocset.from_relations(["h"], [(("h", "+"), ("h", "-"))])
+        Pocset.from_relations(["h"], [h])
     # missing conjugate
     with pytest.raises(PocsetError):
-        Pocset((("h", "+"),), frozenset())
+        Pocset(h[:1], order_rows(h[:1], ()))
+
+
+def test_malformed_rows_are_refused():
+    """Rows that do not fit the elements, and elements that are out of
+    order or unpaired, raise PocsetError, never IndexError."""
+    ab = (("a", "+"), ("a", "-"), ("b", "+"), ("b", "-"))
+    for elements, rows in (
+        (ab, (0, 0, 0, 1 << 4)),  # a bit beyond the elements
+        (ab, (0, 0, 0, -1)),  # a negative row has every bit beyond them
+        (ab, (0, 0, 0)),  # one row too few
+        (ab[2:] + ab[:2], (0, 0, 0, 0)),  # unsorted elements
+        (ab[:3], (0, 0, 0)),  # ("b", "+") without its conjugate
+    ):
+        with pytest.raises(PocsetError):
+            Pocset(elements, rows)
 
 
 def test_pocset_json_roundtrip():
@@ -247,7 +263,7 @@ def test_pocset_rejects_non_transitive_order():
     a, b, c = (("a", "+"), ("a", "-")), (("b", "+"), ("b", "-")), (("c", "+"), ("c", "-"))
     less = frozenset({(a[0], b[0]), (b[1], a[1]), (b[0], c[0]), (c[1], b[1])})
     with pytest.raises(PocsetError, match="order not transitive"):
-        Pocset(a + b + c, less)
+        Pocset(a + b + c, order_rows(a + b + c, less))
 
 
 # -- ultrafilters and the rebuild ----------------------------------------------------------
