@@ -15,8 +15,6 @@ from clcc.simplicial import (
     SimplicialComplex,
     SquareWitness,
     barycentric_subdivision_2d,
-    close_downward,
-    empty_squares,
     is_5_large,
     is_flag,
     is_obes,
@@ -29,11 +27,9 @@ from clcc.clcc_core import (
     ConnGraph,
     build_clcc,
     classify_vertex_links,
-    complementary,
     conn_graph,
     dimension,
     doubly_smartly_paired,
-    euler_characteristic,
     induced_map,
     is_connected,
     is_npc,

@@ -302,11 +302,6 @@ def cube_json(cube) -> dict:
     return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
 
 
-def complementary(a: CoordSimplex, b: CoordSimplex, n: int) -> bool:
-    """The colors of a and b partition {1..n}."""
-    return not (a.colors & b.colors) and (a.colors | b.colors) == frozenset(range(1, n + 1))
-
-
 def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
     overlap = sorted(a.colors & b.colors)
     verts = []
@@ -783,10 +778,6 @@ def prune_to_smart_pair(
 def dimension(X: CubeComplex) -> tuple[int, bool]:
     """(dimension, is_pure); the empty complex has dimension -1."""
     return X.top_dim, X.is_pure
-
-
-def euler_characteristic(X: CubeComplex) -> int:
-    return X.euler_characteristic()
 
 
 @dataclass(frozen=True)

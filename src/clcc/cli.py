@@ -27,7 +27,6 @@ from clcc.clcc_core import (
     conn_graph,
     cube_json,
     dimension,
-    euler_characteristic,
     is_connected,
     is_npc,
     link_of_cube,
@@ -167,19 +166,20 @@ def _command(name: str, reads=None, failure=None):
 
     A command that `reads` a kind of document ("pair", "complex",
     "pocset" or the raw "input") gets the INPUT_SRC argument (default
-    "-"), and its body gets that document, read and parsed through
-    `_READERS`, as its first argument.  Every document read through
-    `_read_doc` while the command runs is recorded under its role.
+    "-") after its own arguments, and its body gets that document, read
+    and parsed through `_READERS`, as its first argument.  Every
+    document read through `_read_doc` while the command runs is recorded
+    under its role.
 
     The wrapper times the body, maps a DomainError, MemoryError or
-    RecursionError to exit 1 with an error payload on stdout, and
-    otherwise writes the canonical payload to stdout (or to --out) and a
-    run report to stderr: one line, or with --report a JSON object with
-    the input digests and timings.  Inputs are digested only for that
-    report.  `failure` maps the payload to
-    what fails, or None; when something fails, the payload is written and
-    reported as usual, the one-line report says what fails, and the exit
-    code is 1.
+    RecursionError, or an --out path it cannot write, to exit 1 with an
+    error payload on stdout, and otherwise writes the canonical payload
+    to stdout (or to --out) and a run report to stderr: one line, or
+    with --report a JSON object with the input digests and timings.
+    Inputs are digested only for that report.  `failure` maps the
+    payload to what fails, or None; when something fails, the payload is
+    written and reported as usual, the one-line report says what fails,
+    and the exit code is 1.
 
     Every echo names its stream, the help's included (`_show_help`
     replaces click's --help callback).  Without `file=`, click wraps the
@@ -200,6 +200,15 @@ def _command(name: str, reads=None, failure=None):
                     payload = body(_READERS[reads](doc), **params)
                 else:
                     payload = body(**params)
+                text = canonical_json(payload)
+                if out and out != "-":
+                    try:
+                        with open(out, "w", encoding="utf-8") as fh:
+                            fh.write(text + "\n")
+                    except OSError as exc:
+                        raise ComplexError(f"cannot write {out}: {exc}") from exc
+                else:
+                    click.echo(text, file=sys.stdout)
             except (DomainError, MemoryError, RecursionError) as exc:
                 error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
                 click.echo(canonical_json({"error": error}), file=sys.stdout)
@@ -207,12 +216,6 @@ def _command(name: str, reads=None, failure=None):
                 sys.exit(1)
             finally:
                 _INPUTS.reset(token)
-            text = canonical_json(payload)
-            if out and out != "-":
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                click.echo(text, file=sys.stdout)
             ms = round((time.perf_counter() - t0) * 1000, 3)
             fails = failure and failure(payload)
             if report:
@@ -287,44 +290,23 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
 # -- build ---------------------------------------------------------------
 
 
-@_command("build")
-@click.argument("input_src", default="-", required=False)
-@click.option("--pair", "pair_opt", default=None, help="pair JSON path (alias for the argument)")
+@_command("build", reads="pair")
 @click.option("--out", default=None)
-def build(input_src, pair_opt):
+def build(pair):
     """Build the cube complex of a pair."""
-    ga, gb = _load_pair(_read_doc(pair_opt or input_src, "pair"))
-    return build_clcc(ga, gb).to_json_dict()
+    return build_clcc(*pair).to_json_dict()
 
 
 # -- check ---------------------------------------------------------------
 
 
-@_command("check", failure=lambda p: None if p["holds"] else f"{p['property']} fails")
-@click.argument("args", nargs=-1)
-@click.option("--flag", "f_flag", is_flag=True, help="same as the flag property")
-@click.option("--5large", "f_5large", is_flag=True)
-@click.option("--obes", "f_obes", is_flag=True)
-@click.option("--pairwise", "f_pairwise", is_flag=True)
-@click.option("--smart", "f_smart", is_flag=True)
-@click.option("--npc", "f_npc", is_flag=True)
-def check(args, f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc):
+@_command("check", reads="input",
+          failure=lambda p: None if p["holds"] else f"{p['property']} fails")
+@click.argument("prop", metavar="PROPERTY", type=click.Choice(
+    ["flag", "5large", "obes", "pairwise", "smart", "npc"]))
+def check(doc, prop):
     """Check a property of a complex (flag/5large/obes) or a pair
-    (pairwise/smart/npc); exits 1 with a witness when it fails.
-
-    Usage: clcc check [PROPERTY] [INPUT] or clcc check --PROPERTY [INPUT].
-    """
-    names = ("flag", "5large", "obes", "pairwise", "smart", "npc")
-    flags = dict(zip(names, (f_flag, f_5large, f_obes, f_pairwise, f_smart, f_npc)))
-    positional = list(args)
-    chosen = [name for name, on in flags.items() if on]
-    if positional and positional[0] in names:
-        chosen.append(positional.pop(0))
-    if len(set(chosen)) != 1 or len(positional) > 1:
-        raise click.UsageError("choose exactly one property and at most one input")
-    prop = chosen[0]
-    input_src = positional[0] if positional else "-"
-    doc = _read_doc(input_src, "input")
+    (pairwise/smart/npc); exits 1 with a witness when it fails."""
     witness = None
     if prop in ("flag", "5large", "obes"):
         K = ColoredComplex.from_json_dict(doc)
@@ -402,7 +384,7 @@ def invariants(X, what):
     """Euler characteristic, dimension/purity, or vertex-link tags of a
     built complex."""
     if what == "chi":
-        payload = {"chi": euler_characteristic(X)}
+        payload = {"chi": X.euler_characteristic()}
     elif what == "dim":
         d, pure = dimension(X)
         payload = {"dim": d, "pure": pure}
@@ -418,12 +400,12 @@ def invariants(X, what):
 
 
 @_command("homology", reads="complex")
-@click.option("--reduced", is_flag=True, help="highlight the reduced vector")
-def homology(X, reduced):
-    """Betti numbers over Z/2 (both reduced and unreduced are reported)."""
+def homology(X):
+    """Betti numbers over Z/2 (both reduced and unreduced are reported;
+    `betti` is the unreduced vector)."""
     red, unred = hz2.betti_vectors(X)
     return {
-        "betti": list((red if reduced else unred).ranks),
+        "betti": list(unred.ranks),
         "reduced": list(red.ranks),
         "unreduced": list(unred.ranks),
         "chi": X.euler_characteristic(),

@@ -40,7 +40,7 @@ def rank(rows: Iterable[int], ncols: int) -> int:
     return len(_eliminate(rows, {}))
 
 
-def in_rowspan(vec: int, rows: list[int], ncols: int) -> bool:
+def in_rowspan(vec: int, rows: list[int]) -> bool:
     """Whether vec is a sum of some of the rows: it reduces to zero against
     one echelon basis of them."""
     basis = _eliminate(rows, {})

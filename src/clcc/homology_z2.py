@@ -251,4 +251,4 @@ def is_boundary(c: Chain2) -> bool:
     vec = 0
     for cell in c.cells:
         vec ^= 1 << index[cell]
-    return gf2.in_rowspan(vec, _boundary_rows(c.host.facet_positions(c.dim + 1)), len(index))
+    return gf2.in_rowspan(vec, _boundary_rows(c.host.facet_positions(c.dim + 1)))

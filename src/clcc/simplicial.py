@@ -719,12 +719,6 @@ class SimplicialComplex(CellStore):
 # ----------------------------------------------------------------------
 
 
-def close_downward(
-    n: int, vertices: Iterable[tuple[str, int]], maximal: Iterable[Iterable[str]]
-) -> ColoredComplex:
-    return ColoredComplex.build(n, vertices, maximal)
-
-
 def is_flag(K) -> tuple[bool, Optional[tuple]]:
     """Every clique of the 1-skeleton spans a simplex.
 
@@ -761,11 +755,6 @@ def simplicial_join(K1, K2) -> SimplicialComplex:
     # the join of the two whole vertex sets is the join's vertex set
     (vertices,) = join_cells(K1, K2, [K1.vertex_ids], [K2.vertex_ids])
     return SimplicialComplex(vertices, join_cells(K1, K2, K1.simplices, K2.simplices))
-
-
-def empty_squares(K: ColoredComplex) -> list[SquareWitness]:
-    """Chordless 4-cycles of the 1-skeleton, lexicographically ordered."""
-    return list(K.squares)
 
 
 def is_5_large(K: ColoredComplex) -> tuple[bool, Optional[SquareWitness]]:
@@ -841,7 +830,7 @@ class ColoredMap:
         if set(mapping) != set(source.vertex_ids):
             raise ComplexError("vertex map must cover exactly the source vertices")
         for v, w in mapping.items():
-            if w not in set(target.vertex_ids):
+            if w not in target._colors:
                 raise ComplexError(f"image vertex {w!r} not in target")
             if source.color_of(v) != target.color_of(w):
                 raise ComplexError(f"map does not preserve color at {v!r}")

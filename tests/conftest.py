@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from clcc import close_downward, gen_cross_polytope, gen_cycle
+from clcc import ColoredComplex, gen_cross_polytope, gen_cycle
 from clcc.clcc_core import CubeComplex
 from clcc.simplicial import SimplicialComplex
 
@@ -32,7 +32,7 @@ def o3():
 @pytest.fixture
 def edge3():
     """Three vertices on three colors with a single edge (v1, v2)."""
-    return close_downward(
+    return ColoredComplex.build(
         3, [("v1", 1), ("v2", 2), ("v3", 3)], [["v1", "v2"], ["v3"]]
     )
 
@@ -40,7 +40,7 @@ def edge3():
 @pytest.fixture
 def twopt():
     """Two isolated vertices on two colors."""
-    return close_downward(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]])
+    return ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]])
 
 
 @pytest.fixture

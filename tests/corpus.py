@@ -10,7 +10,7 @@ import os
 import random
 from itertools import combinations
 
-from clcc import close_downward, flag_complex_from_graph, prune_to_smart_pair
+from clcc import flag_complex_from_graph, prune_to_smart_pair
 from clcc.errors import PocsetError
 from clcc.pocset_hyperplanes import Pocset
 from clcc.simplicial import ColoredComplex, SimplicialComplex
@@ -33,7 +33,7 @@ def random_colored_complex(
         for vid, c in r.sample(vertices, r.randint(1, nv)):
             chosen.setdefault(c, vid)
         maximal.append(sorted(chosen.values()))
-    return close_downward(n, vertices, maximal)
+    return ColoredComplex.build(n, vertices, maximal)
 
 
 def random_flag_complex(

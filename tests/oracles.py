@@ -47,7 +47,6 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     cliques,
-    empty_squares,
     is_flag,
 )
 
@@ -616,7 +615,7 @@ def empty_squares_reference(K: ColoredComplex, pair: tuple[int, int]) -> list:
     """The empty squares of the full subcomplex on the color classes of
     `pair`, scanned in a new complex."""
     i, j = pair
-    return empty_squares(K.full_subcomplex(K.color_class(i) + K.color_class(j)))
+    return list(K.full_subcomplex(K.color_class(i) + K.color_class(j)).squares)
 
 
 def pairwise_5_large_reference(K_A: ColoredComplex, K_B: ColoredComplex) -> tuple:

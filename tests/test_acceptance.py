@@ -8,6 +8,7 @@ from itertools import combinations
 import networkx as nx
 
 from clcc import (
+    ColoredComplex,
     betti,
     boundary,
     build_clcc,
@@ -15,10 +16,7 @@ from clcc import (
     certify_barycentric,
     classify_vertex_links,
     clcc_cycle,
-    close_downward,
     dimension,
-    empty_squares,
-    euler_characteristic,
     flag_complex_from_graph,
     gen_cross_polytope,
     gen_racg_pair,
@@ -97,7 +95,7 @@ def test_criterion_1_surface_family():
         counts = pair_census(ga, gb)
         assert {d: len(X.cells(d)) for d in range(X.top_dim + 1)} == counts
         v, e, f = counts[0], counts[1], counts[2]
-        chi = euler_characteristic(X)
+        chi = X.euler_characteristic()
         assert chi == v - e + f
         assert is_connected(ga, gb)
         assert dimension(X) == (2, True)
@@ -114,13 +112,13 @@ def test_criterion_2_euler_identity():
     corpus = []
     for ka, kb in [(2, 2), (2, 3), (2, 4), (3, 3), (4, 5)]:
         corpus.append((gen_surface_pair(ka, kb), (ka, kb)))
-    cycling = close_downward(
+    cycling = ColoredComplex.build(
         3,
         [(f"b{i}", i % 3 + 1) for i in range(6)],
         [[f"b{i}", f"b{(i + 1) % 6}"] for i in range(6)],
     )
     corpus.append(((gen_cross_polytope(3), cycling), None))
-    square_graph = close_downward(
+    square_graph = ColoredComplex.build(
         4,
         [(f"v{i}", i) for i in range(1, 5)],
         [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v1"]],
@@ -140,7 +138,7 @@ def test_criterion_2_euler_identity():
         degree = {v: sum(1 for e in X.cells(1) if v in X.vertices_of(e)) for v in X.cells(0)}
         degree_sum = sum(4 - degree[v] for v in X.cells(0))
         assert degree_sum % 4 == 0
-        chi = euler_characteristic(X)
+        chi = X.euler_characteristic()
         assert chi == degree_sum // 4
         if params is not None:
             ka, kb = params
@@ -304,7 +302,7 @@ def test_criterion_9_certificates():
     assert certify(gen_cycle(2), gen_cycle(3, prefix="b")).verdict == "Hyperbolic"
     assert certify(gen_cycle(2), gen_cycle(2, prefix="b")).verdict == "Unknown"
     assert moussong(gen_cycle(2)).verdict == "NotHyperbolic"
-    pentagon = close_downward(
+    pentagon = ColoredComplex.build(
         5,
         [(f"v{i}", i + 1) for i in range(5)],
         [[f"v{i}", f"v{(i + 1) % 5}"] for i in range(5)],
@@ -330,5 +328,5 @@ def test_criterion_10_obes_theorem():
     for _ in range(100):
         K = random_two_complex(r, max_triangles=8)
         sub = barycentric_subdivision_2d(K, {"V": 1, "E": 2, "F": 3})
-        for sq in empty_squares(sub):
+        for sq in sub.squares:
             assert len(sq.color_set) == 2, f"tricolor empty square {sq}"

@@ -260,24 +260,6 @@ def test_from_relations_matches_fixed_point_closure():
     assert 0 < raised < 200
 
 
-def test_transitivity_check_matches_naive_check():
-    r = rng(906)
-    broken = 0
-    for _ in range(60):
-        S = random_pocset(r, max_pairs=6)
-        if not S.less:
-            continue
-        x, w = csorted(S.less)[r.randrange(len(S.less))]
-        less = S.less - {(x, w), (star(w), star(x))}
-        if pocset_check_reference(S.elements, less) is None:
-            assert Pocset(S.elements, order_rows(S.elements, less)).less == less
-        else:
-            broken += 1
-            with pytest.raises(PocsetError, match="order not transitive"):
-                Pocset(S.elements, order_rows(S.elements, less))
-    assert broken > 0
-
-
 def _check_text(build, *args):
     """The error text of build(*args), or None when it raises nothing."""
     try:

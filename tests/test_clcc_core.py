@@ -8,12 +8,9 @@ from clcc import (
     CoordSimplex,
     build_clcc,
     classify_vertex_links,
-    close_downward,
-    complementary,
     conn_graph,
     dimension,
     doubly_smartly_paired,
-    euler_characteristic,
     gen_cross_polytope,
     gen_cycle,
     gen_racg_pair,
@@ -99,24 +96,13 @@ def test_from_json_dict_validates_cubes(c4):
             ColoredComplex.from_json_dict({"n": n, "vertices": [], "maximal_simplices": []})
 
 
-# -- complementary -----------------------------------------------------------
-
-
-def test_complementary(c4):
-    edge = c4.simplex_with_vertices(["v0", "v1"])
-    assert complementary(edge, EMPTY_SIMPLEX, 2)
-    v = CoordSimplex.of({1: "x"})
-    assert not complementary(v, v, 2)
-    assert not complementary(EMPTY_SIMPLEX, EMPTY_SIMPLEX, 1)
-
-
 # -- build ---------------------------------------------------------------------
 
 
 def test_build_c4_c6(c4, c6):
     X = build_clcc(c4, gen_cycle(3, prefix="b"))
     assert cube_counts(X) == {0: 22, 1: 48, 2: 24}
-    assert euler_characteristic(X) == -2
+    assert X.euler_characteristic() == -2
 
 
 def test_build_matches_census_on_fixtures(c4, c6, o3):
@@ -132,12 +118,12 @@ def test_build_matches_census_on_fixtures(c4, c6, o3):
 def test_build_torus(c4):
     X = build_clcc(c4, gen_cycle(2, prefix="b"))
     assert cube_counts(X) == {0: 16, 1: 32, 2: 16}
-    assert euler_characteristic(X) == 0
+    assert X.euler_characteristic() == 0
 
 
 def test_build_spheres_gives_square():
-    a = close_downward(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
-    b = close_downward(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
+    a = ColoredComplex.build(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
+    b = ColoredComplex.build(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
     X = build_clcc(a, b)
     assert cube_counts(X) == {0: 4, 1: 4}
     assert X.is_connected()
@@ -217,7 +203,7 @@ def test_smartly_paired_cycles(c4):
 
 
 def test_smartly_paired_with_isolated_extra_vertex(c4):
-    gb = close_downward(
+    gb = ColoredComplex.build(
         2,
         [("b0", 1), ("b1", 2), ("b2", 1), ("b3", 2), ("w", 1)],
         [["b0", "b1"], ["b1", "b2"], ["b2", "b3"], ["b3", "b0"], ["w"]],
@@ -230,13 +216,13 @@ def test_smartly_paired_with_isolated_extra_vertex(c4):
 def test_smartly_paired_empty_complement_is_available(o2):
     # maximal edges of the cross-polytope are complemented by the empty
     # simplex, so a single-vertex partner still makes a smart pair
-    b = close_downward(2, [("b", 1)], [["b"]])
+    b = ColoredComplex.build(2, [("b", 1)], [["b"]])
     assert smartly_paired(o2, b) == (True, None)
 
 
 def test_smartly_paired_failure_witness():
-    ga = close_downward(2, [("a0", 1), ("a1", 1)], [["a0"], ["a1"]])
-    gb = close_downward(2, [("b", 1)], [["b"]])
+    ga = ColoredComplex.build(2, [("a0", 1), ("a1", 1)], [["a0"], ["a1"]])
+    gb = ColoredComplex.build(2, [("b", 1)], [["b"]])
     ok, witness = smartly_paired(ga, gb)
     assert not ok
     assert witness[0] == "A" and witness[1].colors == {1}
@@ -244,14 +230,14 @@ def test_smartly_paired_failure_witness():
 
 def test_doubly_smartly_paired(c4):
     assert doubly_smartly_paired(c4, gen_cycle(3, prefix="b"))
-    a = close_downward(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
-    b = close_downward(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
+    a = ColoredComplex.build(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
+    b = ColoredComplex.build(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
     assert doubly_smartly_paired(a, b)
     # codimension-1 faces of the cross-polytope edges are vertices of
     # both colors; a single color-2 partner vertex cannot complement the
     # color-2 ones
     o2 = gen_cross_polytope(2)
-    single = close_downward(2, [("b", 2)], [["b"]])
+    single = ColoredComplex.build(2, [("b", 2)], [["b"]])
     assert smartly_paired(o2, single)[0]
     assert not doubly_smartly_paired(o2, single)
 
@@ -262,12 +248,12 @@ def test_prune_keeps_smart_pairs(c4):
 
 
 def test_prune_removes_junk_and_preserves_complex(c4):
-    ga = close_downward(
+    ga = ColoredComplex.build(
         2,
         [("v0", 1), ("v1", 2), ("v2", 1), ("v3", 2), ("w", 1)],
         [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"], ["w"]],
     )
-    gb = close_downward(2, [("b", 1)], [["b"]])
+    gb = ColoredComplex.build(2, [("b", 1)], [["b"]])
     pa, pb = prune_to_smart_pair(ga, gb)
     assert set(pa.vertex_ids) == {"v0", "v1", "v2", "v3"}
     assert pb == gb
@@ -275,8 +261,8 @@ def test_prune_removes_junk_and_preserves_complex(c4):
 
 
 def test_prune_collapses_hopeless_pair():
-    ga = close_downward(2, [("a", 1)], [["a"]])
-    gb = close_downward(2, [("b", 1)], [["b"]])
+    ga = ColoredComplex.build(2, [("a", 1)], [["a"]])
+    gb = ColoredComplex.build(2, [("b", 1)], [["b"]])
     pa, pb = prune_to_smart_pair(ga, gb)
     assert pa.vertex_ids == () and pb.vertex_ids == ()
     assert build_clcc(pa, pb).top_dim == -1
@@ -305,13 +291,13 @@ def test_dimension_surface(c4):
 
 
 def test_dimension_spheres():
-    a = close_downward(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
-    b = close_downward(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
+    a = ColoredComplex.build(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
+    b = ColoredComplex.build(1, [("b+", 1), ("b-", 1)], [["b+"], ["b-"]])
     assert dimension(build_clcc(a, b)) == (1, True)
 
 
 def test_dimension_impure_pair():
-    ga = close_downward(
+    ga = ColoredComplex.build(
         2, [("a1", 1), ("a2", 2), ("w", 1)], [["a1", "a2"], ["w"]]
     )
     gb = gen_cycle(2, prefix="b")
@@ -347,7 +333,7 @@ def test_connected_surface(c4):
 
 
 def test_three_colored_cycle_genus(o3):
-    cycling = close_downward(
+    cycling = ColoredComplex.build(
         3,
         [(f"b{i}", i % 3 + 1) for i in range(6)],
         [[f"b{i}", f"b{(i + 1) % 6}"] for i in range(6)],
@@ -356,12 +342,12 @@ def test_three_colored_cycle_genus(o3):
     assert is_connected(o3, cycling, engine="bfs")
     assert is_connected(o3, cycling, engine="criterion")
     assert cube_counts(X) == {0: 44, 1: 96, 2: 48}
-    assert euler_characteristic(X) == -4  # genus 3
+    assert X.euler_characteristic() == -4  # genus 3
     assert set(classify_vertex_links(X).values()) == {"circle"}
 
 
 def test_two_colored_cycle_disconnects(o3):
-    twocol = close_downward(
+    twocol = ColoredComplex.build(
         3,
         [(f"b{i}", 1 if i % 2 == 0 else 2) for i in range(6)],
         [[f"b{i}", f"b{(i + 1) % 6}"] for i in range(6)],
@@ -372,7 +358,7 @@ def test_two_colored_cycle_disconnects(o3):
     # genus-2 surface of the (4-cycle, 6-cycle) pair
     X = build_clcc(o3, twocol)
     assert cube_counts(X) == {0: 44, 1: 96, 2: 48}
-    assert euler_characteristic(X) == -4
+    assert X.euler_characteristic() == -4
     assert set(classify_vertex_links(X).values()) == {"circle"}
 
 
@@ -380,8 +366,8 @@ def test_vertexless_factor_against_full_cover_simplex():
     # the empty simplex is the maximal simplex of the vertex-less complex
     # and complements a full-cover partner, so the one-point complex is
     # connected under both engines
-    ga = close_downward(2, [], [])
-    gb = close_downward(2, [("b1", 1), ("b2", 2)], [["b1", "b2"]])
+    ga = ColoredComplex.build(2, [], [])
+    gb = ColoredComplex.build(2, [("b1", 1), ("b2", 2)], [["b1", "b2"]])
     assert smartly_paired(ga, gb) == (True, None)
     X = build_clcc(ga, gb)
     assert {d: len(X.cells(d)) for d in range(X.top_dim + 1)} == {0: 1}
@@ -390,8 +376,8 @@ def test_vertexless_factor_against_full_cover_simplex():
 
 
 def test_criterion_engine_refuses_non_smart_pair():
-    ga = close_downward(2, [("a", 1)], [["a"]])
-    gb = close_downward(2, [("b", 1)], [["b"]])
+    ga = ColoredComplex.build(2, [("a", 1)], [["a"]])
+    gb = ColoredComplex.build(2, [("b", 1)], [["b"]])
     with pytest.raises(DomainError):
         is_connected(ga, gb, engine="criterion")
 
@@ -423,7 +409,7 @@ def test_conn_graph_nodes_are_complexes_vertices(c4):
 def test_euler_eight_cycle(twopt):
     X = build_clcc(*gen_racg_pair(twopt))
     assert cube_counts(X) == {0: 8, 1: 8}
-    assert euler_characteristic(X) == 0
+    assert X.euler_characteristic() == 0
 
 
 def test_euler_matches_degree_formula_on_surfaces():
@@ -436,7 +422,7 @@ def test_euler_matches_degree_formula_on_surfaces():
         degree = {v: sum(1 for e in X.cells(1) if v in X.vertices_of(e)) for v in X.cells(0)}
         degree_sum = sum(4 - degree[v] for v in X.cells(0))
         assert degree_sum % 4 == 0
-        assert euler_characteristic(X) == degree_sum // 4
+        assert X.euler_characteristic() == degree_sum // 4
 
 
 # -- vertex link classification ---------------------------------------------------------------
@@ -454,7 +440,7 @@ def test_octahedron_pair_links_are_spheres(o3):
 
 
 def test_wedge_pair_has_non_manifold_link(o3):
-    wedge = close_downward(
+    wedge = ColoredComplex.build(
         3,
         [("x", 1), ("y", 2), ("z", 3), ("y2", 2), ("z2", 3)],
         [["x", "y", "z"], ["x", "y2", "z2"]],
@@ -487,8 +473,8 @@ def test_npc_direct_check_positive():
         pick = [f"a{i}{'+' if mask >> (i - 1) & 1 else '-'}" for i in (1, 2, 3)]
         if pick != ["a1-", "a2-", "a3-"]:
             tops.append(pick)
-    ga = close_downward(3, verts, tops)
-    gb = close_downward(3, [("b1", 1), ("b2", 2), ("b3", 3)], [["b1"], ["b2"], ["b3"]])
+    ga = ColoredComplex.build(3, verts, tops)
+    gb = ColoredComplex.build(3, [("b1", 1), ("b2", 2), ("b3", 3)], [["b1"], ["b2"], ["b3"]])
     from clcc.simplicial import is_flag
 
     assert not is_flag(ga)[0]
@@ -497,7 +483,7 @@ def test_npc_direct_check_positive():
 
 
 def test_npc_direct_check_negative(o3):
-    empty_triangle = close_downward(
+    empty_triangle = ColoredComplex.build(
         3,
         [("v1", 1), ("v2", 2), ("v3", 3)],
         [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]],
@@ -537,7 +523,7 @@ def test_the_link_condition_reads_the_built_links(monkeypatch, c4):
     for sub in (c4, c4.full_subcomplex(["v0", "v2"]), c4.full_subcomplex(["v0", "v1", "v2"])):
         assert induced_map(ColoredMap.inclusion(sub, c4), ident).is_injective
     assert not calls
-    path = close_downward(2, c4.vertices, [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]])
+    path = ColoredComplex.build(2, c4.vertices, [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]])
     f = ColoredMap.inclusion(path, c4)
     assert not f.is_full_inclusion
     phi = CubicalMap(build_clcc(path, gb), build_clcc(c4, gb), f, ident)
@@ -547,7 +533,7 @@ def test_the_link_condition_reads_the_built_links(monkeypatch, c4):
 
 def test_quotient_induces_surjection():
     c6 = gen_cycle(3)
-    target = close_downward(
+    target = ColoredComplex.build(
         2,
         [("v0", 1), ("v1", 2), ("v3", 2), ("v4", 1), ("v5", 2)],
         [["v0", "v1"], ["v1", "v0"], ["v0", "v3"], ["v3", "v4"], ["v4", "v5"], ["v5", "v0"]],
@@ -563,6 +549,11 @@ def test_quotient_induces_surjection():
 def test_colored_map_rejects_color_breaking(c4):
     with pytest.raises(ComplexError):
         ColoredMap.make(c4, c4, {"v0": "v1", "v1": "v0", "v2": "v3", "v3": "v2"})
+
+
+def test_colored_map_rejects_an_image_outside_the_target(c4):
+    with pytest.raises(ComplexError, match="image vertex 'zz' not in target"):
+        ColoredMap.make(c4, c4, {"v0": "zz", "v1": "v1", "v2": "v2", "v3": "v3"})
 
 
 def test_functoriality_on_inclusion_chain(o3):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import io
 import json
 import os
@@ -77,7 +78,7 @@ def test_check_flag_failure_has_witness_and_exit_1():
             "maximal_simplices": [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]],
         }
     )
-    p = run(["check", "--flag", "-"], stdin=bad, check=False)
+    p = run(["check", "flag", "-"], stdin=bad, check=False)
     assert p.returncode == 1
     doc = out_json(p)
     assert doc["holds"] is False
@@ -277,13 +278,23 @@ def test_generate_barycentric_with_presets():
     assert cert["verdict"] == "Hyperbolic"
 
 
-def test_build_with_pair_and_out_options(tmp_path):
+def test_build_from_a_file_with_out_option(tmp_path):
     pair_file = tmp_path / "pair.json"
     out_file = tmp_path / "complex.json"
     run(["generate", "surface", "--ka", "2", "--kb", "3", "--out", str(pair_file)])
-    run(["build", "--pair", str(pair_file), "--out", str(out_file)])
+    run(["build", str(pair_file), "--out", str(out_file)])
     got = out_json(run(["homology", str(out_file)]))
     assert got["unreduced"] == [1, 4, 1]
+
+
+def test_out_into_a_missing_directory_is_a_structured_error(tmp_path):
+    pair = run(["generate", "surface", "--ka", "2", "--kb", "3"]).stdout
+    out_file = str(tmp_path / "missing" / "complex.json")
+    p = run(["build", "-", "--out", out_file], stdin=pair, check=False)
+    assert p.returncode == 1
+    error = out_json(p)["error"]
+    assert error["command"] == "build" and out_file in error["message"]
+    assert "Traceback" not in p.stderr
 
 
 def test_generate_crosspolytope_and_obes():
@@ -652,6 +663,18 @@ def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
 # -- in-process invocations --------------------------------------------------------------
 
 
+def test_every_input_argument_comes_from_the_command_wrapper():
+    # `_command(reads=...)` adds INPUT_SRC and hands the body the parsed
+    # document, so no command body takes the argument itself
+    readers = []
+    for name, command in main.commands.items():
+        if any(param.name == "input_src" for param in command.params):
+            body = command.callback.__wrapped__
+            assert "input_src" not in inspect.signature(body).parameters, name
+            readers.append(name)
+    assert sorted(readers) == sorted(set(main.commands) - {"generate"})
+
+
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
 def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc):
     def body_raises(S):
@@ -696,9 +719,9 @@ def test_report_digests_each_input_document(tmp_path):
         (["generate", "barycentric", "--gamma", "tetrahedron", "--lam", files["triangle"]],
          None, {"lam": triangle}, 0),
         (["build", "-"], pair, {"pair": pair}, 0),
-        (["build", "--pair", files["pair"]], None, {"pair": pair}, 0),
+        (["build", files["pair"]], None, {"pair": pair}, 0),
         (["check", "5large", "-"], c4, {"input": c4}, 1),
-        (["check", "--flag", files["c4"]], None, {"input": c4}, 0),
+        (["check", "flag", files["c4"]], None, {"input": c4}, 0),
         (["link", "-", "--a", '{"1": "a0"}', "--b", '{"2": "b1"}'], pair, {"pair": pair}, 0),
         (["connect", "-"], pair, {"pair": pair}, 0),
         (["invariants", "links", "-"], complex_doc, {"complex": complex_doc}, 0),

@@ -33,8 +33,8 @@ import time
 import pytest
 
 from clcc import (
+    ColoredComplex,
     build_clcc,
-    close_downward,
     gen_barycentric_pair,
     gen_cross_polytope,
     gen_cycle,
@@ -280,7 +280,7 @@ def census_pairs(count: int = 150) -> list:
 def generator_pairs() -> list:
     """A pair of each generator family."""
     r = rng(1307)
-    path = close_downward(3, [("x", 1), ("y", 2), ("z", 3)], [["x", "y"], ["z"]])
+    path = ColoredComplex.build(3, [("x", 1), ("y", 2), ("z", 3)], [["x", "y"], ["z"]])
     tri = SimplicialComplex.from_maximal("abc", ["ab", "bc", "ca"])
     return [
         (gen_cycle(4), gen_cycle(5, prefix="b")),
@@ -329,8 +329,8 @@ def test_pair_cube_counts_build_no_product():
     # 3000 a-vertices of color 1 against 3000 b-vertices of color 2: nine
     # million vertices, counted from two bucket sizes
     k = 3000
-    ga = close_downward(2, [(f"a{i}", 1) for i in range(k)], [[f"a{i}"] for i in range(k)])
-    gb = close_downward(2, [(f"b{i}", 2) for i in range(k)], [[f"b{i}"] for i in range(k)])
+    ga = ColoredComplex.build(2, [(f"a{i}", 1) for i in range(k)], [[f"a{i}"] for i in range(k)])
+    gb = ColoredComplex.build(2, [(f"b{i}", 2) for i in range(k)], [[f"b{i}"] for i in range(k)])
     start = time.perf_counter()
     assert _pair_cube_counts(ga, gb) == {0: k * k}
     assert _pair_cube_counts(ga, gb, limit=4 * k) is None

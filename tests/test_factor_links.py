@@ -33,7 +33,6 @@ from clcc import (
     build_clcc,
     certify,
     classify_vertex_links,
-    close_downward,
     gen_barycentric_pair,
     gen_cross_polytope,
     gen_cycle,
@@ -149,24 +148,24 @@ TETRA = SimplicialComplex.from_maximal(
 
 def fixture_pairs():
     o3 = gen_cross_polytope(3)
-    wedge = close_downward(
+    wedge = ColoredComplex.build(
         3,
         [("x", 1), ("y", 2), ("z", 3), ("y2", 2), ("z2", 3)],
         [["x", "y", "z"], ["x", "y2", "z2"]],
     )
     # K_{3,2} links: a vertex of degree 3 against a 4-cycle
-    claw = close_downward(
+    claw = ColoredComplex.build(
         2, [("c", 1), ("d1", 2), ("d2", 2), ("d3", 2)], [["c", "d1"], ["c", "d2"], ["c", "d3"]]
     )
     # cone links: a circle against one point (a lone triangle), and against
     # three points (three triangles on one edge)
-    triangle = close_downward(3, [("t1", 1), ("t2", 2), ("t3", 3)], [["t1", "t2", "t3"]])
-    book = close_downward(
+    triangle = ColoredComplex.build(3, [("t1", 1), ("t2", 2), ("t3", 3)], [["t1", "t2", "t3"]])
+    book = ColoredComplex.build(
         3,
         [("t1", 1), ("u1", 1), ("w1", 1), ("t2", 2), ("t3", 3)],
         [["t1", "t2", "t3"], ["u1", "t2", "t3"], ["w1", "t2", "t3"]],
     )
-    empty_triangle = close_downward(
+    empty_triangle = ColoredComplex.build(
         3, [("v1", 1), ("v2", 2), ("v3", 3)], [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]]
     )
     return [
@@ -287,10 +286,10 @@ def test_tags_squares_and_non_adjacency_build_no_link(monkeypatch):
                for ga, gb in LOADER_PAIRS for doc in fallback_documents(build_clcc(ga, gb))]
     assert all(Y.defining_pair is None for Y in partial)
     point_pair = (
-        close_downward(4, [("p", 1), ("q", 2), ("r", 1), ("s", 3)],
-                       [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"]]),
-        close_downward(4, [("t", 2), ("u", 3), ("t2", 2), ("w", 4)],
-                       [["t", "u"], ["u", "t2"], ["t2", "w"], ["w", "t"]]),
+        ColoredComplex.build(4, [("p", 1), ("q", 2), ("r", 1), ("s", 3)],
+                             [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"]]),
+        ColoredComplex.build(4, [("t", 2), ("u", 3), ("t2", 2), ("w", 4)],
+                             [["t", "u"], ["u", "t2"], ["t2", "w"], ["w", "t"]]),
     )
     rule_4_pairs = [point_pair, pairs[1], pairs[2]]  # the cross-polytope pairs end Unknown
     built = count_complexes_built(monkeypatch)

@@ -19,7 +19,6 @@ from clcc.hyperbolicity import RULE_PAIRWISE_OBES
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
     ColoredComplex,
-    empty_squares,
     is_5_large,
     is_flag,
     is_obes,
@@ -132,8 +131,8 @@ def test_prune_matches_the_pruning_loop():
 
 def test_square_scan_matches_per_pair_subcomplex_scans():
     for K in complexes():
-        squares = empty_squares(K)
-        assert squares == empty_squares(fresh(K))
+        squares = K.squares
+        assert squares == fresh(K).squares
         assert is_5_large(K) == ((True, None) if not squares else (False, squares[0]))
         bad = [sq for sq in squares if len(sq.color_set) != 2]
         assert is_obes(K) == ((True, None) if not bad else (False, bad[0]))

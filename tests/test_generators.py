@@ -9,9 +9,7 @@ from clcc import (
     betti,
     build_clcc,
     classify_vertex_links,
-    close_downward,
     dimension,
-    euler_characteristic,
     flag_complex_from_graph,
     gen_barycentric_pair,
     gen_cross_polytope,
@@ -75,8 +73,8 @@ def test_generated_complexes_are_flag():
         gen_cycle(2),
         gen_cycle(4),
         gen_cross_polytope(3),
-        gen_salvetti_pair(close_downward(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]]))[0],
-        gen_racg_pair(close_downward(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]]))[1],
+        gen_salvetti_pair(ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]]))[0],
+        gen_racg_pair(ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]]))[1],
     ]
     for K in samples:
         assert is_flag(K)[0]
@@ -92,7 +90,7 @@ def test_surface_pair_genus_table():
     for ka, kb in [(ka, kb) for ka in range(2, 6) for kb in range(2, 6)]:
         ga, gb = gen_surface_pair(ka, kb)
         X = build_clcc(ga, gb)
-        chi = euler_characteristic(X)
+        chi = X.euler_characteristic()
         assert chi == -(ka * (kb - 2) + kb * (ka - 2))
         assert is_connected(ga, gb)
         assert dimension(X) == (2, True)
@@ -106,14 +104,14 @@ def test_surface_pair_small_cases():
     assert cube_counts(build_clcc(ga, gb)) == {0: 22, 1: 48, 2: 24}
     ga, gb = gen_surface_pair(3, 3)
     X = build_clcc(ga, gb)
-    assert euler_characteristic(X) == -6  # genus 4
+    assert X.euler_characteristic() == -6  # genus 4
 
 
 # -- salvetti ---------------------------------------------------------------------
 
 
 def test_salvetti_single_vertex():
-    g = close_downward(1, [("v1", 1)], [["v1"]])
+    g = ColoredComplex.build(1, [("v1", 1)], [["v1"]])
     hat, bb = gen_salvetti_pair(g)
     assert cube_counts_simplicial(hat) == {0: 2}
     X = build_clcc(hat, bb)
@@ -121,18 +119,18 @@ def test_salvetti_single_vertex():
 
 
 def test_salvetti_edge_gives_torus():
-    g = close_downward(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]])
+    g = ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1", "v2"]])
     hat, bb = gen_salvetti_pair(g)
     assert cube_counts_simplicial(hat) == {0: 4, 1: 4}
     assert betti(build_clcc(hat, bb), reduced=False).ranks == (1, 2, 1)
 
 
 def test_salvetti_two_points_gives_wedge():
-    g = close_downward(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]])
+    g = ColoredComplex.build(2, [("v1", 1), ("v2", 2)], [["v1"], ["v2"]])
     hat, bb = gen_salvetti_pair(g)
     assert cube_counts_simplicial(hat) == {0: 4, 1: 3}
     X = build_clcc(hat, bb)
-    assert euler_characteristic(X) == -1
+    assert X.euler_characteristic() == -1
     assert betti(X, reduced=False).ranks == (1, 2, 0)
 
 
@@ -164,13 +162,13 @@ def test_racg_two_points_is_eight_cycle(twopt):
 
 
 def test_racg_square_torus():
-    g = close_downward(
+    g = ColoredComplex.build(
         4,
         [(f"v{i}", i) for i in range(1, 5)],
         [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v1"]],
     )
     X = build_clcc(*gen_racg_pair(g))
-    assert euler_characteristic(X) == 0
+    assert X.euler_characteristic() == 0
     assert betti(X, reduced=False).ranks == (1, 2, 1)
 
 

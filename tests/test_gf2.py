@@ -53,9 +53,9 @@ def test_rank_edge_cases():
 
 def test_in_rowspan():
     rows = [0b101, 0b011]
-    assert gf2.in_rowspan(0b110, rows, 3)
-    assert gf2.in_rowspan(0, rows, 3)
-    assert not gf2.in_rowspan(0b100, rows, 3)
+    assert gf2.in_rowspan(0b110, rows)
+    assert gf2.in_rowspan(0, rows)
+    assert not gf2.in_rowspan(0b100, rows)
 
 
 
@@ -64,4 +64,4 @@ def test_in_rowspan():
 def test_in_rowspan_matches_rank_growth(vec, rows):
     # small widths and few rows, so that vectors in and out of the span
     # both occur often
-    assert gf2.in_rowspan(vec, rows, 12) == (naive_rank(rows + [vec], 12) == naive_rank(rows, 12))
+    assert gf2.in_rowspan(vec, rows) == (naive_rank(rows + [vec], 12) == naive_rank(rows, 12))

@@ -6,12 +6,12 @@ from click.testing import CliRunner
 
 from clcc import gf2
 from clcc import (
+    ColoredComplex,
     betti,
     boundary,
     build_clcc,
     chain,
     clcc_cycle,
-    close_downward,
     doubly_smartly_paired,
     fundamental_class,
     gen_cross_polytope,
@@ -190,7 +190,7 @@ def test_cycle_iff_all_vertex_localizations_are_cycles(torus, genus2, o3):
 
 
 def sphere0(prefix):
-    return close_downward(
+    return ColoredComplex.build(
         1, [(f"{prefix}+", 1), (f"{prefix}-", 1)], [[f"{prefix}+"], [f"{prefix}-"]]
     )
 
@@ -259,7 +259,7 @@ def test_fundamental_class_cycle(c4):
 
 
 def test_fundamental_class_path_fails():
-    path = close_downward(
+    path = ColoredComplex.build(
         2, [("x", 1), ("y", 2), ("z", 1)], [["x", "y"], ["y", "z"]]
     )
     assert not fundamental_class(path)
@@ -270,7 +270,7 @@ def test_fundamental_class_surface(genus2):
 
 
 def test_fundamental_class_needs_purity():
-    ga = close_downward(2, [("a1", 1), ("a2", 2), ("w", 1)], [["a1", "a2"], ["w"]])
+    ga = ColoredComplex.build(2, [("a1", 1), ("a2", 2), ("w", 1)], [["a1", "a2"], ["w"]])
     with pytest.raises(DomainError):
         fundamental_class(ga)
 
@@ -313,7 +313,7 @@ def test_smartly_paired_chains_tripartite_spheres(tetra_boundary):
 
 
 def test_smartly_paired_chains_failure(twopt):
-    other = close_downward(2, [("w1", 1), ("w2", 2)], [["w1"], ["w2"]])
+    other = ColoredComplex.build(2, [("w1", 1), ("w2", 2)], [["w1"], ["w2"]])
     za = chain(twopt, 0, [twopt.simplex_with_vertices(["v1"])])
     zb = chain(other, 0, [other.simplex_with_vertices(["w1"])])
     # both cells have color 1, so neither admits a complementary color-2
@@ -340,7 +340,7 @@ def test_clcc_cycle_of_non_cycle_is_not_cycle(c4):
 
 
 def test_clcc_cycle_requires_smart_pairing(twopt):
-    other = close_downward(2, [("w1", 1), ("w2", 2)], [["w1"], ["w2"]])
+    other = ColoredComplex.build(2, [("w1", 1), ("w2", 2)], [["w1"], ["w2"]])
     za = chain(twopt, 0, [twopt.simplex_with_vertices(["v1"])])
     zb = chain(other, 0, [other.simplex_with_vertices(["w1"])])
     with pytest.raises(DomainError):

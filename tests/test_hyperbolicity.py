@@ -3,9 +3,9 @@ from itertools import combinations
 import pytest
 
 from clcc import (
+    ColoredComplex,
     certify,
     certify_barycentric,
-    close_downward,
     flag_complex_from_graph,
     gen_cross_polytope,
     gen_cycle,
@@ -51,12 +51,12 @@ def test_certify_edge3_side(o3, edge3):
 def test_certify_pairwise_rule_fires_when_both_sides_have_squares():
     # a bicolor square on colors (1,2) on one side and (2,3) on the
     # other: neither side is 5-large but every color pair has a clean side
-    ga = close_downward(
+    ga = ColoredComplex.build(
         3,
         [("p", 1), ("q", 2), ("r", 1), ("s", 2), ("z", 3)],
         [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"], ["z"]],
     )
-    gb = close_downward(
+    gb = ColoredComplex.build(
         3,
         [("p", 2), ("q", 3), ("r", 2), ("s", 3), ("z", 1)],
         [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"], ["z"]],
@@ -69,7 +69,7 @@ def test_certify_pairwise_rule_fires_when_both_sides_have_squares():
 
 def test_certify_racg_shape_not_hyperbolic():
     ga = gen_cross_polytope(4)
-    gb = close_downward(
+    gb = ColoredComplex.build(
         4,
         [(f"v{i}", i) for i in range(1, 5)],
         [["v1", "v2"], ["v2", "v3"], ["v3", "v4"], ["v4", "v1"]],
@@ -92,12 +92,12 @@ def test_certify_racg_rule_needs_single_vertex_colors(c4):
 def test_certify_link_rule_fires_on_point_complex():
     # tricolor empty squares on both sides kill rules 1-3; the complex is
     # a finite set of points, whose (empty) links are trivially 5-large
-    ga = close_downward(
+    ga = ColoredComplex.build(
         4,
         [("p", 1), ("q", 2), ("r", 1), ("s", 3)],
         [["p", "q"], ["q", "r"], ["r", "s"], ["s", "p"]],
     )
-    gb = close_downward(
+    gb = ColoredComplex.build(
         4,
         [("t", 2), ("u", 3), ("t2", 2), ("w", 4)],
         [["t", "u"], ["u", "t2"], ["t2", "w"], ["w", "t"]],
@@ -113,7 +113,7 @@ def test_certify_requires_matching_colors(c4, o3):
 
 
 def test_certify_non_flag_input_is_unknown(o3):
-    empty_triangle = close_downward(
+    empty_triangle = ColoredComplex.build(
         3,
         [("v1", 1), ("v2", 2), ("v3", 3)],
         [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]],
@@ -197,7 +197,7 @@ def test_moussong_square(c4):
 
 
 def test_moussong_pentagon():
-    pentagon = close_downward(
+    pentagon = ColoredComplex.build(
         5,
         [(f"v{i}", i + 1) for i in range(5)],
         [[f"v{i}", f"v{(i + 1) % 5}"] for i in range(5)],
@@ -210,7 +210,7 @@ def test_moussong_edge3(edge3):
 
 
 def test_moussong_rejects_non_flag():
-    empty_triangle = close_downward(
+    empty_triangle = ColoredComplex.build(
         3,
         [("v1", 1), ("v2", 2), ("v3", 3)],
         [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]],

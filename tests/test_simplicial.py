@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from clcc import (
     barycentric_subdivision_2d,
     build_clcc,
-    close_downward,
-    empty_squares,
     flag_complex_from_graph,
     gen_cross_polytope,
     gen_cycle,
@@ -65,7 +63,7 @@ def octahedron_faces():
     return faces
 
 
-# -- close_downward -----------------------------------------------------------
+# -- ColoredComplex.build -----------------------------------------------------
 
 
 def test_closure_of_cycle(c4):
@@ -74,7 +72,7 @@ def test_closure_of_cycle(c4):
 
 
 def test_closure_sphere_zero():
-    s0 = close_downward(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
+    s0 = ColoredComplex.build(1, [("a+", 1), ("a-", 1)], [["a+"], ["a-"]])
     assert cell_counts(s0) == {0: 2}
 
 
@@ -94,11 +92,11 @@ def test_closure_is_idempotent(o3):
 
 def test_closure_errors():
     with pytest.raises(ComplexError):
-        close_downward(2, [("x", 1), ("y", 1)], [["x", "y"]])  # duplicate color
+        ColoredComplex.build(2, [("x", 1), ("y", 1)], [["x", "y"]])  # duplicate color
     with pytest.raises(ComplexError):
-        close_downward(2, [("x", 1)], [["x", "z"]])  # unknown id
+        ColoredComplex.build(2, [("x", 1)], [["x", "z"]])  # unknown id
     with pytest.raises(ComplexError):
-        close_downward(2, [("x", 3)], [["x"]])  # color out of range
+        ColoredComplex.build(2, [("x", 3)], [["x"]])  # color out of range
 
 
 # -- is_flag --------------------------------------------------------------------
@@ -109,7 +107,7 @@ def test_flag_c4(c4):
 
 
 def test_flag_empty_triangle():
-    K = close_downward(
+    K = ColoredComplex.build(
         3,
         [("v1", 1), ("v2", 2), ("v3", 3)],
         [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]],
@@ -146,7 +144,7 @@ def flag_corpus():
         yield random_two_complex(r)
     # hollow tetrahedra: every triangle spans, the 4-clique does not
     hollow = list(combinations("pqrs", 3))
-    yield close_downward(4, list(zip("pqrs", (1, 2, 3, 4))), hollow)
+    yield ColoredComplex.build(4, list(zip("pqrs", (1, 2, 3, 4))), hollow)
     yield SimplicialComplex.from_maximal(list("pqrs"), hollow)
 
 
@@ -200,7 +198,7 @@ def test_full_subcomplex_edge(c6):
 def test_full_subcomplex_of_octahedron_is_square(o3):
     sub = o3.full_subcomplex([v for v in o3.vertex_ids if o3.color_of(v) in (1, 2)])
     assert cell_counts(sub) == {0: 4, 1: 4}
-    assert empty_squares(sub)  # the bicolor square survives
+    assert sub.squares  # the bicolor square survives
 
 
 def test_full_subcomplex_unknown_id(c4):
@@ -212,7 +210,9 @@ def test_full_subcomplex_unknown_id(c4):
 
 
 def s0(prefix):
-    return close_downward(1, [(f"{prefix}+", 1), (f"{prefix}-", 1)], [[f"{prefix}+"], [f"{prefix}-"]])
+    return ColoredComplex.build(
+        1, [(f"{prefix}+", 1), (f"{prefix}-", 1)], [[f"{prefix}+"], [f"{prefix}-"]]
+    )
 
 
 def test_join_of_two_spheres_is_square():
@@ -244,23 +244,23 @@ def test_join_tags_on_collision():
 
 
 def test_empty_squares_c4(c4):
-    squares = empty_squares(c4)
+    squares = c4.squares
     assert len(squares) == 1
     assert squares[0].cycle == ("v0", "v1", "v2", "v3")
     assert squares[0].color_set == {1, 2}
 
 
 def test_square_with_chord_is_not_empty():
-    K = close_downward(
+    K = ColoredComplex.build(
         3,
         [("v0", 1), ("v1", 2), ("v2", 3), ("v3", 2)],
         [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"], ["v0", "v2"]],
     )
-    assert empty_squares(K) == []
+    assert K.squares == ()
 
 
 def test_empty_squares_octahedron_matches_naive_scan(o3):
-    squares = empty_squares(o3)
+    squares = o3.squares
     assert len(squares) == 3
     assert {sq.color_set for sq in squares} == {
         frozenset({1, 2}),
@@ -271,14 +271,14 @@ def test_empty_squares_octahedron_matches_naive_scan(o3):
 
 
 def test_empty_squares_color_filter(o3):
-    only12 = [sq for sq in empty_squares(o3) if sq.color_set == {1, 2}]
+    only12 = [sq for sq in o3.squares if sq.color_set == {1, 2}]
     assert len(only12) == 1 and only12[0].color_set == {1, 2}
     assert only12 == empty_squares_reference(o3, (1, 2))
 
 
 def test_square_witness_invariants(o3):
     adj = o3.adjacency
-    for sq in empty_squares(o3):
+    for sq in o3.squares:
         v, up, w, um = sq.cycle
         assert up in adj[v] and w in adj[up] and um in adj[w] and v in adj[um]
         assert w not in adj[v] and um not in adj[up]
@@ -310,7 +310,7 @@ def test_obes_barycentric(tetra_boundary):
 
 
 def test_obes_tricolor_square_fails():
-    K = close_downward(
+    K = ColoredComplex.build(
         3,
         [("v0", 1), ("v1", 2), ("v2", 1), ("v3", 3)],
         [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"]],
@@ -413,8 +413,8 @@ def test_relabeling_that_merges_vertices_is_refused():
 def test_empty_squares_invariant_under_relabeling(K):
     rename = {v: f"w{idx}" for idx, v in enumerate(reversed(K.vertex_ids))}
     moved = K.relabeled(rename)
-    expected = {frozenset(rename[u] for u in sq.cycle) for sq in empty_squares(K)}
-    got = {frozenset(sq.cycle) for sq in empty_squares(moved)}
+    expected = {frozenset(rename[u] for u in sq.cycle) for sq in K.squares}
+    got = {frozenset(sq.cycle) for sq in moved.squares}
     assert got == expected
 
 
@@ -434,7 +434,7 @@ def test_edge_color_subcomplexes_of_subdivision_are_5_large():
         K = random_two_complex(r)
         sub = barycentric_subdivision_2d(K, {"V": 1, "E": 2, "F": 3})
         for pair in ((1, 2), (2, 3)):
-            assert not [sq for sq in empty_squares(sub) if sq.color_set == set(pair)]
+            assert not [sq for sq in sub.squares if sq.color_set == set(pair)]
             assert not empty_squares_reference(sub, pair)
 
 
