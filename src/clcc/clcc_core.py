@@ -33,8 +33,8 @@ from clcc.simplicial import (
     check_same_color_count,
     component_roots,
     connected,
+    faces_of,
     is_flag,
-    reach,
     simplicial_join,
 )
 
@@ -649,10 +649,10 @@ _FACES_PER_CUBE = 8
 
 def _spanned_factor(n: int, sides, budget: int) -> Optional[ColoredComplex]:
     """The colored complex whose simplices are the faces of `sides`, or None
-    when a vertex id has two colors or there are more than `budget` faces.
-    A side alone has 2^|side| faces, so a wider side than that ends the
-    walk before it starts; the faces are then found one vertex removal at
-    a time, and the walk stops with the budget."""
+    when a vertex id has two colors or there are more than `budget` faces,
+    the empty face included.  A side alone has 2^|side| faces, so a wider
+    side than that ends the search before any face is made; the faces are
+    then gathered side by side, and the search stops with the budget."""
     if any(len(s) >= budget.bit_length() for s in sides):  # 2^|side| > budget
         return None
     colors: dict = {}
@@ -661,15 +661,11 @@ def _spanned_factor(n: int, sides, budget: int) -> Optional[ColoredComplex]:
             if colors.setdefault(v, c) != c:
                 return None
     faces: set = set()
-    todo = [(), *(s.entries for s in sides)]
-    while todo:
-        f = todo.pop()
-        if f in faces:
-            continue
-        faces.add(f)
-        if len(faces) > budget:
-            return None
-        todo.extend(f[:k] + f[k + 1:] for k in range(len(f)))
+    for top in [(), *(s.entries for s in sides)]:
+        if top not in faces:  # else its faces are in already
+            faces |= faces_of([top])
+            if len(faces) > budget:
+                return None
     return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
 
 
@@ -682,21 +678,6 @@ def link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:
     a, b = cube
     gamma_a, gamma_b = X.defining_pair
     return simplicial_join(gamma_a.link(a), gamma_b.link(b))
-
-
-def join_link_of_cube(
-    gamma_a: ColoredComplex, gamma_b: ColoredComplex, cube
-) -> SimplicialComplex:
-    """lk_A(a) * lk_B(b) for the cube (a, b), each link vertex named by the
-    cube one dimension up that it stands for: u in lk_A(a) is (a + u, b)
-    and w in lk_B(b) is (a, b + w).  This is the adjacency link
-    X.link(cube) of the pair complex X, computed from the factors."""
-    a, b = cube
-    la, lb = gamma_a.link(a), gamma_b.link(b)
-    up_a = {u: (a.plus(c, u), b) for u, c in la.vertices}
-    up_b = {w: (a, b.plus(c, w)) for w, c in lb.vertices}
-    # the two sides' names differ in their a-parts, so the join tags nothing
-    return simplicial_join(la.uncolored().relabeled(up_a), lb.uncolored().relabeled(up_b))
 
 
 # ----------------------------------------------------------------------
@@ -758,7 +739,7 @@ def prune_to_smart_pair(
             s.entries for colors, bucket in K.by_colorset.items() if other.partners(colors)
             for s in bucket
         ]
-        faces = reach(partnered, lambda e: [e[:i] + e[i + 1 :] for i in range(len(e))])
+        faces = faces_of(partnered)
         kept.append([s for s in K.simplices if s.entries in faces])
     if not kept[0]:
         return _empty_complex(gamma_a.n), _empty_complex(gamma_a.n)
@@ -878,8 +859,9 @@ def is_npc(gamma_a: ColoredComplex, gamma_b: ColoredComplex):
     checked for flagness (exact, since the complex is non-positively
     curved iff all vertex links are flag).  A join is flag iff both
     factor links are, so the walk needs no built complex; the first
-    failing vertex gets its minimal non-spanning clique from the join
-    link named by cube ids.  Returns (verdict, method, witness)."""
+    failing vertex gets its minimal non-spanning clique from its link in
+    the pair complex, which is built only then.  Returns (verdict,
+    method, witness)."""
     flag_a, _ = is_flag(gamma_a)
     flag_b, _ = is_flag(gamma_b)
     if flag_a and flag_b:
@@ -887,7 +869,7 @@ def is_npc(gamma_a: ColoredComplex, gamma_b: ColoredComplex):
     links = _JoinLinks(gamma_a, gamma_b)
     for v in links.vertices():
         if not links.is_flag(v):
-            _, clique = is_flag(join_link_of_cube(gamma_a, gamma_b, v))
+            _, clique = is_flag(build_clcc(gamma_a, gamma_b).link(v))
             return False, "direct-links", (v, clique)
     return True, "direct-links", None
 

@@ -450,8 +450,7 @@ def cycle(pair, omega_a, omega_b):
 
     wa = load_chain(omega_a, ga, "omega_a")
     wb = load_chain(omega_b, gb, "omega_b")
-    X = build_clcc(ga, gb)
-    out_chain = hz2.clcc_cycle(wa, wb, ambient=X)
+    out_chain = hz2.clcc_cycle(wa, wb)
     payload = out_chain.to_json_dict()
     payload["is_cycle"] = hz2.is_cycle(out_chain)
     payload["inputs_are_cycles"] = [hz2.is_cycle(wa), hz2.is_cycle(wb)]

@@ -21,8 +21,8 @@ from clcc.clcc_core import CubeComplex, build_clcc, cube_json
 from clcc.simplicial import (
     ColoredComplex,
     CoordSimplex,
-    SimplicialComplex,
     check_same_color_count,
+    faces_of,
     join_cells,
     simplicial_join,
 )
@@ -193,12 +193,8 @@ def support_subcomplex(c: Chain2) -> ColoredComplex:
     host = c.host
     if not isinstance(host, ColoredComplex):
         raise DomainError("supports are taken in colored complexes")
-    used = sorted({v for s in c.cells for v in s.vertex_ids})
-    return ColoredComplex.build(
-        host.n,
-        [(v, host.color_of(v)) for v in used],
-        [sorted(s.vertex_ids) for s in c.cells],
-    )
+    faces = faces_of([(), *(s.entries for s in c.cells)])
+    return host._replace_simplices(frozenset(map(CoordSimplex, faces)))
 
 
 def smartly_paired_chains(omega_a: Chain2, omega_b: Chain2) -> bool:
@@ -235,11 +231,7 @@ def clcc_cycle(
     sub = build_clcc(support_subcomplex(omega_a), support_subcomplex(omega_b))
     if sub.top_dim != d or not sub.is_pure:
         raise AssertionError("support complex is not pure of the expected dimension")
-    cells = sub.cells(d)
-    for c in cells:
-        if c not in ambient:
-            raise DomainError(f"support cube {c} missing from the ambient complex")
-    return Chain2(ambient, d, frozenset(cells))
+    return Chain2(ambient, d, frozenset(sub.cells(d)))
 
 
 def is_boundary(c: Chain2) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, PairError
@@ -98,11 +98,6 @@ class CoordSimplex:
 
     def minus(self, color: int) -> "CoordSimplex":
         return CoordSimplex(tuple((c, v) for c, v in self.entries if c != color))
-
-    def plus(self, color: int, vid: str) -> "CoordSimplex":
-        if color in self.colors:
-            raise ComplexError(f"color {color} already present in {self}")
-        return CoordSimplex(tuple(sorted(self.entries + ((color, vid),))))
 
     def canonical_key(self):
         return self.entries
@@ -209,17 +204,17 @@ def check_same_color_count(K_A, K_B) -> None:
         raise PairError(f"color counts differ: {K_A.n} vs {K_B.n}")
 
 
-def reach(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
-    """Everything reachable from `starts` by repeatedly following
-    `neighbours`, the starts included."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for y in neighbours(stack.pop()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def faces_of(tops: Iterable[tuple]) -> set[tuple]:
+    """Every sub-tuple of every top, in its top's order: the downward
+    closure of the simplices `tops`, each given as a tuple.  No tops
+    give no faces.  The longest tops are closed first, so a top that is
+    a face of one closed before it adds nothing and is skipped."""
+    faces: set[tuple] = set()
+    for top in sorted(tops, key=len, reverse=True):
+        if top not in faces:
+            for k in range(len(top) + 1):
+                faces.update(combinations(top, k))
+    return faces
 
 
 def component_roots(count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -441,17 +436,15 @@ class ColoredComplex(CellStore):
     ) -> "ColoredComplex":
         """Downward closure of the given maximal simplices (idempotent)."""
         colors = check_vertex_colors(n, vertices)
-        faces: set[tuple] = {()}  # entry tuples, so each simplex is made once
+        tops: list[tuple] = [()]  # entry tuples, so each simplex is made once
         for vset in maximal:
             entries = []
             for vid in vset:
                 if vid not in colors:
                     raise ComplexError(f"unknown vertex id {vid!r}")
                 entries.append((colors[vid], vid))
-            top = _checked_entries(entries)
-            for k in range(len(top) + 1):
-                faces.update(combinations(top, k))
-        return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces)))
+            tops.append(_checked_entries(entries))
+        return ColoredComplex(n, colors, frozenset(map(CoordSimplex, faces_of(tops))))
 
     def _replace_simplices(self, simplices: frozenset[CoordSimplex]) -> "ColoredComplex":
         colors = {v: self._colors[v] for s in simplices for _, v in s.entries}
@@ -633,14 +626,13 @@ class SimplicialComplex(CellStore):
     @staticmethod
     def from_maximal(vertices: Iterable, maximal: Iterable[Iterable]) -> "SimplicialComplex":
         vset = set(vertices)
-        fam: set[frozenset] = {frozenset()}
+        tops: list[tuple] = [()]
         for m in maximal:
             m = frozenset(m)
             if not m <= vset:
                 raise ComplexError(f"unknown vertex ids {csorted(m - vset)}")
-            for k in range(len(m) + 1):
-                fam.update(map(frozenset, combinations(m, k)))
-        return SimplicialComplex(vset, frozenset(fam))
+            tops.append(tuple(m))
+        return SimplicialComplex(vset, frozenset(map(frozenset, faces_of(tops))))
 
     @cached_property
     def _rank(self) -> dict:

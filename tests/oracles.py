@@ -30,7 +30,9 @@ replaces.  The cross-polytope recogniser that scans every clique and the
 barycentric subdivision that lists every chain of faces by hand are the
 references of their counted and recursive replacements.  The clique
 completion that closes each clique downwards, as if it were maximal, is
-the reference of the one that makes each clique one simplex."""
+the reference of the one that makes each clique one simplex.  The
+subsets of each top, listed by bitmask, are the reference of the one
+downward closure, `faces_of`."""
 
 from __future__ import annotations
 
@@ -609,6 +611,16 @@ def prune_to_smart_pair_reference(gamma_a: ColoredComplex, gamma_b: ColoredCompl
         empty = frozenset({EMPTY_SIMPLEX})
         return ColoredComplex(gamma_a.n, {}, empty), ColoredComplex(gamma_a.n, {}, empty)
     return cur_a, cur_b
+
+
+def faces_of_reference(tops) -> set[tuple]:
+    """Every sub-tuple of every top: bit i of a mask keeps the top's
+    i-th item."""
+    return {
+        tuple(x for i, x in enumerate(top) if mask >> i & 1)
+        for top in tops
+        for mask in range(1 << len(top))
+    }
 
 
 def empty_squares_reference(K: ColoredComplex, pair: tuple[int, int]) -> list:

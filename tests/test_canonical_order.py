@@ -18,7 +18,7 @@ import pytest
 
 from clcc import build_clcc, canon, gen_cross_polytope, gen_cycle, gen_surface_pair
 from clcc.canon import canon_key, csorted
-from clcc.clcc_core import CubeComplex, join_link_of_cube
+from clcc.clcc_core import CubeComplex, link_of_cube
 from clcc.errors import PocsetError
 from clcc.pocset_hyperplanes import (
     Pocset,
@@ -319,8 +319,8 @@ def test_pocset_check_matches_reference_check():
 def simplicial_order_hosts() -> list[SimplicialComplex]:
     """Uncolored complexes on every kind of vertex id the package makes:
     the adjacency links of cube complexes (pair cubes, `from_cells`
-    vertex sets and vertex ids, `sageev` index sets), the join links,
-    joins whose vertices are tagged ("A", v) / ("B", v), and ids of
+    vertex sets and vertex ids, `sageev` index sets), the join links of
+    `link_of_cube`, joins whose vertices are tagged ("A", v) / ("B", v), and ids of
     mixed type."""
     r = rng(907)
     cubes = [build_clcc(gen_cycle(2), gen_cycle(3, prefix="b")),
@@ -336,7 +336,7 @@ def simplicial_order_hosts() -> list[SimplicialComplex]:
     cubes += [build_clcc(*pair) for pair in pairs]
     hosts = [X.link(v) for X in cubes for v in X.cells(0)[:4]]
     hosts += [X.link(e) for X in cubes for e in X.cells(1)[:2]]
-    hosts += [join_link_of_cube(*pair, v) for pair in pairs for v in build_clcc(*pair).cells(0)[:3]]
+    hosts += [link_of_cube(X, v) for X in cubes[-len(pairs):] for v in X.cells(0)[:3]]
     factors = [K.uncolored() for pair in pairs for K in pair]
     hosts += [simplicial_join(K, K) for K in factors[:8]]  # every vertex tagged
     hosts += [simplicial_join(K, L) for K, L in zip(factors[:8], factors[8:16])]

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from clcc import (
@@ -22,9 +20,9 @@ from clcc import (
     smartly_paired,
 )
 from clcc import clcc_core
-from clcc.clcc_core import CubeComplex, CubicalMap, _check_link_condition, join_link_of_cube
+from clcc.clcc_core import CubeComplex, CubicalMap, _check_link_condition
 from clcc.errors import ComplexError, DomainError, PairError
-from clcc.simplicial import EMPTY_SIMPLEX
+from clcc.simplicial import EMPTY_SIMPLEX, simplicial_join
 
 from corpus import random_smart_pair, rng
 
@@ -180,6 +178,10 @@ def test_link_requires_membership(c4):
 
 
 def test_join_link_equals_adjacency_link_everywhere():
+    """Every cube's adjacency link is the join lk_A(a) * lk_B(b) that
+    `link_of_cube` builds, once each join vertex is named by the cube
+    one dimension up that it stands for: u in lk_A(a) by (a + u, b) and
+    w in lk_B(b) by (a, b + w)."""
     pairs = [
         (gen_cycle(2), gen_cycle(3, prefix="b")),
         (gen_cycle(2), gen_cycle(2, prefix="b")),
@@ -189,10 +191,10 @@ def test_join_link_equals_adjacency_link_everywhere():
         X = build_clcc(ga, gb)
         for d in range(X.top_dim + 1):
             for cube in X.cells(d):
-                joined = join_link_of_cube(ga, gb, cube)
-                adjacency = X.link(cube)
-                assert set(joined.vertex_ids) == set(adjacency.vertex_ids)
-                assert set(joined.simplices) == set(adjacency.simplices)
+                a, b = cube
+                up = {u: (CoordSimplex.of([*a.entries, (c, u)]), b) for u, c in ga.link(a).vertices}
+                up |= {w: (a, CoordSimplex.of([*b.entries, (c, w)])) for w, c in gb.link(b).vertices}
+                assert link_of_cube(X, cube).relabeled(up) == X.link(cube)
 
 
 # -- smart pairing -------------------------------------------------------------------
@@ -516,7 +518,7 @@ def test_the_link_condition_reads_the_built_links(monkeypatch, c4):
     whose image is not full."""
     calls = []
     monkeypatch.setattr(
-        clcc_core, "join_link_of_cube", lambda *args: calls.append(args) or join_link_of_cube(*args)
+        clcc_core, "simplicial_join", lambda *args: calls.append(args) or simplicial_join(*args)
     )
     gb = gen_cycle(3, prefix="b")
     ident = ColoredMap.identity(gb)

@@ -42,7 +42,8 @@ from clcc import (
 )
 from clcc.canon import canonical_json
 from clcc.cli import main
-from clcc.clcc_core import CoordSimplex, _JoinLinks, _LinkSummary, cube_json
+from clcc import clcc_core
+from clcc.clcc_core import _FACES_PER_CUBE, CoordSimplex, _JoinLinks, _LinkSummary, cube_json
 from clcc.errors import ComplexError
 from clcc.hyperbolicity import ALL_RULES, RULE_LINKS_5_LARGE
 from clcc.pocset_hyperplanes import sageev
@@ -464,6 +465,29 @@ def test_a_wide_side_is_not_spanned():
         Y = CubeComplex.from_json_dict(doc)
         assert (Y.defining_pair is not None) == (n <= 3)
         assert Y.to_json_dict() == doc
+
+
+def test_the_face_budget_is_exact(monkeypatch):
+    # 0-cubes (a, {}) on four colors, the a-side of mask m on the vertex
+    # x<c><bit c of m> of each color c: the masks 0..5 span 48 faces,
+    # 8 per cube, and keep their pair; the masks 8 and 15 add 17 faces
+    # for two cubes, one past the budget.  The pair has exactly the
+    # document's cubes either way, so the budget alone decides
+    def document(masks):
+        sides = [{str(c): f"x{c}{m >> 4 - c & 1}" for c in range(1, 5)} for m in masks]
+        return {"n": 4, "cubes": [{"a": a, "b": {}, "dim": 0} for a in sides]}
+
+    for masks, faces, kept in ((range(6), 48, True), ([*range(6), 8, 15], 65, False)):
+        doc = document(masks)
+        assert faces == _FACES_PER_CUBE * len(masks) + (not kept)
+        assert within_budget(doc) == kept
+        Y = CubeComplex.from_json_dict(doc)
+        assert (Y.defining_pair is not None) == kept
+        assert len(Y.cells(0)) == len(masks)
+        with monkeypatch.context() as m:
+            m.setattr(clcc_core, "_FACES_PER_CUBE", _FACES_PER_CUBE + 1)
+            gamma_a, _ = CubeComplex.from_json_dict(doc).defining_pair
+        assert len(gamma_a.simplices) == faces
 
 
 def test_repeated_cubes_and_respelled_colors_keep_the_pair():

@@ -21,7 +21,6 @@ from clcc import (
     is_cycle,
     join_chains,
     localize,
-    smartly_paired,
     smartly_paired_chains,
     top_chain,
     zero_chain,
@@ -337,6 +336,13 @@ def test_clcc_cycle_of_non_cycle_is_not_cycle(c4):
     assert not is_cycle(broken)
     z = clcc_cycle(top_chain(c4), broken)
     assert not is_cycle(z)
+
+
+def test_clcc_cycle_refuses_an_ambient_without_a_support_cube(c4):
+    c6b = gen_cycle(3, prefix="b")
+    path = ColoredComplex.build(2, c4.vertices, [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]])
+    with pytest.raises(DomainError, match="cells not in host at dimension 2"):
+        clcc_cycle(top_chain(c4), top_chain(c6b), ambient=build_clcc(path, c6b))
 
 
 def test_clcc_cycle_requires_smart_pairing(twopt):

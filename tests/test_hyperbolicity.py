@@ -18,7 +18,6 @@ from clcc.hyperbolicity import (
     RULE_LINKS_5_LARGE,
     RULE_PAIRWISE_OBES,
     RULE_RACG_SQUARE,
-    RULE_SIDE_5_LARGE_A,
     RULE_SIDE_5_LARGE_B,
     _is_full_cross_polytope,
 )

@@ -9,7 +9,6 @@ from clcc import (
     barycentric_subdivision_2d,
     build_clcc,
     flag_complex_from_graph,
-    gen_cross_polytope,
     gen_cycle,
     is_5_large,
     is_flag,
@@ -25,6 +24,7 @@ from clcc.simplicial import (
     ColoredComplex,
     CoordSimplex,
     SimplicialComplex,
+    faces_of,
 )
 
 from corpus import (
@@ -40,6 +40,7 @@ from oracles import (
     chordless_squares_reference,
     cliques_reference,
     empty_squares_reference,
+    faces_of_reference,
     is_flag_reference,
 )
 
@@ -97,6 +98,27 @@ def test_closure_errors():
         ColoredComplex.build(2, [("x", 1)], [["x", "z"]])  # unknown id
     with pytest.raises(ComplexError):
         ColoredComplex.build(2, [("x", 3)], [["x"]])  # color out of range
+
+
+def test_faces_of_matches_the_bitmask_closure():
+    r = rng(311)
+    factors = [random_colored_complex(r, r.randint(1, 4)) for _ in range(30)]
+    factors += [K for _ in range(15) for K in random_smart_pair(r) or ()]
+    tops = [[s.entries for s in K.maximal_simplices] for K in factors]
+    tops += [[tuple(sorted(s)) for s in random_two_complex(r).maximal_simplices] for _ in range(10)]
+    abc = ("a", "b", "c")
+    tops += [
+        [],  # no tops, no faces: not even the empty one
+        [()],
+        [abc, abc],  # a repeated top
+        [abc[:1], abc, abc[1:], ()],  # nested tops, shortest first
+        [("a", "b"), ("b", "c"), ("c", "a")],  # one face in two orders
+    ]
+    for ts in tops:
+        assert faces_of(ts) == faces_of_reference(ts)
+    assert faces_of([]) == set()
+    for K in factors:
+        assert faces_of(s.entries for s in K.maximal_simplices) == {s.entries for s in K.simplices}
 
 
 # -- is_flag --------------------------------------------------------------------
