@@ -14,9 +14,9 @@ construction; those carry no pair origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, islice, product
-from operator import attrgetter
+from operator import and_, attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from clcc.canon import csorted
@@ -28,7 +28,9 @@ from clcc.simplicial import (
     ColoredMap,
     CoordSimplex,
     SimplicialComplex,
+    _bits,
     _chordless_squares,
+    _color_mask,
     check_color_count,
     check_same_color_count,
     component_roots,
@@ -421,33 +423,37 @@ def _missing_facet(cubes) -> ComplexError:
 
 
 def _covering_buckets(
-    n: int, by_a: Mapping[frozenset, tuple], by_b: Mapping[frozenset, tuple],
-    grow: Optional[int] = None,
-) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """The buckets of pairs (a, b) whose colors cover {1..n} and overlap in
-    at most `grow` colors (any number when None): (bucket of a's, bucket
-    of b's, overlap colors ascending), every a of one colorset S and every
-    b of one.  The buckets are those of `by_a` and `by_b`, each factor's
-    simplices (or their ranks) by colorset.  Both factors are downward
-    closed, so the b-colorsets covering S are {1..n} - S grown by colors
-    of S, and a grown set that by_b lacks ends its branch: each lookup
-    finds a bucket or ends a branch.  When the largest simplices of the
-    two sides together have fewer than n colors, nothing covers."""
-    if n > max(map(len, by_a)) + max(map(len, by_b)):
+    gamma_a: ColoredComplex, gamma_b: ColoredComplex, grow: Optional[int] = None
+) -> Iterator[tuple[int, int, tuple]]:
+    """The color masks (S, T) of the bucket products of pairs (a, b) whose
+    colors cover {1..n} and overlap in at most `grow` colors (any number
+    when None), with the overlap colors ascending: every a of gamma_a's
+    bucket S and every b of gamma_b's bucket T.  Both factors are
+    downward closed, so the T covering S are {1..n} - S grown by colors
+    of S, and a grown set that gamma_b lacks ends its branch: each lookup
+    finds a bucket or ends a branch.  When the two factors have fewer
+    vertices together than n colors, or their largest simplices fewer
+    colors, nothing covers; the first check comes before any color mask
+    is made, so a huge n, and colors near it, cost nothing."""
+    n = gamma_a.n
+    if n > len(gamma_a._colors) + len(gamma_b._colors):
         return
-    all_colors = frozenset(range(1, n + 1))
-    for colors, bucket_a in by_a.items():
-        stack = [(all_colors - colors, sorted(colors), ())]
+    by_a, by_b = gamma_a._buckets, gamma_b._buckets
+    if n > max(map(int.bit_count, by_a)) + max(map(int.bit_count, by_b)):
+        return
+    full = (1 << n + 1) - 2
+    for colors in by_a:
+        stack = [(full ^ colors, colors, ())]
         while stack:
             need, extra, overlap = stack.pop()
-            bucket_b = by_b.get(need)
-            if bucket_b is None:
+            if need not in by_b:
                 continue
-            yield bucket_a, bucket_b, overlap
+            yield colors, need, overlap
             if grow is None or len(overlap) < grow:
-                stack.extend(
-                    (need | {c}, extra[k + 1:], overlap + (c,)) for k, c in enumerate(extra)
-                )
+                while extra:  # each color of S above the last one grown
+                    low = extra & -extra
+                    extra ^= low
+                    stack.append((need | low, extra, overlap + (low.bit_length() - 1,)))
 
 
 def _pair_cube_counts(
@@ -459,10 +465,8 @@ def _pair_cube_counts(
     `limit`."""
     counts: dict[int, int] = {}
     total = 0
-    for bucket_a, bucket_b, overlap in _covering_buckets(
-        gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset
-    ):
-        size = len(bucket_a) * len(bucket_b)
+    for sa, sb, overlap in _covering_buckets(gamma_a, gamma_b):
+        size = len(gamma_a._buckets[sa]) * len(gamma_b._buckets[sb])
         total += size
         if limit is not None and total > limit:
             return None
@@ -480,9 +484,8 @@ def _pair_vertices(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> list:
     """The vertices of the pair complex, the pairs (a, b) whose colors
     partition {1..n}, in the order of its cells(0), with no cube built."""
     return sorted(
-        (v for bucket_a, bucket_b, _ in _covering_buckets(
-            gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset, grow=0)
-         for v in product(bucket_a, bucket_b)),
+        (v for sa, sb, _ in _covering_buckets(gamma_a, gamma_b, grow=0)
+         for v in product(gamma_a._buckets[sa], gamma_b._buckets[sb])),
         key=_pair_entries,
     )
 
@@ -495,14 +498,13 @@ def _pair_edges(gamma_a: ColoredComplex, gamma_b: ColoredComplex, vertices: list
     place in the entries of each."""
     index = {_pair_entries(v): p for p, v in enumerate(vertices)}
     edges = []
-    for bucket_a, bucket_b, overlap in _covering_buckets(
-        gamma_a.n, gamma_a.by_colorset, gamma_b.by_colorset, grow=1
-    ):
+    for sa, sb, overlap in _covering_buckets(gamma_a, gamma_b, grow=1):
         if not overlap:
             continue
         (i,) = overlap
-        ka = sorted(bucket_a[0].colors).index(i)
-        kb = sorted(bucket_b[0].colors).index(i)
+        bucket_a, bucket_b = gamma_a._buckets[sa], gamma_b._buckets[sb]
+        ka = [c for c, _ in bucket_a[0].entries].index(i)
+        kb = [c for c, _ in bucket_b[0].entries].index(i)
         ends_b = [(b.entries, b.entries[:kb] + b.entries[kb + 1:]) for b in bucket_b]
         for a in bucket_a:
             ea = a.entries
@@ -511,27 +513,27 @@ def _pair_edges(gamma_a: ColoredComplex, gamma_b: ColoredComplex, vertices: list
     return edges
 
 
-def _ranked_buckets(K: ColoredComplex) -> tuple[_Sides, dict]:
-    """The simplices of K ranked by entries, and each colorset bucket as
-    the ranks of its simplices."""
-    side = _ranked(K.simplices)
-    return side, {
-        colors: tuple([side.rank[s.entries] for s in bucket])
-        for colors, bucket in K.by_colorset.items()
-    }
-
-
 def build_clcc(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> CubeComplex:
     """All pairs (a, b) whose colors cover {1..n}; the overlap size is the
     cube dimension and faces shrink either side on an overlap color.  When
     the largest simplices of the two sides together have fewer than n
     colors, no pair covers and the complex is empty.  Each factor's
     simplices are ranked once, and the cubes are assembled from the
-    covering products of the colorset buckets, as ranks."""
+    covering products of the color-mask buckets, as ranks, each bucket
+    ranked on its first product."""
     check_same_color_count(gamma_a, gamma_b)
-    side_a, by_a = _ranked_buckets(gamma_a)
-    side_b, by_b = _ranked_buckets(gamma_b)
-    products = _covering_buckets(gamma_a.n, by_a, by_b)
+    side_a, side_b = _ranked(gamma_a.simplices), _ranked(gamma_b.simplices)
+    ranks: dict = {}  # (side, color mask) -> the ranks of the bucket's simplices
+
+    def ranked(k: int, gamma: ColoredComplex, side: _Sides, mask: int) -> tuple:
+        if (k, mask) not in ranks:
+            ranks[k, mask] = tuple([side.rank[s.entries] for s in gamma._buckets[mask]])
+        return ranks[k, mask]
+
+    products = (
+        (ranked(0, gamma_a, side_a, sa), ranked(1, gamma_b, side_b, sb), overlap)
+        for sa, sb, overlap in _covering_buckets(gamma_a, gamma_b)
+    )
     return _assemble_pair_cubes(gamma_a.n, side_a, side_b, products, (gamma_a, gamma_b))
 
 
@@ -685,6 +687,16 @@ def link_of_cube(X: CubeComplex, cube) -> SimplicialComplex:
 # ----------------------------------------------------------------------
 
 
+def _partnered(K: ColoredComplex, other: ColoredComplex) -> list[tuple]:
+    """The color-mask buckets of K whose simplices have a complementary
+    partner in `other`, one lookup per bucket.  A simplex s has one only
+    when n - |s| colors fit in the vertices of `other`, so when n passes
+    the two vertex counts no bucket has one, and no color mask is made."""
+    if K.n > len(K._colors) + len(other._colors):
+        return []
+    return [bucket for mask, bucket in K._buckets.items() if other._partners(mask)]
+
+
 def smartly_paired(
     gamma_a: ColoredComplex, gamma_b: ColoredComplex
 ) -> tuple[bool, Optional[tuple[str, CoordSimplex]]]:
@@ -693,8 +705,9 @@ def smartly_paired(
     always available."""
     check_same_color_count(gamma_a, gamma_b)
     for side, K, other in (("A", gamma_a, gamma_b), ("B", gamma_b, gamma_a)):
+        partnered = {bucket[0].colors for bucket in _partnered(K, other)}
         for m in K.maximal_simplices:
-            if not other.partners(m.colors):
+            if m.colors not in partnered:
                 return False, (side, m)
     return True, None
 
@@ -706,10 +719,10 @@ def doubly_smartly_paired(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> b
     if not ok:
         return False
     for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
+        partnered = {bucket[0].colors for bucket in _partnered(K, other)}
         for m in K.maximal_simplices:
-            for f in m.facets():
-                if not other.partners(f.colors):
-                    return False
+            if any(f.colors not in partnered for f in m.facets()):
+                return False
     return True
 
 
@@ -735,10 +748,7 @@ def prune_to_smart_pair(
     check_same_color_count(gamma_a, gamma_b)
     kept = []
     for K, other in ((gamma_a, gamma_b), (gamma_b, gamma_a)):
-        partnered = [
-            s.entries for colors, bucket in K.by_colorset.items() if other.partners(colors)
-            for s in bucket
-        ]
+        partnered = [s.entries for bucket in _partnered(K, other) for s in bucket]
         faces = faces_of(partnered)
         kept.append([s for s in K.simplices if s.entries in faces])
     if not kept[0]:
@@ -800,37 +810,42 @@ def conn_graph(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> ConnGraph:
     and the faces that two maximal simplices share."""
     check_same_color_count(gamma_a, gamma_b)
     maximal = gamma_a.maximal_simplices
+    color_masks = [_color_mask(m.colors) for m in maximal]
     nodes, position = [], {}
     for k, m in enumerate(maximal):
-        for b in gamma_b.partners(m.colors):
+        for b in gamma_b._partners(color_masks[k]):
             position[k, b.entries] = len(nodes)
             nodes.append((m, b))
-    entry_sets = [set(m.entries) for m in maximal]
+    # the faces as vertex masks of gamma_a's view, which maps each to its simplex
+    verts, _, faces = gamma_a._view
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    vertex_masks = [sum([bit[v] for _, v in m.entries]) for m in maximal]
     at_vertex: dict = {}
-    for k, m in enumerate(maximal):
-        for _, v in m.entries:
-            at_vertex.setdefault(v, []).append(k)
-    members = {(): range(len(maximal))}  # a shared face -> the maximal k containing it
-    for k, m in enumerate(maximal):
-        for k2 in {k2 for _, v in m.entries for k2 in at_vertex[v] if k2 > k}:
-            f = tuple(e for e in m.entries if e in entry_sets[k2])
+    for k, vm in enumerate(vertex_masks):
+        for q in _bits(vm):
+            at_vertex.setdefault(q, []).append(k)
+    members = {0: range(len(maximal))}  # a shared face -> the maximal k containing it
+    for k, vm in enumerate(vertex_masks):
+        for k2 in {k2 for q in _bits(vm) for k2 in at_vertex[q] if k2 > k}:
+            f = vm & vertex_masks[k2]
             if f not in members:
-                members[f] = [j for j in at_vertex[f[0][1]] if entry_sets[j].issuperset(f)]
+                low = (f & -f).bit_length() - 1
+                members[f] = [j for j in at_vertex[low] if vertex_masks[j] & f == f]
     groups = set()
     for f, ks in members.items():
         if len(ks) < 2:
             continue
-        has = [maximal[j].colors for j in ks]
-        shared = frozenset.intersection(*has)
+        has = [color_masks[j] for j in ks]
+        shared = reduce(and_, has)
         # a group reads c only on the colors some member lacks
         for cut in {
-            tuple(e for e in c.entries if e[0] not in shared)
-            for c in gamma_b.partners(frozenset(color for color, _ in f))
+            tuple([e for e in c.entries if not shared >> e[0] & 1])
+            for c in gamma_b._partners(_color_mask(faces[f].colors))
         }:
-            groups.add(tuple(
-                position[j, tuple(e for e in cut if e[0] not in colors)]
+            groups.add(tuple([
+                position[j, tuple([e for e in cut if not colors >> e[0] & 1])]
                 for j, colors in zip(ks, has)
-            ))
+            ]))
     return ConnGraph(tuple(nodes), frozenset(groups))
 
 
@@ -964,11 +979,11 @@ class _LinkSummary:
 
     @cached_property
     def has_empty_square(self) -> bool:
-        nbrs: dict = {u: set() for u in range(self.size)}
+        adj = [0] * self.size
         for u, v in self.ends:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return bool(_chordless_squares(nbrs))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return bool(_chordless_squares(adj))
 
     @cached_property
     def has_non_adjacent_pair(self) -> bool:

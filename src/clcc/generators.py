@@ -125,30 +125,35 @@ def flag_complex_from_graph(
     """Clique (flag) completion of a colored graph: simplices are exactly
     the cliques, so the result is flag by construction.
 
-    The graph's vertices are the (color, id) entries, so `cliques` yields
-    each clique once, as the sorted entries of its simplex; the cliques
-    are already closed downwards.  The vertices are checked as
-    `ColoredComplex.build` checks them.  Then, as the build of every
-    clique would refuse them: the least undeclared endpoint, in canonical
-    order, is refused, else the least edge joining two vertices of one
-    color.  Self-loops and repeated edges are ignored."""
+    The (color, id) entries are ranked once, in sorted order, and the
+    graph is read as one neighbour mask per rank; `cliques` yields each
+    clique once, as ascending ranks, so its entries come out sorted, as
+    the entries of its simplex; the cliques are already closed downwards.
+    The vertices are checked as `ColoredComplex.build` checks them.
+    Then, as the build of every clique would refuse them: the least
+    undeclared endpoint, in canonical order, is refused, else the least
+    edge joining two vertices of one color.  Self-loops and repeated
+    edges are ignored."""
     colors = check_vertex_colors(n, vertices)
-    adj: dict[tuple, set] = {(c, v): set() for v, c in colors.items()}
+    entries = sorted((c, v) for v, c in colors.items())
+    rank = {v: i for i, (_, v) in enumerate(entries)}
+    adj = [0] * len(entries)
     unknown, clashes = [], []
     for a, b in edges:
         if a not in colors or b not in colors:
             unknown += [v for v in (a, b) if v not in colors]
         elif a != b:
-            ca, cb = colors[a], colors[b]
-            if ca == cb:
+            if colors[a] == colors[b]:
                 clashes.append((a, b))
             else:
-                adj[ca, a].add((cb, b))
-                adj[cb, b].add((ca, a))
+                adj[rank[a]] |= 1 << rank[b]
+                adj[rank[b]] |= 1 << rank[a]
     if unknown:
         raise ComplexError(f"unknown vertex id {min(unknown, key=canon_key)!r}")
     if clashes:
         a, b = min(clashes, key=lambda edge: sorted(map(canon_key, edge)))
         CoordSimplex.of([(colors[a], a), (colors[b], b)])  # refuses one color twice
-    simplices = frozenset([EMPTY_SIMPLEX, *map(CoordSimplex, cliques(adj))])
+    simplices = frozenset([
+        EMPTY_SIMPLEX, *[CoordSimplex(tuple([entries[q] for q in c])) for c in cliques(adj)]
+    ])
     return ColoredComplex(n, colors, simplices)

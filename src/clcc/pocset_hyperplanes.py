@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
-from clcc.simplicial import component_roots
+from clcc.simplicial import _bits, component_roots
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,6 @@ def crossing_graph(X: CubeComplex) -> CrossingGraph:
 def star(element: tuple[str, str]) -> tuple[str, str]:
     pid, side = element
     return (pid, "-" if side == "+" else "+")
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -208,14 +200,17 @@ class Pocset:
         return Pocset.from_relations(pair_ids, relations)
 
 
-def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list]:
+def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
     """The halfspace elements in sorted order, their order as rows (bit j
-    of rows[i] when halfspace i is strictly inside halfspace j), and each
-    halfspace as the mask of its vertices' positions in `X.cells(0)`."""
+    of rows[i] when halfspace i is strictly inside halfspace j), each
+    halfspace as the mask of its vertices' positions in `X.cells(0)`, and
+    for each hyperplane h the component root of each vertex once h's
+    edges are cut: 0 on its "-" side."""
     op = X.opposition
     endpoints = X.facet_positions(1)
     count = len(X.cells(0))
     parts: dict = {}
+    cuts = []
     for h in range(len(op.classes)):
         hid = f"h{h}"
         roots = component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))
@@ -227,10 +222,11 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list]:
         # cells(0) is in canonical order, so the "-" side holds the least vertex
         plus = sum(1 << i for i, r in enumerate(roots) if r)
         parts[(hid, "-")], parts[(hid, "+")] = ((1 << count) - 1) ^ plus, plus
+        cuts.append(roots)
     elements = tuple(sorted(parts))
     masks = [parts[e] for e in elements]
     rows = tuple(sum(1 << j for j, b in enumerate(masks) if a != b and not a & ~b) for a in masks)
-    return elements, rows, masks
+    return elements, rows, masks, cuts
 
 
 def halfspace_pocset(X: CubeComplex) -> Pocset:
@@ -238,11 +234,17 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
 
     Requires every hyperplane to be two-sided: removing its edges must
     split the 1-skeleton into exactly two components.  Quotients with
-    one-sided classes (a torus, say) are rejected."""
-    elements, rows, halves = _halfspaces(X)
+    one-sided classes (a torus, say) are rejected.  Each hyperplane's
+    "+" side is the vertices off the root 0 of its cut, picked in one
+    pass, and its "-" side is the rest."""
+    elements, rows, _, cuts = _halfspaces(X)
     verts = X.cells(0)
-    sides = {e: frozenset(verts[i] for i in _bits(m)) for e, m in zip(elements, halves)}
-    return Pocset(elements, rows, sides=sides)
+    every = frozenset(verts)
+    sides = {}
+    for h, roots in enumerate(cuts):
+        plus = frozenset(compress(verts, roots))
+        sides[f"h{h}", "-"], sides[f"h{h}", "+"] = every - plus, plus
+    return Pocset(elements, rows, sides={e: sides[e] for e in elements})
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +349,7 @@ def roller_duality_check(X: CubeComplex):
     facets, so this compares facet tables only: it makes no rebuild
     complex and reads no vertex sets, and the ultrafilters are built as
     sets only for the mapping, when the verdict is True."""
-    elements, rows, halves = _halfspaces(X)
+    elements, rows, halves, _ = _halfspaces(X)
     S = Pocset(elements, rows)
     verts = X.cells(0)
     signs = [0] * len(verts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from clcc.canon import csorted
 from clcc.errors import ComplexError, PairError
@@ -130,6 +130,13 @@ def _shared_color_set(colors: tuple[int, ...]) -> frozenset[int]:
     return frozenset(colors)
 
 
+@lru_cache(maxsize=4096)
+def _color_mask(colors: frozenset[int]) -> int:
+    """The mask of a color set, bit c for color c, made once per color
+    set: the simplices share their color sets."""
+    return sum([1 << c for c in colors])
+
+
 @dataclass(frozen=True)
 class SquareWitness:
     """Chordless 4-cycle (v, u_plus, w, u_minus); diagonals (v,w), (u+,u-)."""
@@ -152,30 +159,38 @@ class SquareWitness:
         return {"cycle": list(self.cycle), "colors": list(self.colors)}
 
 
-def _chordless_squares(adj: Mapping[object, AbstractSet]) -> list[tuple]:
-    """All chordless 4-cycles of a graph, each once, canonically ordered.
-    The vertices are any ids that `csorted` orders: a factor's vertex ids,
-    or the int positions of a link read off a star.
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
-    Scans the non-adjacent pairs v < w (the candidate diagonals) and then
-    the non-adjacent pairs u < x among their common neighbours.  A square
-    has two diagonals; it is kept only from the one that holds its least
-    vertex (v < u), so it comes out once, as (v, u, w, x) starting at that
-    vertex.  The scan runs on canonical positions.  Quadratic in the
-    vertex count times squared degree, which beats the naive 4-tuple scan
-    at this scale.
-    """
-    verts = csorted(adj)
-    pos = {v: i for i, v in enumerate(verts)}
+
+def _chordless_squares(adj: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """All chordless 4-cycles of a graph on the vertices 0..len(adj)-1,
+    given by one neighbour mask per vertex, each once, in ascending
+    order: a factor's vertex ranks, or the int positions of a link read
+    off a star.
+
+    A square (v, u, w, x) starts at its least vertex v, so u, w and x are
+    above v; its diagonals (v, w) and (u, x) are no edges, and u < x.  So
+    v's neighbours u above v, then u's neighbours w above v and not next
+    to v, then the common neighbours x of v and w above u and not next to
+    u, each walked upwards, list the squares in order with no sort.
+    Quadratic in the vertex count times squared degree, which beats the
+    naive 4-tuple scan at this scale."""
     found = []
-    for v, w in combinations(range(len(verts)), 2):
-        if verts[w] in adj[verts[v]]:
-            continue
-        common = sorted(pos[u] for u in adj[verts[v]] & adj[verts[w]] if pos[u] > v)
-        for u, x in combinations(common, 2):
-            if verts[x] not in adj[verts[u]]:
-                found.append((v, u, w, x))
-    return [tuple(verts[p] for p in sq) for sq in sorted(found)]
+    for v, nv in enumerate(adj):
+        above = -2 << v  # the vertices above v
+        far = above & ~nv
+        for u in _bits(nv & above):
+            nu = adj[u]
+            beyond = ~nu & (-2 << u)
+            for w in _bits(nu & far):
+                found += [(v, u, w, x) for x in _bits(nv & adj[w] & beyond)]
+    return found
 
 
 def check_color_count(n) -> None:
@@ -246,23 +261,35 @@ def connected(count: int, edges: Iterable[tuple[int, int]]) -> bool:
     return count > 0 and not any(component_roots(count, edges))
 
 
-def cliques(adj: Mapping) -> Iterator[tuple]:
-    """The nonempty cliques of a graph, given by its adjacency, as tuples
-    of vertices: level by level (by size), each level in lexicographic
-    order of the vertices' canonical positions.  Each clique carries the
-    positions of the later vertices adjacent to all of it, and grows only
-    by those.  A caller that stops early grows no more."""
-    verts = csorted(adj)
-    level = [((), range(len(verts)))]
+def cliques(adj: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The nonempty cliques of a graph on the vertices 0..len(adj)-1,
+    given by one neighbour mask per vertex, as ascending tuples of
+    vertices: level by level (by size), each level in lexicographic
+    order.  Each clique carries the mask of the later vertices adjacent
+    to all of it, and grows only by those.  A caller that stops early
+    grows no more."""
+    level = [((), (1 << len(adj)) - 1)]
     while level:
         nxt = []
         for clique, after in level:
-            for i, q in enumerate(after):
-                u = verts[q]
-                bigger = clique + (u,)
+            while after:
+                low = after & -after
+                after ^= low
+                q = low.bit_length() - 1
+                bigger = clique + (q,)
                 yield bigger
-                nxt.append((bigger, [r for r in after[i + 1:] if verts[r] in adj[u]]))
+                nxt.append((bigger, after & adj[q]))
         level = nxt
+
+
+class _View(NamedTuple):
+    """A simplicial host on ints: its vertex ids in canonical order (a
+    vertex's rank is its place here), each vertex's neighbours as a mask
+    of ranks, and each simplex by the mask of its vertices' ranks."""
+
+    verts: tuple
+    adj: list
+    masks: dict
 
 
 class CellStore:
@@ -277,7 +304,10 @@ class CellStore:
     cube is its own key.  A simplicial host (`simplices`) keys a simplex
     by an ascending tuple, one item per vertex, that sorts as the simplex
     does; a facet drops one vertex, so its key drops one item.  Its empty
-    simplex is `cells(-1)`, in the table for dimension 0."""
+    simplex is `cells(-1)`, in the table for dimension 0.  It also has one
+    int view (`_view`), from which its maximal simplices, 1-skeleton and
+    clique scan are read: `_items` lists the items of a simplex, one per
+    vertex, and `_item_bits` gives each item its vertex's rank bit."""
 
     def _key(self, cell):
         return cell
@@ -374,26 +404,57 @@ class CellStore:
         return True
 
     @cached_property
+    def _view(self) -> _View:
+        """The host on ints, built once: one pass over the simplices gives
+        each its vertex mask, and each edge its two neighbour bits."""
+        verts = tuple(self.vertex_ids)
+        bit = self._item_bits()
+        items = self._items
+        adj = [0] * len(verts)
+        masks = {}
+        for s in self.simplices:
+            m = 0
+            for x in items(s):
+                m |= bit[x]
+            masks[m] = s
+            if m.bit_count() == 2:
+                low = m & -m
+                adj[low.bit_length() - 1] |= m ^ low
+                adj[(m ^ low).bit_length() - 1] |= low
+        return _View(verts, adj, masks)
+
+    @cached_property
     def maximal_simplices(self) -> tuple:
-        """Cells that no row of the facet table one dimension up lists, in
-        canonical order.  The empty simplex is maximal only in the
-        vertex-less complex."""
+        """The simplices with no one-vertex extension among the simplices,
+        in canonical order.  The candidate extensions of a simplex are the
+        common neighbours of its vertices (every vertex, for the empty
+        simplex), so the empty simplex is maximal only in the vertex-less
+        complex, and a simplex of a flag complex is maximal exactly when
+        its vertices have no common neighbour."""
+        _, adj, masks = self._view
+        every = (1 << len(adj)) - 1
         out = []
-        for d in range(-1, self.top_dim + 1):
-            listed = {p for ps in self.facet_positions(d + 1) for p in ps}
-            out += [c for p, c in enumerate(self.cells(d)) if p not in listed]
-        return tuple(csorted(out))
+        for m, s in masks.items():
+            ext, rest = every, m
+            while rest:
+                low = rest & -rest
+                ext &= adj[low.bit_length() - 1]
+                rest ^= low
+            while ext:
+                low = ext & -ext
+                if m | low in masks:
+                    break
+                ext ^= low
+            else:
+                out.append(s)
+        return tuple(sorted(out, key=self._key))
 
     @cached_property
     def adjacency(self) -> dict:
         """Each vertex id's neighbours in the 1-skeleton of a simplicial
         host, keyed in the order of `vertex_ids`."""
-        nbrs: dict = {v: set() for v in self.vertex_ids}
-        for s in self.cells(1):
-            a, b = _vertex_set(s)
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return {v: frozenset(ns) for v, ns in nbrs.items()}
+        verts, adj, _ = self._view
+        return {v: frozenset([verts[q] for q in _bits(ns)]) for v, ns in zip(verts, adj)}
 
     def is_connected(self) -> bool:
         """One component of 0-cells: a declared vertex in no simplex is no
@@ -405,9 +466,17 @@ class CellStore:
         """The least clique of the 1-skeleton that spans no simplex, or
         None: the one clique scan of a simplicial host, read by `is_flag`.
         `cliques` yields by size, then lexicographically, so the first
-        failure found is the least."""
-        unspanned = (q for q in cliques(self.adjacency) if len(q) > 2 and not self._spans(q))
-        return next(unspanned, None)
+        clique of three or more vertices whose mask is no simplex's is the
+        least failure."""
+        verts, adj, masks = self._view
+        for clique in cliques(adj):
+            if len(clique) > 2:
+                m = 0
+                for q in clique:
+                    m |= 1 << q
+                if m not in masks:
+                    return tuple([verts[q] for q in clique])
+        return None
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cells_by_dim.items() if d >= 0)
@@ -417,9 +486,14 @@ class ColoredComplex(CellStore):
     """Downward-closed family of coordinate simplices over colored vertices.
 
     A simplex's key is its entries: canon_key of a CoordSimplex is
-    (6, entries), so the simplices sort by their entries."""
+    (6, entries), so the simplices sort by their entries.  The vertex ids
+    are strings, kept sorted, which is their canonical order; a simplex's
+    items are its entries."""
 
-    _key = staticmethod(attrgetter("entries"))
+    _key = _items = staticmethod(attrgetter("entries"))
+
+    def _item_bits(self) -> dict:
+        return {(c, v): 1 << i for i, (v, c) in enumerate(self._colors.items())}
 
     def __init__(self, n: int, colors: Mapping[str, int], simplices: frozenset[CoordSimplex]):
         self.n = n
@@ -479,36 +553,49 @@ class ColoredComplex(CellStore):
         at = self._index.get(tuple(sorted((colors[v], v) for v in vids)))
         return None if at is None else self.cells(at[0])[at[1]]
 
-    def _spans(self, vids) -> bool:
-        return self.simplex_with_vertices(vids) is not None
-
     @cached_property
+    def _buckets(self) -> dict[int, tuple[CoordSimplex, ...]]:
+        """The simplices by color mask (bit c for color c), each bucket in
+        canonical order: the simplices are sorted once, and a mask is made
+        once per color set."""
+        groups: dict = {}
+        for s in sorted(self.simplices, key=self._key):
+            groups.setdefault(s.colors, []).append(s)
+        return {_color_mask(colors): tuple(b) for colors, b in groups.items()}
+
+    @property
     def by_colorset(self) -> dict[frozenset[int], tuple[CoordSimplex, ...]]:
-        buckets: dict[frozenset[int], list[CoordSimplex]] = {}
-        for s in self.simplices:
-            buckets.setdefault(s.colors, []).append(s)
-        return {k: tuple(sorted(v, key=self._key)) for k, v in buckets.items()}
+        return {bucket[0].colors: bucket for bucket in self._buckets.values()}
 
     @cached_property
-    def _all_colors(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
+    def _full(self) -> int:
+        return (1 << self.n + 1) - 2
+
+    def _partners(self, mask: int) -> tuple[CoordSimplex, ...]:
+        """The simplices on exactly the colors of 1..n missing from the
+        color mask, `_full ^ mask`.  That mask is formed only when there
+        are no more missing colors than vertices here, so a huge n costs
+        nothing."""
+        if self.n - mask.bit_count() > len(self._colors):
+            return ()
+        return self._buckets.get(self._full ^ mask, ())
 
     def partners(self, colors: frozenset[int]) -> tuple[CoordSimplex, ...]:
-        """The simplices on exactly the colors of 1..n missing from `colors`.
-        The missing colors are formed only when there are no more of them
-        than vertices here, so a huge n costs nothing."""
+        """The simplices on exactly the colors of 1..n missing from
+        `colors`, whose mask is made only past the same guard."""
         if self.n - len(colors) > len(self._colors):
             return ()
-        return self.by_colorset.get(self._all_colors - colors, ())
+        return self._partners(_color_mask(frozenset(colors)))
 
     @cached_property
     def squares(self) -> tuple[SquareWitness, ...]:
         """The chordless 4-cycles of the 1-skeleton, lexicographically
         ordered: the one scan that every square predicate reads."""
+        verts, adj, _ = self._view
         c = self._colors
         return tuple(
-            SquareWitness(v, u, w, x, (c[v], c[u], c[w], c[x]))
-            for v, u, w, x in _chordless_squares(self.adjacency)
+            SquareWitness(*ids, tuple([c[v] for v in ids]))
+            for ids in [[verts[q] for q in sq] for sq in _chordless_squares(adj)]
         )
 
     @cached_property
@@ -641,15 +728,19 @@ class SimplicialComplex(CellStore):
     def _key(self, s: frozenset) -> tuple[int, ...]:
         return tuple(sorted(map(self._rank.__getitem__, s)))
 
+    @staticmethod
+    def _items(s: frozenset) -> frozenset:
+        return s
+
+    def _item_bits(self) -> dict:
+        return {v: 1 << i for v, i in self._rank.items()}
+
     @property
     def augmentation_cell(self) -> frozenset:
         return frozenset()
 
     def __contains__(self, simplex: frozenset) -> bool:
         return frozenset(simplex) in self.simplices
-
-    def _spans(self, vids) -> bool:
-        return frozenset(vids) in self.simplices
 
     def degree(self, v) -> int:
         return len(self.adjacency[v])

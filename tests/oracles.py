@@ -665,7 +665,18 @@ def flag_complex_from_graph_reference(n, vertices, edges) -> ColoredComplex:
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    return ColoredComplex.build(n, vertices, cliques(adj))
+    verts, masks = mask_graph(adj)
+    return ColoredComplex.build(n, vertices, [[verts[q] for q in c] for c in cliques(masks)])
+
+
+def mask_graph(adj) -> tuple[list, list[int]]:
+    """A graph given by its adjacency (vertex -> neighbours) in the int
+    form that `cliques` and `_chordless_squares` read: its vertices in
+    canonical order, and each one's neighbours as the mask of their
+    places in that order."""
+    verts = csorted(adj)
+    rank = {v: i for i, v in enumerate(verts)}
+    return verts, [sum(1 << rank[u] for u in adj[v]) for v in verts]
 
 
 def chordless_squares_reference(adj) -> list[tuple]:

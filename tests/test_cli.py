@@ -394,18 +394,43 @@ def test_huge_n_in_a_tiny_document_is_cheap():
     complex_doc = canonical_json({"n": n, "cubes": []})
     vertex = {"n": n, "vertices": [{"id": "v", "color": 1}], "maximal_simplices": [["v"]]}
     points = canonical_json({"gamma_a": vertex, "gamma_b": vertex})
+    point = canonical_json(vertex)
     outputs = {}
     for command, doc in (("homology", complex_doc), ("hyperplanes", complex_doc),
                          ("build", pair), ("connect", pair), ("connect", points),
-                         ("check npc", points), ("check pairwise", points), ("certify", points)):
+                         ("check npc", points), ("check pairwise", points), ("certify", points),
+                         ("check smart", points), ("check flag", point),
+                         ("check 5large", point), ("check obes", point)):
         p = subprocess.run(
             CLCC + command.split() + ["-"], input=doc, capture_output=True, text=True,
             env=_ENV, preexec_fn=_limit_address_space, timeout=60,
         )
-        assert p.returncode == 0, p.stderr
+        # a smart pair needs a partner of the one vertex: n - 1 missing colors
+        assert p.returncode == (1 if command == "check smart" else 0), p.stderr
         outputs[command, doc] = out_json(p)
     assert outputs["build", pair] == {"n": n, "cubes": []}
     assert outputs["connect", pair]["connected"] is False
+    assert outputs["check smart", points]["witness"] == {"side": "A", "simplex": ["v"]}
+    for prop in ("flag", "5large", "obes"):
+        assert outputs[f"check {prop}", point]["holds"] is True
+
+
+def test_colors_near_a_huge_n_are_cheap():
+    # a color set is a mask with bit c for color c, so 200 vertices of
+    # colors near n = 10^8 would make 200 masks of 12.5 MB each if a pair
+    # built them before finding that n passes its vertex counts
+    n = 100_000_000
+    vertices = [{"id": f"v{k}", "color": n - k} for k in range(200)]
+    side = {"n": n, "vertices": vertices, "maximal_simplices": [[v["id"]] for v in vertices]}
+    pair = canonical_json({"gamma_a": side, "gamma_b": side})
+    for command in ("build", "connect", "check smart", "certify"):
+        p = subprocess.run(
+            CLCC + command.split() + ["-"], input=pair, capture_output=True, text=True,
+            env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+        )
+        assert p.returncode == (1 if command == "check smart" else 0), p.stderr
+        if command == "build":
+            assert out_json(p) == {"n": n, "cubes": []}
 
 
 def test_a_wide_side_in_a_tiny_document_is_cheap():

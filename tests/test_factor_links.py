@@ -121,7 +121,7 @@ def compare_paths(ga, gb) -> Counter:
     assert list(tags.items()) == list(expected_tags.items())
     assert_loads_back(X, expected_tags)
 
-    squares = {v: bool(_chordless_squares(L.adjacency)) for v, L in adjacency.items()}
+    squares = {v: bool(_chordless_squares(L._view.adj)) for v, L in adjacency.items()}
     for v, L in adjacency.items():
         assert links.has_empty_square(v) == squares[v]
         assert links.is_flag(v) == is_flag(L)[0]
@@ -259,7 +259,7 @@ def test_factor_link_star_reads_equal_the_built_link():
                     L.top_dim,
                     len(L.vertex_ids),
                     any(len(ns) < len(L.vertex_ids) - 1 for ns in L.adjacency.values()),
-                    bool(_chordless_squares(L.adjacency)),
+                    bool(_chordless_squares(L._view.adj)),
                     is_flag(L)[0],
                 ), s
                 seen.update(f"{k}={v}" for k, v in zip(("pair", "square", "flag"), reads[2:]))

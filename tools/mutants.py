@@ -1,0 +1,185 @@
+"""Committed mutants for the fast paths: each must make its named tests fail.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py 3 7        # the mutants numbered 3 and 7
+
+Each entry of MUTANTS is (file, exact old text, new text, the tests that
+must fail).  The old text must occur exactly once in its file; if any
+does not, the command names it and exits 2 before running anything, so
+the list cannot go stale unseen.  Then the named tests run once on an
+unmutated copy of the tree (they must pass there), and for each mutant
+the tree is copied to a temporary directory, the mutant applied, and its
+tests run with `pytest -x`.  It prints "killed" when they fail, and
+"survived" when they pass.  The exit code is 0 only when every mutant is
+killed.  A mutant that survives stays on the list and is reported as a
+fault of the tests.  This is not part of Tier-1; a full run takes under
+a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+HOMOLOGY = "src/clcc/homology_z2.py"
+CORE = "src/clcc/clcc_core.py"
+SIMPLICIAL = "src/clcc/simplicial.py"
+POCSET = "src/clcc/pocset_hyperplanes.py"
+
+MUTANTS = [
+    (  # clearing switched off: every row of each boundary matrix is eliminated
+        HOMOLOGY,
+        "kept = [ps for q, ps in enumerate(host.facet_positions(k)) if q not in cleared]",
+        "kept = list(host.facet_positions(k))",
+        ["tests/test_homology.py::test_homology_command_ranks_each_boundary_matrix_once",
+         "tests/test_homology.py::test_clearing_reaches_every_boundary_matrix_below_the_top"],
+    ),
+    (  # the opposition walk no longer checks a square's second pair
+        CORE,
+        "        if x == u or x == v or y == u or y == v:  # g meets h\n",
+        "        if False:  # g meets h\n",
+        ["tests/test_hyperplane_cache.py::test_square_without_two_opposite_pairs_raises"],
+    ),
+    (  # the final union-find pass run downwards
+        SIMPLICIAL,
+        "    for x in range(count):\n        root[x] = root[root[x]]",
+        "    for x in reversed(range(count)):\n        root[x] = root[root[x]]",
+        ["tests/test_shared_helpers.py::test_component_roots_equal_networkx_components"],
+    ),
+    (  # sageev grows a cube by the pairs p ascending
+        POCSET,
+        "for p in reversed(range(shift)) if m >> p & 1)",
+        "for p in range(shift) if m >> p & 1)",
+        ["tests/test_canonical_order.py::test_sageev_sweep_matches_reference"],
+    ),
+    (  # sageev without the p < min T bound
+        POCSET,
+        "                if p < low:\n",
+        "                if True:\n",
+        ["tests/test_canonical_order.py::test_sageev_sweep_matches_reference"],
+    ),
+    (  # maximal simplices: any common neighbour counts as an extension
+        SIMPLICIAL,
+        "                if m | low in masks:\n",
+        "                if True:\n",
+        ["tests/test_shared_helpers.py::test_maximal_simplices_equal_the_pairwise_comparison",
+         "tests/test_factor_view.py::test_views_match_the_references_on_the_census_and_built_factors"],
+    ),
+    (  # cliques (and so the flag witness) grown from the highest bit
+        SIMPLICIAL,
+        "                low = after & -after\n",
+        "                low = 1 << after.bit_length() - 1\n",
+        ["tests/test_shared_helpers.py::test_cliques_equal_every_pairwise_adjacent_subset",
+         "tests/test_simplicial.py::test_flag_matches_reference_on_corpus"],
+    ),
+    (  # the square scan without the u > v bound
+        SIMPLICIAL,
+        "        for u in _bits(nv & above):\n",
+        "        for u in _bits(nv):\n",
+        ["tests/test_shared_helpers.py::test_chordless_squares_equal_the_four_tuple_scan",
+         "tests/test_factor_predicates.py::test_square_scan_matches_per_pair_subcomplex_scans"],
+    ),
+    (  # the complement of a color mask taken as ~mask, in partners
+        SIMPLICIAL,
+        "return self._buckets.get(self._full ^ mask, ())",
+        "return self._buckets.get(~mask, ())",
+        ["tests/test_factor_view.py::test_pair_predicates_match_the_references",
+         "tests/test_factor_predicates.py::test_prune_matches_the_pruning_loop"],
+    ),
+    (  # the complement of a color mask taken as ~mask, in the covering buckets
+        CORE,
+        "stack = [(full ^ colors, colors, ())]",
+        "stack = [(~colors, colors, ())]",
+        ["tests/test_facet_table.py::test_pair_cube_counts_equal_the_built_complex",
+         "tests/test_shared_helpers.py::test_both_connectivity_engines_equal_the_built_complex_and_networkx"],
+    ),
+    (  # the covering buckets read before the vertex counts are checked
+        CORE,
+        "    if n > len(gamma_a._colors) + len(gamma_b._colors):\n        return\n",
+        "",
+        ["tests/test_cli.py::test_colors_near_a_huge_n_are_cheap"],
+    ),
+    (  # the partnered buckets read before the vertex counts are checked
+        CORE,
+        "    if K.n > len(K._colors) + len(other._colors):\n        return []\n",
+        "",
+        ["tests/test_cli.py::test_colors_near_a_huge_n_are_cheap"],
+    ),
+    (  # a factor's squares scanned on every ask
+        SIMPLICIAL,
+        "    @cached_property\n    def squares(self)",
+        "    @property\n    def squares(self)",
+        ["tests/test_factor_predicates.py::test_certify_scans_each_factor_once"],
+    ),
+    (  # a host's cliques scanned on every ask
+        SIMPLICIAL,
+        "    @cached_property\n    def _flag_witness(self)",
+        "    @property\n    def _flag_witness(self)",
+        ["tests/test_factor_predicates.py::test_flagness_is_asked_once_per_complex"],
+    ),
+    (  # the halfspace sides swapped
+        POCSET,
+        'sides[f"h{h}", "-"], sides[f"h{h}", "+"] = every - plus, plus',
+        'sides[f"h{h}", "-"], sides[f"h{h}", "+"] = plus, every - plus',
+        ["tests/test_hyperplane_cache.py::test_seeded_pairs_match_references",
+         "tests/test_hyperplane_cache.py::test_generic_hosts_match_references"],
+    ),
+]
+
+
+def copy_tree(dest: Path) -> Path:
+    """The sources, tests and project file, without caches."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    return dest
+
+
+def run_tests(tree: Path, tests: list[str]) -> int:
+    env = {"PYTHONPATH": str(tree / "src"), "PATH": "/usr/bin:/bin", "HOME": str(tree)}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    stale = [
+        (k, path) for k, (path, old, _, _) in enumerate(MUTANTS, 1)
+        if (ROOT / path).read_text().count(old) != 1
+    ]
+    for k, path in stale:
+        print(f"mutant {k}: its old text does not occur exactly once in {path}")
+    if stale:
+        return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({t for k in chosen for t in MUTANTS[k - 1][3]})
+        if run_tests(copy_tree(Path(tmp) / "base"), tests) != 0:
+            print("the named tests fail on the unmutated tree")
+            return 2
+        survived = 0
+        for k in chosen:
+            path, old, new, tests = MUTANTS[k - 1]
+            tree = copy_tree(Path(tmp) / f"mutant{k}")
+            target = tree / path
+            target.write_text(target.read_text().replace(old, new))
+            code = run_tests(tree, tests)
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            survived += code != 1
+            print(f"mutant {k} ({path}): {verdict}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - survived} of {len(chosen)} killed in {time.perf_counter() - start:.0f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
