@@ -14,7 +14,7 @@ construction; those carry no pair origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations, islice, product
 from operator import and_, attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -29,7 +29,6 @@ from clcc.simplicial import (
     CoordSimplex,
     SimplicialComplex,
     _bits,
-    _chordless_squares,
     _color_mask,
     check_color_count,
     check_same_color_count,
@@ -873,17 +872,17 @@ def is_npc(gamma_a: ColoredComplex, gamma_b: ColoredComplex):
     Flag inputs settle it immediately; otherwise every vertex link is
     checked for flagness (exact, since the complex is non-positively
     curved iff all vertex links are flag).  A join is flag iff both
-    factor links are, so the walk needs no built complex; the first
-    failing vertex gets its minimal non-spanning clique from its link in
-    the pair complex, which is built only then.  Returns (verdict,
-    method, witness)."""
-    flag_a, _ = is_flag(gamma_a)
-    flag_b, _ = is_flag(gamma_b)
-    if flag_a and flag_b:
+    factor links are, so the walk builds each factor link once and no
+    pair complex; the first failing vertex gets its minimal non-spanning
+    clique from its link in the pair complex, which is built only then.
+    Returns (verdict, method, witness)."""
+    check_same_color_count(gamma_a, gamma_b)
+    if is_flag(gamma_a)[0] and is_flag(gamma_b)[0]:
         return True, "flag-inputs", None
-    links = _JoinLinks(gamma_a, gamma_b)
-    for v in links.vertices():
-        if not links.is_flag(v):
+    flag_a = cache(lambda a: is_flag(gamma_a.link(a))[0])
+    flag_b = cache(lambda b: is_flag(gamma_b.link(b))[0])
+    for v in _pair_vertices(gamma_a, gamma_b):
+        if not (flag_a(v[0]) and flag_b(v[1])):
             _, clique = is_flag(build_clcc(gamma_a, gamma_b).link(v))
             return False, "direct-links", (v, clique)
     return True, "direct-links", None
@@ -897,21 +896,39 @@ def classify_vertex_links(X: CubeComplex) -> dict:
                two triangles, vertex links circles) with chi = 2.
 
     A pair-built complex tags its links from the factor links by the join
-    formula; a complex with no defining pair (loaded from JSON, or built
-    by hand) tags each vertex's link off its star in X.  Either way the
-    tags are read by `_LinkSummary`, and no link complex is built.
+    formula lk(a, b) = lk_A(a) * lk_B(b), each factor simplex summarised
+    once per call; a complex with no defining pair (loaded from JSON, or
+    built by hand) tags each vertex's link off its star in X.  Either way
+    the tags are read by `_LinkSummary`, and no link complex is built.
     """
-    if X.defining_pair is not None:
-        links = _JoinLinks(*X.defining_pair)
-        return {v: links.tag(v) for v in X.cells(0)}
-    return {v: _LinkSummary(X, v).tag for v in X.cells(0)}
+    if X.defining_pair is None:
+        return {v: _LinkSummary(X, v).tag for v in X.cells(0)}
+    gamma_a, gamma_b = X.defining_pair
+    link_a, link_b = cache(partial(_LinkSummary, gamma_a)), cache(partial(_LinkSummary, gamma_b))
+    return {v: _join_tag(link_a(v[0]), link_b(v[1])) for v in X.cells(0)}
+
+
+def _join_tag(la: _LinkSummary, lb: _LinkSummary) -> str:
+    """The tag of the join la * lb of two links, from their dimensions,
+    sizes and tags."""
+    if lb.dim < 0:
+        return la.tag
+    if la.dim < 0:
+        return lb.tag
+    if la.dim + lb.dim + 1 >= 3:
+        return "unknown"
+    if la.dim == lb.dim == 0:  # K_{p,q}: a circle only as the 4-cycle
+        return "circle" if la.size == lb.size == 2 else "other"
+    # p points against a 1-dim link: a 2-sphere only as the suspension
+    # of a circle
+    points, line = (la, lb) if la.dim == 0 else (lb, la)
+    return "2-sphere" if points.size == 2 and line.tag == "circle" else "other"
 
 
 class _LinkSummary:
-    """The link of a cell of any host (a cube, a factor simplex, or a whole
-    complex's empty simplex), read off the cell's star, walked once, on
-    positions: each invariant on first use, and only `is_flag` builds the
-    link.
+    """The tag of the link of a cell of any host (a cube, a factor
+    simplex, or a whole complex's empty simplex), read off the cell's
+    star, walked once, on positions; no link is built.
 
     A link k-simplex is a coface k + 1 dimensions up: the star's depth is
     the link's dimension, its first level above the cell the link
@@ -921,7 +938,7 @@ class _LinkSummary:
     levels (`_vertex_links_are_circles`)."""
 
     def __init__(self, host: CellStore, cell):
-        self.host, self.cell, self.star = host, cell, list(host._star(cell))
+        self.host, self.star = host, list(host._star(cell))
         self.dim = len(self.star) - 2
         self.size = len(self.star[1][1]) if self.dim >= 0 else 0
 
@@ -976,80 +993,6 @@ class _LinkSummary:
                     if other != flag:
                         joins.append((other, flag))
         return len(set(component_roots(2 * len(edges), joins))) == len(verts)
-
-    @cached_property
-    def has_empty_square(self) -> bool:
-        adj = [0] * self.size
-        for u, v in self.ends:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return bool(_chordless_squares(adj))
-
-    @cached_property
-    def has_non_adjacent_pair(self) -> bool:
-        edges = len(self.star[2][1]) if self.dim >= 1 else 0
-        return edges < self.size * (self.size - 1) // 2
-
-    @cached_property
-    def is_flag(self) -> bool:
-        return is_flag(self.host.link(self.cell))[0]
-
-
-class _JoinLinks:
-    """Vertex-link invariants of the pair complex of (gamma_a, gamma_b)
-    from lk(a, b) = lk_A(a) * lk_B(b), without building the complex.
-
-    Factor-link summaries are memoised per simplex for the life of this
-    object, and each call creates its own: a simplex is a value, and the
-    same simplex has other links in other complexes."""
-
-    def __init__(self, gamma_a: ColoredComplex, gamma_b: ColoredComplex):
-        check_same_color_count(gamma_a, gamma_b)
-        self.gamma_a, self.gamma_b = gamma_a, gamma_b
-        self._memo_a: dict = {}
-        self._memo_b: dict = {}
-
-    def vertices(self) -> list:
-        """The complementary pairs (a, b), in the order of X.cells(0)."""
-        return _pair_vertices(self.gamma_a, self.gamma_b)
-
-    def _factor_links(self, v) -> tuple[_LinkSummary, _LinkSummary]:
-        a, b = v
-        if a not in self._memo_a:
-            self._memo_a[a] = _LinkSummary(self.gamma_a, a)
-        if b not in self._memo_b:
-            self._memo_b[b] = _LinkSummary(self.gamma_b, b)
-        return self._memo_a[a], self._memo_b[b]
-
-    def tag(self, v) -> str:
-        la, lb = self._factor_links(v)
-        if lb.dim < 0:
-            return la.tag
-        if la.dim < 0:
-            return lb.tag
-        if la.dim + lb.dim + 1 >= 3:
-            return "unknown"
-        if la.dim == lb.dim == 0:  # K_{p,q}: a circle only as the 4-cycle
-            return "circle" if la.size == lb.size == 2 else "other"
-        # p points against a 1-dim link: a 2-sphere only as the
-        # suspension of a circle
-        points, line = (la, lb) if la.dim == 0 else (lb, la)
-        return "2-sphere" if points.size == 2 and line.tag == "circle" else "other"
-
-    def has_empty_square(self, v) -> bool:
-        """A chordless 4-cycle of a graph join lies in one side, or has
-        one diagonal in each side (the 5-large condition for joins, as in
-        Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature, 2006)."""
-        la, lb = self._factor_links(v)
-        return (
-            la.has_empty_square
-            or lb.has_empty_square
-            or (la.has_non_adjacent_pair and lb.has_non_adjacent_pair)
-        )
-
-    def is_flag(self, v) -> bool:
-        la, lb = self._factor_links(v)
-        return la.is_flag and lb.is_flag
 
 
 # ----------------------------------------------------------------------

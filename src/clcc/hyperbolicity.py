@@ -9,12 +9,13 @@ converse available for the right-angled Coxeter shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
 from clcc.canon import digest
 from clcc.errors import DomainError
-from clcc.clcc_core import _JoinLinks
+from clcc.clcc_core import _pair_vertices
 from clcc.generators import gen_barycentric_pair
 from clcc.simplicial import (
     ColoredComplex,
@@ -73,7 +74,17 @@ def _is_full_cross_polytope(K: ColoredComplex) -> bool:
     if len(K.vertex_ids) != 2 * n:
         return False
     return (all(len(K.color_class(c)) == 2 for c in range(1, n + 1))
-            and len(K.cells(1)) == 2 * n * (n - 1))
+            and sum(map(int.bit_count, K._view.adj)) // 2 == 2 * n * (n - 1))
+
+
+def _join_has_empty_square(link_a: tuple[bool, bool], link_b: tuple[bool, bool]) -> bool:
+    """Whether the join of two flag links has a chordless 4-cycle, from
+    each link's `_link_squares`: the cycle lies in one side, or has one
+    diagonal in each side, so both sides have a non-adjacent pair (the
+    5-large condition for joins, as in Januszkiewicz-Swiatkowski,
+    Simplicial nonpositive curvature, 2006)."""
+    (square_a, gap_a), (square_b, gap_b) = link_a, link_b
+    return square_a or square_b or (gap_a and gap_b)
 
 
 def _at_most_one_vertex_per_color(K: ColoredComplex) -> bool:
@@ -86,8 +97,8 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     sides with only bicolor empty squares; (3) full-cross-polytope
     against a one-vertex-per-color complex with an empty square, which is
     NotHyperbolic by the exact Coxeter criterion; (4) every vertex link
-    of the pair complex 5-large, decided from the factor links by the
-    join formula.  Anything else is Unknown."""
+    of the pair complex 5-large, decided from the flag factors' links by
+    the join formula.  Anything else is Unknown."""
     check_same_color_count(gamma_a, gamma_b)
     dig = _pair_digest(gamma_a, gamma_b)
     flag_a, clique_a = is_flag(gamma_a)
@@ -133,9 +144,10 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
             "NotHyperbolic", RULE_RACG_SQUARE, {"side": "A", **sq_a.to_json_dict()}, dig
         )
 
-    links = _JoinLinks(gamma_a, gamma_b)
-    vertices = links.vertices()
-    if vertices and not any(links.has_empty_square(v) for v in vertices):
+    # both sides are flag, so each factor link is read off its view
+    vertices = _pair_vertices(gamma_a, gamma_b)
+    link_a, link_b = cache(gamma_a._link_squares), cache(gamma_b._link_squares)
+    if vertices and not any(_join_has_empty_square(link_a(a), link_b(b)) for a, b in vertices):
         return Certificate(
             "Hyperbolic", RULE_LINKS_5_LARGE, {"links_checked": len(vertices)}, dig
         )

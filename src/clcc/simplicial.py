@@ -171,8 +171,9 @@ def _bits(mask: int) -> list[int]:
 def _chordless_squares(adj: Sequence[int]) -> list[tuple[int, int, int, int]]:
     """All chordless 4-cycles of a graph on the vertices 0..len(adj)-1,
     given by one neighbour mask per vertex, each once, in ascending
-    order: a factor's vertex ranks, or the int positions of a link read
-    off a star.
+    order: a factor's vertex ranks, scanned once per factor; a flag
+    factor's links take their squares from that scan, not from one of
+    their own.
 
     A square (v, u, w, x) starts at its least vertex v, so u, w and x are
     above v; its diagonals (v, w) and (u, x) are no edges, and u < x.  So
@@ -588,15 +589,35 @@ class ColoredComplex(CellStore):
         return self._partners(_color_mask(frozenset(colors)))
 
     @cached_property
+    def _square_ranks(self) -> list[tuple[int, int, int, int]]:
+        """The one square scan, on the view's ranks: read by `squares` and
+        by the links of `_link_squares`."""
+        return _chordless_squares(self._view.adj)
+
+    @cached_property
     def squares(self) -> tuple[SquareWitness, ...]:
         """The chordless 4-cycles of the 1-skeleton, lexicographically
-        ordered: the one scan that every square predicate reads."""
-        verts, adj, _ = self._view
+        ordered: every square predicate reads them."""
+        verts = self._view.verts
         c = self._colors
         return tuple(
             SquareWitness(*ids, tuple([c[v] for v in ids]))
-            for ids in [[verts[q] for q in sq] for sq in _chordless_squares(adj)]
+            for ids in [[verts[q] for q in sq] for sq in self._square_ranks]
         )
+
+    def _link_squares(self, s: CoordSimplex) -> tuple[bool, bool]:
+        """Whether the link of s has a chordless square, and whether two of
+        its vertices are not adjacent, for a flag complex: there the link
+        of s is the full subcomplex on the common neighbours of the
+        vertices of s (the 0-cells for the empty simplex), so its squares
+        are the complex's squares inside those neighbours."""
+        verts, adj, masks = self._view
+        common = sum([1 << q for q in range(len(verts)) if 1 << q in masks])
+        for _, v in s.entries:
+            common &= adj[verts.index(v)]
+        square = any(common >> v & common >> u & common >> w & common >> x & 1
+                     for v, u, w, x in self._square_ranks)
+        return square, any(common & ~adj[q] != 1 << q for q in _bits(common))
 
     @cached_property
     def bicolor_squares(self) -> dict[tuple[int, int], SquareWitness]:

@@ -132,6 +132,13 @@ def test_build_rejects_mismatched_n(c4, o3):
         build_clcc(c4, o3)
 
 
+def test_pair_predicates_refuse_mismatched_n(c6, o3):
+    # two flag factors: is_npc checks the counts before its flag shortcut
+    for predicate in (is_npc, smartly_paired, is_connected):
+        with pytest.raises(PairError, match="color counts differ: 2 vs 3"):
+            predicate(c6, gen_cross_polytope(3, prefix="b"))
+
+
 def test_cube_structure_invariants(c4):
     X = build_clcc(c4, gen_cycle(3, prefix="b"))
     for d in range(X.top_dim + 1):

@@ -91,6 +91,15 @@ def test_check_smart_and_npc():
     assert out_json(run(["check", "npc", "-"], stdin=pair))["holds"] is True
 
 
+def test_check_npc_refuses_mismatched_n():
+    pair = canonical_json({"gamma_a": gen_cycle(3).to_json_dict(),
+                           "gamma_b": gen_cross_polytope(3, prefix="b").to_json_dict()})
+    p = run(["check", "npc", "-"], stdin=pair, check=False)
+    assert p.returncode == 1
+    error = {"command": "check", "type": "PairError", "message": "color counts differ: 2 vs 3"}
+    assert out_json(p) == {"error": error}
+
+
 def test_check_5large_positive():
     c6 = run(["generate", "cycle", "--k", "3"]).stdout
     assert out_json(run(["check", "5large", "-"], stdin=c6))["holds"] is True

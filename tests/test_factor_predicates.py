@@ -9,13 +9,14 @@ planted-square pairs, and barycentric subdivisions."""
 
 from __future__ import annotations
 
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import clcc.simplicial as simplicial
 from clcc import certify, flag_complex_from_graph, is_npc, prune_to_smart_pair
-from clcc.clcc_core import _LinkSummary
 from clcc.generators import gen_barycentric_pair
-from clcc.hyperbolicity import RULE_PAIRWISE_OBES
+from clcc.hyperbolicity import ALL_RULES, RULE_LINKS_5_LARGE, RULE_PAIRWISE_OBES
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
     ColoredComplex,
@@ -184,10 +185,32 @@ def test_certify_scans_each_factor_once(monkeypatch):
     assert scans
 
 
+def benchmark_census(seed: int) -> list:
+    """The `random-pairs` census of `perfbench/inputs.py` at this seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.random_pair_census(lambda _, f, *args: f(*args), seed, 300)
+
+
+def test_certify_builds_no_factor_cell_store():
+    """Rule 4 reads the flag factors' links off their int views, and rule
+    3 counts edges there, so certify on the pruned seed-1 census pairs
+    fills no factor's cells, index or coface table."""
+    reached = 0
+    for _, ga, gb in benchmark_census(1):
+        pa, pb = (fresh(K) for K in prune_to_smart_pair(ga, gb))
+        cert = certify(pa, pb)
+        reached += cert.rule == RULE_LINKS_5_LARGE or cert.attempted == ALL_RULES
+        for K in (pa, pb):
+            assert not {"_cells_by_dim", "_index", "_cofaces"} & K.__dict__.keys(), cert
+    assert reached
+
+
 def test_flagness_is_asked_once_per_complex(monkeypatch):
     """`is_flag`, then `certify`, then `is_npc` scan each factor's cliques
-    once.  A fresh copy scans again, and so does every link that a link
-    summary builds."""
+    once.  A fresh copy scans again, and so does every built link."""
     scanned = []
     scan = simplicial.cliques
     monkeypatch.setattr(simplicial, "cliques", lambda adj: scanned.append(adj) or scan(adj))
@@ -210,7 +233,7 @@ def test_flagness_is_asked_once_per_complex(monkeypatch):
     for K in complexes():
         cells = (EMPTY_SIMPLEX, *K.cells(0)[:2], *K.cells(1)[:1])
         scanned.clear()
-        got = [_LinkSummary(K, s).is_flag for s in cells]
+        got = [is_flag(K.link(s))[0] for s in cells]
         assert len(scanned) == len(cells)
         assert got == [is_flag_reference(K.link(s))[0] for s in cells]
         links += len(cells)

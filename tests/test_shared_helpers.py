@@ -26,7 +26,7 @@ from clcc import (
     prune_to_smart_pair,
 )
 from clcc import clcc_core
-from clcc.clcc_core import _empty_complex, _JoinLinks, conn_graph, smartly_paired
+from clcc.clcc_core import _empty_complex, _pair_vertices, conn_graph, smartly_paired
 from clcc.errors import DomainError
 from clcc.pocset_hyperplanes import sageev
 from clcc.simplicial import (
@@ -280,7 +280,7 @@ def test_both_connectivity_engines_equal_the_built_complex_and_networkx():
         edges = (tuple(X.vertices_of(e)) for e in X.cells(1))
         assert _connected_by_networkx(X.cells(0), edges) == expect
         assert is_connected(ga, gb, "bfs") == expect
-        assert _JoinLinks(ga, gb).vertices() == list(X.cells(0))
+        assert _pair_vertices(ga, gb) == list(X.cells(0))
         seen.add(("bfs", expect))
         if smartly_paired(ga, gb)[0]:
             assert is_connected(ga, gb, "criterion") == expect

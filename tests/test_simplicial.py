@@ -419,6 +419,23 @@ def test_flag_link_equals_full_subcomplex_on_common_neighbours(K):
         assert K.link(s) == K.full_subcomplex(nbrs)
 
 
+@given(flag_complexes())
+@settings(max_examples=60, deadline=None)
+def test_flag_link_squares_are_read_off_the_view(K):
+    """`_link_squares` answers, for the link of every simplex of a flag
+    complex, what the built link's own square scan and adjacency answer;
+    a declared vertex in no simplex is no link vertex of the empty one."""
+    ghost = ColoredComplex(K.n, {**dict(K.vertices), "zz": 1}, K.simplices)
+    for host in (K, ghost):
+        for s in host.simplices:
+            L = host.link(s)
+            size = len(L.vertex_ids)
+            assert host._link_squares(s) == (
+                bool(chordless_squares_reference(L.adjacency)),
+                any(len(ns) < size - 1 for ns in L.adjacency.values()),
+            ), s
+
+
 def test_relabeling_that_merges_vertices_is_refused():
     K = ColoredComplex.build(2, [("a", 1), ("b", 1), ("c", 2)], [["a", "c"], ["b", "c"]])
     for host in (K, SimplicialComplex.from_maximal("abc", [["a", "c"], ["b", "c"]])):

@@ -33,6 +33,8 @@ HOMOLOGY = "src/clcc/homology_z2.py"
 CORE = "src/clcc/clcc_core.py"
 SIMPLICIAL = "src/clcc/simplicial.py"
 POCSET = "src/clcc/pocset_hyperplanes.py"
+HYPERBOLICITY = "src/clcc/hyperbolicity.py"
+FACTOR_LINKS = "tests/test_factor_links.py"
 
 MUTANTS = [
     (  # clearing switched off: every row of each boundary matrix is eliminated
@@ -115,8 +117,8 @@ MUTANTS = [
     ),
     (  # a factor's squares scanned on every ask
         SIMPLICIAL,
-        "    @cached_property\n    def squares(self)",
-        "    @property\n    def squares(self)",
+        "    @cached_property\n    def _square_ranks(self)",
+        "    @property\n    def _square_ranks(self)",
         ["tests/test_factor_predicates.py::test_certify_scans_each_factor_once"],
     ),
     (  # a host's cliques scanned on every ask
@@ -131,6 +133,35 @@ MUTANTS = [
         'sides[f"h{h}", "-"], sides[f"h{h}", "+"] = plus, every - plus',
         ["tests/test_hyperplane_cache.py::test_seeded_pairs_match_references",
          "tests/test_hyperplane_cache.py::test_generic_hosts_match_references"],
+    ),
+    (  # the join rule asks a non-adjacent pair of one side only
+        HYPERBOLICITY,
+        "return square_a or square_b or (gap_a and gap_b)",
+        "return square_a or square_b or (gap_a or gap_b)",
+        [f"{FACTOR_LINKS}::test_factor_links_match_adjacency_links_on_random_flag_pairs"],
+    ),
+    (  # the common neighbours of a simplex skip its first vertex
+        SIMPLICIAL,
+        "        for _, v in s.entries:\n            common &= adj",
+        "        for _, v in s.entries[1:]:\n            common &= adj",
+        ["tests/test_simplicial.py::test_flag_link_squares_are_read_off_the_view",
+         f"{FACTOR_LINKS}::test_factor_links_match_adjacency_links_on_random_flag_pairs"],
+    ),
+    (  # a join of two point sets tagged a circle when one side has two points
+        CORE,
+        'return "circle" if la.size == lb.size == 2 else "other"',
+        'return "circle" if la.size == 2 else "other"',
+        [f"{FACTOR_LINKS}::test_factor_links_match_adjacency_links_on_fixtures",
+         f"{FACTOR_LINKS}::test_factor_links_match_adjacency_links_on_random_smart_pairs"],
+    ),
+    (  # the 2-sphere test content with at least one flag component per link
+        # vertex, which every link has (`<=` is no mutant: a vertex's flags
+        # join only each other, so there are never fewer components)
+        CORE,
+        "return len(set(component_roots(2 * len(edges), joins))) == len(verts)",
+        "return len(set(component_roots(2 * len(edges), joins))) >= len(verts)",
+        [f"{FACTOR_LINKS}::test_link_tags_equal_the_scanning_classifier",
+         f"{FACTOR_LINKS}::test_star_tags_equal_the_reference_on_every_host"],
     ),
 ]
 
