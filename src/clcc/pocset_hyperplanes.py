@@ -35,18 +35,14 @@ def hyperplanes(X: CubeComplex) -> list[Hyperplane]:
 def directions(X: CubeComplex) -> tuple[dict[str, int], bool]:
     """Coordinate color of each hyperplane of a pair-built complex.
 
-    Each edge (a, b) changes exactly the one color where a and b overlap;
-    the flag is False if some class mixes coordinates (never for complexes
-    built from a pair)."""
+    An edge (a, b) changes exactly the one color where a and b overlap,
+    and opposite edges of a square (a, b) drop the same overlap color,
+    so every edge of a class has the color of its first edge.  The flag
+    is always True (the `clcc hyperplanes` payload prints it)."""
     if not X.has_pair_origin:
         raise DomainError("directions need a pair-built complex")
-    out: dict[str, int] = {}
-    valid = True
-    for i, edges in enumerate(X.opposition.classes):
-        colors = {color for a, b in edges for color in a.colors & b.colors}
-        out[f"h{i}"] = min(colors)
-        valid = valid and len(colors) == 1
-    return out, valid
+    firsts = (edges[0] for edges in X.opposition.classes)
+    return {f"h{i}": min(a.colors & b.colors) for i, (a, b) in enumerate(firsts)}, True
 
 
 @dataclass(frozen=True)
@@ -200,17 +196,18 @@ class Pocset:
         return Pocset.from_relations(pair_ids, relations)
 
 
-def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
+def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list]:
     """The halfspace elements in sorted order, their order as rows (bit j
-    of rows[i] when halfspace i is strictly inside halfspace j), each
-    halfspace as the mask of its vertices' positions in `X.cells(0)`, and
-    for each hyperplane h the component root of each vertex once h's
-    edges are cut: 0 on its "-" side."""
+    of rows[i] when halfspace i is strictly inside halfspace j), and each
+    halfspace as the mask of its vertices' positions in `X.cells(0)`.
+
+    Each hyperplane's edges, cut, must leave two parts.  Then X is
+    connected exactly when some edge of h0 joins h0's two parts: if none
+    does, those parts are the two components of X."""
     op = X.opposition
     endpoints = X.facet_positions(1)
     count = len(X.cells(0))
     parts: dict = {}
-    cuts = []
     for h in range(len(op.classes)):
         hid = f"h{h}"
         roots = component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))
@@ -222,29 +219,29 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
         # cells(0) is in canonical order, so the "-" side holds the least vertex
         plus = sum(1 << i for i, r in enumerate(roots) if r)
         parts[(hid, "-")], parts[(hid, "+")] = ((1 << count) - 1) ^ plus, plus
-        cuts.append(roots)
+    if parts:
+        plus = parts["h0", "+"]
+        if not any((plus >> u ^ plus >> v) & 1 for (u, v), k in zip(endpoints, op.label) if k == 0):
+            raise NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")
     elements = tuple(sorted(parts))
     masks = [parts[e] for e in elements]
     rows = tuple(sum(1 << j for j, b in enumerate(masks) if a != b and not a & ~b) for a in masks)
-    return elements, rows, masks, cuts
+    return elements, rows, masks
 
 
 def halfspace_pocset(X: CubeComplex) -> Pocset:
     """Halfspaces ordered by inclusion of their vertex sets.
 
     Requires every hyperplane to be two-sided: removing its edges must
-    split the 1-skeleton into exactly two components.  Quotients with
-    one-sided classes (a torus, say) are rejected.  Each hyperplane's
-    "+" side is the vertices off the root 0 of its cut, picked in one
-    pass, and its "-" side is the rest."""
-    elements, rows, _, cuts = _halfspaces(X)
-    verts = X.cells(0)
-    every = frozenset(verts)
-    sides = {}
-    for h, roots in enumerate(cuts):
-        plus = frozenset(compress(verts, roots))
-        sides[f"h{h}", "-"], sides[f"h{h}", "+"] = every - plus, plus
-    return Pocset(elements, rows, sides={e: sides[e] for e in elements})
+    split the 1-skeleton into exactly two components, and the complex
+    must be connected.  Quotients with one-sided classes (a torus, say)
+    are rejected.  Each halfspace's vertices are read off its mask in one
+    C-level pass: bin(mask) from its lowest bit, its digits made bytes 0
+    and 1, gives one selector per vertex."""
+    elements, rows, masks = _halfspaces(X)
+    verts, bits = X.cells(0), bytes.maketrans(b"01", b"\0\1")
+    sides = [frozenset(compress(verts, bin(m)[:1:-1].encode().translate(bits))) for m in masks]
+    return Pocset(elements, rows, sides=dict(zip(elements, sides)))
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +346,7 @@ def roller_duality_check(X: CubeComplex):
     facets, so this compares facet tables only: it makes no rebuild
     complex and reads no vertex sets, and the ultrafilters are built as
     sets only for the mapping, when the verdict is True."""
-    elements, rows, halves, _ = _halfspaces(X)
+    elements, rows, halves = _halfspaces(X)
     S = Pocset(elements, rows)
     verts = X.cells(0)
     signs = [0] * len(verts)

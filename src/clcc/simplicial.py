@@ -907,7 +907,8 @@ def barycentric_subdivision_2d(
     dim_color = {0: color_map["V"], 1: color_map["E"], 2: color_map["F"]}
 
     def bid(s: frozenset) -> str:
-        return "|".join(str(v) for v in csorted(s))
+        # a backslash before each backslash and "|" of an id, so no two simplices share a bid
+        return "|".join(str(v).replace("\\", "\\\\").replace("|", "\\|") for v in csorted(s))
 
     verts = [(bid(s), dim_color[len(s) - 1]) for d in (0, 1, 2) for s in K.cells(d)]
 

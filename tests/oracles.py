@@ -216,20 +216,28 @@ def halfspace_sides_reference(X):
     """The two sides of each reference hyperplane, the "-" side holding
     the canonically least vertex: the 1-skeleton without the class's
     edges, merged vertex set by vertex set.  None when some class does
-    not cut the complex in two."""
+    not cut the complex in two, or when there is a class and the whole
+    1-skeleton, merged the same way, is not connected (then two parts
+    may be the two components)."""
     ends = [(e, *X.vertices_of(e)) for e in X.cells(1)]
-    sides = {}
-    for i, cut in enumerate(hyperplane_classes_reference(X)):
+
+    def parts(cut):
         part = {v: frozenset([v]) for v in X.cells(0)}
         for e, a, b in ends:
             if e not in cut and part[a] is not part[b]:
                 merged = part[a] | part[b]
                 for v in merged:
                     part[v] = merged
-        parts = sorted(set(part.values()), key=lambda c: canon_key(csorted(c)[0]))
-        if len(parts) != 2:
+        return sorted(set(part.values()), key=lambda c: canon_key(csorted(c)[0]))
+
+    sides = {}
+    for i, cut in enumerate(hyperplane_classes_reference(X)):
+        two = parts(set(cut))
+        if len(two) != 2:
             return None
-        sides[(f"h{i}", "-")], sides[(f"h{i}", "+")] = parts
+        sides[(f"h{i}", "-")], sides[(f"h{i}", "+")] = two
+    if sides and len(parts(set())) != 1:
+        return None
     return sides
 
 
@@ -801,7 +809,7 @@ def barycentric_subdivision_2d_reference(K: SimplicialComplex, color_map) -> Col
     dim_color = {0: color_map["V"], 1: color_map["E"], 2: color_map["F"]}
 
     def bid(s: frozenset) -> str:
-        return "|".join(str(v) for v in csorted(s))
+        return "|".join(str(v).replace("\\", "\\\\").replace("|", "\\|") for v in csorted(s))
 
     verts = [(bid(s), dim_color[len(s) - 1]) for d in (0, 1, 2) for s in K.cells(d)]
     chains: list[list[frozenset]] = [[s] for d in (0, 1, 2) for s in K.cells(d)]

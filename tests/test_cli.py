@@ -148,6 +148,25 @@ def test_domain_error_exit_1():
     assert out_json(p)["error"]["type"] == "NotTwoSidedError"
 
 
+def test_duality_of_a_disconnected_complex_exits_1():
+    # two color-1 points against a 4-cycle: two disjoint 4-cycles, where
+    # every hyperplane's cut leaves two parts
+    pair = {
+        "gamma_a": {"n": 2, "vertices": [{"id": "v0", "color": 1}, {"id": "v1", "color": 1}],
+                    "maximal_simplices": [["v0"], ["v1"]]},
+        "gamma_b": {"n": 2, "vertices": [{"id": f"s{i}", "color": 1 + i % 2} for i in range(4)],
+                    "maximal_simplices": [["s0", "s1"], ["s0", "s3"], ["s2", "s1"], ["s2", "s3"]]},
+    }
+    complex_doc = run(["build", "-"], stdin=canonical_json(pair)).stdout
+    p = run(["duality", "-"], stdin=complex_doc, check=False)
+    assert p.returncode == 1
+    assert out_json(p)["error"] == {
+        "command": "duality",
+        "message": "the complex is not connected: no edge of h0 joins its sides",
+        "type": "NotTwoSidedError",
+    }
+
+
 def test_duality_on_tree_like_pair():
     gamma = canonical_json(
         {"n": 1, "vertices": [{"id": "v1", "color": 1}], "maximal_simplices": [["v1"]]}

@@ -4,8 +4,9 @@
 opposition by comparing endpoint indices; `hyperplanes`, `directions`,
 `crossing_graph` and `halfspace_pocset` all read that one walk.  Each is
 compared here with the naive references in oracles.py on pair-built,
-JSON-loaded and `from_cells` hosts, and so are the walk's opposite
-pairs of each square.  For pair-built hosts the paper's
+JSON-loaded (whole, through the pair, and without their top cubes, as
+given) and `from_cells` hosts, and so are the walk's opposite pairs of
+each square.  For pair-built hosts the paper's
 local structure is checked as a property: every hyperplane lies inside
 one key bucket (i, a(i), b(i)) of its edges, though a bucket may hold
 several hyperplanes.
@@ -154,18 +155,33 @@ def split_buckets(X: CubeComplex) -> int:
     return sum(len(hids) > 1 for hids in held.values())
 
 
+def loaded_hosts(X: CubeComplex) -> list[CubeComplex]:
+    """X's document loaded whole, which takes the pair path, and, when X
+    has edges, loaded without its top cubes: every side of a top cube is
+    in one of its vertices, so the sides span the same pair, which has
+    more cubes than the document, and the cubes are assembled as given."""
+    doc = X.to_json_dict()
+    hosts = [CubeComplex.from_json_dict(doc)]
+    if X.top_dim:
+        cubes = [c for c in doc["cubes"] if c["dim"] < X.top_dim]
+        partial = CubeComplex.from_json_dict({"n": doc["n"], "cubes": cubes})
+        assert partial.defining_pair is None and partial.has_pair_origin
+        hosts.append(partial)
+    return hosts
+
+
 def test_pair_hosts_match_references():
     for ga, gb in fixture_pairs():
         X = build_clcc(ga, gb)
-        assert_matches_references(X)
-        assert_matches_references(CubeComplex.from_json_dict(X.to_json_dict()))
+        for host in (X, *loaded_hosts(X)):
+            assert_matches_references(host)
 
 
 def test_seeded_pairs_match_references():
     for ga, gb in seeded_pairs():
         X = build_clcc(ga, gb)
-        assert_matches_references(X)
-        assert_matches_references(CubeComplex.from_json_dict(X.to_json_dict()))
+        for host in (X, *loaded_hosts(X)):
+            assert_matches_references(host)
 
 
 def test_generic_hosts_match_references():

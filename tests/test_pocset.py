@@ -20,7 +20,7 @@ from clcc.pocset_hyperplanes import (
 
 from conftest import grid_complex, tree_complex
 from corpus import order_rows, random_pocset, rng
-from oracles import roller_duality_check_reference
+from oracles import halfspace_sides_reference, roller_duality_check_reference
 
 
 def four_cycle():
@@ -190,22 +190,48 @@ def test_halfspaces_of_square_are_incomparable():
     assert len(P.elements) == 4 and not P.less
 
 
-def assert_one_sided(X) -> None:
+def assert_refused(X, message="hyperplane h0 separates the complex into 1 parts, not 2"):
     """The halfspace pocset and both duality checks refuse X."""
     for refuse in (halfspace_pocset, roller_duality_check, roller_duality_check_reference):
         with pytest.raises(NotTwoSidedError) as err:
             refuse(X)
-        assert str(err.value) == "hyperplane h0 separates the complex into 1 parts, not 2"
+        assert str(err.value) == message
 
 
 def test_halfspaces_reject_torus(c4):
-    assert_one_sided(build_clcc(c4, gen_cycle(2, prefix="b")))
+    assert_refused(build_clcc(c4, gen_cycle(2, prefix="b")))
 
 
 def test_four_cycle_halfspaces_are_rejected():
     # removing a singleton class keeps the circle connected, which is the
     # documented signal for a non-CAT(0) input
-    assert_one_sided(_cycle_complex(4))
+    assert_refused(_cycle_complex(4))
+
+
+def two_circles() -> CubeComplex:
+    """The pair of two color-1 points and a 4-cycle: two disjoint 4-cycles."""
+    ga = ColoredComplex.build(2, [("v0", 1), ("v1", 1)], [["v0"], ["v1"]])
+    gb = ColoredComplex.build(
+        2, [("s0", 1), ("s1", 2), ("s2", 1), ("s3", 2)],
+        [["s0", "s1"], ["s0", "s3"], ["s2", "s1"], ["s2", "s3"]],
+    )
+    return build_clcc(ga, gb)
+
+
+def test_halfspaces_of_a_disconnected_complex_are_refused():
+    # each class's cut leaves two parts, the two circles, but no edge of
+    # h0 joins them
+    X = two_circles()
+    assert len(X.cells(0)) == len(X.cells(1)) == 8 and not X.is_connected()
+    assert halfspace_sides_reference(X) is None
+    assert_refused(X, "the complex is not connected: no edge of h0 joins its sides")
+
+
+def test_a_disconnected_complex_with_no_hyperplane_has_an_empty_pocset():
+    X = CubeComplex.from_cells({0: [frozenset({"a"}), frozenset({"b"})]})
+    assert halfspace_pocset(X) == Pocset((), ())
+    assert halfspace_sides_reference(X) == {}
+    assert roller_duality_check(X) == (False, None)
 
 
 # -- pocset axioms / json -----------------------------------------------------------------

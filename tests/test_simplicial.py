@@ -373,6 +373,17 @@ def test_barycentric_tetra_boundary_counts(tetra_boundary):
     assert cell_counts(sub) == {0: 14, 1: 36, 2: 24}
 
 
+def test_barycentres_are_named_apart():
+    # a backslash goes before each backslash and "|" inside an id, and then
+    # the ids are joined by "|": the vertex "a|b" and the edge {a, b} get
+    # two barycentres
+    K = SimplicialComplex.from_maximal(["a", "b", "a|b", "c\\"], [["a", "b"], ["a|b", "c\\"]])
+    sub = barycentric_subdivision_2d(K, {"V": 1, "E": 2, "F": 3})
+    assert sub.vertex_ids == ("a", "a\\|b", "a\\|b|c\\\\", "a|b", "b", "c\\\\")
+    assert cell_counts(sub) == {0: 6, 1: 4}
+    assert sub == barycentric_subdivision_2d_reference(K, {"V": 1, "E": 2, "F": 3})
+
+
 def test_barycentric_rejects_bad_input(tetra_boundary):
     solid = SimplicialComplex.from_maximal(["p", "q", "r", "s"], [["p", "q", "r", "s"]])
     with pytest.raises(ComplexError):

@@ -127,10 +127,10 @@ MUTANTS = [
         "    @property\n    def _flag_witness(self)",
         ["tests/test_factor_predicates.py::test_flagness_is_asked_once_per_complex"],
     ),
-    (  # the halfspace sides swapped
+    (  # the halfspace sides read off the masks under swapped signs
         POCSET,
-        'sides[f"h{h}", "-"], sides[f"h{h}", "+"] = every - plus, plus',
-        'sides[f"h{h}", "-"], sides[f"h{h}", "+"] = plus, every - plus',
+        "return Pocset(elements, rows, sides=dict(zip(elements, sides)))",
+        "return Pocset(elements, rows, sides=dict(zip(map(star, elements), sides)))",
         ["tests/test_hyperplane_cache.py::test_seeded_pairs_match_references",
          "tests/test_hyperplane_cache.py::test_generic_hosts_match_references"],
     ),
@@ -162,6 +162,38 @@ MUTANTS = [
         "return len(set(component_roots(2 * len(edges), joins))) >= len(verts)",
         [f"{FACTOR_LINKS}::test_link_tags_equal_the_scanning_classifier",
          f"{FACTOR_LINKS}::test_star_tags_equal_the_reference_on_every_host"],
+    ),
+    (  # a hyperplane's direction read off one end of its first edge, not the overlap
+        POCSET,
+        "min(a.colors & b.colors) for i, (a, b) in enumerate(firsts)",
+        "min(a.colors) for i, (a, b) in enumerate(firsts)",
+        ["tests/test_hyperplane_cache.py::test_pair_hosts_match_references",
+         "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
+    ),
+    (  # halfspaces of a complex with two components accepted
+        POCSET,
+        "        if not any((plus >> u ^ plus >> v) & 1 for",
+        "        if False and any((plus >> u ^ plus >> v) & 1 for",
+        ["tests/test_pocset.py::test_halfspaces_of_a_disconnected_complex_are_refused",
+         "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
+    ),
+    (  # the a - i facet never put first
+        CORE,
+        "last = overlap[-1] == sa[ra[0]].entries[-1][0]  # a - i before a",
+        "last = False  # a - i before a",
+        ["tests/test_canonical_order.py::test_pair_complexes_are_canonical"],
+    ),
+    (  # a union hangs the smaller root under the larger
+        SIMPLICIAL,
+        "        elif v < u:\n            root[u] = v\n",
+        "        elif v < u:\n            root[v] = u\n",
+        ["tests/test_shared_helpers.py::test_component_roots_equal_networkx_components"],
+    ),
+    (  # the loader's check cache keyed without the declared dim
+        CORE,
+        "key = (ca, cb, dim) if text",
+        "key = (ca, cb) if text",
+        ["tests/test_cell_store.py::test_the_bad_cube_after_good_ones_on_its_colorsets_is_named"],
     ),
 ]
 
