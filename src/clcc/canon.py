@@ -17,8 +17,6 @@ from typing import Any
 def canon_key(obj: Any) -> tuple:
     if isinstance(obj, str):
         return (0, obj)
-    if isinstance(obj, bool):
-        return (1, int(obj))
     if isinstance(obj, int):
         return (1, obj)
     if isinstance(obj, tuple):

@@ -303,6 +303,11 @@ def cube_json(cube) -> dict:
     return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
 
 
+def pair_json(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> dict:
+    """The pair document: the two factors' JSON forms."""
+    return {"gamma_a": gamma_a.to_json_dict(), "gamma_b": gamma_b.to_json_dict()}
+
+
 def _cube_vertices(a: CoordSimplex, b: CoordSimplex) -> frozenset:
     overlap = sorted(a.colors & b.colors)
     verts = []
@@ -1013,10 +1018,6 @@ class CubicalMap:
     def apply(self, cube):
         a, b = cube
         return (self.f_a.apply(a), self.f_b.apply(b))
-
-    @cached_property
-    def vertex_map(self) -> dict:
-        return {v: self.apply(v) for v in self.source.cells(0)}
 
     @cached_property
     def is_injective(self) -> bool:

@@ -30,6 +30,7 @@ from clcc.clcc_core import (
     is_connected,
     is_npc,
     link_of_cube,
+    pair_json,
     smartly_paired,
 )
 from clcc.errors import ComplexError, DomainError
@@ -62,6 +63,10 @@ PRESET_2COMPLEXES = {
 
 # The documents the running command has read, by role; set by `_command`.
 _INPUTS: contextvars.ContextVar[dict] = contextvars.ContextVar("inputs")
+
+# The message of an error raised with no text, as the interpreter raises
+# MemoryError when an allocation fails.
+_BARE_ERRORS = {MemoryError: "out of memory", RecursionError: "maximum recursion depth exceeded"}
 
 
 def _read_doc(src: str, role: str) -> dict:
@@ -127,10 +132,6 @@ def _load_pair(doc: dict) -> tuple[ColoredComplex, ColoredComplex]:
         ColoredComplex.from_json_dict(doc["gamma_a"]),
         ColoredComplex.from_json_dict(doc["gamma_b"]),
     )
-
-
-def _pair_doc(ga: ColoredComplex, gb: ColoredComplex) -> dict:
-    return {"gamma_a": ga.to_json_dict(), "gamma_b": gb.to_json_dict()}
 
 
 # What a command declaring `reads=kind` gets as its first argument: the
@@ -210,9 +211,10 @@ def _command(name: str, reads=None, failure=None):
                 else:
                     click.echo(text, file=sys.stdout)
             except (DomainError, MemoryError, RecursionError) as exc:
-                error = {"command": name, "type": type(exc).__name__, "message": str(exc)}
+                message = str(exc) or _BARE_ERRORS.get(type(exc), type(exc).__name__)
+                error = {"command": name, "type": type(exc).__name__, "message": message}
                 click.echo(canonical_json({"error": error}), file=sys.stdout)
-                click.echo(f"clcc {name}: error: {exc}", file=sys.stderr)
+                click.echo(f"clcc {name}: error: {message}", file=sys.stderr)
                 sys.exit(1)
             finally:
                 _INPUTS.reset(token)
@@ -261,7 +263,7 @@ def _command(name: str, reads=None, failure=None):
 def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
     """Emit a ready-made complex or pair."""
     if family == "surface":
-        return _pair_doc(*generators.gen_surface_pair(ka, kb))
+        return pair_json(*generators.gen_surface_pair(ka, kb))
     if family == "cycle":
         return generators.gen_cycle(k, colors, n=max(colors)).to_json_dict()
     if family == "crosspolytope":
@@ -271,7 +273,7 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
             raise ComplexError(f"{family} needs --gamma")
         g = ColoredComplex.from_json_dict(_read_doc(gamma, "gamma"))
         make = generators.gen_salvetti_pair if family == "salvetti" else generators.gen_racg_pair
-        return _pair_doc(*make(g))
+        return pair_json(*make(g))
     # barycentric
     if gamma is None or lam is None:
         raise ComplexError("barycentric needs --gamma and --lam")
@@ -283,7 +285,7 @@ def generate(family, ka, kb, k, colors, nn, gamma, lam, colors_a, colors_b):
 
     cmap_a = dict(zip(("V", "E", "F"), colors_a))
     cmap_b = dict(zip(("V", "E", "F"), colors_b))
-    return _pair_doc(*generators.gen_barycentric_pair(
+    return pair_json(*generators.gen_barycentric_pair(
         load2(gamma, "gamma"), load2(lam, "lam"), cmap_a, cmap_b))
 
 
@@ -520,7 +522,7 @@ def export(doc):
     """Re-emit any recognized document in canonical form (round-trip
     stable)."""
     if "gamma_a" in doc:
-        return _pair_doc(*_load_pair(doc))
+        return pair_json(*_load_pair(doc))
     if "cubes" in doc:
         return CubeComplex.from_json_dict(doc).to_json_dict()
     if "pairs" in doc:

@@ -18,7 +18,8 @@ from clcc.simplicial import (
     barycentric_subdivision_2d,
     check_vertex_colors,
     cliques,
-    is_flag,
+    repeated_color,
+    require_flag,
 )
 
 
@@ -53,15 +54,6 @@ def gen_surface_pair(k_a: int, k_b: int) -> tuple[ColoredComplex, ColoredComplex
     return gen_cycle(k_a, prefix="a"), gen_cycle(k_b, prefix="b")
 
 
-def _require_one_vertex_per_color(gamma: ColoredComplex) -> dict[int, str]:
-    by_color: dict[int, str] = {}
-    for vid, c in gamma.vertices:
-        if c in by_color:
-            raise DomainError(f"color {c} has more than one vertex")
-        by_color[c] = vid
-    return by_color
-
-
 def gen_salvetti_pair(gamma: ColoredComplex) -> tuple[ColoredComplex, ColoredComplex]:
     """Pair whose complex carries the right-angled Artin group of gamma.
 
@@ -69,10 +61,10 @@ def gen_salvetti_pair(gamma: ColoredComplex) -> tuple[ColoredComplex, ColoredCom
     color i = generator i).  Side A gets, for each simplex of gamma, the
     full-coordinate simplex with + on the simplex's colors and - on the
     rest; side B is the full cross-polytope."""
-    ok, clique = is_flag(gamma)
-    if not ok:
-        raise DomainError(f"input must be flag; clique {clique} does not span")
-    _require_one_vertex_per_color(gamma)
+    require_flag(gamma)
+    c = repeated_color(gamma)
+    if c is not None:
+        raise DomainError(f"color {c} has more than one vertex")
     n = gamma.n
     vertices = [(f"a{i}{s}", i) for i in range(1, n + 1) for s in "+-"]
     maximal = []
@@ -89,9 +81,7 @@ def gen_racg_pair(gamma: ColoredComplex) -> tuple[ColoredComplex, ColoredComplex
 
     Vertices of gamma are recolored one color each (sorted order); side A
     is the full cross-polytope on those colors."""
-    ok, clique = is_flag(gamma)
-    if not ok:
-        raise DomainError(f"input must be flag; clique {clique} does not span")
+    require_flag(gamma)
     ids = sorted(gamma.vertex_ids)
     n = len(ids)
     if n < 1:

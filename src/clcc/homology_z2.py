@@ -116,9 +116,6 @@ class BettiVector:
     reduced: bool
     ranks: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"reduced": self.reduced, "ranks": list(self.ranks)}
-
 
 def _boundary_rows(table: Iterable[tuple]) -> list[int]:
     """Boundary matrix rows from facet-table rows: one bitset per cell

@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from clcc.canon import digest
-from clcc.errors import DomainError
-from clcc.clcc_core import _pair_vertices
+from clcc.clcc_core import _pair_vertices, pair_json
 from clcc.generators import gen_barycentric_pair
 from clcc.simplicial import (
     ColoredComplex,
@@ -25,6 +24,8 @@ from clcc.simplicial import (
     is_flag,
     is_obes,
     pairwise_5_large,
+    repeated_color,
+    require_flag,
 )
 
 RULE_SIDE_5_LARGE_A = "5-large-side-a"
@@ -59,10 +60,6 @@ class Certificate:
         }
 
 
-def _pair_digest(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> str:
-    return digest({"gamma_a": gamma_a.to_json_dict(), "gamma_b": gamma_b.to_json_dict()})
-
-
 def _is_full_cross_polytope(K: ColoredComplex) -> bool:
     """Whether K is the full cross-polytope on its n colors, for a flag K
     (certify asks only after both factors pass `is_flag`): 2n vertices,
@@ -87,11 +84,6 @@ def _join_has_empty_square(link_a: tuple[bool, bool], link_b: tuple[bool, bool])
     return square_a or square_b or (gap_a and gap_b)
 
 
-def _at_most_one_vertex_per_color(K: ColoredComplex) -> bool:
-    colors = [c for _, c in K.vertices]
-    return len(set(colors)) == len(colors)
-
-
 def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     """Rule order: (1) either side 5-large; (2) pairwise 5-large and both
     sides with only bicolor empty squares; (3) full-cross-polytope
@@ -100,7 +92,7 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
     of the pair complex 5-large, decided from the flag factors' links by
     the join formula.  Anything else is Unknown."""
     check_same_color_count(gamma_a, gamma_b)
-    dig = _pair_digest(gamma_a, gamma_b)
+    dig = digest(pair_json(gamma_a, gamma_b))
     flag_a, clique_a = is_flag(gamma_a)
     flag_b, clique_b = is_flag(gamma_b)
     if not (flag_a and flag_b):
@@ -135,11 +127,11 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
             "Hyperbolic", RULE_PAIRWISE_OBES, {"pair_5_large_side": per_pair}, dig
         )
 
-    if _is_full_cross_polytope(gamma_a) and _at_most_one_vertex_per_color(gamma_b):
+    if _is_full_cross_polytope(gamma_a) and repeated_color(gamma_b) is None:
         return Certificate(
             "NotHyperbolic", RULE_RACG_SQUARE, {"side": "B", **sq_b.to_json_dict()}, dig
         )
-    if _is_full_cross_polytope(gamma_b) and _at_most_one_vertex_per_color(gamma_a):
+    if _is_full_cross_polytope(gamma_b) and repeated_color(gamma_a) is None:
         return Certificate(
             "NotHyperbolic", RULE_RACG_SQUARE, {"side": "A", **sq_a.to_json_dict()}, dig
         )
@@ -158,9 +150,7 @@ def certify(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> Certificate:
 def moussong(gamma: ColoredComplex) -> Certificate:
     """Exact dichotomy for right-angled Coxeter groups: hyperbolic iff
     the defining complex has no empty square.  Coloring is ignored."""
-    ok, clique = is_flag(gamma)
-    if not ok:
-        raise DomainError(f"input must be flag; clique {clique} does not span")
+    require_flag(gamma)
     large, square = is_5_large(gamma)
     dig = digest(gamma.to_json_dict())
     if large:
@@ -192,5 +182,5 @@ def certify_barycentric(
         "Hyperbolic",
         "barycentric-pair",
         {"verified": ["obes-a", "obes-b", "pairwise-5-large"]},
-        _pair_digest(ga, gb),
+        digest(pair_json(ga, gb)),
     )

@@ -51,9 +51,6 @@ class CrossingGraph:
     edges: frozenset  # frozensets {h, k}, h != k
     self_crossing: frozenset
 
-    def neighbors(self, h: str) -> frozenset:
-        return frozenset(next(iter(e - {h})) for e in self.edges if h in e)
-
 
 def crossing_graph(X: CubeComplex) -> CrossingGraph:
     """Two hyperplanes cross when a common square uses both: the classes

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from clcc.canon import csorted
-from clcc.errors import ComplexError, PairError
+from clcc.errors import ComplexError, DomainError, PairError
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -541,9 +541,6 @@ class ColoredComplex(CellStore):
     def color_class(self, color: int) -> tuple[str, ...]:
         return tuple(v for v, c in self._colors.items() if c == color)
 
-    def __contains__(self, simplex: CoordSimplex) -> bool:
-        return simplex in self.simplices
-
     def simplex_with_vertices(self, vids: Iterable[str]) -> Optional[CoordSimplex]:
         """The simplex on exactly these vertex ids, or None; the vertex
         colors give its entries."""
@@ -564,10 +561,6 @@ class ColoredComplex(CellStore):
             groups.setdefault(s.colors, []).append(s)
         return {_color_mask(colors): tuple(b) for colors, b in groups.items()}
 
-    @property
-    def by_colorset(self) -> dict[frozenset[int], tuple[CoordSimplex, ...]]:
-        return {bucket[0].colors: bucket for bucket in self._buckets.values()}
-
     @cached_property
     def _full(self) -> int:
         return (1 << self.n + 1) - 2
@@ -580,13 +573,6 @@ class ColoredComplex(CellStore):
         if self.n - mask.bit_count() > len(self._colors):
             return ()
         return self._buckets.get(self._full ^ mask, ())
-
-    def partners(self, colors: frozenset[int]) -> tuple[CoordSimplex, ...]:
-        """The simplices on exactly the colors of 1..n missing from
-        `colors`, whose mask is made only past the same guard."""
-        if self.n - len(colors) > len(self._colors):
-            return ()
-        return self._partners(_color_mask(frozenset(colors)))
 
     @cached_property
     def _square_ranks(self) -> list[tuple[int, int, int, int]]:
@@ -760,12 +746,6 @@ class SimplicialComplex(CellStore):
     def augmentation_cell(self) -> frozenset:
         return frozenset()
 
-    def __contains__(self, simplex: frozenset) -> bool:
-        return frozenset(simplex) in self.simplices
-
-    def degree(self, v) -> int:
-        return len(self.adjacency[v])
-
     def link_data(self, e: frozenset):
         """Link of e plus the coface -> link-cell correspondence, on the
         star of e: a coface's link cell is its vertices outside e."""
@@ -832,6 +812,24 @@ def is_flag(K) -> tuple[bool, Optional[tuple]]:
     """
     clique = K._flag_witness
     return clique is None, clique
+
+
+def require_flag(K) -> None:
+    """Refuses a complex that is not flag, naming `is_flag`'s clique."""
+    ok, clique = is_flag(K)
+    if not ok:
+        raise DomainError(f"input must be flag; clique {clique} does not span")
+
+
+def repeated_color(K: ColoredComplex) -> Optional[int]:
+    """The first color met twice walking `K.vertices` in order, or None
+    when no color has two vertices."""
+    seen: set[int] = set()
+    for _, c in K.vertices:
+        if c in seen:
+            return c
+        seen.add(c)
+    return None
 
 
 def _vertex_set(cell) -> frozenset:
@@ -948,9 +946,6 @@ class ColoredMap:
     @cached_property
     def _map(self) -> dict[str, str]:
         return dict(self.vertex_map)
-
-    def __call__(self, vid: str) -> str:
-        return self._map[vid]
 
     def apply(self, s: CoordSimplex) -> CoordSimplex:
         return CoordSimplex(tuple(sorted({(c, self._map[v]) for c, v in s.entries})))

@@ -606,11 +606,16 @@ def maximal_simplices_reference(K) -> tuple:
 def prune_to_smart_pair_reference(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> tuple:
     """Maximal simplices with no complementary partner removed round by
     round, both factors rebuilt each round, until none is left; two empty
-    complexes when the fixed point is not smartly paired."""
+    complexes when the fixed point is not smartly paired.  A partner is
+    found by scanning the other side's simplices for the complementary
+    color set."""
+    every = frozenset(range(1, gamma_a.n + 1))
     cur_a, cur_b = gamma_a, gamma_b
     while True:
-        junk_a = {m for m in cur_a.maximal_simplices if m.dim >= 0 and not cur_b.partners(m.colors)}
-        junk_b = {m for m in cur_b.maximal_simplices if m.dim >= 0 and not cur_a.partners(m.colors)}
+        colors_a = {s.colors for s in cur_a.simplices}
+        colors_b = {s.colors for s in cur_b.simplices}
+        junk_a = {m for m in cur_a.maximal_simplices if m.dim >= 0 and every - m.colors not in colors_b}
+        junk_b = {m for m in cur_b.maximal_simplices if m.dim >= 0 and every - m.colors not in colors_a}
         if not junk_a and not junk_b:
             break
         cur_a = cur_a._replace_simplices(cur_a.simplices - junk_a)

@@ -165,7 +165,7 @@ def test_colored_complex_orders_are_canonical():
     for K in complexes:
         for d in range(-1, K.top_dim + 1):
             assert list(K.cells(d)) == csorted(K.cells(d))
-        for bucket in K.by_colorset.values():
+        for bucket in K._buckets.values():
             assert list(bucket) == csorted(bucket)
         assert list(K.maximal_simplices) == csorted(K.maximal_simplices)
 

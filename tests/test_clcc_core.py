@@ -24,6 +24,7 @@ from clcc.clcc_core import CubeComplex, CubicalMap, _check_link_condition
 from clcc.errors import ComplexError, DomainError, PairError
 from clcc.simplicial import EMPTY_SIMPLEX, simplicial_join
 
+from conftest import grid_complex
 from corpus import random_smart_pair, rng
 
 
@@ -167,7 +168,7 @@ def test_link_of_mixed_vertex_is_square(c4):
     v = (c4.simplex_with_vertices(["v0"]), c6b.simplex_with_vertices(["b1"]))
     L = link_of_cube(X, v)
     assert {d: len(L.cells(d)) for d in (0, 1)} == {0: 4, 1: 4}
-    assert all(L.degree(u) == 2 for u in L.vertex_ids)
+    assert all(len(L.adjacency[u]) == 2 for u in L.vertex_ids)
 
 
 def test_link_of_edge_in_torus_is_two_points(c4):
@@ -220,6 +221,15 @@ def test_smartly_paired_with_isolated_extra_vertex(c4):
     # the isolated vertex is maximal but a color-2 vertex of the partner
     # complements it, so the pair is smart
     assert smartly_paired(c4, gb) == (True, None)
+
+
+def test_doubly_smartly_paired_needs_a_smart_pair():
+    # a vertexless pair: its one maximal simplex, the empty one, has no
+    # facet to check, so only the smart-pairing check (the empty simplex
+    # needs a partner on all n colors) refuses it
+    empty = ColoredComplex.build(2, [], [])
+    assert smartly_paired(empty, empty) == (False, ("A", EMPTY_SIMPLEX))
+    assert doubly_smartly_paired(empty, empty) is False
 
 
 def test_smartly_paired_empty_complement_is_available(o2):
@@ -599,3 +609,49 @@ def test_functoriality_on_random_triples():
             induced_map(f, ident)
         )
         done += 1
+
+
+# -- refusals ----------------------------------------------------------------------------------
+
+
+def _point_into_three_colors(vid: str, color: int) -> ColoredMap:
+    """A point on colors 1..2 sent to the same point on colors 1..3."""
+    point = lambda n: ColoredComplex.build(n, [(vid, color)], [[vid]])
+    return ColoredMap.make(point(2), point(3), {vid: vid})
+
+
+def _folded_torus_map() -> CubicalMap:
+    """Side A's 4-cycle folded onto one edge: at a vertex (empty, edge)
+    the link map sends the edges towards v0 and v2 to one edge."""
+    c4, c4b = gen_cycle(2), gen_cycle(2, prefix="b")
+    edge = ColoredComplex.build(2, [("w1", 1), ("w2", 2)], [["w1", "w2"]])
+    f_a = ColoredMap.make(c4, edge, {"v0": "w1", "v1": "w2", "v2": "w1", "v3": "w2"})
+    return CubicalMap(build_clcc(c4, c4b), build_clcc(edge, c4b), f_a, ColoredMap.identity(c4b))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(
+        lambda: build_clcc(gen_cycle(2), gen_cycle(2, prefix="b")).link_data("zz"),
+        DomainError, "cube 'zz' not in complex", id="link-of-a-missing-cube"),
+    pytest.param(
+        lambda: grid_complex(1, 1).to_json_dict(),
+        DomainError, "only pair-built complexes have a JSON form", id="json-without-a-pair"),
+    pytest.param(
+        lambda: link_of_cube(grid_complex(1, 1), frozenset({"g0,0"})),
+        DomainError, "link_of_cube needs the defining pair; build the complex from one",
+        id="join-link-without-a-pair"),
+    pytest.param(
+        lambda: is_connected(gen_cycle(2), gen_cycle(2, prefix="b"), engine="dfs"),
+        ValueError, "unknown engine 'dfs'", id="unknown-engine"),
+    pytest.param(
+        lambda: induced_map(_point_into_three_colors("a1", 1), _point_into_three_colors("b2", 2)),
+        ComplexError, "image of cube (<1:a1>, <2:b2>) missing from target", id="image-missing"),
+    pytest.param(
+        lambda: _check_link_condition(_folded_torus_map()),
+        ComplexError, "link map at (<empty>, <1:b0, 2:b1>) is not injective",
+        id="link-map-not-injective"),
+])
+def test_core_refusals_name_their_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

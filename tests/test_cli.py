@@ -618,14 +618,14 @@ def _colored_doc(draw, n):
 
 
 @st.composite
-def _pair_doc(draw):
+def _pair_document(draw):
     n = draw(st.integers(1, 3))
     return {"gamma_a": draw(_colored_doc(n)), "gamma_b": draw(_colored_doc(n))}
 
 
 @st.composite
 def _cube_doc(draw):
-    pair = draw(_pair_doc())
+    pair = draw(_pair_document())
     built = build_clcc(*(ColoredComplex.from_json_dict(pair[k]) for k in ("gamma_a", "gamma_b")))
     doc = built.to_json_dict()
     # dropping a cube may leave another without a facet
@@ -661,8 +661,8 @@ def _docs(valid):
 
 _colored_any = st.integers(1, 3).flatmap(_colored_doc)
 _KINDS = {
-    "pair": _pair_doc(), "complex": _colored_any, "cubes": _cube_doc(), "pocset": _pocset_doc,
-    "any": st.one_of(_pair_doc(), _colored_any, _cube_doc(), _pocset_doc),
+    "pair": _pair_document(), "complex": _colored_any, "cubes": _cube_doc(), "pocset": _pocset_doc,
+    "any": st.one_of(_pair_document(), _colored_any, _cube_doc(), _pocset_doc),
 }
 FILE_COMMANDS = (
     *((["check", prop], "complex") for prop in ("flag", "5large", "obes")),
@@ -697,7 +697,7 @@ _PAIR = json.dumps(
 )
 
 
-@given(stdin=st.none() | _docs(_pair_doc()), chain_doc=_docs(_chain_doc))
+@given(stdin=st.none() | _docs(_pair_document()), chain_doc=_docs(_chain_doc))
 @settings(max_examples=100, deadline=None)
 def test_random_chain_json_never_ends_in_a_traceback(stdin, chain_doc):
     # the pair on stdin is mostly a fixed valid one, so that the chain is read
@@ -728,18 +728,25 @@ def test_every_input_argument_comes_from_the_command_wrapper():
     assert sorted(readers) == sorted(set(main.commands) - {"generate"})
 
 
-@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
-def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc):
+@pytest.mark.parametrize("exc, message", [
+    pytest.param(MemoryError("out of room"), "out of room", id="MemoryError"),
+    pytest.param(RecursionError("out of room"), "out of room", id="RecursionError"),
+    # an allocation that fails raises MemoryError with no text
+    pytest.param(MemoryError(), "out of memory", id="bare-MemoryError"),
+    pytest.param(RecursionError(), "maximum recursion depth exceeded", id="bare-RecursionError"),
+])
+def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc, message):
     def body_raises(S):
-        raise exc("out of room")
+        raise exc
 
     monkeypatch.setattr("clcc.cli.sageev", body_raises)
     pocset = canonical_json({"pairs": [{"id": "h"}], "less": []})
     result = CliRunner().invoke(main, ["sageev", "-"], input=pocset)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    error = {"command": "sageev", "type": exc.__name__, "message": "out of room"}
+    error = {"command": "sageev", "type": type(exc).__name__, "message": message}
     assert json.loads(result.stdout) == {"error": error}
+    assert result.stderr == f"clcc sageev: error: {message}\n"
 
 
 def test_report_digests_each_input_document(tmp_path):

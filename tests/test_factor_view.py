@@ -106,17 +106,17 @@ def _ids(K, s) -> set:
 
 def assert_buckets_match(K: ColoredComplex) -> None:
     """The color-mask buckets against a grouping of the simplices by their
-    color sets, each group in canonical order, and `partners` against a
-    scan of every simplex."""
+    color sets, each group in canonical order, and `_partners` against a
+    scan of every simplex for the complementary color set."""
+    ordered = sorted(K.simplices, key=lambda s: s.entries)
     groups: dict = {}
-    for s in sorted(K.simplices, key=lambda s: s.entries):
+    for s in ordered:
         groups.setdefault(s.colors, []).append(s)
-    assert K.by_colorset == {colors: tuple(b) for colors, b in groups.items()}
     assert K._buckets == {sum(1 << c for c in colors): tuple(b) for colors, b in groups.items()}
     every = frozenset(range(1, K.n + 1))
     for colors in list(groups) + [frozenset(), every]:
-        assert K.partners(colors) == tuple(
-            s for s in sorted(K.simplices, key=lambda s: s.entries) if s.colors == every - colors
+        assert K._partners(sum(1 << c for c in colors)) == tuple(
+            s for s in ordered if s.colors == every - colors
         )
 
 

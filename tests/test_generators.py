@@ -20,6 +20,7 @@ from clcc import (
     is_5_large,
     is_connected,
     is_flag,
+    moussong,
 )
 from clcc.errors import ComplexError, DomainError
 from clcc.simplicial import ColoredComplex, CoordSimplex
@@ -355,3 +356,29 @@ def test_flag_completion_makes_each_simplex_once(monkeypatch):
     assert len(K.simplices) == 27
     # the empty simplex is the shared EMPTY_SIMPLEX, and no other is made twice
     assert sorted(made) == sorted(s.entries for s in K.simplices if s.entries)
+
+
+# -- refusals --------------------------------------------------------------------------------
+
+EMPTY_TRIANGLE = ColoredComplex.build(
+    3, [("v1", 1), ("v2", 2), ("v3", 3)], [["v1", "v2"], ["v2", "v3"], ["v1", "v3"]]
+)
+NOT_FLAG = "input must be flag; clique ('v1', 'v2', 'v3') does not span"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: gen_cross_polytope(0), "need n >= 1, got 0", id="no-colors"),
+    pytest.param(lambda: gen_racg_pair(ColoredComplex.build(1, [], [])),
+                 "need at least one vertex", id="racg-without-a-vertex"),
+    # the first color met twice in vertex-id order, not the least one
+    pytest.param(lambda: gen_salvetti_pair(ColoredComplex.build(
+                     2, [("a", 2), ("b", 1), ("c", 2), ("d", 1)], [["a"], ["b"], ["c"], ["d"]])),
+                 "color 2 has more than one vertex", id="salvetti-with-a-repeated-color"),
+    pytest.param(lambda: gen_salvetti_pair(EMPTY_TRIANGLE), NOT_FLAG, id="salvetti-not-flag"),
+    pytest.param(lambda: gen_racg_pair(EMPTY_TRIANGLE), NOT_FLAG, id="racg-not-flag"),
+    pytest.param(lambda: moussong(EMPTY_TRIANGLE), NOT_FLAG, id="moussong-not-flag"),
+])
+def test_generators_refuse_their_inputs(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

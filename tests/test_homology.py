@@ -429,3 +429,22 @@ def test_clearing_reaches_every_boundary_matrix_below_the_top(monkeypatch):
         assert betti(X, reduced=False).ranks == tuple(comb(n, k) for k in range(n + 1))
         assert_cleared_eliminations(X, handed)
         assert all(len(rows) < len(X.cells(k)) for k, (rows, _) in zip(range(n - 1, 0, -1), handed[1:]))
+
+
+# -- refusals ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda h: Chain2(h, -2, frozenset()), "chain dimension -2 < -1",
+                 id="below-the-augmentation"),
+    pytest.param(lambda h: support_subcomplex(zero_chain(h, 0)),
+                 "supports are taken in colored complexes", id="support-on-an-uncolored-host"),
+    pytest.param(lambda h: smartly_paired_chains(zero_chain(h, 0), zero_chain(h, 0)),
+                 "smart pairing of chains needs colored hosts", id="pairing-on-uncolored-hosts"),
+    pytest.param(lambda h: is_boundary(zero_chain(h, -1)),
+                 "augmentation chains are not checked for bounding", id="bounding-augmentation"),
+])
+def test_chain_refusals_name_their_input(one_triangle, call, message):
+    with pytest.raises(DomainError) as info:
+        call(one_triangle)
+    assert str(info.value) == message

@@ -171,7 +171,7 @@ def test_crossing_torus_is_complete_bipartite(c4):
     assert len(ones) == len(twos) == 4
     assert len(cg.edges) == 16
     for h in ones:
-        assert cg.neighbors(h) == frozenset(twos)
+        assert {k for e in cg.edges if h in e for k in e - {h}} == set(twos)
 
 
 # -- halfspace pocsets ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from clcc.errors import ComplexError
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
     ColoredComplex,
+    ColoredMap,
     CoordSimplex,
     SimplicialComplex,
     faces_of,
@@ -240,7 +241,7 @@ def s0(prefix):
 def test_join_of_two_spheres_is_square():
     J = simplicial_join(s0("a"), s0("b"))
     assert {d: len(J.cells(d)) for d in (0, 1)} == {0: 4, 1: 4}
-    assert all(J.degree(v) == 2 for v in J.vertex_ids)
+    assert all(len(J.adjacency[v]) == 2 for v in J.vertex_ids)
 
 
 def test_join_with_empty_complex_is_identity(c6):
@@ -254,7 +255,7 @@ def test_join_sphere_with_square_is_octahedron(o3):
     assert {d: len(J.cells(d)) for d in (0, 1, 2)} == {0: 6, 1: 12, 2: 8}
     # octahedron signature: each vertex is non-adjacent to exactly one other
     for v in J.vertex_ids:
-        assert len(J.vertex_ids) - 1 - J.degree(v) == 1
+        assert len(J.vertex_ids) - 1 - len(J.adjacency[v]) == 1
 
 
 def test_join_tags_on_collision():
@@ -527,3 +528,32 @@ def test_colored_complex_json_roundtrip(o3):
     back = ColoredComplex.from_json_dict(json.loads(text))
     assert back == o3
     assert canonical_json(back.to_json_dict()) == text
+
+
+# -- refusals ------------------------------------------------------------------------------------
+
+TRIANGLE = SimplicialComplex.from_maximal(["p", "q", "r"], [["p", "q", "r"]])
+EDGE = ColoredComplex.build(2, [("x", 1), ("y", 2)], [["x", "y"]])
+POINTS = ColoredComplex.build(2, [("x", 1), ("y", 2)], [["x"], ["y"]])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: EDGE.boundary_of(EMPTY_SIMPLEX),
+                 "the empty simplex has no boundary", id="boundary-of-the-empty-simplex"),
+    pytest.param(lambda: TRIANGLE.boundary_of(frozenset()),
+                 "the empty simplex has no boundary", id="boundary-of-the-empty-set"),
+    pytest.param(lambda: SimplicialComplex.from_maximal(["p"], [["r", "p", "q"]]),
+                 "unknown vertex ids ['q', 'r']", id="unknown-vertex-ids"),
+    pytest.param(lambda: TRIANGLE.link_data({"p", "z"}),
+                 "simplex not in complex", id="link-of-a-missing-simplex"),
+    pytest.param(lambda: ColoredMap.make(EDGE, EDGE, {"x": "x"}),
+                 "vertex map must cover exactly the source vertices", id="map-misses-a-vertex"),
+    pytest.param(lambda: ColoredMap.make(EDGE, POINTS, {"x": "x", "y": "y"}),
+                 "image of <1:x, 2:y> is not a simplex of the target", id="image-not-a-simplex"),
+    pytest.param(lambda: ColoredMap.identity(EDGE).compose(ColoredMap.identity(POINTS)),
+                 "maps are not composable", id="maps-not-composable"),
+])
+def test_simplicial_refusals_name_their_input(call, message):
+    with pytest.raises(ComplexError) as info:
+        call()
+    assert str(info.value) == message

@@ -34,6 +34,7 @@ CORE = "src/clcc/clcc_core.py"
 SIMPLICIAL = "src/clcc/simplicial.py"
 POCSET = "src/clcc/pocset_hyperplanes.py"
 HYPERBOLICITY = "src/clcc/hyperbolicity.py"
+GENERATORS = "src/clcc/generators.py"
 FACTOR_LINKS = "tests/test_factor_links.py"
 
 MUTANTS = [
@@ -89,7 +90,7 @@ MUTANTS = [
         ["tests/test_shared_helpers.py::test_chordless_squares_equal_the_four_tuple_scan",
          "tests/test_factor_predicates.py::test_square_scan_matches_per_pair_subcomplex_scans"],
     ),
-    (  # the complement of a color mask taken as ~mask, in partners
+    (  # the complement of a color mask taken as ~mask, in `_partners`
         SIMPLICIAL,
         "return self._buckets.get(self._full ^ mask, ())",
         "return self._buckets.get(~mask, ())",
@@ -194,6 +195,25 @@ MUTANTS = [
         "key = (ca, cb, dim) if text",
         "key = (ca, cb) if text",
         ["tests/test_cell_store.py::test_the_bad_cube_after_good_ones_on_its_colorsets_is_named"],
+    ),
+    (  # flag completion refuses a one-color edge before an undeclared endpoint
+        GENERATORS,
+        "    if unknown:\n",
+        "    if unknown and not clashes:\n",
+        ["tests/test_generators.py::test_flag_complex_from_graph_error_precedence"],
+    ),
+    (  # flag completion names the largest one-color edge
+        GENERATORS,
+        "a, b = min(clashes,",
+        "a, b = max(clashes,",
+        ["tests/test_generators.py::test_flag_complex_from_graph_error_precedence"],
+    ),
+    (  # the one-vertex-per-color check never finds a repeated color
+        SIMPLICIAL,
+        "        if c in seen:\n",
+        "        if False:\n",
+        ["tests/test_hyperbolicity.py::test_certify_racg_rule_needs_single_vertex_colors",
+         "tests/test_generators.py::test_generators_refuse_their_inputs"],
     ),
 ]
 
