@@ -19,7 +19,7 @@ from itertools import combinations, islice, product
 from operator import and_, attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from clcc.canon import csorted
+from clcc.canon import canonical_json, csorted
 from clcc.errors import ComplexError, DomainError
 from clcc.simplicial import (
     EMPTY_SIMPLEX,
@@ -203,10 +203,16 @@ class CubeComplex(CellStore):
     # -- io ----------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """{"n", "cubes"}: each cube as {"a", "b", "dim"}, dimension by
+        dimension in canonical order.  Each distinct side's dict is made once per call, and every
+        cube with that side shares it, so a caller must copy a side before
+        editing it."""
         if not self.has_pair_origin:
             raise DomainError("only pair-built complexes have a JSON form")
+        forms = _SideForms()
         cubes = [
-            {**cube_json(cube), "dim": d} for d, cs in self._cells_by_dim.items() for cube in cs
+            {"a": forms[a], "b": forms[b], "dim": d}
+            for d, cs in self._cells_by_dim.items() for a, b in cs
         ]
         return {"n": self.n, "cubes": cubes}
 
@@ -297,10 +303,40 @@ def _not_a_square(sq) -> DomainError:
 # ----------------------------------------------------------------------
 
 
+def side_json(side: CoordSimplex) -> dict:
+    """The JSON form of one cube side: its vertex ids keyed by color text."""
+    return {str(c): v for c, v in side.entries}
+
+
+class _SideForms(dict):
+    """Side -> `side_json(side)`, made on the first lookup of a side and
+    stored, so every later cube with that side shares the one dict.  Each
+    emitting call makes its own, so no form outlives the call."""
+
+    __slots__ = ()
+
+    def __missing__(self, side: CoordSimplex) -> dict:
+        form = self[side] = side_json(side)
+        return form
+
+
 def cube_json(cube) -> dict:
     """The JSON form of a pair-built cube (a, b), without its dimension."""
     a, b = cube
-    return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
+    return {"a": side_json(a), "b": side_json(b)}
+
+
+def vertex_links_json(tags: Mapping) -> list:
+    """The `invariants links` entries, {"vertex": cube form, "tag": tag}
+    per vertex of `tags`, in the order of the vertex forms' canonical
+    texts.  That text is '{"a":' + text(a) + ',"b":' + text(b) + '}', and
+    no canonical object text is a proper prefix of another, so the order
+    is that of (text(a), text(b)): one text per distinct side."""
+    forms = _SideForms()
+    vertex = {v: {"a": forms[v[0]], "b": forms[v[1]]} for v in tags}
+    text = {side: canonical_json(form) for side, form in forms.items()}
+    order = sorted(tags, key=lambda v: (text[v[0]], text[v[1]]))
+    return [{"vertex": vertex[v], "tag": tags[v]} for v in order]
 
 
 def pair_json(gamma_a: ColoredComplex, gamma_b: ColoredComplex) -> dict:
@@ -1045,7 +1081,10 @@ def induced_map(f_a: ColoredMap, f_b: ColoredMap) -> CubicalMap:
 
     When both maps are inclusions of full subcomplexes the induced map is
     a local isometry; the link condition (injective link maps with full
-    image) is verified here in that case."""
+    image) is verified here in that case.  Each map must keep the color
+    count, checked before either complex is built."""
+    check_same_color_count(f_a.source, f_a.target)
+    check_same_color_count(f_b.source, f_b.target)
     X = build_clcc(f_a.source, f_b.source)
     Y = build_clcc(f_a.target, f_b.target)
     phi = CubicalMap(X, Y, f_a, f_b)

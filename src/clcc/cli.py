@@ -32,6 +32,7 @@ from clcc.clcc_core import (
     link_of_cube,
     pair_json,
     smartly_paired,
+    vertex_links_json,
 )
 from clcc.errors import ComplexError, DomainError
 from clcc.hyperbolicity import certify
@@ -392,9 +393,7 @@ def invariants(X, what):
         payload = {"dim": d, "pure": pure}
     else:
         tags = classify_vertex_links(X)
-        links = [{"vertex": cube_json(v), "tag": tag} for v, tag in tags.items()]
-        links.sort(key=lambda entry: canonical_json(entry["vertex"]))
-        payload = {"counts": dict(Counter(tags.values())), "links": links}
+        payload = {"counts": dict(Counter(tags.values())), "links": vertex_links_json(tags)}
     return payload
 
 

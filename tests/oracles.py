@@ -26,7 +26,8 @@ scan per complex, the brute-force graph walks (every vertex subset,
 every 4-tuple, every pair of nodes merged) that the shared graph helpers
 replace, and the pair assembler that hashes each cube's two sides, fed
 every covering pair of simplices, that assembly on the colorset buckets
-replaces.  The cross-polytope recogniser that scans every clique and the
+replaces, and the cube document written with two new side dicts per
+cube, that the side forms shared within one call replace.  The cross-polytope recogniser that scans every clique and the
 barycentric subdivision that lists every chain of faces by hand are the
 references of their counted and recursive replacements.  The clique
 completion that closes each clique downwards, as if it were maximal, is
@@ -787,6 +788,16 @@ def pair_cubes_reference(n: int, pairs) -> CubeComplex:
         if facets:
             positions[len(facets) // 2].append(tuple(sorted(where[f] for f in facets)))
     return CubeComplex(by_dim, positions, n=n)
+
+
+def cube_document_reference(X: CubeComplex) -> dict:
+    """The JSON form of a pair-built complex with two new side dicts per
+    cube, by the emitter that the shared side forms replace."""
+    def cube_json(cube) -> dict:
+        a, b = cube
+        return {"a": {str(c): v for c, v in a.entries}, "b": {str(c): v for c, v in b.entries}}
+    return {"n": X.n,
+            "cubes": [{**cube_json(c), "dim": d} for d in range(X.top_dim + 1) for c in X.cells(d)]}
 
 
 def is_full_cross_polytope_reference(K: ColoredComplex) -> bool:

@@ -565,6 +565,17 @@ def test_quotient_induces_surjection():
     assert phi.is_surjective and not phi.is_injective
 
 
+def test_a_map_that_changes_the_color_count_is_refused_before_any_build(monkeypatch):
+    """A point on colors 1..2 sent to itself on colors 1..3, on either
+    side of the pair, is refused by its color counts; no complex is built."""
+    monkeypatch.setattr(clcc_core, "build_clcc", lambda *_: pytest.fail("a complex was built"))
+    keep = ColoredMap.identity(ColoredComplex.build(2, [("b2", 2)], [["b2"]]))
+    grow = _point_into_three_colors("a1", 1)
+    for f_a, f_b in ((grow, keep), (keep, grow)):
+        with pytest.raises(PairError, match="^color counts differ: 2 vs 3$"):
+            induced_map(f_a, f_b)
+
+
 def test_colored_map_rejects_color_breaking(c4):
     with pytest.raises(ComplexError):
         ColoredMap.make(c4, c4, {"v0": "v1", "v1": "v0", "v2": "v3", "v3": "v2"})
@@ -620,6 +631,14 @@ def _point_into_three_colors(vid: str, color: int) -> ColoredMap:
     return ColoredMap.make(point(2), point(3), {vid: vid})
 
 
+def _edge_onto_two_points() -> ColoredMap:
+    """An edge sent to two points, built past `ColoredMap.make`, which
+    would refuse it: the image of the edge is no simplex."""
+    edge = ColoredComplex.build(2, [("a1", 1), ("a2", 2)], [["a1", "a2"]])
+    points = ColoredComplex.build(2, [("w1", 1), ("w2", 2)], [["w1"], ["w2"]])
+    return ColoredMap(edge, points, (("a1", "w1"), ("a2", "w2")))
+
+
 def _folded_torus_map() -> CubicalMap:
     """Side A's 4-cycle folded onto one edge: at a vertex (empty, edge)
     the link map sends the edges towards v0 and v2 to one edge."""
@@ -644,8 +663,11 @@ def _folded_torus_map() -> CubicalMap:
         lambda: is_connected(gen_cycle(2), gen_cycle(2, prefix="b"), engine="dfs"),
         ValueError, "unknown engine 'dfs'", id="unknown-engine"),
     pytest.param(
-        lambda: induced_map(_point_into_three_colors("a1", 1), _point_into_three_colors("b2", 2)),
-        ComplexError, "image of cube (<1:a1>, <2:b2>) missing from target", id="image-missing"),
+        lambda: induced_map(
+            _edge_onto_two_points(),
+            ColoredMap.identity(ColoredComplex.build(2, [("b1", 1), ("b2", 2)], [["b1"], ["b2"]]))),
+        ComplexError, "image of cube (<1:a1, 2:a2>, <empty>) missing from target",
+        id="image-missing"),
     pytest.param(
         lambda: _check_link_condition(_folded_torus_map()),
         ComplexError, "link map at (<empty>, <1:b0, 2:b1>) is not injective",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clcc
-from clcc import CubeComplex, build_clcc, gen_cross_polytope, gen_cycle
+from clcc import CubeComplex, build_clcc, gen_cross_polytope, gen_cycle, gen_surface_pair
 from clcc.canon import canonical_json, digest
 from clcc.cli import main
 from clcc.simplicial import ColoredComplex
@@ -851,3 +851,20 @@ def test_pocset_error_does_not_depend_on_the_hash_seed():
         assert p.returncode == 1, p.stderr
         outs.add(p.stdout)
     assert len(outs) == 1, outs
+
+
+def test_cube_documents_do_not_depend_on_the_hash_seed():
+    # the side forms are memoized by the sides' hashes, which a string's
+    # hash makes differ between processes
+    ga, gb = gen_surface_pair(2, 3)
+    pair = canonical_json({"gamma_a": ga.to_json_dict(), "gamma_b": gb.to_json_dict()})
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(_ENV, PYTHONHASHSEED=seed)
+        built = subprocess.run(CLCC + ["build", "-"], input=pair, capture_output=True,
+                               text=True, env=env, check=True).stdout
+        runs = [subprocess.run(CLCC + args, input=built, capture_output=True, text=True,
+                               env=env, check=True).stdout
+                for args in (["export", "-"], ["invariants", "links", "-"])]
+        outs.add((built, *runs))
+    assert len(outs) == 1

@@ -36,6 +36,7 @@ POCSET = "src/clcc/pocset_hyperplanes.py"
 HYPERBOLICITY = "src/clcc/hyperbolicity.py"
 GENERATORS = "src/clcc/generators.py"
 FACTOR_LINKS = "tests/test_factor_links.py"
+CUBE_JSON = "tests/test_cube_json.py"
 
 MUTANTS = [
     (  # clearing switched off: every row of each boundary matrix is eliminated
@@ -214,6 +215,20 @@ MUTANTS = [
         "        if False:\n",
         ["tests/test_hyperbolicity.py::test_certify_racg_rule_needs_single_vertex_colors",
          "tests/test_generators.py::test_generators_refuse_their_inputs"],
+    ),
+    (  # the vertex-link entries ordered by the b-side text first
+        CORE,
+        "key=lambda v: (text[v[0]], text[v[1]])",
+        "key=lambda v: (text[v[1]], text[v[0]])",
+        [f"{CUBE_JSON}::test_vertex_links_come_in_canonical_text_order",
+         f"{CUBE_JSON}::test_invariants_links_come_in_canonical_text_order"],
+    ),
+    (  # a side form made anew on every lookup and never stored: nothing shared
+        CORE,
+        "form = self[side] = side_json(side)",
+        "form = side_json(side)",
+        [f"{CUBE_JSON}::test_one_side_dict_per_distinct_side",
+         f"{CUBE_JSON}::test_vertex_links_make_one_side_dict_per_distinct_side"],
     ),
 ]
 
