@@ -37,6 +37,7 @@ from clcc.clcc_core import (
 from clcc.errors import ComplexError, DomainError
 from clcc.hyperbolicity import certify
 from clcc.pocset_hyperplanes import (
+    MAX_ULTRAFILTERS,
     Pocset,
     crossing_graph,
     directions,
@@ -480,10 +481,18 @@ def hyperplanes_cmd(X):
 # -- sageev ---------------------------------------------------------------------------
 
 
+# The one limit of `sageev` and `duality`: past it, exit 1 with a payload.
+_max_ultrafilters = click.option(
+    "--max-ultrafilters", type=click.IntRange(min=1), default=MAX_ULTRAFILTERS, show_default=True,
+    help="refuse a pocset with more ultrafilters than this",
+)
+
+
 @_command("sageev", reads="pocset")
-def sageev_cmd(S):
+@_max_ultrafilters
+def sageev_cmd(S, max_ultrafilters):
     """Cube complex of a pocset's ultrafilters."""
-    Y = sageev(S)
+    Y = sageev(S, max_ultrafilters)
     return {
         "cells": {str(d): len(Y.cells(d)) for d in range(Y.top_dim + 1)},
         "vertices": sorted(
@@ -496,10 +505,11 @@ def sageev_cmd(S):
 
 
 @_command("duality", reads="complex")
-def duality(X):
+@_max_ultrafilters
+def duality(X, max_ultrafilters):
     """Halfspace pocset round-trip: rebuild the complex from its
     halfspaces and verify the isomorphism."""
-    ok, mapping = roller_duality_check(X)
+    ok, mapping = roller_duality_check(X, max_ultrafilters)
     return {"roller_dual": ok, "vertices": len(mapping) if mapping else 0}
 
 

@@ -17,6 +17,11 @@ from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.clcc_core import CubeComplex
 from clcc.simplicial import _bits, component_roots
 
+# The default limit on the ultrafilters of one pocset (`ultrafilters`,
+# `sageev`, `roller_duality_check` and the CLI's --max-ultrafilters):
+# the walk that lists them stops at one more and raises DomainError.
+MAX_ULTRAFILTERS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -120,13 +125,19 @@ class Pocset:
     def pair_ids(self) -> tuple[str, ...]:
         return tuple(pid for pid, _ in self.elements[::2])
 
-    @cached_property
-    def _ultrafilter_masks(self) -> tuple[int, ...]:
+    def _ultrafilter_masks(self, limit: int = MAX_ULTRAFILTERS) -> tuple[int, ...]:
         """Every ultrafilter as the mask of its "+" sides (bit p for
         pair_ids[p]), in canonical order: sides are chosen in `pair_ids`
         order, "+" first, carrying the pairs chosen or forced to each side
         as two masks; a pair in both is a contradiction.  The masks of each
-        element come off its row: bit j is pair j >> 1, on side j & 1."""
+        element come off its row: bit j is pair j >> 1, on side j & 1.
+
+        The walk stops at its (limit + 1)-th ultrafilter and raises
+        DomainError.  A finished walk is kept on the pocset, so later
+        calls within their limit read it."""
+        masks = self.__dict__.get("_masks")
+        if masks is not None and len(masks) <= limit:
+            return masks
         # up[i]: the pairs of elements[i] and of every element above it, by side
         up = [[0, 0] for _ in self.rows]
         for i, row in enumerate(self.rows):
@@ -138,12 +149,17 @@ class Pocset:
             p, plus, minus = stack.pop()
             if p == len(sides):
                 out.append(plus)
+                if len(out) > limit:
+                    raise DomainError(
+                        f"the pocset has more than {limit} ultrafilters (max_ultrafilters={limit})"
+                    )
                 continue
             for up_plus, up_minus in sides[p]:  # "+" is pushed last, so walked first
                 on, off = plus | up_plus, minus | up_minus
                 if not on & off:
                     stack.append((p + 1, on, off))
-        return tuple(out)
+        masks = self.__dict__["_masks"] = tuple(out)
+        return masks
 
     @staticmethod
     def from_relations(pair_ids, relations) -> "Pocset":
@@ -193,37 +209,105 @@ class Pocset:
         return Pocset.from_relations(pair_ids, relations)
 
 
-def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list]:
+def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
     """The halfspace elements in sorted order, their order as rows (bit j
-    of rows[i] when halfspace i is strictly inside halfspace j), and each
-    halfspace as the mask of its vertices' positions in `X.cells(0)`.
+    of rows[i] when halfspace i is strictly inside halfspace j), each
+    halfspace as the mask of its vertices' positions in `X.cells(0)`,
+    and each vertex's sign: bit p set when the vertex is on the "+" side
+    of pair p, in the sorted order of the pair ids ("h10" before "h2").
 
-    Each hyperplane's edges, cut, must leave two parts.  Then X is
-    connected exactly when some edge of h0 joins h0's two parts: if none
-    does, those parts are the two components of X."""
+    Each hyperplane's edges, cut, must leave two parts, and X must be
+    connected.  The signs come from one walk from vertex 0: each vertex
+    gets its parent's sign with the bit of the tree edge's class flipped.
+    They are the cuts' sides when the walk reaches every vertex, every
+    edge joins two signs that differ in exactly the bit of its own class,
+    and no square has both its pairs in one class.  Then bit h changes
+    along exactly the edges of h, so each value of it holds whole parts
+    of the cut of h.  And each holds one part: a vertex reaches, without
+    crossing h, an end of some h-edge with its own bit h, and those ends
+    are joined outside h, since a square's two h-edges are joined by its
+    other two edges, which are not in h.  Vertex 0, the canonically
+    least, has sign 0, so the "-" side holds it, as in the cuts.
+
+    Conversely, when X is connected, every cut leaves two parts and no
+    square crosses itself, the edges of a class all join the two parts
+    or none does (a square carries the one to the other), and some does,
+    so every edge passes.  So when the walk fails, `_cut_signs`, which
+    reads the cuts one by one, names the error and raises.  Only with a
+    square that crosses itself, which a `from_cells` host may have (a
+    pair-built square has two colors), do the cuts decide."""
+    op = X.opposition
+    count = len(X.cells(0))
+    # the class of each sorted pair position: "h10" sorts before "h2"
+    hids = sorted(f"h{h}" for h in range(len(op.classes)))
+    bit = [0] * len(hids)
+    for p, hid in enumerate(hids):
+        bit[int(hid[1:])] = 1 << p
+    signs = _walk_signs(X, bit) if hids else [0] * count
+    if signs is None:
+        signs = _cut_signs(X, bit)
+    # the "+" mask of pair p: bit p of each sign, read as binary digits
+    # from the last vertex down
+    full, last_first, masks = (1 << count) - 1, signs[::-1], []
+    for p in range(len(hids)):
+        b = 1 << p
+        plus = int("".join(["1" if s & b else "0" for s in last_first]), 2)
+        masks += (plus, full ^ plus)
+    elements = tuple((hid, side) for hid in hids for side in "+-")
+    rows = tuple(sum(1 << j for j, b in enumerate(masks) if a != b and not a & ~b) for a in masks)
+    return elements, rows, masks, signs
+
+
+def _walk_signs(X: CubeComplex, bit: list) -> Optional[list]:
+    """Each vertex's sign from one walk from vertex 0 (see `_halfspaces`),
+    or None when the walk misses a vertex, an edge fails the check or a
+    square crosses itself."""
+    op = X.opposition
+    label, ends = op.label, X.facet_positions(1)
+    if any(label[e] == label[g] for e, _, g, _ in op.squares):
+        return None
+    flips = [bit[h] for h in label]
+    around: list = [[] for _ in X.cells(0)]
+    for (u, v), f in zip(ends, flips):
+        around[u].append((v, f))
+        around[v].append((u, f))
+    signs: list = [None] * len(around)
+    signs[0] = 0
+    reached = [0]
+    for u in reached:
+        s = signs[u]
+        for v, f in around[u]:
+            if signs[v] is None:
+                signs[v] = s ^ f
+                reached.append(v)
+    if None in signs or [signs[u] ^ signs[v] for u, v in ends] != flips:
+        return None
+    return signs
+
+
+def _cut_signs(X: CubeComplex, bit: list) -> list:
+    """Each vertex's sign read off the cuts: for each hyperplane, in class
+    order, the edges of the other classes must leave two parts, and the
+    part of vertex 0 is its "-" side.  Then X is connected exactly when some edge
+    of h0 joins h0's two parts: if none does, those parts are the two
+    components of X."""
     op = X.opposition
     endpoints = X.facet_positions(1)
     count = len(X.cells(0))
-    parts: dict = {}
-    for h in range(len(op.classes)):
-        hid = f"h{h}"
+    signs = [0] * count
+    for h, b in enumerate(bit):
         roots = component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))
         sides = len(set(roots))
         if sides != 2:
             raise NotTwoSidedError(
-                f"hyperplane {hid} separates the complex into {sides} parts, not 2"
+                f"hyperplane h{h} separates the complex into {sides} parts, not 2"
             )
-        # cells(0) is in canonical order, so the "-" side holds the least vertex
-        plus = sum(1 << i for i, r in enumerate(roots) if r)
-        parts[(hid, "-")], parts[(hid, "+")] = ((1 << count) - 1) ^ plus, plus
-    if parts:
-        plus = parts["h0", "+"]
-        if not any((plus >> u ^ plus >> v) & 1 for (u, v), k in zip(endpoints, op.label) if k == 0):
-            raise NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")
-    elements = tuple(sorted(parts))
-    masks = [parts[e] for e in elements]
-    rows = tuple(sum(1 << j for j, b in enumerate(masks) if a != b and not a & ~b) for a in masks)
-    return elements, rows, masks
+        for i, r in enumerate(roots):
+            if r:
+                signs[i] |= b
+    if not any((signs[u] ^ signs[v]) & bit[0] for (u, v), k in zip(endpoints, op.label) if k == 0):
+        raise NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")
+    return signs
 
 
 def halfspace_pocset(X: CubeComplex) -> Pocset:
@@ -235,7 +319,7 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
     are rejected.  Each halfspace's vertices are read off its mask in one
     C-level pass: bin(mask) from its lowest bit, its digits made bytes 0
     and 1, gives one selector per vertex."""
-    elements, rows, masks = _halfspaces(X)
+    elements, rows, masks, _ = _halfspaces(X)
     verts, bits = X.cells(0), bytes.maketrans(b"01", b"\0\1")
     sides = [frozenset(compress(verts, bin(m)[:1:-1].encode().translate(bits))) for m in masks]
     return Pocset(elements, rows, sides=dict(zip(elements, sides)))
@@ -246,20 +330,24 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
 # ----------------------------------------------------------------------
 
 
-def ultrafilters(S: Pocset) -> list[frozenset]:
+def ultrafilters(S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS) -> list[frozenset]:
     """All complete consistent choices of one side per pair, in canonical
     order, read off `S._ultrafilter_masks` (finiteness makes the
-    descending chain condition free)."""
-    sides = [((pid, "-"), (pid, "+")) for pid in S.pair_ids]
-    return [
-        frozenset([s[m >> p & 1] for p, s in enumerate(sides)]) for m in S._ultrafilter_masks
-    ]
+    descending chain condition free).  More than `max_ultrafilters` of
+    them raise DomainError."""
+    return _ultrafilter_sets(S.pair_ids, S._ultrafilter_masks(max_ultrafilters))
 
 
-def _sageev_tables(S: Pocset) -> list[list[tuple[int, ...]]]:
+def _ultrafilter_sets(pair_ids: tuple, plus: tuple) -> list[frozenset]:
+    """Each "+" mask of `plus` as the frozenset of its chosen sides."""
+    sides = [((pid, "-"), (pid, "+")) for pid in pair_ids]
+    return [frozenset([s[m >> p & 1] for p, s in enumerate(sides)]) for m in plus]
+
+
+def _sageev_tables(plus: tuple, shift: int) -> list[list[tuple[int, ...]]]:
     """The facet tables of the ultrafilter complex, dimension 1 first,
-    on the positions of `S._ultrafilter_masks`: a d-cube's facets are
-    positions among the (d-1)-cubes.
+    on the positions of `plus`, a pocset's `_ultrafilter_masks` over its
+    `shift` pairs: a d-cube's facets are positions among the (d-1)-cubes.
 
     A cube (u, T) is named by its top vertex u, the ultrafilter on the
     "+" side of every pair in T.  "+" sorts first, so u is the cube's
@@ -274,14 +362,15 @@ def _sageev_tables(S: Pocset) -> list[list[tuple[int, ...]]]:
     ascending, then (u_q, T' - q) for q descending.  With p = min T',
     the first is the parent (u, T), the last is (u_p, T), and the ones
     between are the parent's facets, in their order, each grown by p."""
-    plus = S._ultrafilter_masks
-    shift = len(S.pair_ids)
     index = {m: i for i, m in enumerate(plus)}
-    # down[u]: (p, u switched to "-" at p), for p descending
-    down = []
-    for m in plus:
-        switched = ((p, index.get(m ^ 1 << p)) for p in reversed(range(shift)) if m >> p & 1)
-        down.append([(p, w) for p, w in switched if w is not None])
+    # down[u]: (p, u_p << shift, the bit of p) for p descending, the keys
+    # shifted once here so that the growing loop shifts nothing
+    pairs = [(p, 1 << p) for p in reversed(range(shift))]
+    down = [
+        [(p, w << shift, bit) for p, bit in pairs
+         if m & bit and (w := index.get(m ^ bit)) is not None]
+        for m in plus
+    ]
     tables = []
     # the d-cubes in order as (u, mask of T, min T, facets); at: u << shift | mask -> position;
     # grown_by[f][p]: the position of (d-1)-cube f grown by p
@@ -290,17 +379,20 @@ def _sageev_tables(S: Pocset) -> list[list[tuple[int, ...]]]:
     grown_by: list = []
     while True:
         grown, nxt, children = [], {}, []
+        add = grown.append
         for parent, (u, mask, low, facets) in enumerate(level):
             kids = {}
-            for p, w in down[u]:
+            key = u << shift | mask
+            for p, w_key, bit in down[u]:
                 if p < low:
-                    last = at.get(w << shift | mask)
+                    last = at.get(w_key | mask)
                     if last is not None:
-                        kids[p] = q = len(grown)
-                        mask_p = mask | 1 << p
-                        nxt[u << shift | mask_p] = q
-                        fs = (parent, *[grown_by[f][p] for f in facets], last)
-                        grown.append((u, mask_p, p, fs))
+                        kids[p] = nxt[key | bit] = len(grown)
+                        if facets:
+                            fs = (parent, *[grown_by[f][p] for f in facets], last)
+                        else:  # an edge: its two vertices
+                            fs = (parent, last)
+                        add((u, mask | bit, p, fs))
             children.append(kids)
         if not grown:
             return tables
@@ -308,10 +400,11 @@ def _sageev_tables(S: Pocset) -> list[list[tuple[int, ...]]]:
         level, at, grown_by = grown, nxt, children
 
 
-def sageev(S: Pocset) -> CubeComplex:
+def sageev(S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS) -> CubeComplex:
     """Cube complex on the ultrafilters: a cube for each ultrafilter u
     and set T of pairs such that switching u on any subset of T gives an
-    ultrafilter.
+    ultrafilter.  More than `max_ultrafilters` ultrafilters raise
+    DomainError before any cube is made.
 
     The cubes and their facet table come from `_sageev_tables`: each
     cube is grown once, from its top vertex u (on the "+" side of every
@@ -320,8 +413,9 @@ def sageev(S: Pocset) -> CubeComplex:
     descending) and its facets ascending, with no sort.  A cell is the
     frozenset of its ultrafilters: the union of its first facet (the
     parent) and its last."""
-    verts = ultrafilters(S)
-    tables = _sageev_tables(S)
+    plus = S._ultrafilter_masks(max_ultrafilters)
+    verts = _ultrafilter_sets(S.pair_ids, plus)
+    tables = _sageev_tables(plus, len(S.pair_ids))
     cells: dict[int, list] = {0: verts}
     below = [frozenset([u]) for u in verts]
     for d, table in enumerate(tables, 1):
@@ -329,41 +423,40 @@ def sageev(S: Pocset) -> CubeComplex:
     return CubeComplex(cells, dict(enumerate(tables, 1)))
 
 
-def roller_duality_check(X: CubeComplex):
+def roller_duality_check(X: CubeComplex, max_ultrafilters: int = MAX_ULTRAFILTERS):
     """Rebuild X from its halfspace pocset and compare.
 
     The natural map sends a vertex to the set of halfspaces containing
     it; success means that map is a cube-complex isomorphism.  Returns
-    (verdict, vertex bijection or None).
+    (verdict, vertex bijection or None).  A pocset with more than
+    `max_ultrafilters` ultrafilters raises DomainError.
 
-    Each vertex of X is sent, by the mask of its "+" halfspaces, to a
-    position of the pocset's `_ultrafilter_masks`; then, one dimension
-    at a time, a d-cell of X goes to the d-cube of `_sageev_tables` whose
-    facets are the images of its facets.  Cells are determined by their
-    facets, so this compares facet tables only: it makes no rebuild
-    complex and reads no vertex sets, and the ultrafilters are built as
-    sets only for the mapping, when the verdict is True."""
-    elements, rows, halves = _halfspaces(X)
+    Each vertex of X is sent, by its sign from `_halfspaces` (the mask
+    of its "+" halfspaces), to a position of the pocset's
+    `_ultrafilter_masks`; then, one dimension at a time, a d-cell of X
+    goes to the d-cube of `_sageev_tables` whose facets are the images
+    of its facets.  Cells are determined by their facets, so this
+    compares facet tables only: it makes no rebuild complex and reads no
+    vertex sets, and the ultrafilters are built as sets only for the
+    mapping, when the verdict is True."""
+    elements, rows, _, signs = _halfspaces(X)
     S = Pocset(elements, rows)
     verts = X.cells(0)
-    signs = [0] * len(verts)
-    for p, plus in enumerate(halves[::2]):
-        for i in _bits(plus):
-            signs[i] |= 1 << p
-    masks = S._ultrafilter_masks
+    masks = S._ultrafilter_masks(max_ultrafilters)
     at = {m: i for i, m in enumerate(masks)}
     positions = image = [at.get(m) for m in signs]
     if len(verts) != len(masks) or None in image or len(set(image)) != len(image):
         return False, None
-    tables = _sageev_tables(S)
+    tables = _sageev_tables(masks, len(S.pair_ids))
     for d in range(1, max(X.top_dim, len(tables)) + 1):
         xs = X.facet_positions(d)
         ys = tables[d - 1] if d <= len(tables) else ()
         if len(xs) != len(ys):
             return False, None
         at = {fs: q for q, fs in enumerate(ys)}
-        image = [at.get(tuple(sorted([image[f] for f in fs]))) for fs in xs]
+        get = image.__getitem__
+        image = [at.get(tuple(sorted(map(get, fs)))) for fs in xs]
         if None in image:
             return False, None
-    U = ultrafilters(S)
+    U = _ultrafilter_sets(S.pair_ids, masks)
     return True, {v: U[i] for v, i in zip(verts, positions)}

@@ -88,6 +88,23 @@ def random_pocset(r: random.Random, max_pairs: int = 6) -> Pocset:
     return Pocset.from_relations(pair_ids, [])
 
 
+def free_pocset(m: int) -> Pocset:
+    return Pocset.from_relations([f"p{i}" for i in range(m)], [])
+
+
+def chain_pocset(m: int) -> Pocset:
+    chain = [f"c{i:02d}" for i in range(m)]
+    return Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
+
+
+def sweep_pocsets() -> list[Pocset]:
+    """The ultrafilter sweep: 300 seeded random pocsets of up to 7 pairs,
+    then the free pocsets of up to 8 pairs and the chains of up to 12."""
+    r = rng(905)
+    pocsets = [random_pocset(r, max_pairs=7) for _ in range(300)]
+    return pocsets + [free_pocset(m) for m in range(9)] + [chain_pocset(m) for m in range(1, 13)]
+
+
 def order_rows(elements, less) -> tuple[int, ...]:
     """The (x, y) pairs of `less` as `Pocset` rows: bit j of rows[i] when
     elements[i] < elements[j]."""

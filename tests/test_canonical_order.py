@@ -33,12 +33,15 @@ from clcc.simplicial import SimplicialComplex, simplicial_join
 
 from conftest import grid_complex, tree_complex
 from corpus import (
+    chain_pocset,
+    free_pocset,
     order_rows,
     random_colored_complex,
     random_flag_complex,
     random_pocset,
     random_smart_pair,
     rng,
+    sweep_pocsets,
 )
 from oracles import (
     closed_relations_reference,
@@ -191,26 +194,17 @@ def assert_sageev_matches_reference(S: Pocset) -> CubeComplex:
     return Y
 
 
-def free_pocset(m: int) -> Pocset:
-    return Pocset.from_relations([f"p{i}" for i in range(m)], [])
-
-
-def chain_pocset(m: int) -> Pocset:
-    chain = [f"c{i:02d}" for i in range(m)]
-    return Pocset.from_relations(chain, [((x, "+"), (y, "+")) for x, y in zip(chain, chain[1:])])
-
-
 def test_sageev_sweep_matches_reference():
     """sageev grows each cube from its top vertex, by pairs below all of
     its own, and writes its facets without a sort.  A growth order or a
     bound that is off shows here: on 300 seeded random pocsets of up to 7
-    pairs, the free pocsets of up to 8 pairs and the chains of up to 12,
-    the cells in order, the facet tables and the vertex sets equal the
-    reference's."""
-    r = rng(905)
-    pocsets = [random_pocset(r, max_pairs=7) for _ in range(300)]
-    pocsets += [free_pocset(m) for m in range(9)] + [chain_pocset(m) for m in range(1, 13)]
+    pairs, the free pocsets of up to 8 pairs, the chains of up to 12 and
+    the halfspace pocsets of grids up to 16 x 16, the cells in order, the
+    facet tables and the vertex sets equal the reference's."""
+    grids = [(1, 1), (2, 3), (5, 6), (8, 8), (16, 16)]
+    pocsets = sweep_pocsets() + [halfspace_pocset(grid_complex(r, c)) for r, c in grids]
     assert max(len(S.pair_ids) for S in pocsets[:300]) == 7
+    assert len(pocsets[-1].pair_ids) == 32
     for S in pocsets:
         assert_sageev_equals_reference(S)
 

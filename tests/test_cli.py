@@ -443,6 +443,54 @@ def test_huge_n_in_a_tiny_document_is_cheap():
         assert outputs[f"check {prop}", point]["holds"] is True
 
 
+def test_a_pocset_past_the_ultrafilter_limit_exits_1_at_once():
+    # the free pocset of 18 pairs has 2^18 ultrafilters and 3^18 cubes: a
+    # document of about 300 bytes that ran out of memory without a limit;
+    # the walk stops at the first ultrafilter past the default limit
+    limit = 1 << 16
+    free = canonical_json({"pairs": [{"id": f"p{i}"} for i in range(18)], "less": []})
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    p = subprocess.run(
+        CLCC + ["sageev", "-"], input=free, capture_output=True, text=True,
+        env=_ENV, preexec_fn=_limit_address_space, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert p.returncode == 1, p.stderr
+    assert out_json(p)["error"] == {
+        "command": "sageev",
+        "message": f"the pocset has more than {limit} ultrafilters (max_ultrafilters={limit})",
+        "type": "DomainError",
+    }
+    assert cpu < 1.0
+
+
+def test_the_ultrafilter_limit_is_a_flag_of_sageev_and_duality():
+    # h+ < k+ < m+: four ultrafilters; the rebuild of the tree-like
+    # complex of a point pair has three vertices, so three ultrafilters
+    chain = canonical_json({"pairs": [{"id": "h"}, {"id": "k"}, {"id": "m"}],
+                            "less": [["h+", "k+"], ["k+", "m+"]]})
+    assert out_json(run(["sageev", "--max-ultrafilters", "4", "-"], stdin=chain))["cells"] == {
+        "0": 4, "1": 3}
+    p = run(["sageev", "--max-ultrafilters", "3", "-"], stdin=chain, check=False)
+    assert p.returncode == 1
+    assert out_json(p)["error"]["message"] == (
+        "the pocset has more than 3 ultrafilters (max_ultrafilters=3)")
+    point = {"n": 1, "vertices": [{"id": "v1", "color": 1}], "maximal_simplices": [["v1"]]}
+    pair = run(["generate", "racg", "--gamma", "-"], stdin=canonical_json(point)).stdout
+    complex_doc = run(["build", "-"], stdin=pair).stdout
+    assert out_json(run(["duality", "--max-ultrafilters", "3", "-"], stdin=complex_doc)) == {
+        "roller_dual": True, "vertices": 3}
+    p = run(["duality", "--max-ultrafilters", "2", "-"], stdin=complex_doc, check=False)
+    assert p.returncode == 1
+    assert out_json(p)["error"] == {
+        "command": "duality",
+        "message": "the pocset has more than 2 ultrafilters (max_ultrafilters=2)",
+        "type": "DomainError",
+    }
+    assert run(["sageev", "--max-ultrafilters", "0", "-"], stdin=chain, check=False).returncode == 2
+
+
 def test_colors_near_a_huge_n_are_cheap():
     # a color set is a mask with bit c for color c, so 200 vertices of
     # colors near n = 10^8 would make 200 masks of 12.5 MB each if a pair
@@ -736,7 +784,7 @@ def test_every_input_argument_comes_from_the_command_wrapper():
     pytest.param(RecursionError(), "maximum recursion depth exceeded", id="bare-RecursionError"),
 ])
 def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc, message):
-    def body_raises(S):
+    def body_raises(S, max_ultrafilters):
         raise exc
 
     monkeypatch.setattr("clcc.cli.sageev", body_raises)

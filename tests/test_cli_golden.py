@@ -128,6 +128,8 @@ CASES = (
     ("sageev-cubes", ["sageev", "-"], "pocset_cubes"),
     ("sageev-invalid", ["sageev"], "pocset_bad"),
     ("sageev-conjugate", ["sageev", "-"], "pocset_conjugate"),
+    # four ultrafilters against a limit of three
+    ("sageev-ultrafilter-limit", ["sageev", "--max-ultrafilters", "3", "-"], "pocset"),
     ("duality", ["duality", "-"], "tree"),
     ("duality-surface", ["duality", "-"], "built"),
     ("duality-partial", ["duality", "-"], "partial"),
@@ -154,8 +156,8 @@ GOLDEN = {
     "help-homology": (0, "d9cdda4419136d85614b81b84be30de8e660f43c43eb9a6dfe79662353e53bbf"),
     "help-cycle": (0, "24c8cc434b16fbec0c95f7f2b90cbbf11db570b2416adfdb155d6a5878f8f338"),
     "help-hyperplanes": (0, "4943f9d0bc585db0420de4c3ac42b7b5e26d2a70de0eec96ece07d8fc0f0e7a5"),
-    "help-sageev": (0, "d63fd1a3bbbfa4ae46aebb0720b8e9b37117c7525f3ddbce31c1170642c0173b"),
-    "help-duality": (0, "cb2bd951194bcaf117d0d111da4b05363e2fb4d81ff59b565f3279a6c4c90bd8"),
+    "help-sageev": (0, "ae97043fa667df44a728e43b3c6cb5b9d4f78ea2b0ab5f3bcadf572133f2ff70"),
+    "help-duality": (0, "10d161edb5e936953e548c956f02ed3f7abfec146570a6d3ae27dd6544604829"),
     "help-certify": (0, "bd6ec9729019c128a04598ed0acca88f09e73e7aa2b75200e1ffdc1631b33aa3"),
     "help-export": (0, "52a792908892a6ea8a9f87bd26f3e544fffe3fd77b5fd8e872f5ab51ca64609c"),
     "help": (0, "1d2a697905cea7f4a22e746988ac0ff6640f77929ced4ac2a3bb4e2c53be2f60"),
@@ -212,6 +214,7 @@ GOLDEN = {
     "sageev-invalid": (1, "7438835476c2f0eca79613b2126f2a3c9967eeaa9f05950e7f5c0968470e70d5"),
     # recorded before the pocset order moved to bitmask rows
     "sageev-conjugate": (1, "b05d2153518f7c6b14cdd88e2d7c9351582eecabf51d6a54b5ab9d3ec5f07e47"),
+    "sageev-ultrafilter-limit": (1, "36e5348bee4853e46faa7b0643190592ff437ecc2a76a08d5822280aa35e503e"),
     "duality": (0, "f33bfaeffcee8fc6d65a1f11e53b759eaad245c3ee5b038e69ef37ff9e733591"),
     "duality-surface": (1, "a899738c78aff7c11a4f500c587bf8c0dfccc62ed12783f9f8d2e1ed8d091a3f"),
     "duality-partial": (1, "a899738c78aff7c11a4f500c587bf8c0dfccc62ed12783f9f8d2e1ed8d091a3f"),

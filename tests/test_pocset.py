@@ -1,5 +1,4 @@
 from collections import deque
-from functools import cached_property
 
 import pytest
 
@@ -19,7 +18,7 @@ from clcc.pocset_hyperplanes import (
 )
 
 from conftest import grid_complex, tree_complex
-from corpus import order_rows, random_pocset, rng
+from corpus import free_pocset, order_rows, random_pocset, rng
 from oracles import halfspace_sides_reference, roller_duality_check_reference
 
 
@@ -320,17 +319,19 @@ def test_nested_pairs_give_path():
 
 
 def count_mask_runs(monkeypatch) -> list:
-    """Record each pocset whose ultrafilter masks are enumerated."""
-    enumerate_masks = Pocset._ultrafilter_masks.func
+    """Record each pocset whose ultrafilter masks are enumerated: a walk
+    builds a new tuple, a read of the kept one returns it."""
+    enumerate_masks = Pocset._ultrafilter_masks
     runs = []
 
-    def counted(S):
-        runs.append(S)
-        return enumerate_masks(S)
+    def counted(S, *limit):
+        before = S.__dict__.get("_masks")
+        masks = enumerate_masks(S, *limit)
+        if masks is not before:
+            runs.append(S)
+        return masks
 
-    masks = cached_property(counted)
-    masks.__set_name__(Pocset, "_ultrafilter_masks")
-    monkeypatch.setattr(Pocset, "_ultrafilter_masks", masks)
+    monkeypatch.setattr(Pocset, "_ultrafilter_masks", counted)
     return runs
 
 
@@ -342,6 +343,25 @@ def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
     Y = sageev(S)
     assert runs == [S]
     assert len(U) == 6 and list(Y.cells(0)) == U
+
+
+def test_the_ultrafilter_walk_stops_past_its_limit():
+    """The free pocset of 40 pairs has 2^40 ultrafilters: the walk stops
+    at the first past the limit.  A finished walk is kept on its pocset
+    and checked again against a smaller limit."""
+    for reader in (ultrafilters, sageev):
+        with pytest.raises(DomainError) as err:
+            reader(free_pocset(40), 1000)
+        assert str(err.value) == (
+            "the pocset has more than 1000 ultrafilters (max_ultrafilters=1000)")
+    S = free_pocset(5)
+    assert len(ultrafilters(S, 32)) == 32
+    with pytest.raises(DomainError, match="more than 31 ultrafilters"):
+        sageev(S, 31)
+    Y = sageev(S)
+    assert roller_duality_check(Y, 32)[0]
+    with pytest.raises(DomainError, match="more than 31 ultrafilters"):
+        roller_duality_check(Y, 31)
 
 
 def test_duality_on_small_complexes():

@@ -14,7 +14,7 @@ the tree is copied to a temporary directory, the mutant applied, and its
 tests run with `pytest -x`.  It prints "killed" when they fail, and
 "survived" when they pass.  The exit code is 0 only when every mutant is
 killed.  A mutant that survives stays on the list and is reported as a
-fault of the tests.  This is not part of Tier-1; a full run takes under
+fault of the tests.  This is not part of Tier-1; a full run takes about
 a minute on two cores.
 """
 
@@ -37,6 +37,7 @@ HYPERBOLICITY = "src/clcc/hyperbolicity.py"
 GENERATORS = "src/clcc/generators.py"
 FACTOR_LINKS = "tests/test_factor_links.py"
 CUBE_JSON = "tests/test_cube_json.py"
+WALK = "tests/test_halfspace_walk.py"
 
 MUTANTS = [
     (  # clearing switched off: every row of each boundary matrix is eliminated
@@ -60,8 +61,8 @@ MUTANTS = [
     ),
     (  # sageev grows a cube by the pairs p ascending
         POCSET,
-        "for p in reversed(range(shift)) if m >> p & 1)",
-        "for p in range(shift) if m >> p & 1)",
+        "pairs = [(p, 1 << p) for p in reversed(range(shift))]",
+        "pairs = [(p, 1 << p) for p in range(shift)]",
         ["tests/test_canonical_order.py::test_sageev_sweep_matches_reference"],
     ),
     (  # sageev without the p < min T bound
@@ -129,10 +130,10 @@ MUTANTS = [
         "    @property\n    def _flag_witness(self)",
         ["tests/test_factor_predicates.py::test_flagness_is_asked_once_per_complex"],
     ),
-    (  # the halfspace sides read off the masks under swapped signs
+    (  # the halfspace sides read off the walk's signs under swapped signs
         POCSET,
-        "return Pocset(elements, rows, sides=dict(zip(elements, sides)))",
-        "return Pocset(elements, rows, sides=dict(zip(map(star, elements), sides)))",
+        "masks += (plus, full ^ plus)",
+        "masks += (full ^ plus, plus)",
         ["tests/test_hyperplane_cache.py::test_seeded_pairs_match_references",
          "tests/test_hyperplane_cache.py::test_generic_hosts_match_references"],
     ),
@@ -172,10 +173,10 @@ MUTANTS = [
         ["tests/test_hyperplane_cache.py::test_pair_hosts_match_references",
          "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
     ),
-    (  # halfspaces of a complex with two components accepted
+    (  # halfspaces of a complex with two components accepted by the cuts
         POCSET,
-        "        if not any((plus >> u ^ plus >> v) & 1 for",
-        "        if False and any((plus >> u ^ plus >> v) & 1 for",
+        "    if not any((signs[u] ^ signs[v]) & bit[0] for",
+        "    if False and any((signs[u] ^ signs[v]) & bit[0] for",
         ["tests/test_pocset.py::test_halfspaces_of_a_disconnected_complex_are_refused",
          "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
     ),
@@ -229,6 +230,39 @@ MUTANTS = [
         "form = side_json(side)",
         [f"{CUBE_JSON}::test_one_side_dict_per_distinct_side",
          f"{CUBE_JSON}::test_vertex_links_make_one_side_dict_per_distinct_side"],
+    ),
+    (  # the kept ultrafilter walk never read: every call walks again
+        POCSET,
+        "        if masks is not None and len(masks) <= limit:\n            return masks\n",
+        "",
+        ["tests/test_pocset.py::test_ultrafilters_then_sageev_enumerate_once"],
+    ),
+    (  # the walk's edge check skipped: every walk accepted
+        POCSET,
+        "if None in signs or [signs[u] ^ signs[v] for u, v in ends] != flips:",
+        "if None in signs:",
+        ["tests/test_pocset.py::test_four_cycle_halfspaces_are_rejected",
+         f"{WALK}::test_the_cuts_name_what_the_walk_refuses"],
+    ),
+    (  # the walk's bits by class index, not by the sorted position of the pair id
+        POCSET,
+        "        bit[int(hid[1:])] = 1 << p\n",
+        "        bit[p] = 1 << p\n",
+        [f"{WALK}::test_with_eleven_hyperplanes_the_bits_follow_the_sorted_ids",
+         f"{WALK}::test_walk_equals_the_cuts_on_trees_and_grids"],
+    ),
+    (  # the walk started from the last vertex: some "+" side holds the least one
+        POCSET,
+        "    signs[0] = 0\n    reached = [0]\n",
+        "    signs[-1] = 0\n    reached = [len(signs) - 1]\n",
+        ["tests/test_pocset.py::test_halfspaces_of_path_are_nested",
+         f"{WALK}::test_walk_equals_the_cuts_on_trees_and_grids"],
+    ),
+    (  # the walk trusted on a square whose two pairs are one class
+        POCSET,
+        "    if any(label[e] == label[g] for e, _, g, _ in op.squares):\n        return None\n",
+        "",
+        [f"{WALK}::test_a_square_crossing_itself_is_left_to_the_cuts"],
     ),
 ]
 
