@@ -37,6 +37,7 @@ from clcc.clcc_core import (
 from clcc.errors import ComplexError, DomainError
 from clcc.hyperbolicity import certify
 from clcc.pocset_hyperplanes import (
+    MAX_CUBES,
     MAX_ULTRAFILTERS,
     Pocset,
     crossing_graph,
@@ -481,7 +482,7 @@ def hyperplanes_cmd(X):
 # -- sageev ---------------------------------------------------------------------------
 
 
-# The one limit of `sageev` and `duality`: past it, exit 1 with a payload.
+# The limit shared by `sageev` and `duality`: past it, exit 1 with a payload.
 _max_ultrafilters = click.option(
     "--max-ultrafilters", type=click.IntRange(min=1), default=MAX_ULTRAFILTERS, show_default=True,
     help="refuse a pocset with more ultrafilters than this",
@@ -490,9 +491,13 @@ _max_ultrafilters = click.option(
 
 @_command("sageev", reads="pocset")
 @_max_ultrafilters
-def sageev_cmd(S, max_ultrafilters):
+@click.option(
+    "--max-cubes", type=click.IntRange(min=1), default=MAX_CUBES, show_default=True,
+    help="refuse a rebuild with more cubes than this, vertices included",
+)
+def sageev_cmd(S, max_ultrafilters, max_cubes):
     """Cube complex of a pocset's ultrafilters."""
-    Y = sageev(S, max_ultrafilters)
+    Y = sageev(S, max_ultrafilters, max_cubes)
     return {
         "cells": {str(d): len(Y.cells(d)) for d in range(Y.top_dim + 1)},
         "vertices": sorted(

@@ -3,7 +3,7 @@
 Rows are Python ints used as bitsets (bit j = column j).  Pivot
 columns, rank and row-span queries are all the homology engine needs;
 each runs one Gaussian elimination that pivots on the highest set bit of
-each row.
+each row.  `boundary_rows` packs a host's facet table into such rows.
 """
 
 from __future__ import annotations
@@ -13,6 +13,18 @@ from typing import Iterable
 # Benchmark reports record which elimination produced their GF(2) timings;
 # this pure-Python one is the only one.
 IMPLEMENTATION = "pure"
+
+
+def boundary_rows(table: Iterable[tuple]) -> list[int]:
+    """Boundary matrix rows from facet-table rows: one bitset per cell
+    over the positions of its facets."""
+    rows = []
+    for ps in table:
+        row = 0
+        for p in ps:
+            row ^= 1 << p
+        rows.append(row)
+    return rows
 
 
 def _eliminate(rows: Iterable[int], basis: dict[int, int]) -> dict[int, int]:

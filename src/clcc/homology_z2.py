@@ -4,9 +4,17 @@ Chains are finite sets of cells (set symmetric difference = addition).
 The augmented complex has a single (-1)-cell, the augmentation, and the
 boundary of a vertex is that cell; dimension -1 chains are a single bit.
 Hosts expose cells(d), boundary_of(cell), facet_positions(d),
-link_data(cell), top_dim and is_pure.  ColoredComplex, SimplicialComplex
-and CubeComplex share one cell store (`clcc.simplicial.CellStore`), which
-gives them all but boundary_of and link_data.
+link_data(cell), top_dim, is_pure and boundary_ranks.  ColoredComplex,
+SimplicialComplex and CubeComplex share one cell store
+(`clcc.simplicial.CellStore`), which gives them all but boundary_of and
+link_data.
+
+The Betti numbers read `boundary_ranks`, the rank of each boundary
+matrix, computed once per host: rank ∂1 from the union-find of the
+1-skeleton (vertices less components), the matrices above it by one
+GF(2) elimination each, top dimension first, with clearing.  So the
+reduced and the unreduced vector, and every later ask on the same host,
+share one set of eliminations.
 """
 
 from __future__ import annotations
@@ -117,48 +125,23 @@ class BettiVector:
     ranks: tuple[int, ...]
 
 
-def _boundary_rows(table: Iterable[tuple]) -> list[int]:
-    """Boundary matrix rows from facet-table rows: one bitset per cell
-    over the positions of its facets."""
-    rows = []
-    for ps in table:
-        row = 0
-        for p in ps:
-            row ^= 1 << p
-        rows.append(row)
-    return rows
-
-
 def betti_vectors(host) -> tuple[BettiVector, BettiVector]:
     """The reduced and the unreduced Betti numbers b_0..b_top, from the
-    GF(2) rank of each boundary matrix.  They differ only in b_0, by the
-    rank of the augmentation: 1 when there are vertices.
-
-    The matrices are reduced from the top dimension down, with clearing
-    (Chen and Kerber, "Persistent homology computation with a twist",
-    2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
-    A row of the reduced ∂(k+1) is a k-cycle whose pivot is its highest
-    k-cell j, so the boundary of j is a sum of boundaries of k-cells
-    before j.  Each such row of ∂k is left out: the rank of ∂k is that
-    of its other c_k - rank ∂(k+1) rows."""
-    top = host.top_dim
-    if top < 0:
+    GF(2) rank of each boundary matrix (`host.boundary_ranks`, computed
+    once per host).  They differ only in b_0, by the rank of the
+    augmentation: 1 when there are vertices."""
+    counts = [len(host.cells(d)) for d in range(host.top_dim + 1)]
+    if not counts:
         return BettiVector(True, ()), BettiVector(False, ())
-    counts = [len(host.cells(d)) for d in range(top + 1)]
-    ranks = [0] * (top + 2)
-    cleared = ()
-    for k in range(top, 0, -1):
-        kept = [ps for q, ps in enumerate(host.facet_positions(k)) if q not in cleared]
-        cleared = gf2.pivots(_boundary_rows(kept))
-        ranks[k] = len(cleared)
-    unreduced = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+    ranks = (*host.boundary_ranks, 0)
+    unreduced = [c - ranks[k] - ranks[k + 1] for k, c in enumerate(counts)]
     reduced = [unreduced[0] - (1 if counts[0] else 0)] + unreduced[1:]
     return BettiVector(True, tuple(reduced)), BettiVector(False, tuple(unreduced))
 
 
 def betti(host, reduced: bool = True) -> BettiVector:
-    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices,
-    reduced with clearing (`betti_vectors`)."""
+    """Betti numbers b_0..b_top by GF(2) rank of the boundary matrices
+    (`betti_vectors`)."""
     return betti_vectors(host)[0 if reduced else 1]
 
 
@@ -240,4 +223,4 @@ def is_boundary(c: Chain2) -> bool:
     vec = 0
     for cell in c.cells:
         vec ^= 1 << index[cell]
-    return gf2.in_rowspan(vec, _boundary_rows(c.host.facet_positions(c.dim + 1)))
+    return gf2.in_rowspan(vec, gf2.boundary_rows(c.host.facet_positions(c.dim + 1)))

@@ -21,6 +21,11 @@ from clcc.simplicial import _bits, component_roots
 # `sageev`, `roller_duality_check` and the CLI's --max-ultrafilters):
 # the walk that lists them stops at one more and raises DomainError.
 MAX_ULTRAFILTERS = 1 << 16
+# The default limit on the cubes of one ultrafilter complex, its vertices
+# included (`sageev`, the rebuild of `roller_duality_check` and the CLI's
+# --max-cubes): the free 12-pair pocset (3^12 = 531,441 cubes) is within
+# it, the free 13-pair one (1,594,323) is not.
+MAX_CUBES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -344,10 +349,15 @@ def _ultrafilter_sets(pair_ids: tuple, plus: tuple) -> list[frozenset]:
     return [frozenset([s[m >> p & 1] for p, s in enumerate(sides)]) for m in plus]
 
 
-def _sageev_tables(plus: tuple, shift: int) -> list[list[tuple[int, ...]]]:
+def _sageev_tables(
+    plus: tuple, shift: int, max_cubes: int = MAX_CUBES
+) -> list[list[tuple[int, ...]]]:
     """The facet tables of the ultrafilter complex, dimension 1 first,
     on the positions of `plus`, a pocset's `_ultrafilter_masks` over its
     `shift` pairs: a d-cube's facets are positions among the (d-1)-cubes.
+    More than `max_cubes` cubes, the vertices included, raise
+    DomainError; the count is checked before each parent cube grows, so
+    at most one parent's children are made past it.
 
     A cube (u, T) is named by its top vertex u, the ultrafilter on the
     "+" side of every pair in T.  "+" sorts first, so u is the cube's
@@ -377,10 +387,15 @@ def _sageev_tables(plus: tuple, shift: int) -> list[list[tuple[int, ...]]]:
     level = [(u, 0, shift, ()) for u in range(len(plus))]
     at = {u << shift: u for u in range(len(plus))}
     grown_by: list = []
+    room = max_cubes - len(plus)  # the cubes that may still be made
     while True:
         grown, nxt, children = [], {}, []
         add = grown.append
         for parent, (u, mask, low, facets) in enumerate(level):
+            if len(grown) > room:
+                raise DomainError(
+                    f"the ultrafilter complex has more than {max_cubes} cubes (max_cubes={max_cubes})"
+                )
             kids = {}
             key = u << shift | mask
             for p, w_key, bit in down[u]:
@@ -397,14 +412,18 @@ def _sageev_tables(plus: tuple, shift: int) -> list[list[tuple[int, ...]]]:
         if not grown:
             return tables
         tables.append([fs for _, _, _, fs in grown])
+        room -= len(grown)
         level, at, grown_by = grown, nxt, children
 
 
-def sageev(S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS) -> CubeComplex:
+def sageev(
+    S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS, max_cubes: int = MAX_CUBES
+) -> CubeComplex:
     """Cube complex on the ultrafilters: a cube for each ultrafilter u
     and set T of pairs such that switching u on any subset of T gives an
     ultrafilter.  More than `max_ultrafilters` ultrafilters raise
-    DomainError before any cube is made.
+    DomainError before any cube is made, and more than `max_cubes` cubes
+    (vertices included) raise DomainError while the cubes are grown.
 
     The cubes and their facet table come from `_sageev_tables`: each
     cube is grown once, from its top vertex u (on the "+" side of every
@@ -415,7 +434,7 @@ def sageev(S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS) -> CubeComplex:
     parent) and its last."""
     plus = S._ultrafilter_masks(max_ultrafilters)
     verts = _ultrafilter_sets(S.pair_ids, plus)
-    tables = _sageev_tables(plus, len(S.pair_ids))
+    tables = _sageev_tables(plus, len(S.pair_ids), max_cubes)
     cells: dict[int, list] = {0: verts}
     below = [frozenset([u]) for u in verts]
     for d, table in enumerate(tables, 1):
@@ -429,7 +448,8 @@ def roller_duality_check(X: CubeComplex, max_ultrafilters: int = MAX_ULTRAFILTER
     The natural map sends a vertex to the set of halfspaces containing
     it; success means that map is a cube-complex isomorphism.  Returns
     (verdict, vertex bijection or None).  A pocset with more than
-    `max_ultrafilters` ultrafilters raises DomainError.
+    `max_ultrafilters` ultrafilters, or a rebuild of more than
+    `MAX_CUBES` cubes, raises DomainError.
 
     Each vertex of X is sent, by its sign from `_halfspaces` (the mask
     of its "+" halfspaces), to a position of the pocset's

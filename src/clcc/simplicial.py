@@ -15,6 +15,7 @@ from itertools import combinations, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from clcc import gf2
 from clcc.canon import csorted
 from clcc.errors import ComplexError, DomainError, PairError
 
@@ -403,6 +404,35 @@ class CellStore:
             if len(reached) != len(self.cells(d - 1)):
                 return False
         return True
+
+    @cached_property
+    def boundary_ranks(self) -> tuple[int, ...]:
+        """The GF(2) rank of each boundary matrix: entry k is the rank of
+        ∂k, from the k-cells to the (k-1)-cells, for k = 0..top_dim, with
+        ∂0 zero (the augmentation is not counted).  Read from the facet
+        table once per host, for both Betti vectors.
+
+        rank ∂1 is the vertex count less the components of the
+        1-skeleton (`component_roots`), as Ripser reads dimension 0 off a
+        union-find (Bauer, "Ripser", 2021), so ∂1's rows are never built.
+        The matrices above it are reduced from the top dimension down,
+        with clearing (Chen and Kerber, "Persistent homology computation
+        with a twist", 2011; Bauer, Kerber and Reininghaus, "Clear and
+        compress", 2014).  A row of the reduced ∂(k+1) is a k-cycle whose
+        pivot is its highest k-cell j, so the boundary of j is a sum of
+        boundaries of k-cells before j.  Each such row of ∂k is left
+        out: the rank of ∂k is that of its other c_k - rank ∂(k+1) rows."""
+        top = self.top_dim
+        ranks = [0] * (top + 1)
+        cleared = ()
+        for k in range(top, 1, -1):
+            kept = [ps for q, ps in enumerate(self.facet_positions(k)) if q not in cleared]
+            cleared = gf2.pivots(gf2.boundary_rows(kept))
+            ranks[k] = len(cleared)
+        if top > 0:
+            roots = component_roots(len(self.cells(0)), self.facet_positions(1))
+            ranks[1] = len(roots) - len(set(roots))
+        return tuple(ranks)
 
     @cached_property
     def _view(self) -> _View:

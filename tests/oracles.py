@@ -445,17 +445,26 @@ def boundary_rows_reference(host, k: int, index_low: dict) -> list[int]:
     return rows
 
 
+def boundary_ranks_reference(host) -> tuple:
+    """The rank of ∂k for k = 0..top (∂0 is zero), each from every row of
+    the full matrix built from `boundary_of`, with no clearing and no
+    union-find."""
+    ranks = [0] * (host.top_dim + 1)
+    for k in range(1, host.top_dim + 1):
+        index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
+        ranks[k] = gf2.rank(boundary_rows_reference(host, k, index_low), len(index_low))
+    return tuple(ranks)
+
+
 def betti_reference(host, reduced: bool) -> tuple:
-    """Betti numbers from the rank of every row of every boundary matrix,
-    each row built from `boundary_of`, with no clearing."""
+    """Betti numbers from `boundary_ranks_reference`."""
     top = host.top_dim
     if top < 0:
         return ()
-    counts = [len(host.cells(d)) for d in range(top + 1)] + [0]
-    ranks = [(1 if counts[0] else 0) if reduced else 0] + [0] * (top + 1)
-    for k in range(1, top + 1):
-        index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
-        ranks[k] = gf2.rank(boundary_rows_reference(host, k, index_low), len(index_low))
+    counts = [len(host.cells(d)) for d in range(top + 1)]
+    ranks = list(boundary_ranks_reference(host)) + [0]
+    if reduced:
+        ranks[0] = 1 if counts[0] else 0
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 

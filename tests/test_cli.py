@@ -465,6 +465,40 @@ def test_a_pocset_past_the_ultrafilter_limit_exits_1_at_once():
     assert cpu < 1.0
 
 
+def _limit_address_space_to_2_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_a_pocset_past_the_cube_limit_exits_1_with_a_payload():
+    # the free pocset of 16 pairs is within the ultrafilter limit (2^16
+    # ultrafilters) but has 3^16 cubes: with no cube limit it ran out of
+    # memory under 2 GB and ended in a raw SystemError traceback with no
+    # payload; the cubes are counted as they are grown
+    message = "the ultrafilter complex has more than 1048576 cubes (max_cubes=1048576)"
+    free = canonical_json({"pairs": [{"id": f"p{i}"} for i in range(16)], "less": []})
+    p = subprocess.run(
+        CLCC + ["sageev", "-"], input=free, capture_output=True, text=True,
+        env=_ENV, preexec_fn=_limit_address_space_to_2_gb, timeout=120,
+    )
+    assert p.returncode == 1, p.stderr
+    assert out_json(p)["error"] == {"command": "sageev", "message": message, "type": "DomainError"}
+    assert p.stderr == f"clcc sageev: error: {message}\n"
+
+
+def test_the_cube_limit_is_a_flag_of_sageev():
+    # h+ < k+ < m+: four ultrafilters and three edges, seven cubes
+    chain = canonical_json({"pairs": [{"id": "h"}, {"id": "k"}, {"id": "m"}],
+                            "less": [["h+", "k+"], ["k+", "m+"]]})
+    assert out_json(run(["sageev", "--max-cubes", "7", "-"], stdin=chain))["cells"] == {
+        "0": 4, "1": 3}
+    for limit in (6, 3):
+        p = run(["sageev", "--max-cubes", str(limit), "-"], stdin=chain, check=False)
+        assert p.returncode == 1
+        assert out_json(p)["error"]["message"] == (
+            f"the ultrafilter complex has more than {limit} cubes (max_cubes={limit})")
+    assert run(["sageev", "--max-cubes", "0", "-"], stdin=chain, check=False).returncode == 2
+
+
 def test_the_ultrafilter_limit_is_a_flag_of_sageev_and_duality():
     # h+ < k+ < m+: four ultrafilters; the rebuild of the tree-like
     # complex of a point pair has three vertices, so three ultrafilters
@@ -784,7 +818,7 @@ def test_every_input_argument_comes_from_the_command_wrapper():
     pytest.param(RecursionError(), "maximum recursion depth exceeded", id="bare-RecursionError"),
 ])
 def test_memory_and_recursion_errors_exit_1_with_a_payload(monkeypatch, exc, message):
-    def body_raises(S, max_ultrafilters):
+    def body_raises(S, max_ultrafilters, max_cubes):
         raise exc
 
     monkeypatch.setattr("clcc.cli.sageev", body_raises)

@@ -156,7 +156,7 @@ GOLDEN = {
     "help-homology": (0, "d9cdda4419136d85614b81b84be30de8e660f43c43eb9a6dfe79662353e53bbf"),
     "help-cycle": (0, "24c8cc434b16fbec0c95f7f2b90cbbf11db570b2416adfdb155d6a5878f8f338"),
     "help-hyperplanes": (0, "4943f9d0bc585db0420de4c3ac42b7b5e26d2a70de0eec96ece07d8fc0f0e7a5"),
-    "help-sageev": (0, "ae97043fa667df44a728e43b3c6cb5b9d4f78ea2b0ab5f3bcadf572133f2ff70"),
+    "help-sageev": (0, "f3b13aacf94d11ee1fab871d96174c38e8a685011fcc77ccd0d9d60afb084b48"),
     "help-duality": (0, "10d161edb5e936953e548c956f02ed3f7abfec146570a6d3ae27dd6544604829"),
     "help-certify": (0, "bd6ec9729019c128a04598ed0acca88f09e73e7aa2b75200e1ffdc1631b33aa3"),
     "help-export": (0, "52a792908892a6ea8a9f87bd26f3e544fffe3fd77b5fd8e872f5ab51ca64609c"),

@@ -7,10 +7,12 @@ table is checked against facets found by vertex-set inclusion
 (`facet_positions_reference`), on pair-built complexes, on cube
 documents loaded with and without their pair, on `from_cells` grids and
 trees, on `sageev` complexes, and on colored and uncolored simplicial
-hosts.  Betti numbers, reduced with clearing, are checked against the
-full elimination of the boundary matrices built cell by cell from
-`boundary_of` (`betti_reference`), on these hosts and on the three
-`manifolds` pairs, and purity against the coface scan.
+hosts.  The boundary ranks (rank ∂1 from the union-find, the others
+reduced with clearing) and the Betti numbers read off them are checked
+against the full elimination of the boundary matrices built cell by
+cell from `boundary_of` (`boundary_ranks_reference`, `betti_reference`),
+on these hosts and on the three `manifolds` pairs, and purity against
+the coface scan.
 The link and coface -> link-cell map of every cell, walked on the star,
 are checked too: of every cube against the closure walk on cofaces
 found by vertex-set inclusion (`link_data_reference`), and of every
@@ -66,6 +68,7 @@ from corpus import (
 )
 from oracles import (
     betti_reference,
+    boundary_ranks_reference,
     cofaces_reference,
     covering_pairs_reference,
     csaszar_torus,
@@ -170,6 +173,7 @@ def assert_links_match(host) -> None:
 
 def assert_host_matches(host) -> int:
     checked = assert_table_matches(host)
+    assert host.boundary_ranks == boundary_ranks_reference(host)
     for reduced in (True, False):
         assert betti(host, reduced).ranks == betti_reference(host, reduced)
     assert host.is_pure == is_pure_reference(host)
@@ -207,6 +211,7 @@ def test_betti_equals_the_full_elimination_on_the_manifold_pairs():
     clearing leaves out the most rows."""
     for ga, gb in manifold_pairs():
         X = build_clcc(ga, gb)
+        assert X.boundary_ranks == boundary_ranks_reference(X)
         for reduced in (True, False):
             assert betti(X, reduced).ranks == betti_reference(X, reduced)
 

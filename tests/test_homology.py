@@ -3,10 +3,13 @@ from math import comb
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcc import gf2
 from clcc import (
     ColoredComplex,
+    SimplicialComplex,
     betti,
     boundary,
     build_clcc,
@@ -26,12 +29,15 @@ from clcc import (
     zero_chain,
 )
 from clcc.cli import main
+from clcc.clcc_core import CubeComplex
 from clcc.errors import DomainError
-from clcc.homology_z2 import Chain2, support_subcomplex
+from clcc.homology_z2 import BettiVector, Chain2, betti_vectors, support_subcomplex
+from clcc.pocset_hyperplanes import Pocset, sageev
 from clcc.simplicial import barycentric_subdivision_2d
 
 from corpus import random_chain, random_smart_pair, rng
-from oracles import boundary_rows_reference
+from oracles import betti_reference, boundary_ranks_reference, boundary_rows_reference
+from test_facet_table import census_pairs
 
 
 @pytest.fixture
@@ -390,13 +396,15 @@ def counting_pivots(monkeypatch) -> list:
 
 
 def assert_cleared_eliminations(host, handed) -> None:
-    """One elimination per boundary matrix, from the top down: ∂top gets
-    all of its rows, and ∂k exactly the c_k - rank ∂(k+1) rows of the
-    k-cells that are not pivots of ∂(k+1), so no cleared row is ranked."""
+    """One elimination per boundary matrix above ∂1, from the top down:
+    ∂top gets all of its rows, and ∂k exactly the c_k - rank ∂(k+1) rows
+    of the k-cells that are not pivots of ∂(k+1), so no cleared row is
+    ranked.  ∂1 is never eliminated: its rank is read off the union-find
+    of the 1-skeleton."""
     top = host.top_dim
-    assert len(handed) == top
+    assert len(handed) == max(top - 1, 0)
     rank_above, cleared = 0, set()
-    for k, (rows, pivots) in zip(range(top, 0, -1), handed):
+    for k, (rows, pivots) in zip(range(top, 1, -1), handed):
         index_low = {c: i for i, c in enumerate(host.cells(k - 1))}
         full = boundary_rows_reference(host, k, index_low)
         assert len(rows) == len(host.cells(k)) - rank_above
@@ -407,12 +415,13 @@ def assert_cleared_eliminations(host, handed) -> None:
 
 def test_homology_command_ranks_each_boundary_matrix_once(monkeypatch, torus):
     """`clcc homology` reports the reduced and the unreduced vector from
-    one GF(2) elimination of each boundary matrix, cleared of the rows
-    that the one above shows dependent."""
+    one GF(2) elimination of each boundary matrix above ∂1, cleared of
+    the rows that the one above shows dependent; on the torus that is ∂2
+    alone, with all 16 of its rows."""
     handed = counting_pivots(monkeypatch)
     res = CliRunner().invoke(main, ["homology", "-"], input=json.dumps(torus.to_json_dict()))
     assert res.exit_code == 0, res.output
-    assert [len(rows) for rows, _ in handed] == [16, 32 - 15]
+    assert [len(rows) for rows, _ in handed] == [16]
     assert_cleared_eliminations(torus, handed)
     got = json.loads(res.stdout)
     assert got["reduced"] == list(betti(torus).ranks) == [0, 2, 1]
@@ -420,15 +429,132 @@ def test_homology_command_ranks_each_boundary_matrix_once(monkeypatch, torus):
 
 
 def test_clearing_reaches_every_boundary_matrix_below_the_top(monkeypatch):
-    """On the 3-torus and the 4-torus both ∂1 and the matrices between it
-    and the top are cleared."""
+    """On the 3-torus and the 4-torus every matrix between ∂1 and the top
+    (∂2, and on the 4-torus ∂3 too) is cleared."""
     handed = counting_pivots(monkeypatch)
     for n in (3, 4):
         X = build_clcc(gen_cross_polytope(n), gen_cross_polytope(n, prefix="b"))
         handed.clear()
         assert betti(X, reduced=False).ranks == tuple(comb(n, k) for k in range(n + 1))
         assert_cleared_eliminations(X, handed)
-        assert all(len(rows) < len(X.cells(k)) for k, (rows, _) in zip(range(n - 1, 0, -1), handed[1:]))
+        below_top = list(zip(range(n - 1, 1, -1), handed[1:]))
+        assert len(below_top) == n - 2
+        assert all(len(rows) < len(X.cells(k)) for k, (rows, _) in below_top)
+
+
+def test_both_vectors_and_every_later_ask_share_one_set_of_eliminations(monkeypatch, torus, genus2):
+    """`betti(X)`, `betti(X, False)` and `betti_vectors(X)` together hand
+    `gf2.pivots` top - 1 matrices: the ranks are computed once per host."""
+    handed = counting_pivots(monkeypatch)
+    hosts = [torus, genus2]
+    hosts += [build_clcc(gen_cross_polytope(n), gen_cross_polytope(n, prefix="b")) for n in (3, 4)]
+    for X in hosts:
+        handed.clear()
+        red, unred = betti(X), betti(X, False)
+        assert betti_vectors(X) == (red, unred)
+        assert len(handed) == X.top_dim - 1
+        assert_cleared_eliminations(X, handed)
+        assert red.ranks == betti_reference(X, True) and unred.ranks == betti_reference(X, False)
+
+
+def test_boundary_ranks_equal_the_full_elimination_on_the_corpus_and_census(
+    c4, c6, o3, torus, genus2, one_triangle, twopt
+):
+    hosts = host_corpus(c4, c6, o3, torus, genus2, one_triangle, twopt)
+    hosts += [build_clcc(ga, gb) for ga, gb in census_pairs(60)]
+    for X in hosts:
+        assert X.boundary_ranks == boundary_ranks_reference(X)
+    assert {X.top_dim for X in hosts} >= {-1, 0, 1, 2, 3}
+
+
+_colored_complexes = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n), min_size=1, max_size=7),
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8),
+))
+
+
+def _colored(spec) -> ColoredComplex:
+    """A colored complex from vertex colors and tops given as vertex numbers;
+    a top keeps the first vertex of each of its colors."""
+    n, colors, tops = spec
+    vertices = [(f"v{i}", c) for i, c in enumerate(colors)]
+    maximal = []
+    for top in tops:
+        chosen: dict[int, str] = {}
+        for i in top:
+            vid, c = vertices[i % len(vertices)]
+            chosen.setdefault(c, vid)
+        maximal.append(sorted(chosen.values()))
+    return ColoredComplex.build(n, vertices, maximal)
+
+
+@given(spec_a=_colored_complexes, spec_b=_colored_complexes)
+@settings(max_examples=60, deadline=None)
+def test_boundary_ranks_equal_the_full_elimination_on_hypothesis_complexes(spec_a, spec_b):
+    """Each factor, uncolored too, and the pair complex when the color
+    counts agree."""
+    ga, gb = _colored(spec_a), _colored(spec_b)
+    hosts = [ga, gb, ga.uncolored()]
+    if ga.n == gb.n:
+        hosts.append(build_clcc(ga, gb))
+    for X in hosts:
+        assert X.boundary_ranks == boundary_ranks_reference(X)
+        assert betti(X).ranks == betti_reference(X, True)
+
+
+# -- hosts with no edges -----------------------------------------------------------------
+
+
+def no_cell_hosts() -> list:
+    return [
+        ColoredComplex.build(2, [], []),
+        ColoredComplex(2, {}, frozenset()),
+        SimplicialComplex.from_maximal([], []),
+        CubeComplex.from_json_dict({"n": 2, "cubes": []}),
+        build_clcc(ColoredComplex.build(2, [("a", 1)], [["a"]]),
+                   ColoredComplex.build(2, [("x", 1)], [["x"]])),
+    ]
+
+
+def vertex_only_hosts() -> list:
+    """Each with its vertex count."""
+    points_a = ColoredComplex.build(2, [("a", 1), ("c", 1)], [["a"], ["c"]])
+    points_b = ColoredComplex.build(2, [("x", 2), ("y", 2), ("z", 2)], [["x"], ["y"], ["z"]])
+    return [
+        (points_a, 2),
+        (points_b, 3),
+        (points_b.uncolored(), 3),
+        (build_clcc(points_a, points_b), 6),
+        (sageev(Pocset.from_relations([], [])), 1),
+    ]
+
+
+def test_a_host_with_no_cells_has_no_betti_numbers_and_no_fundamental_class(monkeypatch):
+    handed = counting_pivots(monkeypatch)
+    for X in no_cell_hosts():
+        assert X.top_dim == -1 and X.boundary_ranks == ()
+        assert betti_vectors(X) == (BettiVector(True, ()), BettiVector(False, ()))
+        assert X.is_pure and fundamental_class(X) is False
+    assert handed == []
+
+
+def test_a_host_of_vertices_only_has_b0_the_vertex_count(monkeypatch):
+    """No edges: no elimination and no union-find; rank ∂0 is 0, so b0 is
+    the vertex count, less one when reduced.  The top chain is a cycle
+    exactly when the vertex count is even."""
+    handed = counting_pivots(monkeypatch)
+
+    def no_union_find(*args):
+        raise AssertionError("a union-find over no edges")
+
+    monkeypatch.setattr("clcc.simplicial.component_roots", no_union_find)
+    for X, count in vertex_only_hosts():
+        assert X.top_dim == 0 and X.boundary_ranks == (0,)
+        assert betti_vectors(X) == (BettiVector(True, (count - 1,)), BettiVector(False, (count,)))
+        assert betti(X, False).ranks == betti_reference(X, False)
+        assert fundamental_class(X) is (count % 2 == 0)
+    assert handed == []
 
 
 # -- refusals ---------------------------------------------------------------------------

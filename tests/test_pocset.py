@@ -364,6 +364,19 @@ def test_the_ultrafilter_walk_stops_past_its_limit():
         roller_duality_check(Y, 31)
 
 
+def test_sageev_stops_past_its_cube_limit():
+    """The free 5-pair pocset has 3^5 = 243 cubes, its 32 vertices
+    included: a limit of 243 keeps it, 242 refuses it, and so does a
+    limit below the vertex count."""
+    S = free_pocset(5)
+    assert sum(len(sageev(S, max_cubes=243).cells(d)) for d in range(6)) == 243
+    for limit in (242, 100, 31):
+        with pytest.raises(DomainError) as err:
+            sageev(S, max_cubes=limit)
+        assert str(err.value) == (
+            f"the ultrafilter complex has more than {limit} cubes (max_cubes={limit})")
+
+
 def test_duality_on_small_complexes():
     for X in (
         tree_complex([("v0", "v1"), ("v1", "v2")]),

@@ -29,7 +29,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-HOMOLOGY = "src/clcc/homology_z2.py"
 CORE = "src/clcc/clcc_core.py"
 SIMPLICIAL = "src/clcc/simplicial.py"
 POCSET = "src/clcc/pocset_hyperplanes.py"
@@ -41,11 +40,24 @@ WALK = "tests/test_halfspace_walk.py"
 
 MUTANTS = [
     (  # clearing switched off: every row of each boundary matrix is eliminated
-        HOMOLOGY,
-        "kept = [ps for q, ps in enumerate(host.facet_positions(k)) if q not in cleared]",
-        "kept = list(host.facet_positions(k))",
-        ["tests/test_homology.py::test_homology_command_ranks_each_boundary_matrix_once",
-         "tests/test_homology.py::test_clearing_reaches_every_boundary_matrix_below_the_top"],
+        SIMPLICIAL,
+        "kept = [ps for q, ps in enumerate(self.facet_positions(k)) if q not in cleared]",
+        "kept = list(self.facet_positions(k))",
+        ["tests/test_homology.py::test_clearing_reaches_every_boundary_matrix_below_the_top",
+         "tests/test_homology.py::test_both_vectors_and_every_later_ask_share_one_set_of_eliminations"],
+    ),
+    (  # rank ∂1 read with the component count off by one
+        SIMPLICIAL,
+        "ranks[1] = len(roots) - len(set(roots))",
+        "ranks[1] = len(roots) - len(set(roots)) + 1",
+        ["tests/test_homology.py::test_boundary_ranks_equal_the_full_elimination_on_the_corpus_and_census",
+         "tests/test_homology.py::test_betti_torus"],
+    ),
+    (  # the boundary ranks recomputed on every ask: each Betti vector eliminates again
+        SIMPLICIAL,
+        "    @cached_property\n    def boundary_ranks(self)",
+        "    @property\n    def boundary_ranks(self)",
+        ["tests/test_homology.py::test_both_vectors_and_every_later_ask_share_one_set_of_eliminations"],
     ),
     (  # the opposition walk no longer checks a square's second pair
         CORE,
@@ -230,6 +242,12 @@ MUTANTS = [
         "form = side_json(side)",
         [f"{CUBE_JSON}::test_one_side_dict_per_distinct_side",
          f"{CUBE_JSON}::test_vertex_links_make_one_side_dict_per_distinct_side"],
+    ),
+    (  # the cube limit counts each level against the whole budget
+        POCSET,
+        "        room -= len(grown)\n",
+        "",
+        ["tests/test_pocset.py::test_sageev_stops_past_its_cube_limit"],
     ),
     (  # the kept ultrafilter walk never read: every call walks again
         POCSET,
