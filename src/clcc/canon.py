@@ -1,7 +1,8 @@
 """Canonical ordering and canonical JSON.
 
 Cell identifiers are heterogeneous (strings, ints, tuples, frozensets of
-other identifiers), so Python's default ordering cannot sort them.
+other identifiers, and objects with a `canonical_key` method, such as
+`CoordSimplex`), so Python's default ordering cannot sort them.
 `canon_key` maps any identifier built from those pieces to a totally
 ordered key; every deterministic iteration order in the package goes
 through it.
@@ -23,14 +24,7 @@ def canon_key(obj: Any) -> tuple:
         return (2, tuple(canon_key(x) for x in obj))
     if isinstance(obj, (frozenset, set)):
         return (3, tuple(sorted(canon_key(x) for x in obj)))
-    if isinstance(obj, list):
-        return (4, tuple(canon_key(x) for x in obj))
-    if obj is None:
-        return (5,)
-    key = getattr(obj, "canonical_key", None)
-    if key is not None:
-        return (6, key() if callable(key) else key)
-    raise TypeError(f"no canonical order for {type(obj).__name__}")
+    return (4, obj.canonical_key())
 
 
 def csorted(items) -> list:

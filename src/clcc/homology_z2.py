@@ -66,17 +66,14 @@ class Chain2:
         return Chain2(self.host, self.dim, self.cells ^ other.cells)
 
     def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "cells": [_cell_json(c) for c in csorted(self.cells)]}
-
-
-def _cell_json(cell):
-    if isinstance(cell, CoordSimplex):
-        return sorted(cell.vertex_ids)
-    if isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[0], CoordSimplex):
-        return cube_json(cell)
-    if isinstance(cell, frozenset):
-        return sorted(str(v) for v in cell)
-    return str(cell)
+        """{"dim", "cells"}, the cells as cube forms in canonical order.
+        `clcc cycle` writes chains of cubes of pair-built complexes only;
+        any other chain is refused, as `CubeComplex.to_json_dict` refuses
+        a complex with no pair."""
+        host = self.host
+        if self.dim < 0 or not (isinstance(host, CubeComplex) and host.has_pair_origin):
+            raise DomainError("only chains of cubes of a pair-built complex have a JSON form")
+        return {"dim": self.dim, "cells": [cube_json(c) for c in csorted(self.cells)]}
 
 
 def chain(host, dim: int, cells: Iterable) -> Chain2:

@@ -131,39 +131,12 @@ class Pocset:
         return tuple(pid for pid, _ in self.elements[::2])
 
     def _ultrafilter_masks(self, limit: int = MAX_ULTRAFILTERS) -> tuple[int, ...]:
-        """Every ultrafilter as the mask of its "+" sides (bit p for
-        pair_ids[p]), in canonical order: sides are chosen in `pair_ids`
-        order, "+" first, carrying the pairs chosen or forced to each side
-        as two masks; a pair in both is a contradiction.  The masks of each
-        element come off its row: bit j is pair j >> 1, on side j & 1.
-
-        The walk stops at its (limit + 1)-th ultrafilter and raises
-        DomainError.  A finished walk is kept on the pocset, so later
-        calls within their limit read it."""
+        """`_ultrafilter_walk` of the rows.  A finished walk is kept on
+        the pocset, so later calls within their limit read it."""
         masks = self.__dict__.get("_masks")
         if masks is not None and len(masks) <= limit:
             return masks
-        # up[i]: the pairs of elements[i] and of every element above it, by side
-        up = [[0, 0] for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j in _bits(row | 1 << i):
-                up[i][j & 1] |= 1 << (j >> 1)
-        sides = [(up[i + 1], up[i]) for i in range(0, len(up), 2)]
-        out, stack = [], [(0, 0, 0)]
-        while stack:
-            p, plus, minus = stack.pop()
-            if p == len(sides):
-                out.append(plus)
-                if len(out) > limit:
-                    raise DomainError(
-                        f"the pocset has more than {limit} ultrafilters (max_ultrafilters={limit})"
-                    )
-                continue
-            for up_plus, up_minus in sides[p]:  # "+" is pushed last, so walked first
-                on, off = plus | up_plus, minus | up_minus
-                if not on & off:
-                    stack.append((p + 1, on, off))
-        masks = self.__dict__["_masks"] = tuple(out)
+        masks = self.__dict__["_masks"] = _ultrafilter_walk(self.rows, limit)
         return masks
 
     @staticmethod
@@ -335,6 +308,40 @@ def halfspace_pocset(X: CubeComplex) -> Pocset:
 # ----------------------------------------------------------------------
 
 
+def _ultrafilter_walk(rows: tuple, limit: int) -> tuple[int, ...]:
+    """Every ultrafilter of the pocset whose order is `rows` (see
+    `Pocset`) as the mask of its "+" sides (bit p for pair p), in
+    canonical order: sides are chosen in pair order, "+" first, carrying
+    the pairs chosen or forced to each side as two masks; a pair in both
+    is a contradiction.  The masks of each element come off its row: bit
+    j is pair j >> 1, on side j & 1.  The rows are taken as they are: the
+    axioms are checked where a `Pocset` is made.
+
+    The walk stops at its (limit + 1)-th ultrafilter and raises
+    DomainError."""
+    # up[i]: the pairs of element i and of every element above it, by side
+    up = [[0, 0] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in _bits(row | 1 << i):
+            up[i][j & 1] |= 1 << (j >> 1)
+    sides = [(up[i + 1], up[i]) for i in range(0, len(up), 2)]
+    out, stack = [], [(0, 0, 0)]
+    while stack:
+        p, plus, minus = stack.pop()
+        if p == len(sides):
+            out.append(plus)
+            if len(out) > limit:
+                raise DomainError(
+                    f"the pocset has more than {limit} ultrafilters (max_ultrafilters={limit})"
+                )
+            continue
+        for up_plus, up_minus in sides[p]:  # "+" is pushed last, so walked first
+            on, off = plus | up_plus, minus | up_minus
+            if not on & off:
+                stack.append((p + 1, on, off))
+    return tuple(out)
+
+
 def ultrafilters(S: Pocset, max_ultrafilters: int = MAX_ULTRAFILTERS) -> list[frozenset]:
     """All complete consistent choices of one side per pair, in canonical
     order, read off `S._ultrafilter_masks` (finiteness makes the
@@ -452,22 +459,23 @@ def roller_duality_check(X: CubeComplex, max_ultrafilters: int = MAX_ULTRAFILTER
     `MAX_CUBES` cubes, raises DomainError.
 
     Each vertex of X is sent, by its sign from `_halfspaces` (the mask
-    of its "+" halfspaces), to a position of the pocset's
-    `_ultrafilter_masks`; then, one dimension at a time, a d-cell of X
-    goes to the d-cube of `_sageev_tables` whose facets are the images
+    of its "+" halfspaces), to a position of `_ultrafilter_walk` of the
+    halfspace order, which is a pocset by construction and so is not
+    re-checked as a `Pocset`; then, one dimension at a time, a d-cell of
+    X goes to the d-cube of `_sageev_tables` whose facets are the images
     of its facets.  Cells are determined by their facets, so this
     compares facet tables only: it makes no rebuild complex and reads no
     vertex sets, and the ultrafilters are built as sets only for the
     mapping, when the verdict is True."""
     elements, rows, _, signs = _halfspaces(X)
-    S = Pocset(elements, rows)
     verts = X.cells(0)
-    masks = S._ultrafilter_masks(max_ultrafilters)
+    masks = _ultrafilter_walk(rows, max_ultrafilters)
     at = {m: i for i, m in enumerate(masks)}
     positions = image = [at.get(m) for m in signs]
     if len(verts) != len(masks) or None in image or len(set(image)) != len(image):
         return False, None
-    tables = _sageev_tables(masks, len(S.pair_ids))
+    pair_ids = [pid for pid, _ in elements[::2]]
+    tables = _sageev_tables(masks, len(pair_ids))
     for d in range(1, max(X.top_dim, len(tables)) + 1):
         xs = X.facet_positions(d)
         ys = tables[d - 1] if d <= len(tables) else ()
@@ -477,6 +485,6 @@ def roller_duality_check(X: CubeComplex, max_ultrafilters: int = MAX_ULTRAFILTER
         get = image.__getitem__
         image = [at.get(tuple(sorted(map(get, fs)))) for fs in xs]
         if None in image:
-            return False, None
-    U = _ultrafilter_sets(S.pair_ids, masks)
+            return False, None  # a guard of the verdict: every cube of X is a rebuild cube
+    U = _ultrafilter_sets(pair_ids, masks)
     return True, {v: U[i] for v, i in zip(verts, positions)}

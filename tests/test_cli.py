@@ -397,6 +397,7 @@ def test_export_refuses_what_it_could_not_write_back():
         {"dim": 1, "cells": 5},
         {"dim": 1, "cells": [5]},
         {"dim": True, "cells": [["a0", "a1"]]},
+        {"dim": 1, "cells": [["a0", "zz"]]},  # names no simplex
     ],
 )
 def test_cycle_malformed_chain_is_structured_error(tmp_path, chain_doc):
@@ -408,6 +409,41 @@ def test_cycle_malformed_chain_is_structured_error(tmp_path, chain_doc):
         assert p.returncode == 1
         assert out_json(p)["error"]["type"] == "ComplexError"
         assert "Traceback" not in p.stderr
+
+
+_TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+_MISSING = os.path.join(_TESTS_DIR, "no-such-document.json")
+
+
+@pytest.mark.parametrize("args, stdin, message", [
+    pytest.param(["build", _MISSING], None, f"cannot read {_MISSING}: [Errno 2] ",
+                 id="build-a-missing-file"),
+    pytest.param(["build", _TESTS_DIR], None, f"cannot read {_TESTS_DIR}: [Errno 21] ",
+                 id="build-a-directory"),
+    pytest.param(["generate", "barycentric", "--gamma", "tetrahedron"], None,
+                 "barycentric needs --gamma and --lam", id="barycentric-without-lam"),
+    pytest.param(["generate", "barycentric", "--gamma", "-", "--lam", "triangle"],
+                 canonical_json({"n": 1, "cubes": []}), "malformed simplicial document: 'vertices'",
+                 id="barycentric-of-a-cube-document"),
+])
+def test_refusals_exit_1_with_a_payload(args, stdin, message):
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    error = json.loads(result.stdout)["error"]
+    assert (error["command"], error["type"]) == (args[0], "ComplexError")
+    assert error["message"].startswith(message), error["message"]
+
+
+def test_a_failing_pairwise_check_names_its_colors_and_squares():
+    square = {"n": 2, "vertices": [{"id": f"v{k}", "color": 1 + k % 2} for k in range(4)],
+              "maximal_simplices": [[f"v{k}", f"v{(k + 1) % 4}"] for k in range(4)]}
+    result = CliRunner().invoke(main, ["check", "pairwise", "-"],
+                                input=canonical_json({"gamma_a": square, "gamma_b": square}))
+    assert result.exit_code == 1
+    witness = {"cycle": ["v0", "v1", "v2", "v3"], "colors": [1, 2, 1, 2]}
+    assert json.loads(result.stdout) == {"property": "pairwise", "holds": False, "witness": {
+        "colors": [1, 2], "a": witness, "b": witness}}
+    assert result.stderr == "clcc check: pairwise fails\n"
 
 
 def _limit_address_space():

@@ -569,6 +569,13 @@ def test_a_host_of_vertices_only_has_b0_the_vertex_count(monkeypatch):
                  "smart pairing of chains needs colored hosts", id="pairing-on-uncolored-hosts"),
     pytest.param(lambda h: is_boundary(zero_chain(h, -1)),
                  "augmentation chains are not checked for bounding", id="bounding-augmentation"),
+    pytest.param(lambda h: zero_chain(h, 0).to_json_dict(),
+                 "only chains of cubes of a pair-built complex have a JSON form",
+                 id="json-without-a-pair"),
+    pytest.param(lambda h: zero_chain(build_clcc(gen_cycle(2), gen_cycle(2, prefix="b")), -1)
+                 .to_json_dict(),
+                 "only chains of cubes of a pair-built complex have a JSON form",
+                 id="json-of-the-augmentation"),
 ])
 def test_chain_refusals_name_their_input(one_triangle, call, message):
     with pytest.raises(DomainError) as info:

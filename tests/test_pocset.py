@@ -3,6 +3,7 @@ from collections import deque
 import pytest
 
 from clcc import ColoredComplex, build_clcc, gen_cycle, gen_racg_pair
+from clcc import pocset_hyperplanes
 from clcc.clcc_core import CubeComplex
 from clcc.errors import DomainError, NotTwoSidedError, PocsetError
 from clcc.pocset_hyperplanes import (
@@ -319,19 +320,16 @@ def test_nested_pairs_give_path():
 
 
 def count_mask_runs(monkeypatch) -> list:
-    """Record each pocset whose ultrafilter masks are enumerated: a walk
-    builds a new tuple, a read of the kept one returns it."""
-    enumerate_masks = Pocset._ultrafilter_masks
+    """Record the order rows of each ultrafilter walk; a read of a
+    pocset's kept walk walks nothing."""
+    walk = pocset_hyperplanes._ultrafilter_walk
     runs = []
 
-    def counted(S, *limit):
-        before = S.__dict__.get("_masks")
-        masks = enumerate_masks(S, *limit)
-        if masks is not before:
-            runs.append(S)
-        return masks
+    def counted(rows, limit):
+        runs.append(rows)
+        return walk(rows, limit)
 
-    monkeypatch.setattr(Pocset, "_ultrafilter_masks", counted)
+    monkeypatch.setattr(pocset_hyperplanes, "_ultrafilter_walk", counted)
     return runs
 
 
@@ -341,7 +339,7 @@ def test_ultrafilters_then_sageev_enumerate_once(monkeypatch):
     S = Pocset.from_relations(["h", "k", "m"], [(("h", "+"), ("k", "+"))])
     U = ultrafilters(S)
     Y = sageev(S)
-    assert runs == [S]
+    assert runs == [S.rows]
     assert len(U) == 6 and list(Y.cells(0)) == U
 
 
@@ -446,15 +444,17 @@ def test_duality_check_reads_no_vertex_sets(monkeypatch):
 
 def test_duality_check_builds_no_rebuild(monkeypatch):
     """The check reads the rebuild's facet tables: it constructs no
-    CubeComplex and enumerates the ultrafilter masks once per call, and
-    its verdict and mapping are the reference's, the hollow cube's
-    (False, None) included."""
+    CubeComplex, re-checks no pocset axiom (it makes no Pocset) and
+    enumerates the ultrafilter masks once per call, and its verdict and
+    mapping are the reference's, the hollow cube's (False, None)
+    included."""
     hosts = duality_hosts() + [hollow_cube()]
     built = []
     init = CubeComplex.__init__
     monkeypatch.setattr(
         CubeComplex, "__init__", lambda X, *args, **kw: built.append(X) or init(X, *args, **kw)
     )
+    monkeypatch.setattr(Pocset, "__post_init__", built.append)
     runs = count_mask_runs(monkeypatch)
     verdicts = []
     for X in hosts:

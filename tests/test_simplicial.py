@@ -68,6 +68,12 @@ def octahedron_faces():
 # -- ColoredComplex.build -----------------------------------------------------
 
 
+def test_a_host_prints_its_cell_counts(c4, tetra_boundary):
+    """The repr is how a failing assertion prints a host."""
+    assert repr(c4) == "ColoredComplex(n=2, cells={0: 4, 1: 4})"
+    assert repr(tetra_boundary) == "SimplicialComplex(cells={0: 4, 1: 6, 2: 4})"
+
+
 def test_closure_of_cycle(c4):
     assert cell_counts(c4) == {0: 4, 1: 4}
     assert EMPTY_SIMPLEX in c4.simplices

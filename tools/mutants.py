@@ -34,6 +34,7 @@ SIMPLICIAL = "src/clcc/simplicial.py"
 POCSET = "src/clcc/pocset_hyperplanes.py"
 HYPERBOLICITY = "src/clcc/hyperbolicity.py"
 GENERATORS = "src/clcc/generators.py"
+HOMOLOGY = "src/clcc/homology_z2.py"
 FACTOR_LINKS = "tests/test_factor_links.py"
 CUBE_JSON = "tests/test_cube_json.py"
 WALK = "tests/test_halfspace_walk.py"
@@ -282,6 +283,39 @@ MUTANTS = [
         "",
         [f"{WALK}::test_a_square_crossing_itself_is_left_to_the_cuts"],
     ),
+    # The mutants below reach the re-checks that `tools/linecov.py` lists:
+    # lines that no public input reaches, each guarding a verdict.
+    (  # the subdivision splits each full flag into two chains: no vertex meets a face
+        SIMPLICIAL,
+        "maximal = [[bid(t) for t in chain] for s in K.maximal_simplices if s for chain in flags(s)]",
+        "maximal = [[bid(t) for t in part] for s in K.maximal_simplices if s\n"
+        "               for chain in flags(s) for part in (chain[:2], chain[1:])]",
+        ["tests/test_hyperbolicity.py::test_certify_barycentric_tetrahedra"],
+    ),
+    (  # both factors subdivided with the first factor's colors
+        GENERATORS,
+        "        barycentric_subdivision_2d(lam, colors_lam),",
+        "        barycentric_subdivision_2d(lam, colors_gamma),",
+        ["tests/test_hyperbolicity.py::test_certify_barycentric_tetrahedra"],
+    ),
+    (  # a chain's support keeps only its cells
+        HOMOLOGY,
+        "faces = faces_of([(), *(s.entries for s in c.cells)])",
+        "faces = [(), *(s.entries for s in c.cells)]",
+        ["tests/test_homology.py::test_clcc_cycle_of_fundamental_cycles_is_top_chain"],
+    ),
+    (  # every injective map taken for a full inclusion
+        SIMPLICIAL,
+        "        if not self.is_injective:\n            return False\n        image =",
+        "        return self.is_injective\n        image =",
+        ["tests/test_clcc_core.py::test_the_link_condition_reads_the_built_links"],
+    ),
+    (  # the rebuild's edges list their vertices last first
+        POCSET,
+        "fs = (parent, last)",
+        "fs = (last, parent)",
+        ["tests/test_pocset.py::test_duality_check_builds_no_rebuild"],
+    ),
 ]
 
 
@@ -300,12 +334,18 @@ def run_tests(tree: Path, tests: list[str]) -> int:
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
 
 
-def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
-    stale = [
+def stale_entries() -> list[tuple[int, str]]:
+    """(mutant number, file) of each mutant whose old text does not occur
+    exactly once in its file."""
+    return [
         (k, path) for k, (path, old, _, _) in enumerate(MUTANTS, 1)
         if (ROOT / path).read_text().count(old) != 1
     ]
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    stale = stale_entries()
     for k, path in stale:
         print(f"mutant {k}: its old text does not occur exactly once in {path}")
     if stale:
