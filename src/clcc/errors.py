@@ -22,4 +22,6 @@ class PocsetError(DomainError):
 
 
 class NotTwoSidedError(DomainError):
-    """A hyperplane's removal does not split the 1-skeleton into two parts."""
+    """A complex has no halfspace pocset: a hyperplane crosses itself, or
+    its removal does not split the 1-skeleton into two parts, or the
+    complex is not connected."""

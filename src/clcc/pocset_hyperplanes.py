@@ -194,28 +194,32 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
     and each vertex's sign: bit p set when the vertex is on the "+" side
     of pair p, in the sorted order of the pair ids ("h10" before "h2").
 
-    Each hyperplane's edges, cut, must leave two parts, and X must be
-    connected.  The signs come from one walk from vertex 0: each vertex
-    gets its parent's sign with the bit of the tree edge's class flipped.
-    They are the cuts' sides when the walk reaches every vertex, every
-    edge joins two signs that differ in exactly the bit of its own class,
-    and no square has both its pairs in one class.  Then bit h changes
-    along exactly the edges of h, so each value of it holds whole parts
-    of the cut of h.  And each holds one part: a vertex reaches, without
-    crossing h, an end of some h-edge with its own bit h, and those ends
-    are joined outside h, since a square's two h-edges are joined by its
-    other two edges, which are not in h.  Vertex 0, the canonically
-    least, has sign 0, so the "-" side holds it, as in the cuts.
+    Each hyperplane's edges, cut, must leave two parts, X must be
+    connected, and no square may have both its pairs in one class: that
+    hyperplane crosses itself, which a `from_cells` host may do (a
+    pair-built square has two colors), and is refused first.  The signs
+    come from one walk from vertex 0: each vertex gets its parent's sign
+    with the bit of the tree edge's class flipped.  They are the cuts'
+    sides when the walk reaches every vertex and every edge joins two
+    signs that differ in exactly the bit of its own class.  Then bit h
+    changes along exactly the edges of h, so each value of it holds
+    whole parts of the cut of h.  And each holds one part: a vertex
+    reaches, without crossing h, an end of some h-edge with its own bit
+    h, and those ends are joined outside h, since a square's two h-edges
+    are joined by its other two edges, which are not in h.  Vertex 0, the
+    canonically least, has sign 0, so the "-" side holds it, as in the
+    cuts.
 
-    Conversely, when X is connected, every cut leaves two parts and no
-    square crosses itself, the edges of a class all join the two parts
-    or none does (a square carries the one to the other), and some does,
-    so every edge passes.  So when the walk fails, `_cut_signs`, which
-    reads the cuts one by one, names the error and raises.  Only with a
-    square that crosses itself, which a `from_cells` host may have (a
-    pair-built square has two colors), do the cuts decide."""
+    Conversely, when X is connected and every cut leaves two parts, the
+    edges of a class all join the two parts or none does (a square
+    carries the one to the other), and some does, so every edge passes.
+    So when the walk fails, `_cut_error`, which reads the cuts one by
+    one, names the error."""
     op = X.opposition
-    count = len(X.cells(0))
+    label, count = op.label, len(X.cells(0))
+    crossed = [label[e] for e, _, g, _ in op.squares if label[e] == label[g]]
+    if crossed:
+        raise NotTwoSidedError(f"hyperplane h{min(crossed)} crosses itself")
     # the class of each sorted pair position: "h10" sorts before "h2"
     hids = sorted(f"h{h}" for h in range(len(op.classes)))
     bit = [0] * len(hids)
@@ -223,7 +227,7 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
         bit[int(hid[1:])] = 1 << p
     signs = _walk_signs(X, bit) if hids else [0] * count
     if signs is None:
-        signs = _cut_signs(X, bit)
+        raise _cut_error(X)
     # the "+" mask of pair p: bit p of each sign, read as binary digits
     # from the last vertex down
     full, last_first, masks = (1 << count) - 1, signs[::-1], []
@@ -238,12 +242,8 @@ def _halfspaces(X: CubeComplex) -> tuple[tuple, tuple, list, list]:
 
 def _walk_signs(X: CubeComplex, bit: list) -> Optional[list]:
     """Each vertex's sign from one walk from vertex 0 (see `_halfspaces`),
-    or None when the walk misses a vertex, an edge fails the check or a
-    square crosses itself."""
-    op = X.opposition
-    label, ends = op.label, X.facet_positions(1)
-    if any(label[e] == label[g] for e, _, g, _ in op.squares):
-        return None
+    or None when the walk misses a vertex or an edge fails the check."""
+    label, ends = X.opposition.label, X.facet_positions(1)
     flips = [bit[h] for h in label]
     around: list = [[] for _ in X.cells(0)]
     for (u, v), f in zip(ends, flips):
@@ -263,40 +263,31 @@ def _walk_signs(X: CubeComplex, bit: list) -> Optional[list]:
     return signs
 
 
-def _cut_signs(X: CubeComplex, bit: list) -> list:
-    """Each vertex's sign read off the cuts: for each hyperplane, in class
-    order, the edges of the other classes must leave two parts, and the
-    part of vertex 0 is its "-" side.  Then X is connected exactly when some edge
-    of h0 joins h0's two parts: if none does, those parts are the two
-    components of X."""
-    op = X.opposition
-    endpoints = X.facet_positions(1)
-    count = len(X.cells(0))
-    signs = [0] * count
-    for h, b in enumerate(bit):
-        roots = component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))
-        sides = len(set(roots))
+def _cut_error(X: CubeComplex) -> NotTwoSidedError:
+    """Why a complex with no self-crossing square has no halfspace
+    pocset, once the walk has failed: the first hyperplane, in class
+    order, whose cut leaves other than two parts.  If every cut leaves
+    two, X is not connected (the converse in `_halfspaces`): its two
+    components are the two parts of the cut of h0."""
+    op, endpoints, count = X.opposition, X.facet_positions(1), len(X.cells(0))
+    for h in range(len(op.classes)):
+        sides = len(set(component_roots(count, (e for e, k in zip(endpoints, op.label) if k != h))))
         if sides != 2:
-            raise NotTwoSidedError(
-                f"hyperplane h{h} separates the complex into {sides} parts, not 2"
-            )
-        for i, r in enumerate(roots):
-            if r:
-                signs[i] |= b
-    if not any((signs[u] ^ signs[v]) & bit[0] for (u, v), k in zip(endpoints, op.label) if k == 0):
-        raise NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")
-    return signs
+            text = f"hyperplane h{h} separates the complex into {sides} parts, not 2"
+            return NotTwoSidedError(text)
+    return NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")
 
 
 def halfspace_pocset(X: CubeComplex) -> Pocset:
     """Halfspaces ordered by inclusion of their vertex sets.
 
     Requires every hyperplane to be two-sided: removing its edges must
-    split the 1-skeleton into exactly two components, and the complex
-    must be connected.  Quotients with one-sided classes (a torus, say)
-    are rejected.  Each halfspace's vertices are read off its mask in one
-    C-level pass: bin(mask) from its lowest bit, its digits made bytes 0
-    and 1, gives one selector per vertex."""
+    split the 1-skeleton into exactly two components, it must cross
+    itself in no square, and the complex must be connected.  Quotients
+    with one-sided classes (a torus, say) are rejected.  Each
+    halfspace's vertices are read off its mask in one C-level pass:
+    bin(mask) from its lowest bit, its digits made bytes 0 and 1, gives
+    one selector per vertex."""
     elements, rows, masks, _ = _halfspaces(X)
     verts, bits = X.cells(0), bytes.maketrans(b"01", b"\0\1")
     sides = [frozenset(compress(verts, bin(m)[:1:-1].encode().translate(bits))) for m in masks]

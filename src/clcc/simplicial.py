@@ -512,6 +512,14 @@ class CellStore:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cs) for d, cs in self._cells_by_dim.items() if d >= 0)
 
+    def __repr__(self) -> str:
+        """The cell count of each dimension, after the color count of a
+        host that has one: how a failing assertion prints a host."""
+        counts = {d: len(cs) for d, cs in self._cells_by_dim.items() if d >= 0}
+        n = getattr(self, "n", None)
+        head = "" if n is None else f"n={n}, "
+        return f"{type(self).__name__}({head}cells={counts})"
+
 
 class ColoredComplex(CellStore):
     """Downward-closed family of coordinate simplices over colored vertices.
@@ -703,10 +711,6 @@ class ColoredComplex(CellStore):
             and self.simplices == other.simplices
         )
 
-    def __repr__(self) -> str:
-        counts = {d: len(c) for d, c in sorted(self._cells_by_dim.items()) if d >= 0}
-        return f"ColoredComplex(n={self.n}, cells={counts})"
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -801,10 +805,6 @@ class SimplicialComplex(CellStore):
             and self.vertex_ids == other.vertex_ids
             and self.simplices == other.simplices
         )
-
-    def __repr__(self) -> str:
-        counts = {d: len(c) for d, c in sorted(self._cells_by_dim.items()) if d >= 0}
-        return f"SimplicialComplex(cells={counts})"
 
     def to_json_dict(self) -> dict:
         return {

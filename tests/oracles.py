@@ -216,10 +216,13 @@ def crossing_graph_reference(X) -> CrossingGraph:
 def halfspace_sides_reference(X):
     """The two sides of each reference hyperplane, the "-" side holding
     the canonically least vertex: the 1-skeleton without the class's
-    edges, merged vertex set by vertex set.  None when some class does
+    edges, merged vertex set by vertex set.  None when some class
+    crosses itself (`crossing_graph_reference`), when some class does
     not cut the complex in two, or when there is a class and the whole
     1-skeleton, merged the same way, is not connected (then two parts
     may be the two components)."""
+    if crossing_graph_reference(X).self_crossing:
+        return None
     ends = [(e, *X.vertices_of(e)) for e in X.cells(1)]
 
     def parts(cut):

@@ -2,16 +2,16 @@
 
 `_walk_signs` gives each vertex its parent's sign with the bit of the
 tree edge's class flipped, and accepts the signs only when every edge
-joins two signs that differ in exactly the bit of its own class and no
-square crosses itself.  `_cut_signs`, one union-find per hyperplane, is
-what the halfspaces were read from before; it now only names the error.
-Here the walk's signs equal the cuts' signs wherever the walk accepts,
-the cuts raise wherever it refuses, and the sides and duality verdicts
-equal `halfspace_sides_reference` and `roller_duality_check_reference`:
-on the seeded pairs, the `sageev` complexes of the ultrafilter sweep,
-trees and grids up to 16 x 16.  The bits are in the sorted order of the
-pair ids, which is not the class order once there are 11 hyperplanes
-("h10" sorts before "h2").
+joins two signs that differ in exactly the bit of its own class.  A
+square whose two pairs are one class is refused before the walk, and
+when the walk refuses, `_cut_error`, one union-find per hyperplane, only
+names the error.  Here the sides and duality verdicts equal the cuts of
+`halfspace_sides_reference` and `roller_duality_check_reference`, the
+walk refusing exactly where the reference finds no sides: on the seeded
+pairs, the `sageev` complexes of the ultrafilter sweep, trees and grids
+up to 16 x 16.  The bits are in the sorted order of the pair ids, which
+is not the class order once there are 11 hyperplanes ("h10" sorts
+before "h2").
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from clcc import build_clcc
 from clcc.clcc_core import CubeComplex
 from clcc.errors import NotTwoSidedError
 from clcc.pocset_hyperplanes import (
-    _cut_signs,
+    _cut_error,
     _walk_signs,
+    crossing_graph,
     halfspace_pocset,
     roller_duality_check,
     sageev,
@@ -52,26 +53,20 @@ def outcome(check, X):
 
 
 def assert_walk_matches(X: CubeComplex) -> bool:
-    """The walk against the cuts and the references; True when the walk
-    accepted X or X has no hyperplane."""
+    """The walk against the references; True when the walk accepted X or
+    X has no hyperplane."""
     bit = sorted_bits(X)
     sides = halfspace_sides_reference(X)
-    if not bit:  # no hyperplane, nothing to walk: the empty pocset
-        signs = [0] * len(X.cells(0))
-    elif (signs := _walk_signs(X, bit)) is not None:
-        assert signs == _cut_signs(X, bit)
-        assert sides is not None
-    else:
-        with pytest.raises(NotTwoSidedError):
-            _cut_signs(X, bit)
-        assert sides is None
+    # no hyperplane, nothing to walk: the empty pocset
+    walked = not bit or _walk_signs(X, bit) is not None
+    assert walked == (sides is not None)
     if sides is None:
         with pytest.raises(NotTwoSidedError):
             halfspace_pocset(X)
     else:
         assert halfspace_pocset(X).sides == sides
     assert outcome(roller_duality_check, X) == outcome(roller_duality_check_reference, X)
-    return signs is not None
+    return walked
 
 
 def test_walk_equals_the_cuts_on_the_seeded_pairs():
@@ -130,6 +125,7 @@ def four_cycle() -> CubeComplex:
 def test_the_cuts_name_what_the_walk_refuses(host, text):
     X = host()
     assert _walk_signs(X, sorted_bits(X)) is None
+    assert str(_cut_error(X)) == text
     for refuse in (halfspace_pocset, roller_duality_check):
         with pytest.raises(NotTwoSidedError) as err:
             refuse(X)
@@ -140,8 +136,9 @@ def test_the_cuts_name_what_the_walk_refuses(host, text):
 def self_crossing() -> CubeComplex:
     """Three squares on six vertices whose class h0 holds both pairs of
     the square uvwx.  Every cycle crosses each class an even number of
-    times, so the walk's edge check passes, but the cut of h0 leaves
-    three parts: {v, p, x}, {q, u} and {w}."""
+    times, so the walk's edge check would pass, but the cut of h0 leaves
+    three parts: {v, p, x}, {q, u} and {w}.  It is refused before the
+    walk."""
     edges = ["uv", "vw", "wx", "xu", "vp", "pq", "qu", "px"]
     return CubeComplex.from_cells({
         0: [frozenset({v}) for v in "uvwxpq"],
@@ -150,12 +147,13 @@ def self_crossing() -> CubeComplex:
     })
 
 
-def test_a_square_crossing_itself_is_left_to_the_cuts():
+def test_a_square_crossing_itself_is_refused():
     X = self_crossing()
     op = X.opposition
     assert any(op.label[e] == op.label[g] for e, _, g, _ in op.squares)
-    assert _walk_signs(X, sorted_bits(X)) is None
+    assert "h0" in crossing_graph(X).self_crossing
     assert halfspace_sides_reference(X) is None
-    with pytest.raises(NotTwoSidedError) as err:
-        halfspace_pocset(X)
-    assert str(err.value) == "hyperplane h0 separates the complex into 3 parts, not 2"
+    for refuse in (halfspace_pocset, roller_duality_check):
+        with pytest.raises(NotTwoSidedError) as err:
+            refuse(X)
+        assert str(err.value) == "hyperplane h0 crosses itself"

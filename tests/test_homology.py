@@ -373,6 +373,36 @@ def test_is_boundary(torus):
     assert not is_boundary(top_chain(torus))  # the fundamental class
 
 
+def test_is_boundary_equals_a_naive_rank_test(
+    c4, c6, o3, torus, genus2, one_triangle, twopt, tetra_boundary
+):
+    """A k-chain bounds exactly when it leaves the rank of the rows of
+    ∂(k+1), built from `boundary_of`, unchanged; above the top dimension
+    there are no rows, so only the zero chain bounds.  Boundaries of
+    random (k+1)-chains and random k-chains, in every dimension of cube,
+    colored and simplicial hosts."""
+    r = rng(38)
+    hosts = host_corpus(c4, c6, o3, torus, genus2, one_triangle, twopt) + [tetra_boundary]
+    seen = set()
+    for X in hosts:
+        for k in range(X.top_dim + 1):
+            index = {c: i for i, c in enumerate(X.cells(k))}
+            rows = boundary_rows_reference(X, k + 1, index)
+            rank = gf2.rank(rows, len(index))
+            chains = [random_chain(r, X, k) for _ in range(4)]
+            if k < X.top_dim:
+                chains += [boundary(random_chain(r, X, k + 1)) for _ in range(4)]
+            for c in chains:
+                vec = sum(1 << index[cell] for cell in c.cells)
+                bounds = gf2.rank([*rows, vec], len(index)) == rank
+                assert is_boundary(c) == bounds
+                seen.add((k == X.top_dim, bounds, c.is_zero))
+    kinds = {type(X).__name__ for X in hosts}
+    assert kinds == {"ColoredComplex", "CubeComplex", "SimplicialComplex"}
+    # below the top both verdicts; at the top a nonzero chain that does not bound
+    assert {(False, True, False), (False, False, False), (True, False, False)} <= seen
+
+
 def test_chain_validation(torus, c4):
     with pytest.raises(DomainError):
         Chain2(torus, 1, frozenset(torus.cells(2)[:1]))

@@ -28,6 +28,7 @@ from clcc.simplicial import (
     faces_of,
 )
 
+from conftest import grid_complex
 from corpus import (
     planted_square_flag_complex,
     random_colored_complex,
@@ -69,9 +70,12 @@ def octahedron_faces():
 
 
 def test_a_host_prints_its_cell_counts(c4, tetra_boundary):
-    """The repr is how a failing assertion prints a host."""
+    """The repr is how a failing assertion prints a host; the cube hosts
+    share it, with a color count only when pair-built."""
     assert repr(c4) == "ColoredComplex(n=2, cells={0: 4, 1: 4})"
     assert repr(tetra_boundary) == "SimplicialComplex(cells={0: 4, 1: 6, 2: 4})"
+    assert repr(build_clcc(c4, c4)) == "CubeComplex(n=2, cells={0: 16, 1: 32, 2: 16})"
+    assert repr(grid_complex(1, 1)) == "CubeComplex(cells={0: 4, 1: 4, 2: 1})"
 
 
 def test_closure_of_cycle(c4):

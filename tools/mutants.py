@@ -186,10 +186,10 @@ MUTANTS = [
         ["tests/test_hyperplane_cache.py::test_pair_hosts_match_references",
          "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
     ),
-    (  # halfspaces of a complex with two components accepted by the cuts
+    (  # a complex with two components, each cut leaving two parts, given no error
         POCSET,
-        "    if not any((signs[u] ^ signs[v]) & bit[0] for",
-        "    if False and any((signs[u] ^ signs[v]) & bit[0] for",
+        'return NotTwoSidedError("the complex is not connected: no edge of h0 joins its sides")',
+        "return None",
         ["tests/test_pocset.py::test_halfspaces_of_a_disconnected_complex_are_refused",
          "tests/test_hyperplane_cache.py::test_seeded_pairs_match_references"],
     ),
@@ -279,9 +279,9 @@ MUTANTS = [
     ),
     (  # the walk trusted on a square whose two pairs are one class
         POCSET,
-        "    if any(label[e] == label[g] for e, _, g, _ in op.squares):\n        return None\n",
-        "",
-        [f"{WALK}::test_a_square_crossing_itself_is_left_to_the_cuts"],
+        "    if crossed:\n",
+        "    if False:\n",
+        [f"{WALK}::test_a_square_crossing_itself_is_refused"],
     ),
     # The mutants below reach the re-checks that `tools/linecov.py` lists:
     # lines that no public input reaches, each guarding a verdict.
